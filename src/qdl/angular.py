@@ -20,8 +20,6 @@ import numpy as np
 
 from .linalg import check_purity
 
-_FACT = [math.factorial(k) for k in range(65)]
-
 # log k! table for the vectorized paths, grown on demand
 _LOG_FACT = np.array([0.0])
 

@@ -6,8 +6,8 @@ qubit.  The covariant training measurement is generated by a single seed
 operator; with the right seed the machine attains the programmable-machine
 error for every training-set size.  This module evaluates that error, the
 estimate-and-discriminate and reversed-order alternatives, the mixed-state
-conditional operators, and a small-scale positive-semidefinite optimization
-of the seed for noisy training sets.
+conditional operators, and the optimal seed for noisy training sets from an
+exact semidefinite program whose dual certifies the optimum.
 """
 
 from __future__ import annotations
@@ -20,7 +20,13 @@ import numpy as np
 
 from .angular import HalfInt, clebsch_gordan, multiplicity
 from .linalg import check_purity
-from .programmable import pure_rates
+
+# log-barrier schedule of the seed solver: t grows by _BARRIER_GROWTH until
+# the central-path gap (total block dimension)/t of the scaled problem drops
+# below _BARRIER_END.  A larger t buys nothing: as the S_m approach
+# singularity, the primal blocks S_m^-1 / t lose precision.
+_BARRIER_GROWTH = 10.0
+_BARRIER_END = 1e-10
 
 
 class EydRates(NamedTuple):
@@ -36,15 +42,15 @@ class RobustnessFactors(NamedTuple):
 def known_pair_error(r: float = 1.0) -> float:
     """Average single-copy minimum error over pairs of known states of
     purity r; the baseline that excess risks are measured from."""
-    return 0.5 - r / 3.0
+    return 0.5 - check_purity(r) / 3.0
 
 
 def lm_error(n: int) -> float:
     """Classification error of the trained machine for n pure copies per label.
 
     Computed from the norms of the two symmetric-subspace projections of the
-    seed state joined with the data qubit, then checked against the
-    programmable-machine bound, with which it must agree identically.
+    seed state joined with the data qubit; it equals the programmable-machine
+    bound identically.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -55,20 +61,14 @@ def lm_error(n: int) -> float:
     for k in range(1, n + 2):
         amp = math.sqrt(k / (2.0 * d)) * (math.sqrt(d + k) - math.sqrt(d - k))
         norm_sq += amp * amp
-    pe = norm_sq / (d * (n + 2))
-    bound = pure_rates(n, 1).pe
-    if abs(pe - bound) > 1e-12:
-        raise AssertionError(
-            f"learning-machine error {pe!r} deviates from the programmable "
-            f"bound {bound!r}; internal invariant violated"
-        )
-    return pe
+    return norm_sq / (d * (n + 2))
 
 
 def spin_weights(j, r: float) -> np.ndarray:
     """Normalized magnetic-number weights of a spin-j block of a purity-r
     tensor power, ordered m = -j..j."""
     j2 = HalfInt.coerce(j).twice
+    r = check_purity(r)
     if r == 0.0:
         return np.full(j2 + 1, 1.0 / (j2 + 1))
     m2 = np.arange(-j2, j2 + 1, 2)
@@ -87,6 +87,7 @@ def block_probability(n: int, j, r: float) -> float:
     """Probability that an n-fold purity-r power projects onto spin j."""
     j2 = HalfInt.coerce(j).twice
     nu = multiplicity(n, j)
+    r = check_purity(r)
     if r == 0.0:
         return nu * (j2 + 1) * 0.5**n
     c_j = (((1 + r) / 2) ** (j2 + 1) - ((1 - r) / 2) ** (j2 + 1)) / r
@@ -192,138 +193,98 @@ def _coupled_vector(ja2: int, jc2: int, j2: int, m2: int) -> np.ndarray:
 class LmOptimum(NamedTuple):
     delta_lm: float
     seed: SeedOperator
+    gap: float
 
 
-def _optimize_sector(gamma_diag_by_m, cons_vectors, dims, rng, restarts):
-    """Maximize sum_m tr(diag(g_m) Omega_m) over PSD Omega_m subject to the
-    per-spin linear trace constraints.
+def _solve_sector(gammas, b):
+    """Maximize sum_m tr(G_m X_m) over PSD X_m subject to
+    sum_m (X_m)_jj = b_j, all in the coupled |j m> basis.
 
-    The factorization Omega_m = L_m L_m^T keeps iterates PSD by
-    construction, at the cost of a nonconvex landscape that the random
-    restarts sweep.  Each restart runs a sequential quadratic program with
-    analytic gradients; the best feasible result wins, deterministically.
+    Block m carries the spins j >= |m|, the trailing entries of ``b``.  The
+    dual, minimize b.y subject to S_m = diag(y_{j>=|m|}) - G_m >= 0, is
+    solved with a damped-Newton log barrier; every iterate, the last one
+    included, passes a Cholesky factorization of each S_m, so the returned
+    b.y is a certified upper bound.  The primal blocks are S_m^-1 / t at the
+    last centring, made exactly feasible by a diagonal congruence.
+    Returns (dual value, primal value, primal blocks).
     """
-    from scipy import optimize
-
-    scale = max(np.abs(g).max() for g in gamma_diag_by_m)
-    if scale == 0.0:
-        # objective-free sector: the identity blocks are feasible
-        return 0.0, [np.eye(d) for d in dims], 0.0
-    gammas = [g / scale for g in gamma_diag_by_m]
-    sizes = [d * d for d in dims]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total_len = int(offsets[-1])
-
-    def unpack(x):
-        return [
-            x[offsets[i]: offsets[i + 1]].reshape(dims[i], dims[i])
-            for i in range(len(dims))
-        ]
-
-    def neg_obj(x):
-        return -sum(
-            float(np.einsum("d,de,de->", g, L, L))
-            for g, L in zip(gammas, unpack(x))
-        )
-
-    def neg_obj_grad(x):
-        ls = unpack(x)
-        return -np.concatenate(
-            [(2.0 * g[:, None] * L).ravel() for g, L in zip(gammas, ls)]
-        )
-
-    constraints = []
-    for vecs, target in cons_vectors:
-
-        def c_fun(x, vecs=vecs, target=target):
-            ls = unpack(x)
-            tot = 0.0
-            for mi, v in vecs:
-                w = ls[mi].T @ v
-                tot += float(w @ w)
-            return tot - target
-
-        def c_jac(x, vecs=vecs):
-            ls = unpack(x)
-            grads = [np.zeros_like(L) for L in ls]
-            for mi, v in vecs:
-                grads[mi] += 2.0 * np.outer(v, ls[mi].T @ v)
-            return np.concatenate([g.ravel() for g in grads])
-
-        constraints.append({"type": "eq", "fun": c_fun, "jac": c_jac})
-
-    x_id = np.concatenate([np.eye(d).ravel() for d in dims])
-    best_val, best_omegas, best_res = -np.inf, None, np.inf
-    for k in range(restarts):
-        x0 = x_id if k == 0 else x_id + 0.4 * rng.standard_normal(total_len)
-        res = optimize.minimize(
-            neg_obj,
-            x0,
-            jac=neg_obj_grad,
-            constraints=constraints,
-            method="SLSQP",
-            options={"maxiter": 500, "ftol": 1e-14},
-        )
-        residual = max(abs(c["fun"](res.x)) for c in constraints)
-        val = -neg_obj(res.x)
-        if residual < 1e-8 and val > best_val:
-            best_val, best_res = val, residual
-            best_omegas = [L @ L.T for L in unpack(res.x)]
-        best_res = min(best_res, residual)
-    if best_omegas is None:
-        raise RuntimeError(
-            f"seed optimization did not reach feasibility; best residual {best_res:.3e}"
-        )
-    return best_val * scale, best_omegas, best_res
+    scale = max(np.abs(g).max() for g in gammas) or 1.0
+    gs = [g / scale for g in gammas]
+    offsets = [len(b) - len(g) for g in gs]
+    nu = sum(len(g) for g in gs)
+    # G_m is orthogonally similar to a diagonal with entries in [-1, 1], so
+    # this start has S_m >= I
+    y = np.full(len(b), 2.0)
+    t = 1.0
+    while True:
+        lam_prev = math.inf
+        while True:
+            grad, hess = t * b, np.zeros((len(b), len(b)))
+            s_inv = []
+            for k, g in zip(offsets, gs):
+                l_inv = np.linalg.inv(np.linalg.cholesky(np.diag(y[k:]) - g))
+                s_inv.append(l_inv.T @ l_inv)
+                grad[k:] -= np.diag(s_inv[-1])
+                hess[k:, k:] += s_inv[-1] * s_inv[-1]
+            step = -np.linalg.solve(hess, grad)
+            lam = math.sqrt(max(-float(grad @ step), 0.0))
+            if lam >= 0.25:
+                y += step / (1.0 + lam)
+                continue
+            # exact full steps contract the decrement by 4/9 or more, so one
+            # that does not halve it has reached the rounding floor: centred
+            if lam >= lam_prev / 2.0:
+                break
+            lam_prev = lam
+            y += step
+        if nu / t < _BARRIER_END:
+            break
+        t *= _BARRIER_GROWTH
+    xs = [s / t for s in s_inv]
+    occupation = np.zeros(len(b))
+    for k, x in zip(offsets, xs):
+        occupation[k:] += np.diag(x)
+    d = np.sqrt(b / occupation)
+    xs = [x * np.outer(d[k:], d[k:]) for k, x in zip(offsets, xs)]
+    primal = sum(float(np.sum(g * x)) for g, x in zip(gs, xs))
+    return scale * float(b @ y), scale * primal, xs
 
 
-def lm_mixed_optimize(n: int, r: float, restarts: int = 20, seed: int = 7) -> LmOptimum:
+def lm_mixed_optimize(n: int, r: float) -> LmOptimum:
     """Optimize the seed of the covariant training measurement for purity r.
 
     Every magnetic block of every sector is a variable, not only the m = 0
-    one.  Returns the optimized trace-norm surrogate (the machine error is
-    (1 - delta_lm/2)/2) and the seed; the programmable machine supplies the
-    unbeatable lower bound on the error.
+    one.  Returns the optimal trace-norm surrogate (the machine error is
+    (1 - delta_lm/2)/2), the seed, and ``gap``, the dual upper bound on
+    delta_lm minus delta_lm: no covariant seed reaches a surrogate above
+    delta_lm + gap.  The programmable machine supplies the unbeatable lower
+    bound on the error.
     """
     if not 1 <= n <= 5:
         raise ValueError("seed optimization is desk-scale: n must be 1..5")
     r = check_purity(r, zero=False)
-    rng = np.random.default_rng(seed)
-    total = 0.0
+    primal_total = dual_total = 0.0
     blocks = {}
-    worst_residual = 0.0
     for (ja2, jc2), (p_xi, grid) in gamma_up_blocks(n, r).items():
-        m_values = list(range(-(ja2 + jc2), ja2 + jc2 + 1, 2))
-        dims = []
-        gamma_diag = []
-        basis_by_m = []
+        j_values = range(abs(ja2 - jc2), ja2 + jc2 + 1, 2)
+        m_values = range(-(ja2 + jc2), ja2 + jc2 + 1, 2)
+        c_by_m, g_by_m = [], []
         for m2 in m_values:
-            basis = _m_basis(ja2, jc2, m2)
-            basis_by_m.append(basis)
-            dims.append(len(basis))
-            gamma_diag.append(
-                np.array(
-                    [grid[(ma2 + ja2) // 2, (mc2 + jc2) // 2] for ma2, mc2 in basis]
-                )
+            c = np.column_stack(
+                [_coupled_vector(ja2, jc2, j2, m2) for j2 in j_values if j2 >= abs(m2)]
             )
-        cons_vectors = []
-        for j2 in range(abs(ja2 - jc2), ja2 + jc2 + 1, 2):
-            vecs = []
-            for mi, m2 in enumerate(m_values):
-                if abs(m2) > j2:
-                    continue
-                cvec = _coupled_vector(ja2, jc2, j2, m2)
-                vecs.append((mi, cvec))
-            cons_vectors.append((vecs, float(j2 + 1)))
-        val, omegas, residual = _optimize_sector(
-            gamma_diag, cons_vectors, dims, rng, restarts
-        )
-        worst_residual = max(worst_residual, residual)
-        total += p_xi * val
-        for m2, om in zip(m_values, omegas):
-            blocks[(ja2, jc2, m2)] = om
-    delta = 2.0 * total
-    return LmOptimum(delta_lm=delta, seed=SeedOperator(n=n, blocks=blocks))
+            g = [grid[(ma2 + ja2) // 2, (mc2 + jc2) // 2] for ma2, mc2 in _m_basis(ja2, jc2, m2)]
+            c_by_m.append(c)
+            g_by_m.append(c.T @ (np.array(g)[:, None] * c))
+        dual, primal, xs = _solve_sector(g_by_m, np.array([j2 + 1.0 for j2 in j_values]))
+        dual_total += p_xi * dual
+        primal_total += p_xi * primal
+        for m2, c, x in zip(m_values, c_by_m, xs):
+            blocks[(ja2, jc2, m2)] = c @ x @ c.T
+    delta = 2.0 * primal_total
+    return LmOptimum(
+        delta_lm=delta, seed=SeedOperator(n=n, blocks=blocks), gap=2.0 * dual_total - delta
+    )
 
 
 def eyd_qubit(n: int) -> EydRates:
@@ -357,58 +318,6 @@ def reversed_error(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cg_matrix(j2: int, up_first: bool) -> np.ndarray:
-    """Isometry from the spin-(j+1/2) subspace of C^2 (x) S_j (or S_j (x) C^2)
-    into the product basis."""
-    dim_in = j2 + 2
-    rows = []
-    for m_tot2 in range(j2 + 1, -j2 - 2, -2):
-        col = np.zeros(2 * (j2 + 1))
-        for s2, spin_idx in ((1, 0), (-1, 1)):
-            m2 = m_tot2 - s2
-            if abs(m2) > j2:
-                continue
-            cg = clebsch_gordan(
-                HalfInt(1), HalfInt(s2), HalfInt(j2), HalfInt(m2), HalfInt(j2 + 1), HalfInt(m_tot2)
-            )
-            j_idx = (j2 - m2) // 2
-            idx = spin_idx * (j2 + 1) + j_idx if up_first else j_idx * 2 + spin_idx
-            col[idx] = cg
-        rows.append(col)
-    v = np.array(rows).T  # (2(j2+1), dim_in)
-    assert v.shape[1] == dim_in
-    return v
-
-
-def _sym_projector(j2: int, up_first: bool) -> np.ndarray:
-    v = _cg_matrix(j2, up_first)
-    return v @ v.T
-
-
-def _sigma_pair(n: int, r: float, j2: int):
-    """Conditional three-part averages and the pure-state pair they must be
-    proportional to, all on S_j (x) C^2 (x) S_j."""
-    dj = j2 + 1
-    dj1 = j2 + 2
-    jz = spin_z_expectation(HalfInt(j2), r)
-    j = j2 / 2.0
-    p_ab = _sym_projector(j2, up_first=False)  # on S_j (x) C^2
-    p_bc = _sym_projector(j2, up_first=True)  # on C^2 (x) S_j
-    eye_j = np.eye(dj)
-    eye_2 = np.eye(2)
-    sigma0 = np.kron(
-        (r * jz / j) * p_ab / dj1 + ((j - r * jz) / j) * np.kron(eye_j / dj, eye_2 / 2),
-        eye_j / dj,
-    )
-    sigma1 = np.kron(
-        eye_j / dj,
-        (r * jz / j) * p_bc / dj1 + ((j - r * jz) / j) * np.kron(eye_2 / 2, eye_j / dj),
-    )
-    pure0 = np.kron(p_ab / dj1, eye_j / dj)
-    pure1 = np.kron(eye_j / dj, p_bc / dj1)
-    return sigma0, sigma1, pure0, pure1, r * jz / j
-
-
 def robustness_factors(n: int, r: float, delta: float = 0.0) -> RobustnessFactors:
     """Noise and training-fluctuation scaling of the trained machine.
 
@@ -416,22 +325,11 @@ def robustness_factors(n: int, r: float, delta: float = 0.0) -> RobustnessFactor
     averages shrink relative to the pure equal-split problem, and the
     resulting excess-risk prediction 1/(3 n r).  The fluctuation amplitude
     ``delta`` only enters beyond this order and is accepted for the record.
-    Before returning, the underlying equal-spin identity is re-verified
-    exactly on every sector with spin at most 2.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     r = check_purity(r, zero=False)
     if not math.isfinite(delta):
         raise ValueError("delta must be finite")
-    start = 1 if n % 2 else 2
-    for j2 in range(start, min(8, n) + 1, 2):
-        sigma0, sigma1, pure0, pure1, factor = _sigma_pair(n, r, j2)
-        lhs = sigma0 - sigma1
-        rhs = factor * (pure0 - pure1)
-        if np.abs(lhs - rhs).max() > 1e-12:
-            raise AssertionError(
-                f"conditional-average identity violated in sector 2j={j2}"
-            )
     scaling = r * (1.0 - (1.0 - r) / (n * r * r))
     return RobustnessFactors(scaling=scaling, excess_risk=1.0 / (3.0 * n * r))

@@ -16,6 +16,7 @@ the localisation centre real and nonnegative without loss of generality.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,34 @@ class ReadingConfig:
         return abs(self.alpha0)
 
 
-def _check_amplitude(alpha0: float) -> float:
+def _check_amplitude(alpha0) -> float:
+    """Return |alpha0|, raising unless its square is a positive normal float."""
     a = abs(alpha0)
-    if a <= 0:
-        raise ValueError("amplitude must be nonzero")
+    if not sys.float_info.min <= a * a < math.inf:
+        raise ValueError(
+            f"amplitude {alpha0} must be nonzero and finite, and its square "
+            "must neither underflow nor overflow"
+        )
     return a
+
+
+def _exp_terms(a: float):
+    """x = a^2, q = e^-x, u = 1 - e^-x and s = sqrt(u), the building blocks
+    of the closed forms, free of overflow and of cancellation at small x."""
+    x = a * a
+    u = -math.expm1(-x)
+    return x, math.exp(-x), u, math.sqrt(u)
+
+
+def _exp_remainder(x: float) -> float:
+    """(x - (1 - e^-x)) / x for 0 < x <= 1, summed as x/2 - x^2/6 + ...
+    because the direct difference cancels."""
+    term, total, k = x / 2.0, 0.0, 2
+    while total + term != total:
+        total += term
+        k += 1
+        term *= -x / k
+    return total
 
 
 def collective_excess_risk(alpha0) -> float:
@@ -55,62 +79,50 @@ def collective_excess_risk(alpha0) -> float:
 
     R = a^2 e^{-a^2/2} (2 e^{a^2} - 1) / (16 (e^{a^2} - 1)^{3/2}) with
     a = |alpha0|; exponentially suppressed for bright sources and growing
-    like 1/(16 a) for faint ones.
+    like 1/(16 a) for faint ones.  Evaluated as (x/u) q (2 - q) / (16 sqrt(u))
+    with x = a^2, q = e^-x and u = 1 - q.
     """
-    a = _check_amplitude(alpha0)
-    x = a * a
-    e = math.exp(x)
-    return x * math.exp(-x / 2.0) * (2.0 * e - 1.0) / (16.0 * (e - 1.0) ** 1.5)
+    x, q, u, s = _exp_terms(_check_amplitude(alpha0))
+    return x / u * q * (2.0 - q) / (16.0 * s)
 
 
 def collective_excess_risk_finite_prior(alpha0, mu: float) -> float:
-    """Collective excess risk before the prior width is sent to infinity.
+    """Collective excess risk before the prior width is sent to infinity:
+    the wide-prior value times 2 mu^2 / (2 mu^2 + 1).
 
     Approached by n (Pe(n) - Pe*(n)) from the finite-n oracle as n grows.
     """
-    a = _check_amplitude(alpha0)
-    if not mu > 0:
-        raise ValueError("mu must be positive")
-    x = a * a
-    e = math.exp(x)
-    return (
-        x
-        * (2.0 * e - 1.0)
-        / (math.sqrt(e) * (e - 1.0) ** 1.5)
-        * mu * mu
-        / (8.0 * (2.0 * mu * mu + 1.0))
-    )
+    risk = collective_excess_risk(alpha0)
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu {mu} must be positive and finite")
+    return risk * 2.0 * mu * mu / (2.0 * mu * mu + 1.0)
 
 
 def eyd_excess_risk(alpha0, r_squeeze: float) -> float:
     """Excess risk of estimate-then-discriminate with a squeezed heterodyne
     estimation of squeezing r_squeeze (wide-prior limit)."""
-    a = _check_amplitude(alpha0)
-    x = a * a
-    e = math.exp(x)
-    s = math.sqrt(1.0 - math.exp(-x))
-    bracket = 4.0 * e * (1.0 - e) * (s - 1.0) + x * (4.0 * e * s - 2.0)
-    pref = math.exp(-x) / (16.0 * s * (e - 1.0))
-    return pref * (
-        bracket * math.cosh(r_squeeze) ** 2 + x * math.sinh(2.0 * r_squeeze)
-    )
+    x, q, u, s = _exp_terms(_check_amplitude(alpha0))
+    # every power of e^x is divided out, and 1 - s = q / (1 + s)
+    lead = q / (4.0 * s * (1.0 + s)) + x / u * q * (2.0 * s - q) / (8.0 * s)
+    cross = x / u * q * q / (16.0 * s)
+    return lead * math.cosh(r_squeeze) ** 2 + cross * math.sinh(2.0 * r_squeeze)
 
 
 def optimal_squeezing(alpha0) -> float:
     """Squeezing minimizing the heterodyne excess risk.
 
     Negative for every amplitude (antisqueezing along the line to the
-    vacuum), diverging to -inf for faint signals (homodyne limit) and
-    approaching zero for bright ones.
+    vacuum), diverging like log(3 a^2 / 2) / 4 to -inf for faint signals
+    (homodyne limit) and approaching zero for bright ones.
     """
-    a = _check_amplitude(alpha0)
-    x = a * a
-    e = math.exp(x)
-    s = math.sqrt(1.0 - math.exp(-x))
-    f = 2.0 * e * (e - 1.0) * (s - 1.0) + x * (1.0 - 2.0 * e * s)
-    num, den = f + x, f - x
-    if num / den <= 0:
-        raise ValueError("squeezing log argument is not positive; unexpected regime")
+    x, q, u, s = _exp_terms(_check_amplitude(alpha0))
+    # log of (u/(1+s) + x (s - q)) / (u/(1+s) + x s), both terms divided by
+    # u; the numerator falls short of the denominator by x q / u
+    den = 1.0 / (1.0 + s) + x / u * s
+    if x > 1.0:
+        return 0.25 * math.log1p(-x / u * q / den)
+    # faint signals: the numerator, ~3x/2, rearranged so that nothing cancels
+    num = u * (2.0 + s) / (1.0 + s) - _exp_remainder(x) * (x / u) * (1.0 - s - u)
     return 0.25 * math.log(num / den)
 
 

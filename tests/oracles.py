@@ -8,6 +8,7 @@ paths it cross-checks.
 import numpy as np
 
 from qdl.angular import HalfInt, clebsch_gordan
+from qdl.learning import spin_z_expectation
 
 
 def coupled_path_basis(n):
@@ -121,3 +122,56 @@ def random_povm(rng, dim, outcomes):
     w, v = np.linalg.eigh(total)
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
     return [inv_sqrt @ g @ inv_sqrt for g in gs]
+
+
+def cg_matrix(j2: int, up_first: bool) -> np.ndarray:
+    """Isometry from the spin-(j+1/2) subspace of C^2 (x) S_j (or S_j (x) C^2)
+    into the product basis."""
+    dim_in = j2 + 2
+    rows = []
+    for m_tot2 in range(j2 + 1, -j2 - 2, -2):
+        col = np.zeros(2 * (j2 + 1))
+        for s2, spin_idx in ((1, 0), (-1, 1)):
+            m2 = m_tot2 - s2
+            if abs(m2) > j2:
+                continue
+            cg = clebsch_gordan(
+                HalfInt(1), HalfInt(s2), HalfInt(j2), HalfInt(m2), HalfInt(j2 + 1), HalfInt(m_tot2)
+            )
+            j_idx = (j2 - m2) // 2
+            idx = spin_idx * (j2 + 1) + j_idx if up_first else j_idx * 2 + spin_idx
+            col[idx] = cg
+        rows.append(col)
+    v = np.array(rows).T  # (2(j2+1), dim_in)
+    assert v.shape[1] == dim_in
+    return v
+
+
+def sym_projector(j2: int, up_first: bool) -> np.ndarray:
+    v = cg_matrix(j2, up_first)
+    return v @ v.T
+
+
+def sigma_pair(r: float, j2: int):
+    """Conditional three-part averages and the pure-state pair they must be
+    proportional to, all on S_j (x) C^2 (x) S_j, with the proportionality
+    factor r <J_z>/j."""
+    dj = j2 + 1
+    dj1 = j2 + 2
+    jz = spin_z_expectation(HalfInt(j2), r)
+    j = j2 / 2.0
+    p_ab = sym_projector(j2, up_first=False)  # on S_j (x) C^2
+    p_bc = sym_projector(j2, up_first=True)  # on C^2 (x) S_j
+    eye_j = np.eye(dj)
+    eye_2 = np.eye(2)
+    sigma0 = np.kron(
+        (r * jz / j) * p_ab / dj1 + ((j - r * jz) / j) * np.kron(eye_j / dj, eye_2 / 2),
+        eye_j / dj,
+    )
+    sigma1 = np.kron(
+        eye_j / dj,
+        (r * jz / j) * p_bc / dj1 + ((j - r * jz) / j) * np.kron(eye_2 / 2, eye_j / dj),
+    )
+    pure0 = np.kron(p_ab / dj1, eye_j / dj)
+    pure1 = np.kron(eye_j / dj, p_bc / dj1)
+    return sigma0, sigma1, pure0, pure1, r * jz / j

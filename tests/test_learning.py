@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from qdl import learning, programmable
@@ -135,7 +136,7 @@ def test_seed_optimization_single_pair_exact():
     # a single copy per label admits only the equal-spin sector, where the
     # machine provably matches the programmable bound at every purity
     for r in (0.2, 0.5, 0.8, 1.0):
-        opt = learning.lm_mixed_optimize(1, r, restarts=6)
+        opt = learning.lm_mixed_optimize(1, r)
         pe_lm = (1 - opt.delta_lm / 2) / 2
         assert pe_lm == pytest.approx(programmable.mixed_error(1, 1, r), abs=1e-7)
         assert opt.seed.resolution_residual() <= 1e-8
@@ -144,7 +145,7 @@ def test_seed_optimization_single_pair_exact():
 
 def test_seed_optimization_pure_recovers_lm_error():
     for n in (1, 2, 3):
-        opt = learning.lm_mixed_optimize(n, 1.0, restarts=6)
+        opt = learning.lm_mixed_optimize(n, 1.0)
         pe = (1 - opt.delta_lm / 2) / 2
         assert pe == pytest.approx(learning.lm_error(n), abs=1e-7)
 
@@ -152,11 +153,14 @@ def test_seed_optimization_pure_recovers_lm_error():
 def test_seed_optimization_never_beats_programmable():
     for n in (1, 2, 3):
         for r in np.linspace(0.1, 0.9, 9):
-            opt = learning.lm_mixed_optimize(n, float(r), restarts=4)
+            opt = learning.lm_mixed_optimize(n, float(r))
             pe_lm = (1 - opt.delta_lm / 2) / 2
             pe_opt = programmable.mixed_error(n, 1, float(r))
             assert pe_lm >= pe_opt - 1e-9
             assert opt.seed.resolution_residual() <= 1e-8
+            # the dual certificate: no covariant seed beats delta_lm + gap
+            assert 0.0 <= opt.gap <= 1e-10
+            assert learning.lm_mixed_optimize(n, float(r)).delta_lm == opt.delta_lm
 
 
 def test_seed_optimization_rejects_large_n():
@@ -181,14 +185,23 @@ def test_robustness_factor_values():
 def test_robustness_identity_explicit_block():
     # the equal-spin identity at two copies per label, spin one, r = 0.7 runs
     # on the explicit spin-1 (x) qubit (x) spin-1 block
-    sigma0, sigma1, pure0, pure1, factor = learning._sigma_pair(2, 0.7, 2)
+    sigma0, sigma1, pure0, pure1, factor = oracles.sigma_pair(0.7, 2)
     assert sigma0.shape == (18, 18)
     assert np.trace(sigma0) == pytest.approx(1.0, abs=1e-12)
     assert np.trace(sigma1) == pytest.approx(1.0, abs=1e-12)
     lhs = sigma0 - sigma1
     rhs = factor * (pure0 - pure1)
     assert np.abs(lhs - rhs).max() < 1e-13
-    learning.robustness_factors(2, 0.7)  # should not raise
+
+
+@pytest.mark.parametrize("r", [0.3, 0.7, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 8, 9])
+def test_robustness_identity_on_every_small_sector(n, r):
+    # the equal-spin identity behind robustness_factors, on each sector of
+    # the parity of n with spin at most 4
+    for j2 in range(1 if n % 2 else 2, min(8, n) + 1, 2):
+        sigma0, sigma1, pure0, pure1, factor = oracles.sigma_pair(r, j2)
+        assert np.abs((sigma0 - sigma1) - factor * (pure0 - pure1)).max() <= 1e-12
 
 
 def test_robustness_validation():

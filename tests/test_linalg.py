@@ -199,7 +199,10 @@ PURITY_VALIDATORS = {
     ),
     "QubitState": lambda r: linalg.QubitState(r).density(),
     "gamma_up": lambda r: learning.gamma_up(2, r, 1, 1),
-    "lm_mixed_optimize": lambda r: learning.lm_mixed_optimize(1, r, restarts=1).delta_lm,
+    "known_pair_error": learning.known_pair_error,
+    "spin_weights": lambda r: learning.spin_weights(1, r),
+    "block_probability": lambda r: learning.block_probability(2, 1, r),
+    "lm_mixed_optimize": lambda r: learning.lm_mixed_optimize(1, r).delta_lm,
     "robustness_factors": lambda r: learning.robustness_factors(3, r),
 }
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ def test_collective_excess_risk_limits():
     # closed form grows like 1/(16 a) (the prior-rescaled problem never
     # becomes trivial as the hypotheses merge)
     assert reading.collective_excess_risk(8.0) < 1e-10
-    for a in (1e-3, 1e-5):
+    for a in (1e-3, 1e-5, 1e-100):
         assert reading.collective_excess_risk(a) == pytest.approx(1 / (16 * a), rel=1e-3)
     with pytest.raises(ValueError):
         reading.collective_excess_risk(0.0)
@@ -43,6 +44,9 @@ def test_finite_prior_risk_approaches_wide_prior():
     )
     # finite width is always below the wide-prior limit
     assert reading.collective_excess_risk_finite_prior(a0, 1.0) < wide
+    for mu in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"mu {mu}"):
+            reading.collective_excess_risk_finite_prior(a0, mu)
 
 
 def test_optimal_squeezing_properties():
@@ -50,6 +54,10 @@ def test_optimal_squeezing_properties():
     assert all(v < 0 for v in values)
     assert abs(values[-1]) < 1e-2  # approaches zero for bright signals
     assert values[0] < values[2] < values[-1]  # diverges toward homodyne
+    # faint-signal limit log(3 a^2 / 2) / 4, whose O(a) correction vanishes
+    for a in (1e-9, 1e-100):
+        want = 0.25 * math.log(1.5 * a * a)
+        assert reading.optimal_squeezing(a) == pytest.approx(want, rel=1e-8)
 
 
 def test_optimal_squeezing_minimizes_closed_form():
@@ -90,6 +98,25 @@ def test_plain_heterodyne_value():
     bracket = 4 * e * (1 - e) * (s - 1) + x * (4 * e * s - 2)
     want = math.exp(-x) / (16 * s * (e - 1)) * bracket
     assert reading.eyd_excess_risk(1.0, 0.0) == pytest.approx(want, abs=1e-15)
+
+
+AMPLITUDE_CLOSED_FORMS = {
+    "collective_excess_risk": reading.collective_excess_risk,
+    "eyd_excess_risk": lambda a: reading.eyd_excess_risk(a, -0.3),
+    "optimal_squeezing": reading.optimal_squeezing,
+}
+
+
+@pytest.mark.parametrize("name", sorted(AMPLITUDE_CLOSED_FORMS))
+def test_closed_forms_finite_or_naming_the_amplitude(name):
+    f = AMPLITUDE_CLOSED_FORMS[name]
+    # finite wherever the squared amplitude is a positive normal float
+    for a in (1.5e-154, 1e-9, 0.05, 1.0, 5.0, 26.0, 40.0, 1e154, -1e-9, 3.0j):
+        assert math.isfinite(f(a))
+    # zero, non-finite, and squares that underflow or overflow
+    for bad in (0.0, 1e-155, 1e155, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"amplitude {re.escape(str(bad))}"):
+            f(bad)
 
 
 def test_concentrate_modes():
