@@ -1,9 +1,10 @@
 """Quantum state discrimination toolkit.
 
 Submodules:
-  linalg          dense Hermitian kernel (eigendecompositions, trace norms,
-                  tensor products, partial traces)
-  angular         exact SU(2) combinatorics and block decompositions
+  linalg          dense Hermitian kernel (eigendecompositions, trace norms)
+                  and the shared purity check
+  angular         SU(2) combinatorics, recoupling matrices and block
+                  decompositions
   discrimination  known-state binary discrimination and Chernoff distances
   programmable    programmable discrimination machines and error margins
   learning        learning machines, estimate-and-discriminate, seeds

@@ -1,12 +1,20 @@
 """Exact SU(2) combinatorics: Clebsch-Gordan coefficients, 6j symbols,
 multiplicities of permutation-invariant qubit blocks, block coefficients of
-tensor-power states, and the orthogonal overlap matrices between the two
+tensor-power states, and the orthogonal recoupling matrices between the two
 orders of coupling three angular momenta.
 
 All angular momenta are carried as exact doubled integers (``2j``), which
-removes half-integer parity bugs.  Factorials are exact integers up to 64!
-and log-gamma based beyond; alternating sums run in log space with
-compensated summation.
+removes half-integer parity bugs.  The scalar Clebsch-Gordan and 6j symbols
+are single Racah sums over log-gamma terms; their alternating sums lose
+precision as the spins grow, so they serve small spins and tests.
+
+Recoupling matrices never go through the Racah sum.  In the basis of the
+intermediate momentum j_ab, the operator J_bc^2 is symmetric tridiagonal
+with entries built from a few small integers (the Schulten-Gordon
+recursion, J. Math. Phys. 16, 1961 (1975)), and its eigenvector matrix is
+the recoupling matrix.  One batched symmetric eigensolve over a stack of
+sectors gives every entry to about 1e-13, measured against exact rational
+6j symbols through 2j = 400.
 """
 
 from __future__ import annotations
@@ -19,17 +27,6 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import check_purity
-
-# log k! table for the vectorized paths, grown on demand
-_LOG_FACT = np.array([0.0])
-
-
-def _log_fact_table(nmax: int) -> np.ndarray:
-    global _LOG_FACT
-    if _LOG_FACT.size <= nmax:
-        hi = max(nmax + 1, 2 * _LOG_FACT.size, 128)
-        _LOG_FACT = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, hi)))])
-    return _LOG_FACT
 
 
 def _lf(n: int) -> float:
@@ -195,84 +192,6 @@ def wigner6j(j1, j2, j12, j3, j, j23) -> float:
     return math.fsum(terms)
 
 
-def wigner6j_batch(a2, b2, c2, d2, e2, f2) -> np.ndarray:
-    """Vectorized 6j over arrays of doubled angular momenta.
-
-    Same value as :func:`wigner6j`; the alternating z-sum is accumulated with
-    Kahan compensation.  Invalid triads yield 0.
-    """
-    a2, b2, c2, d2, e2, f2 = np.broadcast_arrays(
-        *(np.asarray(x, dtype=np.int64) for x in (a2, b2, c2, d2, e2, f2))
-    )
-    shape = a2.shape
-    a2, b2, c2, d2, e2, f2 = (x.ravel() for x in (a2, b2, c2, d2, e2, f2))
-
-    def tri(x2, y2, z2):
-        return (
-            (np.abs(x2 - y2) <= z2)
-            & (z2 <= x2 + y2)
-            & ((x2 + y2 + z2) % 2 == 0)
-            & (x2 >= 0)
-            & (y2 >= 0)
-            & (z2 >= 0)
-        )
-
-    ok = tri(a2, b2, c2) & tri(a2, e2, f2) & tri(d2, b2, f2) & tri(d2, e2, c2)
-    out = np.zeros(a2.shape)
-    if not np.any(ok):
-        return out.reshape(shape)
-    a2, b2, c2, d2, e2, f2 = (x[ok] for x in (a2, b2, c2, d2, e2, f2))
-    lf = _log_fact_table(int((a2 + b2 + d2 + e2).max()) // 2 + 2)
-
-    def log_delta(x2, y2, z2):
-        return 0.5 * (
-            lf[(x2 + y2 - z2) // 2]
-            + lf[(x2 - y2 + z2) // 2]
-            + lf[(-x2 + y2 + z2) // 2]
-            - lf[(x2 + y2 + z2) // 2 + 1]
-        )
-
-    log_pref = (
-        log_delta(a2, b2, c2)
-        + log_delta(a2, e2, f2)
-        + log_delta(d2, b2, f2)
-        + log_delta(d2, e2, c2)
-    )
-    s1 = (a2 + b2 + c2) // 2
-    s2 = (a2 + e2 + f2) // 2
-    s3 = (d2 + b2 + f2) // 2
-    s4 = (d2 + e2 + c2) // 2
-    q1 = (a2 + b2 + d2 + e2) // 2
-    q2 = (b2 + c2 + e2 + f2) // 2
-    q3 = (a2 + c2 + d2 + f2) // 2
-    z_lo = np.maximum.reduce([s1, s2, s3, s4])
-    z_hi = np.minimum.reduce([q1, q2, q3])
-
-    total = np.zeros(a2.shape)
-    comp = np.zeros(a2.shape)
-    for t in range(int((z_hi - z_lo).max()) + 1):
-        z = z_lo + t
-        live = z <= z_hi
-        zl = z[live]
-        log_t = lf[zl + 1] - (
-            lf[zl - s1[live]]
-            + lf[zl - s2[live]]
-            + lf[zl - s3[live]]
-            + lf[zl - s4[live]]
-            + lf[q1[live] - zl]
-            + lf[q2[live] - zl]
-            + lf[q3[live] - zl]
-        )
-        term = np.where(zl % 2 == 0, 1.0, -1.0) * np.exp(log_pref[live] + log_t)
-        # Kahan step
-        y = term - comp[live]
-        s = total[live] + y
-        comp[live] = (s - total[live]) - y
-        total[live] = s
-    out[ok] = total
-    return out.reshape(shape)
-
-
 def multiplicity(n: int, j) -> int:
     """Number of equivalent spin-j blocks of n qubits.
 
@@ -344,6 +263,57 @@ def intermediate_couplings(ja, jb, jc, j) -> tuple[tuple, tuple]:
     return tuple(jab), tuple(jbc)
 
 
+def _recoupling_tridiagonal(ja2, jb2, jc2, j2, dim: int):
+    """Diagonal (B, dim) and off-diagonal (B, dim - 1) of 4 J_bc^2 in the
+    basis of ascending j_ab, for B sectors given as arrays of doubled spins.
+
+    With c(t) = 2t (2t + 2) = 4 t (t + 1) and x = j_ab, the diagonal is
+    c(jb) + c(jc) + (c(x) + c(jb) - c(ja)) (c(J) - c(x) - c(jc)) / (2 c(x)),
+    the projection of J_b onto J_ab.  At x = 0 (so ja = jb and J = jc) both
+    factors of the fraction vanish and the entry is c(jb) + c(jc), J_b having
+    no expectation value in a scalar of (ab).  Rows x - 1 and x couple with
+    the positive Schulten-Gordon coefficient E(x) / (2 x sqrt(4 x^2 - 1)).
+    """
+    ja2, jb2, jc2, j2 = (np.asarray(v, dtype=float)[:, None] for v in (ja2, jb2, jc2, j2))
+    x2 = np.maximum(np.abs(ja2 - jb2), np.abs(j2 - jc2)) + 2.0 * np.arange(dim)
+    ca, cb, cc, cj, cx = (t * (t + 2.0) for t in (ja2, jb2, jc2, j2, x2))
+    diag = cb + cc + (cx + cb - ca) * (cj - cx - cc) / (2.0 * np.maximum(cx, 1.0))
+    u = x2[:, 1:] * x2[:, 1:]
+    off = (
+        np.sqrt((u - (ja2 - jb2) ** 2) * ((ja2 + jb2 + 2.0) ** 2 - u))
+        * np.sqrt((u - (jc2 - j2) ** 2) * ((jc2 + j2 + 2.0) ** 2 - u))
+        / (4.0 * x2[:, 1:] * np.sqrt(u - 1.0))
+    )
+    return diag, off
+
+
+def recoupling_batch(ja2, jb2, jc2, j2, dim: int) -> np.ndarray:
+    """Recoupling matrices of a stack of sectors with ``dim`` intermediate
+    momenta each.
+
+    ``ja2``, ``jb2``, ``jc2`` and ``j2`` are equal-length arrays of doubled
+    spins, one entry per sector.  Returns shape (B, dim, dim): rows run over
+    ascending j_ab and columns over ascending j_bc, column k being the
+    eigenvector of 4 J_bc^2 with eigenvalue c(y) = y (y + 2) at the doubled
+    momentum y = max(|jb2 - jc2|, |ja2 - j2|) + 2k.  Each column is fixed
+    only up to sign; :func:`overlap_matrix` applies the Condon-Shortley
+    signs, which products such as Lambda diag(s) Lambda^T never see.
+    """
+    return _eigenvectors(*_recoupling_tridiagonal(ja2, jb2, jc2, j2, dim))
+
+
+def _eigenvectors(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Eigenvectors, by ascending eigenvalue, of a stack of symmetric
+    tridiagonal matrices."""
+    dim = diag.shape[1]
+    t = np.zeros((len(diag), dim, dim))
+    k = np.arange(dim)
+    t[:, k, k] = diag
+    t[:, k[1:], k[:-1]] = off
+    t[:, k[:-1], k[1:]] = off
+    return np.linalg.eigh(t)[1]
+
+
 def overlap_matrix(ja, jb, jc, j) -> np.ndarray:
     """Orthogonal change of basis between the (ab)c and a(bc) coupling
     schemes in the sector of total momentum j.
@@ -358,16 +328,28 @@ def overlap_matrix(ja, jb, jc, j) -> np.ndarray:
             f"empty coupling sector ja={HalfInt(ja2)} jb={HalfInt(jb2)} "
             f"jc={HalfInt(jc2)} J={HalfInt(j2)}"
         )
-    phase = -1.0 if ((ja2 + jb2 + jc2 + j2) // 2) % 2 else 1.0
-    out = np.empty((len(jab), len(jbc)))
-    for a, x in enumerate(jab):
-        for b, y in enumerate(jbc):
-            out[a, b] = (
-                phase
-                * math.sqrt((x.twice + 1) * (y.twice + 1))
-                * wigner6j(HalfInt(ja2), HalfInt(jb2), x, HalfInt(jc2), HalfInt(j2), y)
-            )
-    return out
+    dim = len(jab)
+    diag, off = _recoupling_tridiagonal([ja2], [jb2], [jc2], [j2], dim)
+    lam = _eigenvectors(diag, off)[0]
+    diag, off = diag[0], off[0]
+    # In the Condon-Shortley convention the top row (largest j_ab) is
+    # positive: a stretched triad leaves one Racah term, of sign
+    # (-1)^(ja+jb+jc+J).  That entry can underflow, so each column carries
+    # the sign down to its largest entry with the Sturm pivots of the
+    # eigenvalue equation, v[i] = v[i+1] g[i+1] / off[i] with
+    # g[i] = ev - diag[i] - off[i]^2 / g[i+1]; a pivot rounding through zero
+    # flips the next pivot too, so the sign products stay right.
+    ev = np.array([y.twice * (y.twice + 2.0) for y in reversed(jbc)])
+    sign = np.ones((dim, dim))
+    g = ev - diag[-1]
+    with np.errstate(divide="ignore"):
+        for i in range(dim - 2, -1, -1):
+            sign[i] = np.where(g < 0, -sign[i + 1], sign[i + 1])
+            g = ev - diag[i] - off[i] ** 2 / g
+    peak = np.argmax(np.abs(lam), axis=0)
+    cols = np.arange(dim)
+    lam = lam * (sign[peak, cols] * np.sign(lam[peak, cols]))
+    return lam[::-1, ::-1].copy()
 
 
 @dataclass(frozen=True)

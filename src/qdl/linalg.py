@@ -1,5 +1,5 @@
 """Dense complex-matrix kernel: Hermitian eigendecompositions, trace norms,
-tensor products and partial traces for finite-dimensional quantum states.
+the purity check shared by every module, and qubit states.
 
 Matrices are plain complex ``numpy`` arrays in row-major order.  All
 operations are pure functions of their inputs and safe to call concurrently.
@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 HERMITICITY_TOL = 1e-9
-PSD_TOL = 1e-9
-TRACE_TOL = 1e-9
 # purities this close to an endpoint of [0, 1] are rounding error (a grid
 # such as np.arange(0.3, 1.0001, 0.1) ends one ulp above 1) and snap onto it
 PURITY_SLACK = 4 * np.finfo(float).eps
@@ -88,30 +86,6 @@ def trace_norm(m) -> float:
     return float(np.sum(np.abs(herm_eigvals(m))))
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product; dimensions multiply."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def partial_trace(m, dims: tuple[int, int], keep: str = "first") -> np.ndarray:
-    """Trace out one factor of a bipartite operator on ``dims[0] * dims[1]``.
-
-    ``keep`` selects the surviving factor, ``"first"`` or ``"second"``.
-    """
-    a = as_matrix(m)
-    d1, d2 = dims
-    if d1 < 1 or d2 < 1 or a.shape != (d1 * d2, d1 * d2):
-        raise ValueError(
-            f"operator of dimension {a.shape[0]} does not factor as {d1}x{d2}"
-        )
-    t = a.reshape(d1, d2, d1, d2)
-    if keep == "first":
-        return np.einsum("ikjk->ij", t)
-    if keep == "second":
-        return np.einsum("kikj->ij", t)
-    raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
-
-
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -119,34 +93,6 @@ _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def pauli_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _PAULI_X.copy(), _PAULI_Y.copy(), _PAULI_Z.copy()
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, positive-semidefinite, unit-trace operator.
-
-    Eigenvalues in ``[-PSD_TOL, 0)`` are accepted as numerically zero at
-    validation; the stored matrix is never altered.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        a = require_hermitian(self.matrix)
-        object.__setattr__(self, "matrix", a)
-        tr = complex(np.trace(a))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr:.12g} is not 1")
-        w = np.linalg.eigvalsh(a)
-        if w[0] < -PSD_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return herm_eigvals(self.matrix)
 
 
 @dataclass(frozen=True)

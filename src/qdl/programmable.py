@@ -25,7 +25,7 @@ from .angular import (
     block_coefficient,
     jordan_overlap,
     multiplicity_table,
-    wigner6j_batch,
+    recoupling_batch,
 )
 from .linalg import check_purity
 
@@ -198,83 +198,57 @@ def _block_error(n: int, nprime: int, coeff_n: np.ndarray, coeff_t: np.ndarray) 
     labelled by the port spins and the total spin; equivalent representations
     enter only through multiplicative weights.  Sectors whose combined trace
     weight is negligible (total discarded mass below _MASS_TOL) are skipped
-    before any 6j symbol is evaluated.
+    before any recoupling matrix is built.
     """
-    total_n = n + nprime
     nu_n = _nu_array(n)
     nu_p = _nu_array(nprime)
-    ja_vals = _port_spins(n)
-    jb_vals = _port_spins(nprime)
+    ja2, jb2, jc2 = (
+        g.ravel()
+        for g in np.meshgrid(_port_spins(n), _port_spins(nprime), _port_spins(n), indexing="ij")
+    )
 
     # mass of each (ja, jb, jc) triple: its total trace-weight contribution
-    # to gamma * (tr sigma1 + tr sigma2), summed in closed form over J
-    triples = []
-    for ja2 in ja_vals:
-        for jb2 in jb_vals:
-            jab_rng = range(abs(ja2 - jb2), min(ja2 + jb2, total_n) + 1, 2)
-            s_ab = sum((x2 + 1) * coeff_t[x2] for x2 in jab_rng)
-            for jc2 in ja_vals:
-                jbc_rng = range(abs(jb2 - jc2), min(jb2 + jc2, total_n) + 1, 2)
-                s_bc = sum((x2 + 1) * coeff_t[x2] for x2 in jbc_rng)
-                nu3 = nu_n[ja2] * nu_p[jb2] * nu_n[jc2]
-                mass = nu3 * (
-                    (jc2 + 1) * coeff_n[jc2] * s_ab + (ja2 + 1) * coeff_n[ja2] * s_bc
-                )
-                triples.append((mass, ja2, jb2, jc2, nu3))
+    # to gamma * (tr sigma1 + tr sigma2), summed in closed form over J;
+    # wsum[hi + 2] - wsum[lo] sums (x2 + 1) coeff_t[x2] over lo <= x2 <= hi
+    # in steps of 2
+    weight = np.arange(1, n + nprime + 2) * coeff_t
+    wsum = np.zeros(n + nprime + 3)
+    wsum[2::2] = np.cumsum(weight[0::2])
+    wsum[3::2] = np.cumsum(weight[1::2])
+    s_ab = wsum[ja2 + jb2 + 2] - wsum[np.abs(ja2 - jb2)]
+    s_bc = wsum[jb2 + jc2 + 2] - wsum[np.abs(jb2 - jc2)]
+    nu3 = nu_n[ja2] * nu_p[jb2] * nu_n[jc2]
+    mass = nu3 * ((jc2 + 1) * coeff_n[jc2] * s_ab + (ja2 + 1) * coeff_n[ja2] * s_bc)
+    order = np.argsort(mass, kind="stable")
+    kept = order[np.searchsorted(np.cumsum(mass[order]), _MASS_TOL, side="right"):]
 
-    triples.sort(key=lambda t: t[0])
-    masses = np.array([t[0] for t in triples])
-    cum = np.cumsum(masses)
-    first_kept = int(np.searchsorted(cum, _MASS_TOL, side="right"))
-
-    # enumerate sectors of the kept triples, grouped by block dimension
-    groups: dict[int, list] = {}
-    for mass, ja2, jb2, jc2, nu3 in triples[first_kept:]:
-        jab_all = range(abs(ja2 - jb2), ja2 + jb2 + 1, 2)
-        jbc_all = range(abs(jb2 - jc2), jb2 + jc2 + 1, 2)
-        j_lo = min(abs(x2 - jc2) for x2 in jab_all)
-        j_hi = ja2 + jb2 + jc2
-        for j2 in range(j_lo, j_hi + 1, 2):
-            jab = [x2 for x2 in jab_all if abs(x2 - jc2) <= j2 <= x2 + jc2]
-            jbc = [x2 for x2 in jbc_all if abs(ja2 - x2) <= j2 <= ja2 + x2]
-            if not jab:
-                continue
-            groups.setdefault(len(jab), []).append(
-                (ja2, jb2, jc2, j2, jab, jbc, nu3 * (j2 + 1))
-            )
+    # sectors of the kept triples: J runs from the smallest |j_ab - jc| up
+    # to ja + jb + jc, and each sector holds the j_ab (and as many j_bc)
+    # allowed by both of its triads
+    ja2, jb2, jc2, nu3 = ja2[kept], jb2[kept], jc2[kept], nu3[kept]
+    j_lo = np.maximum.reduce(
+        [np.abs(ja2 - jb2) - jc2, jc2 - ja2 - jb2, (ja2 + jb2 + jc2) % 2]
+    )
+    count = (ja2 + jb2 + jc2 - j_lo) // 2 + 1
+    triple = np.repeat(np.arange(len(kept)), count)
+    j2 = j_lo[triple] + 2 * (np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count))
+    ja2, jb2, jc2 = ja2[triple], jb2[triple], jc2[triple]
+    gamma = nu3[triple] * (j2 + 1)
+    x_lo = np.maximum(np.abs(ja2 - jb2), np.abs(j2 - jc2))
+    y_lo = np.maximum(np.abs(jb2 - jc2), np.abs(ja2 - j2))
+    dims = (np.minimum(ja2 + jb2, j2 + jc2) - x_lo) // 2 + 1
 
     total = 0.0
-    for dim, blocks in groups.items():
-        nb = len(blocks)
-        ja2 = np.array([b[0] for b in blocks])
-        jb2 = np.array([b[1] for b in blocks])
-        jc2 = np.array([b[2] for b in blocks])
-        j2 = np.array([b[3] for b in blocks])
-        jab2 = np.array([b[4] for b in blocks])
-        jbc2 = np.array([b[5] for b in blocks])
-        gamma = np.array([b[6] for b in blocks])
-
-        six = wigner6j_batch(
-            ja2[:, None, None],
-            jb2[:, None, None],
-            jab2[:, :, None],
-            jc2[:, None, None],
-            j2[:, None, None],
-            jbc2[:, None, :],
-        )
-        phase = np.where(((ja2 + jb2 + jc2 + j2) // 2) % 2 == 0, 1.0, -1.0)
-        lam = (
-            phase[:, None, None]
-            * np.sqrt((jab2[:, :, None] + 1.0) * (jbc2[:, None, :] + 1.0))
-            * six
-        )
-        s1 = coeff_t[jab2] * coeff_n[jc2][:, None]
-        s2 = coeff_n[ja2][:, None] * coeff_t[jbc2]
-        m = -np.einsum("bij,bj,bkj->bik", lam, s2, lam)
+    for dim in np.unique(dims):
+        sel = dims == dim
         idx = np.arange(dim)
+        s1 = coeff_t[x_lo[sel][:, None] + 2 * idx] * coeff_n[jc2[sel]][:, None]
+        s2 = coeff_n[ja2[sel]][:, None] * coeff_t[y_lo[sel][:, None] + 2 * idx]
+        lam = recoupling_batch(ja2[sel], jb2[sel], jc2[sel], j2[sel], int(dim))
+        m = -(lam * s2[:, None, :]) @ lam.transpose(0, 2, 1)
         m[:, idx, idx] += s1
         w = np.linalg.eigvalsh(m)
-        total += float((gamma * np.abs(w).sum(axis=1)).sum())
+        total += float(gamma[sel] @ np.abs(w).sum(axis=1))
     return (1.0 - total / 2.0) / 2.0
 
 

@@ -15,6 +15,7 @@ the localisation centre real and nonnegative without loss of generality.
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -33,6 +34,8 @@ class ReadingConfig:
     n_aux: int
 
     def __post_init__(self):
+        if not cmath.isfinite(self.alpha0):
+            raise ValueError(f"amplitude alpha0 {self.alpha0} must be finite")
         if not self.mu > 0:
             raise ValueError("prior width mu must be positive")
         if self.n_aux < 1:
@@ -293,28 +296,39 @@ def eigvec_overlap_identities(alpha0, cutoff: int | None = None) -> dict:
     a = _check_amplitude(alpha0)
     if cutoff is None:
         cutoff = fock_cutoff(a)
-    x = a * a
-    s = math.sqrt(1.0 - math.exp(-x))
+    x, q, u, s = _exp_terms(a)
+    # |0> and |-a> overlap in e^(-x/2) = 1 - h; their normalized sum and
+    # difference have norms sqrt(2 - h) and sqrt(h), and the vacuum entry of
+    # the difference is -h, taken from expm1 rather than by subtraction
+    h = -math.expm1(-x / 2.0)
     minus = coherent_vector(-a, cutoff)
-    zero = np.zeros(cutoff + 1)
-    zero[0] = 1.0
-    n_plus = math.sqrt(1.0 + math.exp(-x / 2.0))
-    n_minus = math.sqrt(1.0 - math.exp(-x / 2.0))
-    v_plus = 0.5 * ((minus + zero) / n_plus + (minus - zero) / n_minus)
-    v_minus = 0.5 * ((minus + zero) / n_plus - (minus - zero) / n_minus)
+    plus_dir = minus.copy()
+    plus_dir[0] += 1.0
+    minus_dir = minus.copy()
+    minus_dir[0] = -h
+    plus_dir /= math.sqrt(2.0 - h)
+    minus_dir /= math.sqrt(h)
+    v_plus = 0.5 * (plus_dir + minus_dir)
+    v_minus = 0.5 * (plus_dir - minus_dir)
     ov0 = {
         "+": abs(v_plus[0]) ** 2,
         "-": abs(v_minus[0]) ** 2,
-        "closed+": 0.5 * (1.0 - s),
+        "closed+": 0.5 * q / (1.0 + s),
         "closed-": 0.5 * (1.0 + s),
     }
+    # x / (e^x - 1) = x q / u, and 1 - s = q / (1 + s)
     ov1 = {
         "+": abs(v_plus[1]) ** 2,
         "-": abs(v_minus[1]) ** 2,
-        "closed+": 0.5 * x * (1.0 + s) / (math.exp(x) - 1.0),
-        "closed-": 0.5 * x * (1.0 - s) / (math.exp(x) - 1.0),
+        "closed+": 0.5 * x * q * (1.0 + s) / u,
+        "closed-": 0.5 * x * q * q / ((1.0 + s) * u),
     }
-    ov1_perp = 1.0 - x * math.exp(-x) / (1.0 - math.exp(-x))
+    # 1 - x q / u; for faint signals u - x q = x (u - (x - u)/x), which
+    # does not cancel
+    if x > 1.0:
+        ov1_perp = 1.0 - x * q / u
+    else:
+        ov1_perp = x * (u - _exp_remainder(x)) / u
     completeness = ov1["+"] + ov1["-"] + ov1_perp - 1.0
     gap0 = 2.0 * s
     return {

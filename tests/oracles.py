@@ -5,10 +5,19 @@ block shortcuts, so it is slow but structurally independent of the library
 paths it cross-checks.
 """
 
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
 import numpy as np
 
 from qdl.angular import HalfInt, clebsch_gordan
 from qdl.learning import spin_z_expectation
+from qdl.linalg import as_matrix, herm_eigvals, require_hermitian
+
+PSD_TOL = 1e-9
+TRACE_TOL = 1e-9
 
 
 def coupled_path_basis(n):
@@ -175,3 +184,112 @@ def sigma_pair(r: float, j2: int):
     pure0 = np.kron(p_ab / dj1, eye_j / dj)
     pure1 = np.kron(eye_j / dj, p_bc / dj1)
     return sigma0, sigma1, pure0, pure1, r * jz / j
+
+
+def tensor_product(a, b) -> np.ndarray:
+    """Kronecker product; dimensions multiply."""
+    return np.kron(as_matrix(a), as_matrix(b))
+
+
+def partial_trace(m, dims: tuple[int, int], keep: str = "first") -> np.ndarray:
+    """Trace out one factor of a bipartite operator on ``dims[0] * dims[1]``.
+
+    ``keep`` selects the surviving factor, ``"first"`` or ``"second"``.
+    """
+    a = as_matrix(m)
+    d1, d2 = dims
+    if d1 < 1 or d2 < 1 or a.shape != (d1 * d2, d1 * d2):
+        raise ValueError(
+            f"operator of dimension {a.shape[0]} does not factor as {d1}x{d2}"
+        )
+    t = a.reshape(d1, d2, d1, d2)
+    if keep == "first":
+        return np.einsum("ikjk->ij", t)
+    if keep == "second":
+        return np.einsum("kikj->ij", t)
+    raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")
+
+
+@dataclass(frozen=True)
+class DensityMatrix:
+    """Hermitian, positive-semidefinite, unit-trace operator.
+
+    Eigenvalues in ``[-PSD_TOL, 0)`` are accepted as numerically zero at
+    validation; the stored matrix is never altered.
+    """
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        a = require_hermitian(self.matrix)
+        object.__setattr__(self, "matrix", a)
+        tr = complex(np.trace(a))
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise ValueError(f"density matrix trace {tr:.12g} is not 1")
+        w = np.linalg.eigvalsh(a)
+        if w[0] < -PSD_TOL:
+            raise ValueError(f"density matrix has negative eigenvalue {w[0]:.3e}")
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+    def eigenvalues(self) -> np.ndarray:
+        return herm_eigvals(self.matrix)
+
+
+_fact = lru_cache(maxsize=None)(math.factorial)
+
+
+def wigner6j_exact(a2, b2, c2, d2, e2, f2) -> float:
+    """{a b c; d e f} from doubled spins, exact up to the final rounding.
+
+    The Racah sum is evaluated in integers, nested from its last term
+    (consecutive terms differ by a ratio of small integers), and kept as a
+    Fraction; the symbol is the signed square root of one Fraction, the
+    product of the four triangle coefficients with the squared sum.
+    Triangle violations give 0.
+    """
+    triads = ((a2, b2, c2), (a2, e2, f2), (d2, b2, f2), (d2, e2, c2))
+    for x, y, z in triads:
+        if not (abs(x - y) <= z <= x + y and (x + y + z) % 2 == 0):
+            return 0.0
+    num = den = 1
+    for x, y, z in triads:
+        num *= _fact((x + y - z) // 2) * _fact((x - y + z) // 2) * _fact((y + z - x) // 2)
+        den *= _fact((x + y + z) // 2 + 1)
+    s = [(x + y + z) // 2 for x, y, z in triads]
+    q = [(a2 + b2 + d2 + e2) // 2, (b2 + c2 + e2 + f2) // 2, (a2 + c2 + d2 + f2) // 2]
+    z_lo, z_hi = max(s), min(q)
+    # sum over z of (-1)^z (z+1)! / prod (z - s_i)! prod (q_i - z)!, as the
+    # first term times 1 + rho_0 (1 + rho_1 (1 + ...)), rho_k = top/bottom
+    top, bottom = 1, 1
+    for z in range(z_hi - 1, z_lo - 1, -1):
+        rise = (z + 2) * (q[0] - z) * (q[1] - z) * (q[2] - z)
+        fall = (z + 1 - s[0]) * (z + 1 - s[1]) * (z + 1 - s[2]) * (z + 1 - s[3])
+        top, bottom = fall * bottom - rise * top, fall * bottom
+    first = 1
+    for si in s:
+        first *= _fact(z_lo - si)
+    for qi in q:
+        first *= _fact(qi - z_lo)
+    racah = Fraction((-1) ** z_lo * _fact(z_lo + 1) * top, first * bottom)
+    square = Fraction(num * racah.numerator**2, den * racah.denominator**2)
+    return math.sqrt(square) if racah.numerator > 0 else -math.sqrt(square)
+
+
+def overlap_matrix_exact(ja2, jb2, jc2, j2):
+    """Recoupling matrix of one sector from :func:`wigner6j_exact`, rows over
+    ascending j_ab and columns over ascending j_bc, Condon-Shortley signs."""
+    xs = range(max(abs(ja2 - jb2), abs(j2 - jc2)), min(ja2 + jb2, j2 + jc2) + 1, 2)
+    ys = range(max(abs(jb2 - jc2), abs(ja2 - j2)), min(jb2 + jc2, ja2 + j2) + 1, 2)
+    phase = -1.0 if ((ja2 + jb2 + jc2 + j2) // 2) % 2 else 1.0
+    return np.array(
+        [
+            [
+                phase * math.sqrt((x + 1) * (y + 1)) * wigner6j_exact(ja2, jb2, x, jc2, j2, y)
+                for y in ys
+            ]
+            for x in xs
+        ]
+    )

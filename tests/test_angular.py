@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from qdl import angular
 from qdl.angular import (
     BlockState,
     HalfInt,
@@ -14,9 +15,9 @@ from qdl.angular import (
     jordan_overlap,
     multiplicity,
     overlap_matrix,
+    recoupling_batch,
     triangle,
     wigner6j,
-    wigner6j_batch,
 )
 
 
@@ -110,15 +111,6 @@ def test_wigner6j_tetrahedral_symmetries():
         # swap upper and lower pairs in two columns
         assert wigner6j(d, e, c, a, b, f) == pytest.approx(base, abs=1e-12)
         assert wigner6j(d, b, f, a, e, c) == pytest.approx(base, abs=1e-12)
-
-
-def test_wigner6j_batch_matches_scalar():
-    rng = np.random.default_rng(15)
-    args = rng.integers(0, 9, size=(300, 6))
-    batch = wigner6j_batch(*(args[:, k] for k in range(6)))
-    for row, got in zip(args, batch):
-        want = wigner6j(*(HalfInt(int(t)) for t in row))
-        assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_totally_symmetric_overlap_is_one():
@@ -284,6 +276,108 @@ def test_overlap_matrix_orthogonality_exhaustive():
                                 HalfInt(ja2), HalfInt(jb2), HalfInt(jc2), HalfInt(J2)
                             )
                             assert np.abs(lam @ lam.T - np.eye(len(jab))).max() < 1e-10
+
+
+def _sectors(jmax2):
+    """Every (2ja, 2jb, 2jc, 2J) up to jmax2 with a nonempty sector."""
+    for ja2 in range(jmax2 + 1):
+        for jb2 in range(jmax2 + 1):
+            for jc2 in range(jmax2 + 1):
+                for j2 in range((ja2 + jb2 + jc2) % 2, jmax2 + 1, 2):
+                    jab, _ = intermediate_couplings(
+                        HalfInt(ja2), HalfInt(jb2), HalfInt(jc2), HalfInt(j2)
+                    )
+                    if jab:
+                        yield ja2, jb2, jc2, j2
+
+
+def test_overlap_matrix_matches_exact_6j_small_spins():
+    # signs included, against exact rational 6j symbols, every sector with
+    # all four spins up to 6
+    count = 0
+    for ja2, jb2, jc2, j2 in _sectors(12):
+        lam = overlap_matrix(HalfInt(ja2), HalfInt(jb2), HalfInt(jc2), HalfInt(j2))
+        want = oracles.overlap_matrix_exact(ja2, jb2, jc2, j2)[::-1, ::-1]
+        assert np.abs(lam - want).max() <= 1e-13, (ja2, jb2, jc2, j2)
+        count += 1
+    assert count > 10000
+
+
+def test_overlap_matrix_matches_exact_6j_large_spins():
+    # random sectors with spins up to 2j = 400, and the sector of largest
+    # dimension there (all four spins 200), where a floating-point Racah sum
+    # has lost every digit
+    rng = np.random.default_rng(20)
+    sectors = [(400, 400, 400, 400)]
+    while len(sectors) < 10:
+        ja2, jb2, jc2, j2 = (int(t) for t in rng.integers(0, 401, size=4))
+        lo = max(abs(ja2 - jb2), abs(j2 - jc2))
+        hi = min(ja2 + jb2, j2 + jc2)
+        if (ja2 + jb2 + jc2 + j2) % 2 == 0 and lo <= hi and (hi - lo) // 2 < 30:
+            sectors.append((ja2, jb2, jc2, j2))
+    for ja2, jb2, jc2, j2 in sectors:
+        lam = overlap_matrix(HalfInt(ja2), HalfInt(jb2), HalfInt(jc2), HalfInt(j2))
+        dim = lam.shape[0]
+        assert np.abs(lam @ lam.T - np.eye(dim)).max() <= 1e-12
+        assert np.abs(lam.T @ lam - np.eye(dim)).max() <= 1e-12
+        if dim <= 30:
+            want = oracles.overlap_matrix_exact(ja2, jb2, jc2, j2)[::-1, ::-1]
+            assert np.abs(lam - want).max() <= 1e-12, (ja2, jb2, jc2, j2)
+        else:
+            # the largest sector: its first and last two rows and columns,
+            # which hold the stretched and classically forbidden entries,
+            # and a random sample of the rest
+            rows = np.r_[0, 1, dim - 2, dim - 1, rng.integers(0, dim, 20)]
+            cols = np.r_[0, 1, dim - 2, dim - 1, rng.integers(0, dim, 20)]
+            x_top = min(ja2 + jb2, j2 + jc2)
+            y_top = min(jb2 + jc2, ja2 + j2)
+            phase = -1.0 if ((ja2 + jb2 + jc2 + j2) // 2) % 2 else 1.0
+            for a in rows:
+                for b in cols:
+                    x2, y2 = x_top - 2 * int(a), y_top - 2 * int(b)
+                    want = (
+                        phase
+                        * math.sqrt((x2 + 1) * (y2 + 1))
+                        * oracles.wigner6j_exact(ja2, jb2, x2, jc2, j2, y2)
+                    )
+                    assert abs(lam[a, b] - want) <= 1e-12, (x2, y2)
+
+
+def test_recoupling_operator_eigenvalues_are_jbc_squared():
+    # 4 J_bc^2 in the j_ab basis has the eigenvalues 2j_bc (2j_bc + 2), and
+    # the batched eigenvectors diagonalize it with columns in ascending j_bc
+    rng = np.random.default_rng(5)
+    for dim in (1, 2, 3, 7, 30):
+        picked = []
+        while len(picked) < 6:
+            ja2, jb2, jc2, j2 = (int(t) for t in rng.integers(0, 121, size=4))
+            lo = max(abs(ja2 - jb2), abs(j2 - jc2))
+            hi = min(ja2 + jb2, j2 + jc2)
+            if (ja2 + jb2 + jc2 + j2) % 2 == 0 and (hi - lo) // 2 + 1 == dim:
+                picked.append((ja2, jb2, jc2, j2))
+        ja2, jb2, jc2, j2 = (np.array(col) for col in zip(*picked))
+        diag, off = angular._recoupling_tridiagonal(ja2, jb2, jc2, j2, dim)
+        t = np.zeros((len(picked), dim, dim))
+        k = np.arange(dim)
+        t[:, k, k] = diag
+        t[:, k[1:], k[:-1]] = off
+        t[:, k[:-1], k[1:]] = off
+        y2 = np.maximum(np.abs(jb2 - jc2), np.abs(ja2 - j2))[:, None] + 2 * k
+        want = y2 * (y2 + 2.0)
+        scale = want.max(axis=1, keepdims=True)
+        assert np.abs(np.linalg.eigvalsh(t) - want).max() <= 1e-13 * scale.max()
+        lam = recoupling_batch(ja2, jb2, jc2, j2, dim)
+        got = lam.transpose(0, 2, 1) @ t @ lam
+        assert np.abs(got - want[:, :, None] * np.eye(dim)).max() <= 1e-13 * scale.max()
+
+
+def test_recoupling_operator_scalar_row():
+    # ja = jb puts j_ab = 0 in the basis (and forces J = jc); its diagonal
+    # entry is jb(jb+1) + jc(jc+1), scaled by 4
+    for jb2, jc2 in [(1, 1), (2, 5), (7, 3), (40, 40)]:
+        dim = min(jb2, jc2) + 1
+        diag, _ = angular._recoupling_tridiagonal([jb2], [jb2], [jc2], [jc2], dim)
+        assert diag[0, 0] == jb2 * (jb2 + 2) + jc2 * (jc2 + 2)
 
 
 def test_overlap_matrix_empty_sector_raises():

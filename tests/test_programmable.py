@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 import oracles
@@ -145,6 +147,46 @@ def test_mixed_error_against_dense_oracle_spot():
     got = prog.mixed_error(2, 1, 0.6)
     want = oracles.programmable_mixed_error_dense(2, 1, 0.6)
     assert got == pytest.approx(want, abs=1e-12)
+
+
+LOADS = st.integers(min_value=1, max_value=12)
+PURITIES = st.floats(min_value=0.0, max_value=1.0)
+QUICK = settings(deadline=None)
+
+
+@QUICK
+@given(n=LOADS, nprime=LOADS, r=PURITIES)
+def test_mixed_error_in_range(n, nprime, r):
+    assert 0.0 <= prog.mixed_error(n, nprime, r) <= 0.5
+
+
+@QUICK
+@given(n=LOADS, nprime=LOADS, r1=PURITIES, r2=PURITIES)
+def test_mixed_error_non_increasing_in_purity(n, nprime, r1, r2):
+    lo, hi = sorted((r1, r2))
+    assert prog.mixed_error(n, nprime, hi) <= prog.mixed_error(n, nprime, lo) + 1e-12
+
+
+@QUICK
+@given(n=st.integers(min_value=1, max_value=11), nprime=LOADS, r=PURITIES)
+def test_mixed_error_non_increasing_in_program_copies(n, nprime, r):
+    # one more copy at each program port can always be discarded
+    assert prog.mixed_error(n + 1, nprime, r) <= prog.mixed_error(n, nprime, r) + 1e-12
+
+
+@QUICK
+@given(n=LOADS, nprime=LOADS)
+def test_mixed_error_pure_limit_one_ulp_below_one(n, nprime):
+    got = prog.mixed_error(n, nprime, np.nextafter(1.0, 0.0))
+    assert got == pytest.approx(prog.pure_rates(n, nprime).pe, abs=1e-12)
+
+
+@QUICK
+@given(
+    kind=st.sampled_from(("hard-sphere", "bures", "chernoff")), n=LOADS, nprime=LOADS
+)
+def test_universal_error_in_range(kind, n, nprime):
+    assert 0.0 <= prog.universal_error(prog.PuritySpec(kind=kind), n, nprime) <= 0.5
 
 
 def test_mixed_asymptote_values():

@@ -161,7 +161,7 @@ def test_gaussian_prior_quadrature_moments():
 
 
 def test_eigvec_overlap_identities():
-    for a0 in (0.6, 1.0, 1.7):
+    for a0 in (1e-9, 0.6, 1.0, 1.7, 5.0, 40.0):
         ids = reading.eigvec_overlap_identities(a0)
         for key in ("+", "-"):
             assert ids["overlap0"][key] == pytest.approx(
@@ -172,8 +172,25 @@ def test_eigvec_overlap_identities():
             )
         assert abs(ids["completeness_defect"]) < 1e-10
         assert ids["zero_order_gap"] == pytest.approx(
-            2 * math.sqrt(1 - math.exp(-a0 * a0)), abs=1e-14
+            2 * math.sqrt(-math.expm1(-a0 * a0)), abs=1e-14
         )
+
+
+@pytest.mark.parametrize("a0", [1e-9, 40.0])
+def test_eigvec_overlap_identities_at_extreme_amplitudes(a0):
+    # the faint and the bright end give finite values, matched by the
+    # truncated construction to relative precision
+    ids = reading.eigvec_overlap_identities(a0)
+    for group in ("overlap0", "overlap1"):
+        for key in ("+", "-"):
+            got, want = ids[group][key], ids[group]["closed" + key]
+            assert math.isfinite(got) and math.isfinite(want)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
+    assert math.isfinite(ids["overlap1_perp"])
+    assert abs(ids["completeness_defect"]) < 1e-14
+    # 1 - x / (e^x - 1), about x/2 for faint signals and 1 for bright ones
+    want_perp = a0 * a0 / 2 if a0 < 1 else 1.0
+    assert ids["overlap1_perp"] == pytest.approx(want_perp, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +227,14 @@ def test_oracle_rejects_unknown_strategy():
     cfg = reading.ReadingConfig(alpha0=1.0, mu=1.0, n_aux=4)
     with pytest.raises(ValueError, match="strategy"):
         reading.finite_n_oracle(cfg, "homodyne")
+
+
+@pytest.mark.parametrize(
+    "alpha0", [math.nan, math.inf, complex(1.0, math.nan), complex(-math.inf, 0.0)]
+)
+def test_reading_config_rejects_nonfinite_amplitude(alpha0):
+    with pytest.raises(ValueError, match=re.escape(str(alpha0))):
+        reading.ReadingConfig(alpha0=alpha0, mu=1.0, n_aux=2)
 
 
 def test_reading_config_validation():
