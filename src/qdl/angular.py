@@ -4,17 +4,17 @@ tensor-power states, and the orthogonal recoupling matrices between the two
 orders of coupling three angular momenta.
 
 All angular momenta are carried as exact doubled integers (``2j``), which
-removes half-integer parity bugs.  The scalar Clebsch-Gordan and 6j symbols
-are single Racah sums over log-gamma terms; their alternating sums lose
-precision as the spins grow, so they serve small spins and tests.
+removes half-integer parity bugs.  The scalar Clebsch-Gordan coefficient
+is a single Racah sum over log-gamma terms; its alternating sum loses
+precision as the spins grow, so it serves small spins and tests.
 
-Recoupling matrices never go through the Racah sum.  In the basis of the
-intermediate momentum j_ab, the operator J_bc^2 is symmetric tridiagonal
-with entries built from a few small integers (the Schulten-Gordon
-recursion, J. Math. Phys. 16, 1961 (1975)), and its eigenvector matrix is
-the recoupling matrix.  One batched symmetric eigensolve over a stack of
-sectors gives every entry to about 1e-13, measured against exact rational
-6j symbols through 2j = 400.
+Recoupling matrices, and the scalar 6j symbol read from them, never go
+through a Racah sum.  In the basis of the intermediate momentum j_ab, the
+operator J_bc^2 is symmetric tridiagonal with entries built from a few
+small integers (the Schulten-Gordon recursion, J. Math. Phys. 16, 1961
+(1975)), and its eigenvector matrix is the recoupling matrix.  One batched
+symmetric eigensolve over a stack of sectors gives every entry to about
+1e-13, measured against exact rational 6j symbols through 2j = 400.
 """
 
 from __future__ import annotations
@@ -148,7 +148,9 @@ def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
 
 
 def wigner6j(j1, j2, j12, j3, j, j23) -> float:
-    """Wigner 6j symbol {j1 j2 j12; j3 j j23} by the single-sum Racah form.
+    """Wigner 6j symbol {j1 j2 j12; j3 j j23}, read from the recoupling
+    matrix Lambda = overlap_matrix(j1, j2, j3, j), and so as accurate as it
+    at every spin: (-1)^(j1+j2+j3+j) Lambda[j12, j23] / sqrt((2j12+1)(2j23+1)).
 
     Triangle violations on any of the four triads return 0.
     """
@@ -162,34 +164,12 @@ def wigner6j(j1, j2, j12, j3, j, j23) -> float:
     )
     if not tri:
         return 0.0
-    log_pref = (
-        _log_delta2(a2, b2, c2)
-        + _log_delta2(a2, e2, f2)
-        + _log_delta2(d2, b2, f2)
-        + _log_delta2(d2, e2, c2)
-    )
-    s_abc = (a2 + b2 + c2) // 2
-    s_aef = (a2 + e2 + f2) // 2
-    s_dbf = (d2 + b2 + f2) // 2
-    s_dec = (d2 + e2 + c2) // 2
-    q_abde = (a2 + b2 + d2 + e2) // 2
-    q_bcef = (b2 + c2 + e2 + f2) // 2
-    q_acdf = (a2 + c2 + d2 + f2) // 2
-    z_lo = max(s_abc, s_aef, s_dbf, s_dec)
-    z_hi = min(q_abde, q_bcef, q_acdf)
-    terms = []
-    for z in range(z_lo, z_hi + 1):
-        log_t = _lf(z + 1) - (
-            _lf(z - s_abc)
-            + _lf(z - s_aef)
-            + _lf(z - s_dbf)
-            + _lf(z - s_dec)
-            + _lf(q_abde - z)
-            + _lf(q_bcef - z)
-            + _lf(q_acdf - z)
-        )
-        terms.append((-1.0) ** z * math.exp(log_pref + log_t))
-    return math.fsum(terms)
+    lam = overlap_matrix(j1, j2, j3, j)
+    # rows and columns descend from the largest allowed j12 and j23
+    row = (min(a2 + b2, d2 + e2) - c2) // 2
+    col = (min(b2 + d2, a2 + e2) - f2) // 2
+    phase = -1.0 if ((a2 + b2 + d2 + e2) // 2) % 2 else 1.0
+    return phase * float(lam[row, col]) / math.sqrt((c2 + 1) * (f2 + 1))
 
 
 def multiplicity(n: int, j) -> int:
@@ -221,9 +201,11 @@ def block_coefficient(n: int, j, r: float) -> float:
     if r == 0.0:
         return 0.5**n
     # singlet pairs contribute det(rho) each; the rest is the trace of the
-    # symmetric part, a geometric sum over magnetic numbers
-    t = (((1 + r) / 2) ** (j2 + 1) - ((1 - r) / 2) ** (j2 + 1)) / r
-    return ((1 - r * r) / 4) ** k * t / (j2 + 1)
+    # symmetric part, (((1+r)/2)^J - ((1-r)/2)^J) / r with J = 2j+1, whose
+    # difference is ((1+r)/2)^J (1 - e^(-2 J atanh r)), free of cancellation
+    big_j = j2 + 1
+    gap = 1.0 if r == 1.0 else -math.expm1(-2.0 * big_j * math.atanh(r))
+    return ((1 - r * r) / 4) ** k * ((1 + r) / 2) ** big_j * (gap / (r * big_j))
 
 
 def jordan_overlap(n: int, nprime: int, k: int) -> float:

@@ -6,8 +6,10 @@ amplitude is only localised, by a Gaussian prior of width mu/sqrt(n), around
 a known centre; n auxiliary modes from the same source help.  Closed forms
 cover the asymptotic excess risk of the optimal collective measurement and
 of estimate-and-discriminate receivers built on squeezed heterodyne
-detection, including the optimal squeezing.  A truncated-Fock oracle
-evaluates both strategies at finite n.
+detection, including the optimal squeezing.  A finite-n oracle evaluates
+both strategies from the Gram matrices of the coherent states they mix:
+<a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b) is analytic, so no number-basis
+cutoff enters.
 
 All closed forms take the amplitude modulus; a global phase rotation makes
 the localisation centre real and nonnegative without loss of generality.
@@ -17,12 +19,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-_TAIL_TOL = 1e-12
+# relative Gram trace left out of a span factor (see _span_factor)
+_SPAN_TOL = 1e-15
+# largest |squeeze| for which e^(2 |squeeze|) is a finite float
+_SQUEEZE_MAX = 0.5 * math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -36,10 +42,10 @@ class ReadingConfig:
     def __post_init__(self):
         if not cmath.isfinite(self.alpha0):
             raise ValueError(f"amplitude alpha0 {self.alpha0} must be finite")
-        if not self.mu > 0:
-            raise ValueError("prior width mu must be positive")
-        if self.n_aux < 1:
-            raise ValueError("n_aux must be >= 1")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"prior width mu {self.mu} must be positive and finite")
+        if not (isinstance(self.n_aux, numbers.Integral) and self.n_aux >= 1):
+            raise ValueError(f"n_aux {self.n_aux} must be an integer >= 1")
 
     @property
     def amplitude(self) -> float:
@@ -101,10 +107,21 @@ def collective_excess_risk_finite_prior(alpha0, mu: float) -> float:
     return risk * 2.0 * mu * mu / (2.0 * mu * mu + 1.0)
 
 
+def _check_squeeze(r) -> float:
+    """Return r, raising unless e^(2|r|) is a finite float."""
+    if not abs(r) <= _SQUEEZE_MAX:
+        raise ValueError(
+            f"squeeze {r} must be finite, with |squeeze| <= {_SQUEEZE_MAX:.2f} "
+            "so that e^(2|squeeze|) does not overflow"
+        )
+    return r
+
+
 def eyd_excess_risk(alpha0, r_squeeze: float) -> float:
     """Excess risk of estimate-then-discriminate with a squeezed heterodyne
     estimation of squeezing r_squeeze (wide-prior limit)."""
     x, q, u, s = _exp_terms(_check_amplitude(alpha0))
+    r_squeeze = _check_squeeze(r_squeeze)
     # every power of e^x is divided out, and 1 - s = q / (1 + s)
     lead = q / (4.0 * s * (1.0 + s)) + x / u * q * (2.0 * s - q) / (8.0 * s)
     cross = x / u * q * q / (16.0 * s)
@@ -137,39 +154,54 @@ def concentrate_modes(alpha: complex, n: int) -> complex:
     return math.sqrt(n) * alpha
 
 
-def fock_cutoff(amplitude: float) -> int:
-    """Truncation rank keeping the tail of a coherent state of the given
-    modulus below 1e-12: ceil(a^2 + 8a + 20)."""
-    a = abs(amplitude)
-    return int(math.ceil(a * a + 8.0 * a + 20.0))
-
-
-def coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
-    """Number-basis amplitudes of |alpha> truncated at the given rank.
-
-    Raises when the truncated mass misses more than 1e-12.
-    """
-    k = np.arange(cutoff + 1)
-    with np.errstate(divide="ignore"):
-        logmag = np.where(k > 0, k * np.log(np.maximum(np.abs(alpha), 1e-300)), 0.0)
-    log_norm = -abs(alpha) ** 2 / 2.0
-    from scipy.special import gammaln
-
-    amp = np.exp(log_norm + logmag - gammaln(k + 1) / 2.0) * np.exp(
-        1j * k * np.angle(alpha)
-    )
-    tail = 1.0 - float(np.vdot(amp, amp).real)
-    if tail > _TAIL_TOL:
-        raise ValueError(
-            f"coherent state |alpha|={abs(alpha):.3f} loses {tail:.2e} mass at "
-            f"cutoff {cutoff}; increase the cutoff"
-        )
-    return amp
-
-
 def _hermite_nodes(order: int):
-    x, w = np.polynomial.hermite.hermgauss(order)
-    return x, w
+    if not (isinstance(order, numbers.Integral) and order >= 1):
+        raise ValueError(f"quadrature_order {order!r} must be a positive integer")
+    return np.polynomial.hermite.hermgauss(order)
+
+
+def coherent_overlap(a, b) -> np.ndarray:
+    """Matrix of coherent-state overlaps <a_i|b_j> for amplitude vectors a
+    and b: exp(-|a_i|^2/2 - |b_j|^2/2 + conj(a_i) b_j)."""
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    g = np.multiply.outer(np.conj(a), b)
+    g -= np.add.outer(np.abs(a) ** 2 / 2.0, np.abs(b) ** 2 / 2.0)
+    return np.exp(g, out=g)
+
+
+def _span_factor(gram: np.ndarray) -> np.ndarray:
+    """Pivoted Cholesky factor R (rank x K) with R^H R ~= gram, the Gram
+    matrix of K states.
+
+    Each step takes the state farthest from the span of those taken so far;
+    R^H R is the Gram matrix of the states projected onto that span, and d
+    holds their squared distances from it.  The loop stops once the
+    discarded mass eps = sum(d), the trace of the Schur complement, is at
+    most _SPAN_TOL * tr(gram).
+
+    Error bound.  An operator sum_k c_k |v_k><v_k| (real c) is replaced by
+    its compression to the span, whose nonzero spectrum is that of
+    R diag(c) R^H.  Compression never raises the trace norm (pinching) and
+    lowers it by at most 2 sqrt(T eps') + eps', with T = sum_k |c_k| gram_kk
+    and eps' = sum_k |c_k| d_k.  Both oracles weigh each state by one in
+    total (eyd up to its heterodyne quadrature) and have tr(gram) = 2, so
+    up to rounding their error probability is never below the exact value
+    at the given quadrature and exceeds it by at most
+    sqrt(_SPAN_TOL) + _SPAN_TOL / 2, about 3.2e-8; against a truncated-Fock
+    evaluation the excess is of the order of eps itself, a few 1e-15.
+    """
+    d = gram.diagonal().real.copy()
+    stop = _SPAN_TOL * d.sum()
+    r = np.zeros(gram.shape, dtype=gram.dtype)  # pages past the rank stay untouched
+    for i in range(len(d)):
+        if d.sum() <= stop:
+            return r[:i]
+        p = int(np.argmax(d))
+        r[i] = (gram[p] - r[:i, p].conj() @ r[:i]) / math.sqrt(d[p])
+        d -= np.abs(r[i]) ** 2
+        d[p] = 0.0
+    return r
 
 
 def _prior_grid(mu: float, order: int):
@@ -197,10 +229,12 @@ def finite_n_oracle(
     quadrature_order: int = 32,
     squeeze: float = 0.0,
 ) -> float:
-    """Average error of a strategy at finite n in truncated Fock space.
+    """Average error of a strategy at finite n.
 
     The Gaussian prior is integrated with a tensor Gauss-Hermite rule of the
-    given order per axis.  ``strategy`` is "collective" (joint optimal
+    given order per axis, and the Helstrom operators are evaluated on the
+    Gram matrix of the coherent states they mix (error bound in
+    :func:`_span_factor`).  ``strategy`` is "collective" (joint optimal
     measurement of the concentrated auxiliary mode and the signal) or "eyd"
     (squeezed-heterodyne estimation with squeezing ``squeeze``, followed by
     discrimination tuned to the posterior).
@@ -213,101 +247,83 @@ def finite_n_oracle(
 
 
 def _oracle_collective(cfg: ReadingConfig, order: int) -> float:
-    a0 = cfg.amplitude
-    n = cfg.n_aux
     u, wt = _prior_grid(cfg.mu, order)
-    # displaced frame: auxiliary mode carries u, signal carries -a0 or u/sqrt(n)
-    k1 = fock_cutoff(float(np.abs(u).max()))
-    k2 = fock_cutoff(max(a0, float(np.abs(u).max()) / math.sqrt(n)))
-    aux = np.stack([coherent_vector(z, k1) for z in u], axis=1)
-    sig_vac = coherent_vector(-a0, k2)
-    sig_hit = np.stack(
-        [coherent_vector(z / math.sqrt(n), k2) for z in u], axis=1
-    )
+    k = len(u)
+    # displaced frame: the auxiliary mode carries u, the signal -a0 (no hit)
+    # or u/sqrt(n) (hit); each weighted product state sqrt(w_k)|u_k>|s> has
+    # the overlaps of its two modes multiplied
+    sig = np.concatenate([np.full(k, -cfg.amplitude), u / math.sqrt(cfg.n_aux)])
+    gram = coherent_overlap(sig, sig)
     sw = np.sqrt(wt)
-    v1 = np.einsum("ak,bk->abk", aux * sw, np.tile(sig_vac[:, None], (1, len(u))))
-    v2 = np.einsum("ak,bk->abk", aux * sw, sig_hit)
-    d = (k1 + 1) * (k2 + 1)
-    v1 = v1.reshape(d, len(u))
-    v2 = v2.reshape(d, len(u))
-    diff = v1 @ v1.conj().T - v2 @ v2.conj().T
-    w = np.linalg.eigvalsh(diff)
+    pairs = gram.reshape(2, k, 2, k)  # a view: (hypothesis, node) twice
+    pairs *= (coherent_overlap(u, u) * np.outer(sw, sw))[:, None, :]
+    r = _span_factor(gram)
+    # the hypotheses' difference V J V^H, J = diag(1, -1), has the nonzero
+    # spectrum of R J R^H
+    w = np.linalg.eigvalsh((r[:, :k] @ r[:, :k].conj().T) - (r[:, k:] @ r[:, k:].conj().T))
     return 0.5 * (1.0 - 0.5 * float(np.abs(w).sum()))
 
 
 def _oracle_eyd(cfg: ReadingConfig, order: int, squeeze: float) -> float:
-    a0 = cfg.amplitude
-    n = cfg.n_aux
     mu = cfg.mu
     u, wu = _prior_grid(mu, order)
-    tanh_r = math.tanh(squeeze)
-    cosh_r = math.cosh(squeeze)
+    # heterodyne noise variances 1/(2 (1 +- tanh r)) at squeezing r, written
+    # (1 + e^(-+2r)) / 4 so that no finite r divides by zero
+    r_sq = _check_squeeze(squeeze)
+    var1, var2 = (1.0 + math.exp(-2.0 * r_sq)) / 4.0, (1.0 + math.exp(2.0 * r_sq)) / 4.0
+    # one factor of the states |-a0> and sqrt(w_k)|u_k/sqrt(n)> serves every
+    # heterodyne node
+    states = np.concatenate([[-cfg.amplitude], u / math.sqrt(cfg.n_aux)])
+    sw = np.concatenate([[1.0], np.sqrt(wu)])
+    r = _span_factor(coherent_overlap(states, states) * np.outer(sw, sw))
 
-    # heterodyne outcome v = u + Gaussian noise with axis variances
-    # 1/(2 (1 +- tanh r)); integrate v with a matched Gauss-Hermite grid
+    # heterodyne outcome v = u + Gaussian noise with axis variances var1 and
+    # var2; integrate v with a matched Gauss-Hermite grid
     x, w = _hermite_nodes(order)
-    s1 = math.sqrt(mu * mu / 2.0 + 1.0 / (2.0 * (1.0 + tanh_r)))
-    s2 = math.sqrt(mu * mu / 2.0 + 1.0 / (2.0 * (1.0 - tanh_r)))
-    v_nodes = (math.sqrt(2.0) * s1 * x)[:, None] + 1j * (
-        math.sqrt(2.0) * s2 * x
-    )[None, :]
-    v_nodes = v_nodes.ravel()
+    s1 = math.sqrt(mu * mu / 2.0 + var1)
+    s2 = math.sqrt(mu * mu / 2.0 + var2)
+    v_nodes = np.add.outer(math.sqrt(2.0) * s1 * x, 1j * (math.sqrt(2.0) * s2 * x)).ravel()
     # quadrature of integral dv^2 f(v): weights w_i w_j * 2 s1 s2 * exp(+x^2)
-    v_jac = (
-        2.0
-        * s1
-        * s2
-        * (w[:, None] * w[None, :])
-        * np.exp(x[:, None] ** 2 + x[None, :] ** 2)
-    ).ravel()
-
-    k2 = fock_cutoff(max(a0, float(np.abs(u).max()) / math.sqrt(n)))
-    sig_vac = coherent_vector(-a0, k2)
-    sig_hit = np.stack([coherent_vector(z / math.sqrt(n), k2) for z in u], axis=1)
-
+    v_jac = (2.0 * s1 * s2 * np.outer(w, w) * np.exp(x[:, None] ** 2 + x[None, :] ** 2)).ravel()
     du1 = np.real(u)[None, :] - np.real(v_nodes)[:, None]
     du2 = np.imag(u)[None, :] - np.imag(v_nodes)[:, None]
-    p_v_u = (
-        np.exp(-(du1 * du1) * (1.0 + tanh_r) - (du2 * du2) * (1.0 - tanh_r))
-        / (math.pi * cosh_r)
-    )
-    post = p_v_u * wu[None, :]  # joint weight over (v, u)
-    p_v = post.sum(axis=1)
+    p_v_u = np.exp(-(du1 * du1) / (2.0 * var1) - (du2 * du2) / (2.0 * var2))
+    p_v_u /= 2.0 * math.pi * math.sqrt(var1 * var2)
 
-    vac_proj = np.outer(sig_vac, sig_vac.conj())
-    total = 0.0
-    for i in range(len(v_nodes)):
-        weights = post[i]
-        sigma = (sig_hit * weights) @ sig_hit.conj().T
-        wdiff = np.linalg.eigvalsh(p_v[i] * vac_proj - sigma)
-        total += v_jac[i] * float(np.abs(wdiff).sum())
-    return 0.5 * (1.0 - 0.5 * total)
+    # node v's operator p(v)|-a0><-a0| - sum_k p(v|u_k) w_k |u_k/sqrt(n)><.|
+    # is R diag(c_v) R^H: all of them come from one product of the weights
+    # with the outer products of the columns of R
+    p_v = p_v_u @ wu
+    coef = np.concatenate([p_v[:, None], -p_v_u], axis=1)
+    rank = len(r)
+    outer = (r.T[:, :, None] * r.T.conj()[:, None, :]).reshape(len(states), rank * rank)
+    ops = (coef @ outer).reshape(len(v_nodes), rank, rank)
+    # each node's trace norm is at most 2 p(v); dividing by the outcome mass
+    # that the v rule integrates keeps Pe in [0, 1/2] at low orders, where
+    # that mass can be off one by a quarter, and shrinks the quadrature error
+    total = float(v_jac @ np.abs(np.linalg.eigvalsh(ops)).sum(axis=1))
+    return 0.5 * (1.0 - 0.5 * total / float(v_jac @ p_v))
 
 
-def eigvec_overlap_identities(alpha0, cutoff: int | None = None) -> dict:
+def eigvec_overlap_identities(alpha0) -> dict:
     """Squared number-state overlaps of the eigenvectors of the rank-2
     difference of the two displaced signal hypotheses.
 
     Returns the overlaps with |0> and |1> of the +/- eigenvectors, the
     |1>-overlap of the in-plane-orthogonal complement, and the completeness
-    defect of the three |1>-overlaps; closed forms that the truncated-Fock
-    construction must reproduce.
+    defect of the three |1>-overlaps; closed forms that the construction
+    from the number-state amplitudes must reproduce.
     """
     a = _check_amplitude(alpha0)
-    if cutoff is None:
-        cutoff = fock_cutoff(a)
     x, q, u, s = _exp_terms(a)
     # |0> and |-a> overlap in e^(-x/2) = 1 - h; their normalized sum and
     # difference have norms sqrt(2 - h) and sqrt(h), and the vacuum entry of
     # the difference is -h, taken from expm1 rather than by subtraction
     h = -math.expm1(-x / 2.0)
-    minus = coherent_vector(-a, cutoff)
-    plus_dir = minus.copy()
-    plus_dir[0] += 1.0
-    minus_dir = minus.copy()
-    minus_dir[0] = -h
-    plus_dir /= math.sqrt(2.0 - h)
-    minus_dir /= math.sqrt(h)
+    # only the |0> and |1> amplitudes of |-a>, e and -a e, enter
+    e = math.exp(-x / 2.0)
+    plus_dir = np.array([1.0 + e, -a * e]) / math.sqrt(2.0 - h)
+    minus_dir = np.array([-h, -a * e]) / math.sqrt(h)
     v_plus = 0.5 * (plus_dir + minus_dir)
     v_minus = 0.5 * (plus_dir - minus_dir)
     ov0 = {

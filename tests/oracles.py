@@ -293,3 +293,94 @@ def overlap_matrix_exact(ja2, jb2, jc2, j2):
             for x in xs
         ]
     )
+
+
+# ---------------------------------------------------------------------------
+# coherent-state reading in a truncated Fock basis
+# ---------------------------------------------------------------------------
+
+FOCK_TAIL_TOL = 1e-12
+
+
+def fock_cutoff(amplitude: float) -> int:
+    """Truncation rank keeping the tail of a coherent state of the given
+    modulus below 1e-12: ceil(a^2 + 8a + 20)."""
+    a = abs(amplitude)
+    return int(math.ceil(a * a + 8.0 * a + 20.0))
+
+
+def coherent_vector(alpha: complex, cutoff: int) -> np.ndarray:
+    """Number-basis amplitudes of |alpha> truncated at the given rank.
+
+    Raises when the truncated mass misses more than 1e-12.
+    """
+    k = np.arange(cutoff + 1)
+    with np.errstate(divide="ignore"):
+        logmag = np.where(k > 0, k * np.log(np.maximum(np.abs(alpha), 1e-300)), 0.0)
+    log_norm = -abs(alpha) ** 2 / 2.0
+    from scipy.special import gammaln
+
+    amp = np.exp(log_norm + logmag - gammaln(k + 1) / 2.0) * np.exp(
+        1j * k * np.angle(alpha)
+    )
+    tail = 1.0 - float(np.vdot(amp, amp).real)
+    if tail > FOCK_TAIL_TOL:
+        raise ValueError(
+            f"coherent state |alpha|={abs(alpha):.3f} loses {tail:.2e} mass at "
+            f"cutoff {cutoff}; increase the cutoff"
+        )
+    return amp
+
+
+def reading_oracle_fock(cfg, strategy, quadrature_order, squeeze=0.0) -> float:
+    """``reading.finite_n_oracle`` with every coherent state written out in a
+    truncated Fock basis: the collective strategy as one dense Kronecker
+    operator, eyd as one dense eigensolve per heterodyne node."""
+    from qdl.reading import _hermite_nodes, _prior_grid
+
+    a0 = cfg.amplitude
+    n = cfg.n_aux
+    u, wt = _prior_grid(cfg.mu, quadrature_order)
+    k2 = fock_cutoff(max(a0, float(np.abs(u).max()) / math.sqrt(n)))
+    sig_vac = coherent_vector(-a0, k2)
+    sig_hit = np.stack([coherent_vector(z / math.sqrt(n), k2) for z in u], axis=1)
+    if strategy == "collective":
+        # displaced frame: auxiliary mode carries u, signal carries -a0 or u/sqrt(n)
+        k1 = fock_cutoff(float(np.abs(u).max()))
+        aux = np.stack([coherent_vector(z, k1) for z in u], axis=1)
+        sw = np.sqrt(wt)
+        v1 = np.einsum("ak,bk->abk", aux * sw, np.tile(sig_vac[:, None], (1, len(u))))
+        v2 = np.einsum("ak,bk->abk", aux * sw, sig_hit)
+        d = (k1 + 1) * (k2 + 1)
+        v1 = v1.reshape(d, len(u))
+        v2 = v2.reshape(d, len(u))
+        w = np.linalg.eigvalsh(v1 @ v1.conj().T - v2 @ v2.conj().T)
+        return 0.5 * (1.0 - 0.5 * float(np.abs(w).sum()))
+
+    tanh_r = math.tanh(squeeze)
+    cosh_r = math.cosh(squeeze)
+    # heterodyne outcome v = u + Gaussian noise with axis variances
+    # 1/(2 (1 +- tanh r)); integrate v with a matched Gauss-Hermite grid
+    x, w = _hermite_nodes(quadrature_order)
+    s1 = math.sqrt(cfg.mu**2 / 2.0 + 1.0 / (2.0 * (1.0 + tanh_r)))
+    s2 = math.sqrt(cfg.mu**2 / 2.0 + 1.0 / (2.0 * (1.0 - tanh_r)))
+    v_nodes = (
+        (math.sqrt(2.0) * s1 * x)[:, None] + 1j * (math.sqrt(2.0) * s2 * x)[None, :]
+    ).ravel()
+    v_jac = (
+        2.0 * s1 * s2 * (w[:, None] * w[None, :]) * np.exp(x[:, None] ** 2 + x[None, :] ** 2)
+    ).ravel()
+    du1 = np.real(u)[None, :] - np.real(v_nodes)[:, None]
+    du2 = np.imag(u)[None, :] - np.imag(v_nodes)[:, None]
+    p_v_u = np.exp(-(du1 * du1) * (1.0 + tanh_r) - (du2 * du2) * (1.0 - tanh_r)) / (
+        math.pi * cosh_r
+    )
+    post = p_v_u * wt[None, :]  # joint weight over (v, u)
+    p_v = post.sum(axis=1)
+    vac_proj = np.outer(sig_vac, sig_vac.conj())
+    total = 0.0
+    for i in range(len(v_nodes)):
+        sigma = (sig_hit * post[i]) @ sig_hit.conj().T
+        wdiff = np.linalg.eigvalsh(p_v[i] * vac_proj - sigma)
+        total += v_jac[i] * float(np.abs(wdiff).sum())
+    return 0.5 * (1.0 - 0.5 * total / float(v_jac @ p_v))

@@ -113,6 +113,14 @@ def test_wigner6j_tetrahedral_symmetries():
         assert wigner6j(d, b, f, a, e, c) == pytest.approx(base, abs=1e-12)
 
 
+@pytest.mark.parametrize("spin2", [200, 400])
+def test_wigner6j_matches_exact_at_large_spin(spin2):
+    # {j j j; j j j} at j = 100 and 200, where a float Racah sum fails
+    h = HalfInt(spin2)
+    want = oracles.wigner6j_exact(*(spin2,) * 6)
+    assert wigner6j(h, h, h, h, h, h) == pytest.approx(want, rel=1e-12)
+
+
 def test_totally_symmetric_overlap_is_one():
     # the subspace of maximal total momentum is coupling-order independent
     for n, nprime in [(1, 1), (2, 3), (4, 1)]:
@@ -178,8 +186,9 @@ def test_block_coefficient_pure_state():
 
 def test_block_coefficient_two_copies_hand_value():
     # direct expansion for two copies: the symmetric-block trace is
-    # t = ((1+r)/2)^3 - ((1-r)/2)^3 over r = (3 + r^2)/4, divided by 3
-    for r in (0.2, 0.5, 0.9):
+    # t = ((1+r)/2)^3 - ((1-r)/2)^3 over r = (3 + r^2)/4, divided by 3;
+    # faint purities, where that difference cancels, included
+    for r in (1e-300, 1e-8, 0.2, 0.5, 0.9):
         want = (3 + r * r) / 12
         assert block_coefficient(2, 1, r) == pytest.approx(want, abs=1e-14)
 

@@ -3,7 +3,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from qdl import reading
 from qdl.discrimination import pure_overlap_error
 
@@ -129,27 +132,36 @@ def test_concentrate_modes():
 
 
 # ---------------------------------------------------------------------------
-# Fock-space helpers
+# coherent states: truncated Fock reference and analytic overlaps
 # ---------------------------------------------------------------------------
 
 
 def test_coherent_vector_normalized_at_rule_cutoff():
     for a in (0.5, 2.0, 5.0, 9.0):
-        vec = reading.coherent_vector(a, reading.fock_cutoff(a))
+        vec = oracles.coherent_vector(a, oracles.fock_cutoff(a))
         assert 1.0 - float(np.vdot(vec, vec).real) < 1e-12
 
 
 def test_coherent_vector_overlap():
-    k = reading.fock_cutoff(2.0)
-    va = reading.coherent_vector(1.2, k)
-    vb = reading.coherent_vector(-0.4 + 0.3j, k)
+    k = oracles.fock_cutoff(2.0)
+    va = oracles.coherent_vector(1.2, k)
+    vb = oracles.coherent_vector(-0.4 + 0.3j, k)
     want = math.exp(-abs(1.2 - (-0.4 + 0.3j)) ** 2)
     assert abs(np.vdot(va, vb)) ** 2 == pytest.approx(want, abs=1e-12)
 
 
 def test_coherent_vector_tail_violation_raises():
     with pytest.raises(ValueError, match="cutoff"):
-        reading.coherent_vector(4.0, 10)
+        oracles.coherent_vector(4.0, 10)
+
+
+def test_coherent_overlap_matches_fock_vectors():
+    amps = np.array([0.0, 1.2, -0.4 + 0.3j, 2.5j, -3.0 - 1.0j])
+    k = oracles.fock_cutoff(float(np.abs(amps).max()))
+    vecs = np.stack([oracles.coherent_vector(z, k) for z in amps])
+    want = vecs.conj() @ vecs.T
+    assert np.abs(reading.coherent_overlap(amps, amps) - want).max() < 1e-12
+    assert reading.coherent_overlap(amps[1:2], amps[3:]).shape == (1, 2)
 
 
 def test_gaussian_prior_quadrature_moments():
@@ -221,6 +233,94 @@ def test_oracle_eyd_squeezing_helps():
     tuned = reading.finite_n_oracle(cfg, "eyd", quadrature_order=10, squeeze=r_opt)
     plain = reading.finite_n_oracle(cfg, "eyd", quadrature_order=10, squeeze=0.0)
     assert tuned < plain
+
+
+# settings where the truncated-Fock reference runs in about a second
+FOCK_SETTINGS = [(0.95, 0.5, 16, 8), (0.7, 0.3, 4, 6), (1.2, 0.4, 9, 7)]
+
+
+@pytest.mark.parametrize("a0, mu, naux, order", FOCK_SETTINGS)
+def test_gram_oracles_match_fock_reference(a0, mu, naux, order):
+    cfg = reading.ReadingConfig(alpha0=a0, mu=mu, n_aux=naux)
+    for strategy, squeeze in [("collective", 0.0), ("eyd", 0.0), ("eyd", 0.3), ("eyd", -0.4)]:
+        got = reading.finite_n_oracle(cfg, strategy, order, squeeze=squeeze)
+        want = oracles.reading_oracle_fock(cfg, strategy, order, squeeze=squeeze)
+        assert got == pytest.approx(want, abs=1e-12), (strategy, squeeze)
+
+
+def test_span_factor_reproduces_gram_matrix():
+    z = np.linspace(-1.0, 1.0, 40) * (1 + 0.5j)
+    gram = reading.coherent_overlap(z, z)
+    r = reading._span_factor(gram)
+    assert len(r) < len(z)  # nearby coherent states span few dimensions
+    resid = gram - r.conj().T @ r
+    assert np.trace(resid).real <= reading._SPAN_TOL * len(z)
+    assert np.abs(resid).max() < 1e-14
+
+
+def test_oracle_orders_24_and_32_agree():
+    cfg = reading.ReadingConfig(alpha0=0.9, mu=1.0, n_aux=16)
+    for strategy, squeeze in [("collective", 0.0), ("eyd", reading.optimal_squeezing(0.9))]:
+        pe24, pe32 = (
+            reading.finite_n_oracle(cfg, strategy, order, squeeze=squeeze) for order in (24, 32)
+        )
+        assert abs(pe24 - pe32) < 1e-9, strategy
+
+
+@settings(deadline=None)
+@given(
+    a0=st.floats(min_value=0.3, max_value=1.5),
+    mu=st.floats(min_value=0.2, max_value=1.5),
+    naux=st.integers(min_value=1, max_value=64),
+    order=st.integers(min_value=4, max_value=10),
+    squeeze=st.floats(min_value=-1.0, max_value=1.0),
+)
+def test_oracles_in_range_and_above_known_state(a0, mu, naux, order, squeeze):
+    cfg = reading.ReadingConfig(alpha0=a0, mu=mu, n_aux=naux)
+    col = reading.finite_n_oracle(cfg, "collective", order)
+    eyd = reading.finite_n_oracle(cfg, "eyd", order, squeeze=squeeze)
+    # knowing the drawn amplitude can only help, exactly so on the discrete
+    # ensemble by convexity of the trace norm
+    assert reading.known_state_error(cfg, order) <= col + 1e-12
+    assert 0.0 <= col <= 0.5
+    assert 0.0 <= eyd <= 0.5
+
+
+def test_oracle_eyd_finite_at_extreme_squeezing():
+    cfg = reading.ReadingConfig(alpha0=0.9, mu=1.0, n_aux=16)
+    for squeeze in (50.0, -50.0, 300.0):
+        assert 0.0 <= reading.finite_n_oracle(cfg, "eyd", 8, squeeze=squeeze) <= 0.5
+
+
+CFG = reading.ReadingConfig(alpha0=0.9, mu=1.0, n_aux=4)
+# each call must raise a ValueError that names its bad input
+BAD_READING_INPUTS = [
+    pytest.param("squeeze nan", lambda: reading.finite_n_oracle(CFG, "eyd", 8, squeeze=math.nan),
+                 id="oracle-squeeze-nan"),
+    pytest.param("squeeze inf", lambda: reading.finite_n_oracle(CFG, "eyd", 8, squeeze=math.inf),
+                 id="oracle-squeeze-inf"),
+    pytest.param("squeeze -1000.0",
+                 lambda: reading.finite_n_oracle(CFG, "eyd", 8, squeeze=-1000.0),
+                 id="oracle-squeeze-overflow"),
+    pytest.param("squeeze nan", lambda: reading.eyd_excess_risk(0.9, math.nan),
+                 id="closed-form-squeeze-nan"),
+    pytest.param("squeeze inf", lambda: reading.eyd_excess_risk(0.9, math.inf),
+                 id="closed-form-squeeze-inf"),
+    pytest.param("quadrature_order 2.5", lambda: reading.finite_n_oracle(CFG, "collective", 2.5),
+                 id="order-fraction"),
+    pytest.param("quadrature_order 0", lambda: reading.finite_n_oracle(CFG, "eyd", 0),
+                 id="order-zero"),
+    pytest.param("quadrature_order -3", lambda: reading.known_state_error(CFG, -3),
+                 id="order-negative"),
+    pytest.param("mu inf", lambda: reading.ReadingConfig(0.9, math.inf, 4), id="mu-inf"),
+    pytest.param("n_aux 2.5", lambda: reading.ReadingConfig(0.9, 1.0, 2.5), id="n-aux-fraction"),
+]
+
+
+@pytest.mark.parametrize("named, call", BAD_READING_INPUTS)
+def test_bad_reading_inputs_raise_naming_them(named, call):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()
 
 
 def test_oracle_rejects_unknown_strategy():
