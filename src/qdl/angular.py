@@ -200,12 +200,17 @@ def block_coefficient(n: int, j, r: float) -> float:
     k = (n - j2) // 2
     if r == 0.0:
         return 0.5**n
-    # singlet pairs contribute det(rho) each; the rest is the trace of the
+    # singlet pairs contribute det(rho) = ((1-r)/2)((1+r)/2) each, a product
+    # so that nothing cancels as r -> 1; the rest is the trace of the
     # symmetric part, (((1+r)/2)^J - ((1-r)/2)^J) / r with J = 2j+1, whose
-    # difference is ((1+r)/2)^J (1 - e^(-2 J atanh r)), free of cancellation
+    # difference is ((1+r)/2)^J (1 - e^(-2 J atanh r)), free of cancellation.
+    # 1 - r is exact for r >= 1/2; the rounding of 1 + r, raised to the
+    # power k + J, is restored to first order from its exact residual
     big_j = j2 + 1
     gap = 1.0 if r == 1.0 else -math.expm1(-2.0 * big_j * math.atanh(r))
-    return ((1 - r * r) / 4) ** k * ((1 + r) / 2) ** big_j * (gap / (r * big_j))
+    up = 1 + r
+    up_power = (up / 2) ** (k + big_j) * (1 + (k + big_j) * ((r - (up - 1)) / up))
+    return ((1 - r) / 2) ** k * up_power * (gap / (r * big_j))
 
 
 def jordan_overlap(n: int, nprime: int, k: int) -> float:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular import HalfInt, clebsch_gordan, multiplicity
+from .angular import HalfInt, block_coefficient, clebsch_gordan, multiplicity
 from .linalg import check_purity
 
 # log-barrier schedule of the seed solver: t grows by _BARRIER_GROWTH until
@@ -86,12 +86,7 @@ def spin_z_expectation(j, r: float) -> float:
 def block_probability(n: int, j, r: float) -> float:
     """Probability that an n-fold purity-r power projects onto spin j."""
     j2 = HalfInt.coerce(j).twice
-    nu = multiplicity(n, j)
-    r = check_purity(r)
-    if r == 0.0:
-        return nu * (j2 + 1) * 0.5**n
-    c_j = (((1 + r) / 2) ** (j2 + 1) - ((1 - r) / 2) ** (j2 + 1)) / r
-    return nu * c_j * ((1 - r * r) / 4.0) ** ((n - j2) // 2)
+    return multiplicity(n, j) * (j2 + 1) * block_coefficient(n, j, r)
 
 
 def gamma_up(n: int, r: float, ja, jc) -> np.ndarray:

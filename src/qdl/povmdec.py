@@ -4,12 +4,14 @@ measurements.
 In the generalized Bloch picture a rank-1 POVM is a weighted set of points
 on a sphere whose weighted barycentre sits at the origin; feasible weight
 redistributions form a polytope whose vertices are exactly the extremal
-measurements assembled from the original elements.  A phase-1 simplex finds
-one vertex per step, the largest extractable probability is peeled off, and
-at least one outcome dies each round, so an N-outcome rank-1 POVM on
-dimension d splits into at most (N-1)d + 1 extremals.  Higher-rank inputs
-are first split along their eigenbases, with a relabelling map carrying the
-outcomes back.
+measurements assembled from the original elements.  A phase-1 revised
+simplex with an explicit, eta-updated basis inverse finds one vertex per
+step, the largest extractable probability is peeled off, and at least one
+outcome dies each round, so an N-outcome rank-1 POVM on dimension d splits
+into at most (N-1)d + 1 extremals.  The vertex LP never changes between
+rounds except that columns die, so each search resumes from the previous
+optimal basis.  Higher-rank inputs are first split along their
+eigenbases, with a relabelling map carrying the outcomes back.
 """
 
 from __future__ import annotations
@@ -217,73 +219,91 @@ def rank1_expand(p: Povm) -> tuple[Povm, dict]:
     return Povm(dim=p.dim, elements=tuple(new_elements)), relabel
 
 
-def _phase1_simplex(a: np.ndarray, b: np.ndarray):
-    """Feasibility phase of the simplex method for A x = b, x >= 0.
+def _phase1_simplex(cols, b, cost, basis, binv):
+    """Phase 1 of the revised simplex method for cols x = b, x >= 0, b >= 0.
 
-    Revised form; basis systems go through LAPACK's partially pivoted
-    solves.  Pivoting is steepest-cost by default and switches to Bland's
-    anti-cycling rule whenever the objective stalls on degenerate steps.
-    Returns (x, None) when feasible and (None, dual certificate y with
-    y.A <= 0, y.b > 0) otherwise.
+    The last m columns of cols are the identity block of the artificials.
+    cost is 1 on the artificials and on every column to be driven out, 0
+    elsewhere; apart from the artificials, a column of cost 1 never enters.
+    The walk starts from `basis`, m column indices whose basic solution is
+    feasible, with the explicit basis inverse `binv`.  Both are updated in
+    place, so a later call that prices out more columns resumes from the
+    final basis.  Each pivot updates binv by one eta (rank-1) step, and
+    binv is refactorized every m pivots.  The entering column has the
+    steepest cost, the smallest basic index leaves among ratio ties, and
+    Bland's anti-cycling rule takes over once the objective stalls for more
+    than m + 10 steps.  The final basis is solved once more with LAPACK, so
+    no update drift reaches the result.  Returns (x, None) when the optimum
+    is zero and (None, dual certificate y with y.A <= 0, y.b > 0) otherwise.
     """
-    m, n = a.shape
-    flip = np.where(b < 0, -1.0, 1.0)
-    a = a * flip[:, None]
-    b = b * flip
-    ext = np.hstack([a, np.eye(m)])
-    cost = np.concatenate([np.zeros(n), np.ones(m)])
-    basis = list(range(n, n + m))
-    in_basis = np.zeros(n + m, dtype=bool)
-    in_basis[basis] = True
+    m, ncol = cols.shape
+    barred = cost > 0.0
+    barred[ncol - m:] = False
+    closed = barred.copy()  # columns that may not enter: barred or basic
+    closed[basis] = True
     bland = False
     last_obj = math.inf
     stall = 0
-    for _ in range(500 * (n + m)):
-        bmat = ext[:, basis]
-        xb = np.maximum(np.linalg.solve(bmat, b), 0.0)
-        y = np.linalg.solve(bmat.T, cost[basis])
-        reduced = cost - y @ ext
-        reduced[in_basis] = 0.0
-        entering = -1
-        if bland:
-            below = np.nonzero(reduced < -_ZERO)[0]
-            if below.size:
-                entering = int(below[0])
-        else:
-            j = int(np.argmin(reduced))
-            if reduced[j] < -_ZERO:
-                entering = j
-        if entering < 0:
-            obj = float(cost[basis] @ xb)
-            if obj > 1e-8:
-                return None, y * flip
-            x = np.zeros(n)
-            for i, var in enumerate(basis):
-                if var < n:
-                    x[var] = xb[i]
+    for step in range(1, 500 * ncol + 1):
+        cb = cost[basis]
+        gain = (cb @ binv) @ cols - cost  # minus the reduced costs
+        gain[closed] = 0.0
+        entering = int(np.argmax(gain > _ZERO) if bland else np.argmax(gain))
+        if gain[entering] <= _ZERO:
+            bmat = cols[:, basis]
+            xb = np.maximum(np.linalg.solve(bmat, b), 0.0)
+            if cb @ xb > 1e-8:
+                return None, np.linalg.solve(bmat.T, cb)
+            x = np.zeros(ncol)
+            x[basis] = xb
             return x, None
-        direction = np.linalg.solve(bmat, ext[:, entering])
-        rows = np.nonzero(direction > _ZERO)[0]
-        if rows.size == 0:
+        xb = np.maximum(binv @ b, 0.0)
+        direction = binv @ cols[:, entering]
+        ratios = np.full(m, math.inf)
+        np.divide(xb, direction, out=ratios, where=direction > _ZERO)
+        best = ratios.min()
+        if best == math.inf:
             raise RuntimeError("unbounded feasibility subproblem")
-        ratios = xb[rows] / direction[rows]
-        best = float(ratios.min())
-        # among ratio ties the smallest variable index leaves (Bland)
-        _, leave_row = min(
-            (basis[i], i) for i, r in zip(rows, ratios) if r <= best + 1e-12
-        )
-        obj = float(cost[basis] @ xb)
-        if obj >= last_obj - 1e-13:
-            stall += 1
-            if stall > m + 10:
-                bland = True
-        else:
-            stall = 0
+        tied = np.flatnonzero(ratios <= best + 1e-12)
+        leave = tied[np.argmin(basis[tied])]
+        obj = float(cb @ xb)
+        stall = stall + 1 if obj >= last_obj - 1e-13 else 0
+        bland = bland or stall > m + 10
         last_obj = obj
-        in_basis[basis[leave_row]] = False
-        in_basis[entering] = True
-        basis[leave_row] = entering
+        closed[basis[leave]] = barred[basis[leave]]
+        closed[entering] = True
+        basis[leave] = entering
+        row = binv[leave] / direction[leave]
+        binv -= np.outer(direction, row)
+        binv[leave] = row
+        if step % m == 0:
+            binv[:] = np.linalg.inv(cols[:, basis])
     raise RuntimeError("simplex iteration limit exceeded")
+
+
+def _vertex_lp(vectors: np.ndarray):
+    """Cold start of the vertex LP over the rows of vectors: the columns
+    [vectors^T; 1 | I], the right-hand side (0, ..., 0, d), phase-1 cost 1 on
+    the artificials, and the all-artificial basis with its inverse."""
+    n, nvec = vectors.shape
+    m = nvec + 1
+    cols = np.hstack([np.vstack([vectors.T, np.ones(n)]), np.eye(m)])
+    b = np.zeros(m)
+    b[-1] = math.isqrt(m)
+    cost = np.concatenate([np.zeros(n), np.ones(m)])
+    return cols, b, cost, np.arange(n, n + m), np.eye(m)
+
+
+def _solve_vertex(cols, b, cost, basis, binv) -> np.ndarray:
+    x, certificate = _phase1_simplex(cols, b, cost, basis, binv)
+    if x is None:
+        nu = certificate[:-1]
+        norm = np.linalg.norm(nu)
+        raise InfeasiblePovmError(
+            "weighted Bloch points admit no balancing: not a POVM",
+            nu / norm if norm > 0 else nu,
+        )
+    return x[: -len(b)]
 
 
 def find_extremal_vertex(points: list[BlochPoint]) -> np.ndarray:
@@ -299,20 +319,7 @@ def find_extremal_vertex(points: list[BlochPoint]) -> np.ndarray:
     d = math.isqrt(nvec + 1)
     if d * d != nvec + 1:
         raise ValueError("Bloch vectors must have length d^2 - 1")
-    a = np.vstack([
-        np.stack([pt.vector for pt in points], axis=1),
-        np.ones((1, len(points))),
-    ])
-    b = np.concatenate([np.zeros(nvec), [float(d)]])
-    x, certificate = _phase1_simplex(a, b)
-    if x is None:
-        nu = certificate[:-1]
-        norm = np.linalg.norm(nu)
-        nu = nu / norm if norm > 0 else nu
-        raise InfeasiblePovmError(
-            "weighted Bloch points admit no balancing: not a POVM", nu
-        )
-    return x
+    return _solve_vertex(*_vertex_lp(np.stack([pt.vector for pt in points])))
 
 
 def is_extremal(p: Povm) -> tuple[bool, np.ndarray | None]:
@@ -342,16 +349,21 @@ def is_extremal(p: Povm) -> tuple[bool, np.ndarray | None]:
     return False, witness
 
 
-def _extraction_loop(rank1: Povm, choose_vertex):
+def _extraction_loop(rank1: Povm, refine=None):
     """Shared peeling loop over a rank-1 POVM.
 
     The normalized elements and their Bloch vectors never change; only the
     weight vector evolves, renormalized to its exact total each step so
-    round-off cannot compound.  A step whose extraction probability is
-    within 1e-8 of one (or whose vertex uses every live outcome) is final:
-    the sliver that would remain carries reconstruction weight
-    remaining * (1 - prob), far below round-off, and dividing by 1 - prob
-    would only amplify noise.
+    round-off cannot compound.  The vertex LP is built once: its columns
+    are fixed and the current weights always balance, so each search
+    resumes from the previous optimal basis with the dead outcomes priced
+    out (phase-1 cost 1, barred from re-entering), and only has to pivot
+    them out of the basis.  refine(points, x), if given, may swap the
+    vertex found for another one of the live points.  A step whose
+    extraction probability is within 1e-8 of one (or whose vertex uses
+    every live outcome) is final: the sliver that would remain carries
+    reconstruction weight remaining * (1 - prob), far below round-off, and
+    dividing by 1 - prob would only amplify noise.
     """
     d = rank1.dim
     labels = [label for label, _ in rank1.elements]
@@ -359,13 +371,16 @@ def _extraction_loop(rank1: Povm, choose_vertex):
     normalized = [op / t for (_, op), t in zip(rank1.elements, traces)]
     gens = _generator_stack(d)
     vectors = np.stack([np.einsum("gij,ji->g", gens, e).real for e in normalized])
+    lp = _vertex_lp(vectors)
+    cost = lp[2]
     weights = np.array(traces)
     live = np.arange(len(labels))
     terms = []
     remaining = 1.0
     for _ in range(len(labels) + 1):
-        pts = [BlochPoint(weights[i], vectors[i]) for i in live]
-        x = choose_vertex(pts)
+        x = _solve_vertex(*lp)[live]
+        if refine is not None:
+            x = refine([BlochPoint(weights[i], vectors[i]) for i in live], x)
         support = x > _ZERO
         prob = float((weights[live][support] / x[support]).min())
         final = prob >= 1.0 - 1e-8 or int(support.sum()) == live.size
@@ -383,6 +398,7 @@ def _extraction_loop(rank1: Povm, choose_vertex):
         raw[raw <= _ZERO * (1.0 - prob)] = 0.0
         raw *= d / raw.sum()
         weights[live] = raw
+        cost[live[raw == 0.0]] = 1.0
         live = live[raw > 0.0]
         remaining *= 1.0 - prob
     raise RuntimeError("extraction failed to terminate")
@@ -398,7 +414,7 @@ def decompose(p: Povm) -> DecompositionResult:
     """
     require_valid(p)
     rank1, relabel = rank1_expand(p)
-    terms = _extraction_loop(rank1, find_extremal_vertex)
+    terms = _extraction_loop(rank1)
     return DecompositionResult(terms=terms, relabel=relabel)
 
 
@@ -465,8 +481,7 @@ def ordered_decompose(p: Povm, criterion: str = "fewest-outcomes") -> Decomposit
     require_valid(p)
     rank1, relabel = rank1_expand(p)
 
-    def choose(points):
-        best = find_extremal_vertex(points)
+    def refine(points, best):
         improved = True
         while improved:
             improved = False
@@ -478,7 +493,7 @@ def ordered_decompose(p: Povm, criterion: str = "fewest-outcomes") -> Decomposit
                 best = cand
         return best
 
-    terms = _extraction_loop(rank1, choose)
+    terms = _extraction_loop(rank1, refine)
     return DecompositionResult(terms=terms, relabel=relabel)
 
 

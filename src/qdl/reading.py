@@ -125,7 +125,15 @@ def eyd_excess_risk(alpha0, r_squeeze: float) -> float:
     # every power of e^x is divided out, and 1 - s = q / (1 + s)
     lead = q / (4.0 * s * (1.0 + s)) + x / u * q * (2.0 * s - q) / (8.0 * s)
     cross = x / u * q * q / (16.0 * s)
-    return lead * math.cosh(r_squeeze) ** 2 + cross * math.sinh(2.0 * r_squeeze)
+    risk = lead * math.cosh(r_squeeze) ** 2 + cross * math.sinh(2.0 * r_squeeze)
+    # strong antisqueezing of a faint signal drives the form below zero (or
+    # to inf - inf), where it stops being a risk
+    if not 0.0 <= risk < math.inf:
+        raise ValueError(
+            f"r_squeeze {r_squeeze} at alpha0 {alpha0}: the closed form gives "
+            f"{risk}, not a finite nonnegative risk"
+        )
+    return risk
 
 
 def optimal_squeezing(alpha0) -> float:

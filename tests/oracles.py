@@ -238,6 +238,19 @@ class DensityMatrix:
         return herm_eigvals(self.matrix)
 
 
+def block_coefficient_exact(n: int, j2: int, r: float) -> Fraction:
+    """Diagonal weight of the spin-j2/2 block of n qubits of purity r, in
+    exact rational arithmetic on the float r: det(rho)^k times the
+    symmetric-part trace (((1+r)/2)^J - ((1-r)/2)^J) / (r J), with
+    k = (n - j2)/2 and J = j2 + 1."""
+    r = Fraction(r)
+    k, big_j = (n - j2) // 2, j2 + 1
+    if r == 0:
+        return Fraction(1, 2**n)
+    sym = (((1 + r) / 2) ** big_j - ((1 - r) / 2) ** big_j) / (r * big_j)
+    return ((1 - r) * (1 + r) / 4) ** k * sym
+
+
 _fact = lru_cache(maxsize=None)(math.factorial)
 
 

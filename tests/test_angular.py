@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,6 +192,20 @@ def test_block_coefficient_two_copies_hand_value():
     for r in (1e-300, 1e-8, 0.2, 0.5, 0.9):
         want = (3 + r * r) / 12
         assert block_coefficient(2, 1, r) == pytest.approx(want, abs=1e-14)
+
+
+@pytest.mark.parametrize("r", [0.999, 1 - 1e-12])
+def test_block_coefficient_matches_exact_near_full_purity(r):
+    # det(rho) = (1 - r^2)/4 cancels as r -> 1 unless taken as a product;
+    # results that underflow below the normal range are left out
+    eps = np.finfo(float).eps
+    for n in range(1, 61):
+        for j2 in range(n % 2, n + 1, 2):
+            want = oracles.block_coefficient_exact(n, j2, r)
+            if want < np.finfo(float).tiny:
+                continue
+            got = block_coefficient(n, HalfInt(j2), r)
+            assert abs(Fraction(got) - want) <= 4 * eps * want, (n, j2)
 
 
 def test_block_coefficient_normalization():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qdl import discrimination as disc
@@ -338,3 +340,13 @@ def test_compare_error_identical_states():
     for eta in (0.5, 0.25):
         want = min(eta**2 + (1 - eta) ** 2, 2 * eta * (1 - eta))
         assert disc.compare_error(1.0, eta) == pytest.approx(want, abs=1e-12)
+
+
+@settings(deadline=None)
+@given(c=st.floats(min_value=0.0, max_value=1.0), r=st.floats(min_value=0.0, max_value=1.0))
+def test_weak_margin_success_in_range_and_above_strong(c, r):
+    # the strong condition bounds each conditional error, so it is tighter
+    weak = disc.weak_margin(c, r).p_success
+    strong = disc.strong_margin(c, r).p_success
+    assert 0.0 <= strong <= weak + 1e-12
+    assert weak <= 1.0

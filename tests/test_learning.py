@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import oracles
 import pytest
 
 from qdl import learning, programmable
-from qdl.angular import HalfInt
+from qdl.angular import HalfInt, multiplicity
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +126,18 @@ def test_block_probabilities_normalized():
                 for j2 in range(n % 2, n + 1, 2)
             )
             assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("r", [1e-8, 1e-300])
+def test_block_probability_matches_exact_at_faint_purity(r):
+    # the spin-j trace ((1+r)/2)^J - ((1-r)/2)^J cancels as r -> 0 unless
+    # taken from angular.block_coefficient
+    for n in range(1, 21):
+        for j2 in range(n % 2, n + 1, 2):
+            exact = oracles.block_coefficient_exact(n, j2, r)
+            want = multiplicity(n, HalfInt(j2)) * (j2 + 1) * exact
+            got = learning.block_probability(n, HalfInt(j2), r)
+            assert abs(Fraction(got) - want) <= 1e-14 * want, (n, j2)
 
 
 # ---------------------------------------------------------------------------

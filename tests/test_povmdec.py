@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qdl import povmdec
@@ -399,6 +401,66 @@ def test_random_round_trips_small():
         recon = res.reconstruct(d, p.labels())
         for lab, op in p.elements:
             assert np.abs(recon[lab] - op).max() < 1e-9
+
+
+# drawn as in criterion 10: dimension 2..4, N in [d, 3 d^2] outcomes
+POVM_DRAWS = st.integers(min_value=2, max_value=4).flatmap(
+    lambda d: st.tuples(
+        st.just(d), st.integers(min_value=d, max_value=3 * d * d), st.integers(0, 2**32 - 1)
+    )
+)
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+def drawn_povm(draw):
+    d, n, seed = draw
+    ops = oracles.random_povm(np.random.default_rng(seed), d, n)
+    return povmdec.Povm(dim=d, elements=tuple((str(i), op) for i, op in enumerate(ops)))
+
+
+@PROPERTY
+@given(draw=POVM_DRAWS)
+def test_decompose_round_trip_term_bound_and_extremality(draw):
+    p = drawn_povm(draw)
+    res = povmdec.decompose(p)
+    nbar = len(povmdec.rank1_expand(p)[0].elements)
+    assert len(res.terms) <= (nbar - 1) * p.dim + 1
+    recon = res.reconstruct(p.dim, p.labels())
+    assert max(np.abs(recon[lab] - op).max() for lab, op in p.elements) <= 1e-9
+    for _, ext in res.terms:
+        assert povmdec.is_extremal(ext)[0]
+
+
+@PROPERTY
+@given(draw=POVM_DRAWS)
+def test_vertex_is_a_balanced_point_of_small_support(draw):
+    p = drawn_povm(draw)
+    d = p.dim
+    pts = povmdec.bloch_points(p)
+    x = povmdec.find_extremal_vertex(pts)
+    assert np.all(x >= 0.0)
+    assert x.sum() == pytest.approx(d, abs=1e-9)
+    balance = sum(xi * pt.vector for xi, pt in zip(x, pts))
+    assert np.abs(balance).max() <= 1e-9
+    assert np.count_nonzero(x) <= d * d
+
+
+@PROPERTY
+@given(draw=POVM_DRAWS)
+def test_infeasibility_certificate_separates_every_point(draw):
+    # vectors pushed into one open half-space cannot balance
+    d, n, seed = draw
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(d * d - 1)
+    u /= np.linalg.norm(u)
+    vecs = rng.standard_normal((n, d * d - 1))
+    vecs *= np.sign(vecs @ u)[:, None]
+    vecs += 0.1 * u
+    pts = [povmdec.BlochPoint(weight=1.0, vector=v) for v in vecs]
+    with pytest.raises(povmdec.InfeasiblePovmError) as exc:
+        povmdec.find_extremal_vertex(pts)
+    nu = exc.value.certificate
+    assert max(float(pt.vector @ nu) for pt in pts) < 0.0
 
 
 # ---------------------------------------------------------------------------

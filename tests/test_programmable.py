@@ -329,6 +329,16 @@ def test_margin_weak_strong_agree_at_extremes():
         assert abs(w - s) < 1e-10
 
 
+@QUICK
+@given(n=LOADS, nprime=LOADS, big_r=st.floats(min_value=0.0, max_value=1.0))
+def test_margin_weak_success_in_range_and_above_strong(n, nprime, big_r):
+    # the strong condition bounds each conditional error, so it is tighter
+    weak = prog.margin_success(n, nprime, big_r, "weak").p_success
+    strong = prog.margin_success(n, nprime, big_r, "strong").p_success
+    assert 0.0 <= strong <= weak + 1e-12
+    assert weak <= 1.0
+
+
 def test_margin_weak_continuous_and_nondecreasing():
     n, nprime = 5, 2
     grid = np.linspace(0, 0.25, 401)

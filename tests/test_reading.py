@@ -306,6 +306,10 @@ BAD_READING_INPUTS = [
                  id="closed-form-squeeze-nan"),
     pytest.param("squeeze inf", lambda: reading.eyd_excess_risk(0.9, math.inf),
                  id="closed-form-squeeze-inf"),
+    pytest.param("r_squeeze -354.0 at alpha0 1e-09",
+                 lambda: reading.eyd_excess_risk(1e-9, -354.0), id="closed-form-not-finite"),
+    pytest.param("r_squeeze -20.0 at alpha0 1e-09",
+                 lambda: reading.eyd_excess_risk(1e-9, -20.0), id="closed-form-negative"),
     pytest.param("quadrature_order 2.5", lambda: reading.finite_n_oracle(CFG, "collective", 2.5),
                  id="order-fraction"),
     pytest.param("quadrature_order 0", lambda: reading.finite_n_oracle(CFG, "eyd", 0),
