@@ -3,8 +3,8 @@
 Submodules:
   linalg          dense Hermitian kernel (eigendecompositions, trace norms)
                   and the shared purity check
-  angular         SU(2) combinatorics, recoupling matrices and block
-                  decompositions
+  angular         SU(2) combinatorics: Clebsch-Gordan slices, rotation and
+                  recoupling matrices from one tridiagonal eigensolve
   discrimination  known-state binary discrimination and Chernoff distances
   programmable    programmable discrimination machines and error margins
   learning        learning machines, estimate-and-discriminate, seeds

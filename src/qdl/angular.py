@@ -1,20 +1,28 @@
 """Exact SU(2) combinatorics: Clebsch-Gordan coefficients, 6j symbols,
-multiplicities of permutation-invariant qubit blocks, block coefficients of
-tensor-power states, and the orthogonal recoupling matrices between the two
-orders of coupling three angular momenta.
+rotation matrices, multiplicities of permutation-invariant qubit blocks,
+block coefficients of tensor-power states, and the orthogonal recoupling
+matrices between the two orders of coupling three angular momenta.
 
 All angular momenta are carried as exact doubled integers (``2j``), which
-removes half-integer parity bugs.  The scalar Clebsch-Gordan coefficient
-is a single Racah sum over log-gamma terms; its alternating sum loses
-precision as the spins grow, so it serves small spins and tests.
+removes half-integer parity bugs.
 
-Recoupling matrices, and the scalar 6j symbol read from them, never go
-through a Racah sum.  In the basis of the intermediate momentum j_ab, the
-operator J_bc^2 is symmetric tridiagonal with entries built from a few
-small integers (the Schulten-Gordon recursion, J. Math. Phys. 16, 1961
-(1975)), and its eigenvector matrix is the recoupling matrix.  One batched
-symmetric eigensolve over a stack of sectors gives every entry to about
-1e-13, measured against exact rational 6j symbols through 2j = 400.
+No SU(2) coefficient goes through an alternating Racah sum.  Each is an
+entry of the eigenvector matrix of a symmetric tridiagonal angular-momentum
+operator built from a few small integers, and one batched symmetric
+eigensolve (``_eigenvectors``) serves them all:
+
+- recoupling matrices, and the scalar 6j symbol read from them: J_bc^2 in
+  the basis of the intermediate momentum j_ab (the Schulten-Gordon
+  recursion, J. Math. Phys. 16, 1961 (1975)); every entry is within about
+  1e-13 of exact rational 6j symbols through 2j = 400;
+- Clebsch-Gordan slices, and the scalar coefficient read from them: J^2 in
+  the product basis |m_a, m - m_a> of fixed m; within 1e-13 of exact
+  rational values through 2j = 200;
+- rotation matrices d^j(theta): J_x in the |j m> basis, whose eigenvalues
+  are the known m (Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307 (2015)).
+
+One helper, ``_condon_shortley``, fixes the eigenvector signs of the first
+two by Sturm pivots; the rotation matrices need none.
 """
 
 from __future__ import annotations
@@ -91,17 +99,10 @@ def triangle(j1, j2, j3) -> bool:
     return _triangle2(_twice(j1), _twice(j2), _twice(j3))
 
 
-def _log_delta2(a2: int, b2: int, c2: int) -> float:
-    return 0.5 * (
-        _lf((a2 + b2 - c2) // 2)
-        + _lf((a2 - b2 + c2) // 2)
-        + _lf((-a2 + b2 + c2) // 2)
-        - _lf((a2 + b2 + c2) // 2 + 1)
-    )
-
-
 def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
-    """<j1 m1; j2 m2 | j m> in the Condon-Shortley convention.
+    """<j1 m1; j2 m2 | j m> in the Condon-Shortley convention, read from
+    the slice :func:`clebsch_gordan_slices` returns for (j1, j2, m), and so
+    as accurate as it at every spin.
 
     Returns 0 when the triangle condition or m = m1 + m2 fails, never an
     error.
@@ -117,34 +118,50 @@ def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
         return 0.0
     if (j1_2 + m1_2) % 2 or (j2_2 + m2_2) % 2 or (j_2 + m_2) % 2:
         return 0.0
+    (c,) = clebsch_gordan_slices([(j1_2, j2_2, m_2)])
+    row = (m1_2 - max(-j1_2, m_2 - j2_2)) // 2
+    col = (j_2 - max(abs(j1_2 - j2_2), abs(m_2))) // 2
+    return float(c[row, col])
 
-    log_pref = 0.5 * (
-        math.log(j_2 + 1)
-        + _lf((j_2 + m_2) // 2)
-        + _lf((j_2 - m_2) // 2)
-        + _lf((j1_2 + m1_2) // 2)
-        + _lf((j1_2 - m1_2) // 2)
-        + _lf((j2_2 + m2_2) // 2)
-        + _lf((j2_2 - m2_2) // 2)
-    ) + _log_delta2(j1_2, j2_2, j_2)
 
-    # summation index z: all factorial arguments below must be nonnegative
-    z_lo = max(0, (j2_2 - j_2 - m1_2) // 2, (j1_2 + m2_2 - j_2) // 2)
-    z_hi = min(
-        (j1_2 + j2_2 - j_2) // 2, (j1_2 - m1_2) // 2, (j2_2 + m2_2) // 2
-    )
-    terms = []
-    for z in range(z_lo, z_hi + 1):
-        log_t = (
-            _lf(z)
-            + _lf((j1_2 + j2_2 - j_2) // 2 - z)
-            + _lf((j1_2 - m1_2) // 2 - z)
-            + _lf((j2_2 + m2_2) // 2 - z)
-            + _lf((j_2 - j2_2 + m1_2) // 2 + z)
-            + _lf((j_2 - j1_2 - m2_2) // 2 + z)
-        )
-        terms.append((-1.0) ** z * math.exp(log_pref - log_t))
-    return math.fsum(terms)
+def clebsch_gordan_slices(slices) -> list:
+    """Every Clebsch-Gordan coefficient of each (2ja, 2jc, 2m) slice in the
+    list ``slices``, as one orthogonal matrix per slice.
+
+    Entry [i, k] is <ja m_a; jc m - m_a | J m> with rows over ascending
+    m_a = max(-ja, m - jc) + i and columns over ascending
+    J = max(|ja - jc|, |m|) + k.  In the |m_a, m - m_a> basis the operator
+    4 J^2 is symmetric tridiagonal: its diagonal is c(ja) + c(jc) +
+    2 (2m_a)(2m_c), with c(t) = 2t (2t + 2), and rows m_a and m_a + 1 couple
+    with the positive 4 <m_a + 1, m_c - 1| J_a+ J_c- |m_a, m_c>.  Column k is
+    its eigenvector of eigenvalue c(J), signed so that the last row (m_a = ja
+    or m_c = -jc, a stretched coupling) is positive.  Slices of equal
+    dimension share one batched eigensolve; slices of dimension 1 hold 1.
+    """
+    out = [None] * len(slices)
+    groups = {}
+    for i, (ja2, jc2, m2) in enumerate(slices):
+        if min(ja2, jc2) < 0 or abs(m2) > ja2 + jc2 or (ja2 + jc2 + m2) % 2:
+            raise ValueError(f"no coupled states for ja={HalfInt(ja2)} jc={HalfInt(jc2)} "
+                             f"m={HalfInt(m2)}")
+        dim = (min(ja2, m2 + jc2) - max(-ja2, m2 - jc2)) // 2 + 1
+        groups.setdefault(dim, []).append(i)
+    for dim, idx in groups.items():
+        if dim == 1:
+            for i in idx:
+                out[i] = np.ones((1, 1))
+            continue
+        ja2, jc2, m2 = (np.array(v, dtype=float)[:, None] for v in zip(*(slices[i] for i in idx)))
+        ma2 = np.maximum(-ja2, m2 - jc2) + 2.0 * np.arange(dim)
+        mc2 = m2 - ma2
+        diag = ja2 * (ja2 + 2.0) + jc2 * (jc2 + 2.0) + 2.0 * ma2 * mc2
+        a2, c2 = ma2[:, :-1], mc2[:, :-1]
+        off = np.sqrt((ja2 - a2) * (ja2 + a2 + 2.0)) * np.sqrt((jc2 + c2) * (jc2 - c2 + 2.0))
+        big_j2 = np.maximum(np.abs(ja2 - jc2), np.abs(m2)) + 2.0 * np.arange(dim)
+        vecs = _condon_shortley(_eigenvectors(diag, off), diag, off, big_j2 * (big_j2 + 2.0))
+        for i, v in zip(idx, vecs):
+            out[i] = v
+    return out
 
 
 def wigner6j(j1, j2, j12, j3, j, j23) -> float:
@@ -301,12 +318,38 @@ def _eigenvectors(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.linalg.eigh(t)[1]
 
 
+def _condon_shortley(vecs, diag, off, ev) -> np.ndarray:
+    """Sign each column of a stack of eigenvector matrices ``vecs``
+    (B, dim, dim) of the symmetric tridiagonal matrices (``diag``,
+    positive ``off``) so that its last row is positive; ``ev`` (B, dim)
+    holds the exact eigenvalues, ascending.
+
+    The last entry can underflow, so each column carries the sign down to
+    its largest entry with the Sturm pivots of the eigenvalue equation,
+    v[i] = v[i+1] g[i+1] / off[i] with g[i] = ev - diag[i] - off[i]^2 / g[i+1];
+    a pivot rounding through zero flips the next pivot too, so the sign
+    products stay right.
+    """
+    b, dim = diag.shape
+    sign = np.ones((b, dim, dim))
+    g = ev - diag[:, -1:]
+    with np.errstate(divide="ignore"):
+        for i in range(dim - 2, -1, -1):
+            sign[:, i] = np.where(g < 0, -sign[:, i + 1], sign[:, i + 1])
+            g = ev - diag[:, i : i + 1] - off[:, i : i + 1] ** 2 / g
+    rows, cols = np.arange(b)[:, None], np.arange(dim)
+    peak = np.argmax(np.abs(vecs), axis=1)
+    return vecs * (sign[rows, peak, cols] * np.sign(vecs[rows, peak, cols]))[:, None, :]
+
+
 def overlap_matrix(ja, jb, jc, j) -> np.ndarray:
     """Orthogonal change of basis between the (ab)c and a(bc) coupling
     schemes in the sector of total momentum j.
 
     Rows run over j_ab and columns over j_bc, both descending.  The sign
-    convention is Condon-Shortley throughout.
+    convention is Condon-Shortley throughout: the top row (largest j_ab) is
+    positive, since a stretched triad leaves one Racah term, of sign
+    (-1)^(ja+jb+jc+J).
     """
     ja2, jb2, jc2, j2 = _twice(ja), _twice(jb), _twice(jc), _twice(j)
     jab, jbc = intermediate_couplings(ja, jb, jc, j)
@@ -315,66 +358,29 @@ def overlap_matrix(ja, jb, jc, j) -> np.ndarray:
             f"empty coupling sector ja={HalfInt(ja2)} jb={HalfInt(jb2)} "
             f"jc={HalfInt(jc2)} J={HalfInt(j2)}"
         )
-    dim = len(jab)
-    diag, off = _recoupling_tridiagonal([ja2], [jb2], [jc2], [j2], dim)
-    lam = _eigenvectors(diag, off)[0]
-    diag, off = diag[0], off[0]
-    # In the Condon-Shortley convention the top row (largest j_ab) is
-    # positive: a stretched triad leaves one Racah term, of sign
-    # (-1)^(ja+jb+jc+J).  That entry can underflow, so each column carries
-    # the sign down to its largest entry with the Sturm pivots of the
-    # eigenvalue equation, v[i] = v[i+1] g[i+1] / off[i] with
-    # g[i] = ev - diag[i] - off[i]^2 / g[i+1]; a pivot rounding through zero
-    # flips the next pivot too, so the sign products stay right.
-    ev = np.array([y.twice * (y.twice + 2.0) for y in reversed(jbc)])
-    sign = np.ones((dim, dim))
-    g = ev - diag[-1]
-    with np.errstate(divide="ignore"):
-        for i in range(dim - 2, -1, -1):
-            sign[i] = np.where(g < 0, -sign[i + 1], sign[i + 1])
-            g = ev - diag[i] - off[i] ** 2 / g
-    peak = np.argmax(np.abs(lam), axis=0)
-    cols = np.arange(dim)
-    lam = lam * (sign[peak, cols] * np.sign(lam[peak, cols]))
+    diag, off = _recoupling_tridiagonal([ja2], [jb2], [jc2], [j2], len(jab))
+    ev = np.array([[y.twice * (y.twice + 2.0) for y in reversed(jbc)]])
+    lam = _condon_shortley(_eigenvectors(diag, off), diag, off, ev)[0]
     return lam[::-1, ::-1].copy()
 
 
-@dataclass(frozen=True)
-class BlockState:
-    """Block form of an n-fold tensor power of a qubit aligned with z.
+def wigner_d(j, theta: float) -> np.ndarray:
+    """Rotation matrix d^j(theta) = <j m| exp(-i theta J_y) |j m'>, rows and
+    columns over ascending m.
 
-    ``blocks`` holds (j, multiplicity, diagonal block matrix of dim 2j+1)
-    triples; the total trace sum_j nu_j tr(block_j) is 1.
+    In the |j m> basis 2 J_x is real symmetric tridiagonal with eigenvalues
+    2m, and the phase S = diag((-i)^k) takes J_x to J_y = S J_x S^dagger, so
+    d = S U diag(e^(-i theta m)) U^T S^dagger with U the eigenvectors of
+    2 J_x.  U enters only as U (.) U^T, so its column signs never matter.
     """
-
-    n_copies: int
-    purity: float
-    blocks: tuple
-
-    def total_trace(self) -> float:
-        return float(
-            sum(nu * np.trace(b).real for _, nu, b in self.blocks)
-        )
-
-
-def block_state(n: int, r: float) -> BlockState:
-    """Assemble the z-aligned block decomposition of the n-fold power of a
-    qubit with purity r."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    r = check_purity(r)
-    blocks = []
-    for j2 in range(n % 2, n + 1, 2):
-        nu = multiplicity(n, HalfInt(j2))
-        k = (n - j2) // 2
-        det = (1 - r * r) / 4
-        # diagonal over m = -j..j: det^k * ((1-r)/2)^(j-m) ((1+r)/2)^(j+m)
-        m2 = np.arange(-j2, j2 + 1, 2)
-        diag = det**k * ((1 - r) / 2) ** ((j2 - m2) / 2) * ((1 + r) / 2) ** (
-            (j2 + m2) / 2
-        )
-        blocks.append((HalfInt(j2), nu, np.diag(diag.astype(complex))))
-    return BlockState(n_copies=n, purity=r, blocks=tuple(blocks))
+    j2 = _twice(j)
+    m2 = np.arange(-j2, j2 + 1, 2.0)
+    off = np.sqrt((j2 - m2[:-1]) * (j2 + m2[:-1] + 2.0)) / 2.0
+    u = _eigenvectors(np.zeros((1, j2 + 1)), off[None])[0]
+    w = (u * np.exp(-0.5j * theta * m2)) @ u.T
+    k = np.arange(j2 + 1)
+    phase = np.array([1.0, -1j, -1.0, 1j])[(k[:, None] - k[None, :]) % 4]
+    return (phase * w).real
 
 
 @lru_cache(maxsize=256)

@@ -2,19 +2,22 @@
 
 Minimum-error (Helstrom) and unambiguous rates, weak/strong error margins
 with their measurement angles, conclusive-outcome confidence, classical and
-quantum Chernoff distances, multicopy error rates evaluated block by block,
-and minimum-error comparison of two single-copy preparations.
+quantum Chernoff distances, multicopy error rates evaluated block by block
+(each block of a tensor power is a diagonal turned by one Wigner rotation
+matrix from ``angular``), and minimum-error comparison of two single-copy
+preparations.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .angular import multiplicity_table
+from .angular import HalfInt, multiplicity_table, wigner_d
 from .linalg import QubitState, trace_norm
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
@@ -242,77 +245,36 @@ def chernoff_quantum(rho1, rho2) -> float:
     return -math.log(val)
 
 
-def symmetric_power(m, order: int) -> np.ndarray:
-    """Restriction of the order-fold tensor power of a one-qubit operator to
-    the symmetric subspace, in the occupation basis (k excitations, k=0..order).
-
-    Matrix elements are closed-form multinomial sums in the four entries of
-    m, so no basis rotation is ever materialized.
-    """
-    a = linalg.as_matrix(m)
-    if a.shape != (2, 2):
-        raise ValueError("symmetric_power expects a one-qubit operator")
-    n = order
-    if n == 0:
-        return np.ones((1, 1), dtype=complex)
-    out = np.empty((n + 1, n + 1), dtype=complex)
-    logc = [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in range(n + 1)]
-    m00, m01, m10, m11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
-    for k in range(n + 1):
-        for l in range(n + 1):
-            tot = 0.0 + 0.0j
-            for t in range(max(0, k + l - n), min(k, l) + 1):
-                mult = math.exp(
-                    math.lgamma(n + 1)
-                    - math.lgamma(t + 1)
-                    - math.lgamma(k - t + 1)
-                    - math.lgamma(l - t + 1)
-                    - math.lgamma(n - k - l + t + 1)
-                )
-                tot += (
-                    mult
-                    * m11**t
-                    * m10 ** (k - t)
-                    * m01 ** (l - t)
-                    * m00 ** (n - k - l + t)
-                )
-            out[k, l] = tot * math.exp(-(logc[k] + logc[l]) / 2)
-    return out
-
-
-def _qubit_pair_matrices(q1: QubitState, q2: QubitState) -> tuple[np.ndarray, np.ndarray]:
-    """2x2 density matrices with the relative Bloch angle placed in the xz
-    plane; all downstream quantities depend only on that angle."""
-    cosang = float(np.clip(np.dot(q1.bloch, q2.bloch), -1.0, 1.0))
-    ang = math.acos(cosang)
-    sx, _, sz = linalg.pauli_matrices()
-    rho1 = (np.eye(2) + q1.purity * sz) / 2
-    rho2 = (np.eye(2) + q2.purity * (math.sin(ang) * sx + math.cos(ang) * sz)) / 2
-    return rho1.astype(complex), rho2.astype(complex)
-
-
 def multicopy_error(q1: QubitState, q2: QubitState, eta1: float, n_copies: int) -> float:
     """Minimum error for discriminating n-fold tensor powers of two qubits.
 
     The permutation-invariant block structure splits the trace norm into a
-    multiplicity-weighted sum over total-spin sectors; each sector block of a
-    tensor power is det(rho)^(pairs) times a symmetric power of the one-qubit
-    matrix, so the cost is polynomial in the number of copies.
+    multiplicity-weighted sum over total-spin blocks.  With the pair placed
+    in the xz plane, q1 along z, the spin-j block of the power of a
+    z-aligned qubit is diagonal in |j m>, s = p^((n+2m)/2) (1-p)^((n-2m)/2)
+    with p = (1+r)/2, and q2's block is its own diagonal turned by the
+    relative Bloch angle theta, d^j(theta) diag(s_2) d^j(theta)^T.  The cost
+    is two (2j+1)-dimensional eigensolves per block.
+
+    Error budget: the result is (1 - sum_j nu_j sum |w_j|)/2, a difference
+    that cancels, so its absolute error is about n eps.  Below Pe ~ 1e-13
+    the value is rounding noise: at n = 160, r = 0.9 and orthogonal Bloch
+    vectors it returns about 4e-15, where the Chernoff rate puts the true
+    value near 1e-25.
     """
-    if n_copies < 1:
-        raise ValueError("n_copies must be >= 1")
+    if isinstance(n_copies, bool) or not isinstance(n_copies, numbers.Integral) or n_copies < 1:
+        raise ValueError(f"n_copies {n_copies!r} is not an integer >= 1")
     _check_unit("prior", eta1)
-    rho1, rho2 = _qubit_pair_matrices(q1, q2)
-    nu = multiplicity_table(n_copies)
-    det1 = float(np.linalg.det(rho1).real)
-    det2 = float(np.linalg.det(rho2).real)
+    n = int(n_copies)
+    theta = math.acos(float(np.clip(np.dot(q1.bloch, q2.bloch), -1.0, 1.0)))
+    nu = multiplicity_table(n)
     eta2 = 1.0 - eta1
     total = 0.0
-    for j2 in range(n_copies % 2, n_copies + 1, 2):
-        pairs = (n_copies - j2) // 2
-        b1 = det1**pairs * symmetric_power(rho1, j2)
-        b2 = det2**pairs * symmetric_power(rho2, j2)
-        w = np.linalg.eigvalsh(eta1 * b1 - eta2 * b2)
+    for j2 in range(n % 2, n + 1, 2):
+        ups = (n + np.arange(-j2, j2 + 1, 2)) // 2
+        s1, s2 = (((1 + r) / 2) ** ups * ((1 - r) / 2) ** (n - ups) for r in (q1.purity, q2.purity))
+        d = wigner_d(HalfInt(j2), theta)
+        w = np.linalg.eigvalsh(np.diag(eta1 * s1) - (d * (eta2 * s2)) @ d.T)
         total += nu[j2] * float(np.abs(w).sum())
     return (1.0 - total) / 2.0
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular import HalfInt, block_coefficient, clebsch_gordan, multiplicity
+from .angular import HalfInt, block_coefficient, clebsch_gordan_slices, multiplicity
 from .linalg import check_purity
 
 # log-barrier schedule of the seed solver: t grows by _BARRIER_GROWTH until
@@ -142,47 +142,24 @@ class SeedOperator:
     blocks: dict
 
     def resolution_residual(self) -> float:
-        worst = 0.0
-        sectors = {(ja2, jc2) for ja2, jc2, _ in self.blocks}
-        for ja2, jc2 in sectors:
-            for j2 in range(abs(ja2 - jc2), ja2 + jc2 + 1, 2):
-                tot = 0.0
-                for m2 in range(-j2, j2 + 1, 2):
-                    om = self.blocks.get((ja2, jc2, m2))
-                    if om is None:
-                        continue
-                    cvec = _coupled_vector(ja2, jc2, j2, m2)
-                    tot += float(np.real(cvec.conj() @ om @ cvec))
-                worst = max(worst, abs(tot - (j2 + 1)))
-        return worst
+        totals = {
+            (ja2, jc2, j2): 0.0
+            for ja2, jc2, _ in self.blocks
+            for j2 in range(abs(ja2 - jc2), ja2 + jc2 + 1, 2)
+        }
+        for (ja2, jc2, m2), c in zip(self.blocks, clebsch_gordan_slices(list(self.blocks))):
+            # column k of the slice is the coupled vector of 2J = j_lo + 2k
+            j_lo = max(abs(ja2 - jc2), abs(m2))
+            diag = np.real(np.sum(c * (self.blocks[(ja2, jc2, m2)] @ c), axis=0))
+            for k, value in enumerate(diag):
+                totals[(ja2, jc2, j_lo + 2 * k)] += float(value)
+        return max(abs(tot - (j2 + 1)) for (_, _, j2), tot in totals.items())
 
     def min_eigenvalue(self) -> float:
         return min(
             float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0])
             for b in self.blocks.values()
         )
-
-
-def _m_basis(ja2: int, jc2: int, m2: int) -> list:
-    """(m_a, m_c) pairs with m_a + m_c = m, ordered by ascending m_a."""
-    out = []
-    for ma2 in range(-ja2, ja2 + 1, 2):
-        mc2 = m2 - ma2
-        if -jc2 <= mc2 <= jc2:
-            out.append((ma2, mc2))
-    return out
-
-
-def _coupled_vector(ja2: int, jc2: int, j2: int, m2: int) -> np.ndarray:
-    basis = _m_basis(ja2, jc2, m2)
-    return np.array(
-        [
-            clebsch_gordan(
-                HalfInt(ja2), HalfInt(ma2), HalfInt(jc2), HalfInt(mc2), HalfInt(j2), HalfInt(m2)
-            )
-            for ma2, mc2 in basis
-        ]
-    )
 
 
 class LmOptimum(NamedTuple):
@@ -203,9 +180,15 @@ def _solve_sector(gammas, b):
     last centring, made exactly feasible by a diagonal congruence.
     Returns (dual value, primal value, primal blocks).
     """
-    scale = max(np.abs(g).max() for g in gammas) or 1.0
+    offsets = [len(b) - len(g) for g in gammas]
+    scale = max(np.abs(g).max() for g in gammas)
+    if scale == 0.0:
+        # every feasible point scores 0, certified by y = 0; spread b evenly
+        count = np.zeros(len(b))
+        for k in offsets:
+            count[k:] += 1.0
+        return 0.0, 0.0, [np.diag(b[k:] / count[k:]) for k in offsets]
     gs = [g / scale for g in gammas]
-    offsets = [len(b) - len(g) for g in gs]
     nu = sum(len(g) for g in gs)
     # G_m is orthogonally similar to a diagonal with entries in [-1, 1], so
     # this start has S_m >= I
@@ -260,17 +243,21 @@ def lm_mixed_optimize(n: int, r: float) -> LmOptimum:
     r = check_purity(r, zero=False)
     primal_total = dual_total = 0.0
     blocks = {}
-    for (ja2, jc2), (p_xi, grid) in gamma_up_blocks(n, r).items():
+    sectors = gamma_up_blocks(n, r)
+    keys = [
+        (ja2, jc2, m2) for ja2, jc2 in sectors for m2 in range(-(ja2 + jc2), ja2 + jc2 + 1, 2)
+    ]
+    slices = dict(zip(keys, clebsch_gordan_slices(keys)))
+    for (ja2, jc2), (p_xi, grid) in sectors.items():
         j_values = range(abs(ja2 - jc2), ja2 + jc2 + 1, 2)
         m_values = range(-(ja2 + jc2), ja2 + jc2 + 1, 2)
-        c_by_m, g_by_m = [], []
-        for m2 in m_values:
-            c = np.column_stack(
-                [_coupled_vector(ja2, jc2, j2, m2) for j2 in j_values if j2 >= abs(m2)]
-            )
-            g = [grid[(ma2 + ja2) // 2, (mc2 + jc2) // 2] for ma2, mc2 in _m_basis(ja2, jc2, m2)]
-            c_by_m.append(c)
-            g_by_m.append(c.T @ (np.array(g)[:, None] * c))
+        c_by_m = [slices[(ja2, jc2, m2)] for m2 in m_values]
+        g_by_m = []
+        for m2, c in zip(m_values, c_by_m):
+            # the slice rows run over ascending m_a, with m_c = m - m_a
+            ma2 = np.arange(max(-ja2, m2 - jc2), min(ja2, m2 + jc2) + 1, 2)
+            g = grid[(ma2 + ja2) // 2, (m2 - ma2 + jc2) // 2]
+            g_by_m.append(c.T @ (g[:, None] * c))
         dual, primal, xs = _solve_sector(g_by_m, np.array([j2 + 1.0 for j2 in j_values]))
         dual_total += p_xi * dual
         primal_total += p_xi * primal

@@ -12,9 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from qdl.angular import HalfInt, clebsch_gordan
+from qdl.angular import HalfInt, multiplicity, multiplicity_table
 from qdl.learning import spin_z_expectation
-from qdl.linalg import as_matrix, herm_eigvals, require_hermitian
+from qdl.linalg import as_matrix, check_purity, herm_eigvals, pauli_matrices, require_hermitian
 
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
@@ -42,10 +42,7 @@ def coupled_path_basis(n):
                         m2 = mn2 - s2
                         if abs(m2) > j2 or m2 not in vecs:
                             continue
-                        cg = clebsch_gordan(
-                            HalfInt(j2), HalfInt(m2), HalfInt(1), HalfInt(s2),
-                            HalfInt(jn2), HalfInt(mn2),
-                        )
+                        cg = clebsch_gordan_exact(j2, m2, 1, s2, jn2, mn2)
                         if cg != 0.0:
                             acc += cg * np.kron(vecs[m2], spin_vec)
                     out[mn2] = acc
@@ -144,9 +141,7 @@ def cg_matrix(j2: int, up_first: bool) -> np.ndarray:
             m2 = m_tot2 - s2
             if abs(m2) > j2:
                 continue
-            cg = clebsch_gordan(
-                HalfInt(1), HalfInt(s2), HalfInt(j2), HalfInt(m2), HalfInt(j2 + 1), HalfInt(m_tot2)
-            )
+            cg = clebsch_gordan_exact(1, s2, j2, m2, j2 + 1, m_tot2)
             j_idx = (j2 - m2) // 2
             idx = spin_idx * (j2 + 1) + j_idx if up_first else j_idx * 2 + spin_idx
             col[idx] = cg
@@ -291,6 +286,42 @@ def wigner6j_exact(a2, b2, c2, d2, e2, f2) -> float:
     return math.sqrt(square) if racah.numerator > 0 else -math.sqrt(square)
 
 
+def clebsch_gordan_exact(j1_2, m1_2, j2_2, m2_2, j_2, m_2) -> float:
+    """<j1 m1; j2 m2 | j m> from doubled spins, exact up to the final
+    rounding.
+
+    The Racah sum is evaluated in integers, nested from its last term
+    (consecutive terms differ by a ratio of small integers), and the
+    coefficient is the signed square root of one Fraction.  Selection-rule
+    and triangle violations give 0.
+    """
+    if (
+        m1_2 + m2_2 != m_2
+        or not (abs(j1_2 - j2_2) <= j_2 <= j1_2 + j2_2 and (j1_2 + j2_2 + j_2) % 2 == 0)
+        or abs(m1_2) > j1_2 or abs(m2_2) > j2_2 or abs(m_2) > j_2
+        or (j1_2 + m1_2) % 2 or (j2_2 + m2_2) % 2
+    ):
+        return 0.0
+    a, b, c = (j1_2 + j2_2 - j_2) // 2, (j1_2 - m1_2) // 2, (j2_2 + m2_2) // 2
+    d, e = (j_2 - j2_2 + m1_2) // 2, (j_2 - j1_2 - m2_2) // 2
+    z_lo, z_hi = max(0, -d, -e), min(a, b, c)
+    # sum over z of (-1)^z / (z! (a-z)! (b-z)! (c-z)! (d+z)! (e+z)!), as the
+    # first term times 1 + rho_0 (1 + rho_1 (1 + ...)), rho_z = -rise/fall
+    top, bottom = 1, 1
+    for z in range(z_hi - 1, z_lo - 1, -1):
+        rise = (a - z) * (b - z) * (c - z)
+        fall = (z + 1) * (d + z + 1) * (e + z + 1)
+        top, bottom = fall * bottom - rise * top, fall * bottom
+    first = 1
+    for f in (z_lo, a - z_lo, b - z_lo, c - z_lo, d + z_lo, e + z_lo):
+        first *= _fact(f)
+    num = (j_2 + 1) * _fact(a) * _fact((j1_2 - j2_2 + j_2) // 2) * _fact((j2_2 - j1_2 + j_2) // 2)
+    for f in ((j_2 + m_2) // 2, (j_2 - m_2) // 2, b, (j1_2 + m1_2) // 2, c, (j2_2 - m2_2) // 2):
+        num *= _fact(f)
+    square = Fraction(num * top**2, _fact((j1_2 + j2_2 + j_2) // 2 + 1) * (first * bottom) ** 2)
+    return math.sqrt(square) if (top > 0) == (z_lo % 2 == 0) else -math.sqrt(square)
+
+
 def overlap_matrix_exact(ja2, jb2, jc2, j2):
     """Recoupling matrix of one sector from :func:`wigner6j_exact`, rows over
     ascending j_ab and columns over ascending j_bc, Condon-Shortley signs."""
@@ -306,6 +337,108 @@ def overlap_matrix_exact(ja2, jb2, jc2, j2):
             for x in xs
         ]
     )
+
+
+# ---------------------------------------------------------------------------
+# block states and multicopy references
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BlockState:
+    """Block form of an n-fold tensor power of a qubit aligned with z.
+
+    ``blocks`` holds (j, multiplicity, diagonal block matrix of dim 2j+1)
+    triples; the total trace sum_j nu_j tr(block_j) is 1.
+    """
+
+    n_copies: int
+    purity: float
+    blocks: tuple
+
+    def total_trace(self) -> float:
+        return float(
+            sum(nu * np.trace(b).real for _, nu, b in self.blocks)
+        )
+
+
+def block_state(n: int, r: float) -> BlockState:
+    """Assemble the z-aligned block decomposition of the n-fold power of a
+    qubit with purity r."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    r = check_purity(r)
+    blocks = []
+    for j2 in range(n % 2, n + 1, 2):
+        nu = multiplicity(n, HalfInt(j2))
+        k = (n - j2) // 2
+        det = (1 - r * r) / 4
+        # diagonal over m = -j..j: det^k * ((1-r)/2)^(j-m) ((1+r)/2)^(j+m)
+        m2 = np.arange(-j2, j2 + 1, 2)
+        diag = det**k * ((1 - r) / 2) ** ((j2 - m2) / 2) * ((1 + r) / 2) ** (
+            (j2 + m2) / 2
+        )
+        blocks.append((HalfInt(j2), nu, np.diag(diag.astype(complex))))
+    return BlockState(n_copies=n, purity=r, blocks=tuple(blocks))
+
+
+def symmetric_power(m, order: int) -> np.ndarray:
+    """Restriction of the order-fold tensor power of a one-qubit operator to
+    the symmetric subspace, in the occupation basis (k excitations, k=0..order).
+
+    Matrix elements are closed-form multinomial sums in the four entries of
+    m, so no basis rotation is ever materialized.
+    """
+    a = as_matrix(m)
+    if a.shape != (2, 2):
+        raise ValueError("symmetric_power expects a one-qubit operator")
+    n = order
+    if n == 0:
+        return np.ones((1, 1), dtype=complex)
+    out = np.empty((n + 1, n + 1), dtype=complex)
+    logc = [math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in range(n + 1)]
+    m00, m01, m10, m11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
+    for k in range(n + 1):
+        for l in range(n + 1):
+            tot = 0.0 + 0.0j
+            for t in range(max(0, k + l - n), min(k, l) + 1):
+                mult = math.exp(
+                    math.lgamma(n + 1)
+                    - math.lgamma(t + 1)
+                    - math.lgamma(k - t + 1)
+                    - math.lgamma(l - t + 1)
+                    - math.lgamma(n - k - l + t + 1)
+                )
+                tot += (
+                    mult
+                    * m11**t
+                    * m10 ** (k - t)
+                    * m01 ** (l - t)
+                    * m00 ** (n - k - l + t)
+                )
+            out[k, l] = tot * math.exp(-(logc[k] + logc[l]) / 2)
+    return out
+
+
+def multicopy_error_symmetric_power(q1, q2, eta1: float, n_copies: int) -> float:
+    """``discrimination.multicopy_error`` with every block written as
+    det(rho)^(pairs) times the symmetric power of the one-qubit matrix."""
+    cosang = float(np.clip(np.dot(q1.bloch, q2.bloch), -1.0, 1.0))
+    ang = math.acos(cosang)
+    sx, _, sz = pauli_matrices()
+    rho1 = (np.eye(2) + q1.purity * sz) / 2
+    rho2 = (np.eye(2) + q2.purity * (math.sin(ang) * sx + math.cos(ang) * sz)) / 2
+    nu = multiplicity_table(n_copies)
+    det1 = float(np.linalg.det(rho1).real)
+    det2 = float(np.linalg.det(rho2).real)
+    total = 0.0
+    for j2 in range(n_copies % 2, n_copies + 1, 2):
+        pairs = (n_copies - j2) // 2
+        b1 = det1**pairs * symmetric_power(rho1, j2)
+        b2 = det2**pairs * symmetric_power(rho2, j2)
+        w = np.linalg.eigvalsh(eta1 * b1 - (1.0 - eta1) * b2)
+        total += nu[j2] * float(np.abs(w).sum())
+    return (1.0 - total) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ import pytest
 
 import oracles
 from qdl import angular
+from oracles import BlockState, block_state
 from qdl.angular import (
-    BlockState,
     HalfInt,
     block_coefficient,
-    block_state,
     clebsch_gordan,
+    clebsch_gordan_slices,
     intermediate_couplings,
     jordan_overlap,
     multiplicity,
@@ -19,6 +19,7 @@ from qdl.angular import (
     recoupling_batch,
     triangle,
     wigner6j,
+    wigner_d,
 )
 
 
@@ -75,6 +76,80 @@ def test_cg_orthogonality():
                         )
                 want = 1.0 if (Ja, Ma) == (Jb, Mb) else 0.0
                 assert tot == pytest.approx(want, abs=1e-12)
+
+
+def test_cg_matches_exact_on_every_small_coefficient():
+    worst = 0.0
+    for ja2 in range(7):
+        for jc2 in range(7):
+            for j2 in range(abs(ja2 - jc2), ja2 + jc2 + 1, 2):
+                for ma2 in range(-ja2, ja2 + 1, 2):
+                    for mc2 in range(-jc2, jc2 + 1, 2):
+                        if abs(ma2 + mc2) > j2:
+                            continue
+                        got = clebsch_gordan(
+                            HalfInt(ja2), HalfInt(ma2), HalfInt(jc2), HalfInt(mc2),
+                            HalfInt(j2), HalfInt(ma2 + mc2),
+                        )
+                        want = oracles.clebsch_gordan_exact(ja2, ma2, jc2, mc2, j2, ma2 + mc2)
+                        worst = max(worst, abs(got - want))
+    assert worst <= 1e-14
+
+
+@pytest.mark.parametrize("spin2", [100, 200])
+def test_clebsch_gordan_matches_exact_at_large_spin(spin2):
+    # whole columns of three slices, the three largest J among them; a float
+    # Racah sum is off by 3e-6 at 2j = 100 and by far more at 2j = 200
+    for ja2, jc2, m2 in [(spin2, spin2, 0), (spin2, spin2, spin2 // 2), (spin2, spin2 - 38, -20)]:
+        (c,) = clebsch_gordan_slices([(ja2, jc2, m2)])
+        dim = c.shape[0]
+        ma_lo, j_lo = max(-ja2, m2 - jc2), max(abs(ja2 - jc2), abs(m2))
+        for k in sorted({0, 1, dim // 2, dim - 3, dim - 2, dim - 1}):
+            want = [
+                oracles.clebsch_gordan_exact(
+                    ja2, ma_lo + 2 * i, jc2, m2 - ma_lo - 2 * i, j_lo + 2 * k, m2
+                )
+                for i in range(dim)
+            ]
+            assert np.abs(c[:, k] - want).max() <= 1e-13, (ja2, jc2, m2, k)
+    # the scalar is read from the same slice
+    want = oracles.clebsch_gordan_exact(spin2, 2, spin2, -2, 2 * spin2 - 4, 0)
+    h = HalfInt(spin2)
+    got = clebsch_gordan(h, HalfInt(2), h, HalfInt(-2), HalfInt(2 * spin2 - 4), HalfInt(0))
+    assert got == pytest.approx(want, abs=1e-13)
+
+
+def test_clebsch_gordan_slices_orthogonal_through_large_spin():
+    for spin2 in (20, 41, 60, 100, 151, 200):
+        keys = [(spin2, jc2, m2) for jc2 in (spin2, spin2 - 6) for m2 in (0, 10, -30)]
+        for (ja2, jc2, m2), c in zip(keys, clebsch_gordan_slices(keys)):
+            assert np.abs(c.T @ c - np.eye(len(c))).max() <= 1e-12, (ja2, jc2, m2)
+
+
+def test_clebsch_gordan_slices_shapes_and_bad_slices():
+    slices = clebsch_gordan_slices([(2, 2, 4), (2, 2, 0), (3, 1, -2)])
+    assert [c.shape for c in slices] == [(1, 1), (3, 3), (2, 2)]
+    assert slices[0][0, 0] == 1.0
+    for bad in [(2, 2, 6), (2, 1, 0), (-2, 2, 0)]:
+        with pytest.raises(ValueError, match="no coupled states"):
+            clebsch_gordan_slices([bad])
+
+
+def test_wigner_d_closed_forms_and_group_law():
+    t = 0.7
+    c, s = math.cos(t / 2), math.sin(t / 2)
+    # rows and columns over ascending m
+    assert np.abs(wigner_d(0.5, t) - [[c, s], [-s, c]]).max() <= 1e-15
+    want = [
+        [c * c, math.sqrt(2) * s * c, s * s],
+        [-math.sqrt(2) * s * c, c * c - s * s, math.sqrt(2) * s * c],
+        [s * s, -math.sqrt(2) * s * c, c * c],
+    ]
+    assert np.abs(wigner_d(1, t) - want).max() <= 1e-15
+    for j2 in (0, 7, 40, 161):
+        d = wigner_d(HalfInt(j2), 0.4) @ wigner_d(HalfInt(j2), 0.9)
+        assert np.abs(d - wigner_d(HalfInt(j2), 1.3)).max() <= 1e-12
+        assert np.abs(d @ d.T - np.eye(j2 + 1)).max() <= 1e-12
 
 
 # ---------------------------------------------------------------------------

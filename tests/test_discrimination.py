@@ -296,14 +296,35 @@ def test_multicopy_matches_dense_tensor_oracle():
 
 def test_multicopy_log_slope_approaches_chernoff():
     # the error decays exponentially with the copy count at the quantum
-    # Chernoff rate; at 16 copies the local slope is within ten percent
+    # Chernoff rate; at 16 copies the local slope is within ten percent, at
+    # 40 copies within five
     q1 = QubitState(0.9, np.array([0.0, 0.0, 1.0]))
     q2 = QubitState(0.9, np.array([1.0, 0.0, 0.0]))
     d = disc.chernoff_quantum(q1.density(), q2.density())
-    p14 = disc.multicopy_error(q1, q2, 0.5, 14)
-    p16 = disc.multicopy_error(q1, q2, 0.5, 16)
-    slope = (math.log(p16) - math.log(p14)) / 2
-    assert abs(-slope - d) / d < 0.10
+    for n, bound in ((16, 0.10), (40, 0.05)):
+        p_before = disc.multicopy_error(q1, q2, 0.5, n - 2)
+        p_n = disc.multicopy_error(q1, q2, 0.5, n)
+        slope = (math.log(p_n) - math.log(p_before)) / 2
+        assert abs(-slope - d) / d < bound, n
+
+
+def test_multicopy_matches_symmetric_power_reference():
+    for r1, r2 in ((0.0, 0.5), (0.5, 0.5), (1.0, 1.0), (1.0, 0.0)):
+        for angle in (0.0, 1.0, math.pi):
+            q1 = QubitState(r1, np.array([0.0, 0.0, 1.0]))
+            q2 = QubitState(r2, np.array([math.sin(angle), 0.0, math.cos(angle)]))
+            for eta in (0.3, 0.5):
+                for n in (1, 2, 5, 12, 25, 40):
+                    got = disc.multicopy_error(q1, q2, eta, n)
+                    want = oracles.multicopy_error_symmetric_power(q1, q2, eta, n)
+                    assert got == pytest.approx(want, abs=1e-12), (r1, r2, angle, eta, n)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, math.nan, True, "4"])
+def test_multicopy_bad_copy_count_raises_naming_it(bad):
+    q = QubitState(0.5)
+    with pytest.raises(ValueError, match="n_copies"):
+        disc.multicopy_error(q, q, 0.5, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import oracles
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdl import learning, programmable
 from qdl.angular import HalfInt, multiplicity
@@ -174,6 +176,18 @@ def test_seed_optimization_never_beats_programmable():
             # the dual certificate: no covariant seed beats delta_lm + gap
             assert 0.0 <= opt.gap <= 1e-10
             assert learning.lm_mixed_optimize(n, float(r)).delta_lm == opt.delta_lm
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    r=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+)
+@example(n=2, r=1e-20)  # every conditional operator rounds to exactly 0
+def test_seed_optimization_certified_and_resolving(n, r):
+    opt = learning.lm_mixed_optimize(n, r)
+    assert 0.0 <= opt.gap <= 1e-10
+    assert opt.seed.resolution_residual() <= 1e-8
 
 
 def test_seed_optimization_rejects_large_n():

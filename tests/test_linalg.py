@@ -195,9 +195,6 @@ PURITY_VALIDATORS = {
         programmable.PuritySpec("fixed", r), 2, 1
     ),
     "block_coefficient": lambda r: angular.block_coefficient(3, 0.5, r),
-    "block_state": lambda r: np.concatenate(
-        [np.diag(b) for _, _, b in angular.block_state(3, r).blocks]
-    ),
     "QubitState": lambda r: linalg.QubitState(r).density(),
     "gamma_up": lambda r: learning.gamma_up(2, r, 1, 1),
     "known_pair_error": learning.known_pair_error,
