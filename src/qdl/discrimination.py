@@ -11,7 +11,6 @@ preparations.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,10 +261,8 @@ def multicopy_error(q1: QubitState, q2: QubitState, eta1: float, n_copies: int) 
     vectors it returns about 4e-15, where the Chernoff rate puts the true
     value near 1e-25.
     """
-    if isinstance(n_copies, bool) or not isinstance(n_copies, numbers.Integral) or n_copies < 1:
-        raise ValueError(f"n_copies {n_copies!r} is not an integer >= 1")
+    n = linalg.check_count("n_copies", n_copies)
     _check_unit("prior", eta1)
-    n = int(n_copies)
     theta = math.acos(float(np.clip(np.dot(q1.bloch, q2.bloch), -1.0, 1.0)))
     nu = multiplicity_table(n)
     eta2 = 1.0 - eta1

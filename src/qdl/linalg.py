@@ -1,5 +1,5 @@
 """Dense complex-matrix kernel: Hermitian eigendecompositions, trace norms,
-the purity check shared by every module, and qubit states.
+the purity and copy-count checks shared by every module, and qubit states.
 
 Matrices are plain complex ``numpy`` arrays in row-major order.  All
 operations are pure functions of their inputs and safe to call concurrently.
@@ -7,6 +7,7 @@ operations are pure functions of their inputs and safe to call concurrently.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,14 @@ def check_purity(r, *, zero: bool = True, note: str = "") -> float:
     raise ValueError(f"purity {r} outside {interval}{note}")
 
 
+def check_count(name: str, n) -> int:
+    """Return the copy count ``n`` as an int, raising a ``ValueError`` that
+    names it as ``name`` unless it is an integer >= 1 (a bool is not)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"{name} {n!r} is not an integer >= 1")
+    return int(n)
+
+
 def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
@@ -43,21 +52,32 @@ def as_matrix(m) -> np.ndarray:
     return a
 
 
-def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(m, tol: float = HERMITICITY_TOL, names=None) -> np.ndarray:
     """Return ``m`` as a complex array, raising if it is not Hermitian.
 
-    The error message names the entry with the largest deviation from the
-    conjugate transpose.
+    With ``names``, ``m`` is a sequence of equally shaped square matrices,
+    one per name, checked in one vectorized comparison and returned stacked
+    with shape (len(names), d, d).  The error message names the entry with
+    the largest deviation from the conjugate transpose, and the matrix it
+    lies in by its name.
     """
-    a = as_matrix(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix of shape {a.shape} is not square")
-    dev = np.abs(a - a.conj().T)
-    i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    if dev[i, j] > tol:
+    if names is None:
+        a = as_matrix(m)
+        stack, names = a[None], ("matrix",)
+    else:
+        a = stack = np.asarray(m, dtype=complex)
+        if stack.ndim != 3 or len(stack) != len(names):
+            raise ValueError(
+                f"expected {len(names)} matrices, got an array of shape {stack.shape}"
+            )
+    if stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"matrix of shape {stack.shape[1:]} is not square")
+    dev = np.abs(stack - stack.conj().transpose(0, 2, 1))
+    k, i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
+    if dev[k, i, j] > tol:
         raise ValueError(
-            f"matrix is not Hermitian: entry ({i},{j}) deviates from its "
-            f"conjugate by {dev[i, j]:.3e}"
+            f"{names[k]} is not Hermitian: entry ({i},{j}) deviates from its "
+            f"conjugate by {dev[k, i, j]:.3e}"
         )
     return a
 

@@ -54,10 +54,15 @@ class Povm:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("dimension must be >= 2")
-        elems = []
-        for label, op in self.elements:
-            elems.append((str(label), linalg.require_hermitian(op)))
-        object.__setattr__(self, "elements", tuple(elems))
+        if not self.elements:
+            raise ValueError("a POVM needs at least one element")
+        labels = tuple(str(label) for label, _ in self.elements)
+        ops = linalg.require_hermitian(
+            [op for _, op in self.elements], names=[f"element {lb!r}" for lb in labels]
+        )
+        if ops.shape[1] != self.dim:
+            raise ValueError(f"elements of shape {ops.shape[1:]} on dimension {self.dim}")
+        object.__setattr__(self, "elements", tuple(zip(labels, ops)))
 
     def total(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim), dtype=complex)

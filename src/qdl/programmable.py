@@ -27,11 +27,14 @@ from .angular import (
     multiplicity_table,
     recoupling_batch,
 )
-from .linalg import check_purity
+from .linalg import check_count, check_purity
 
 # discarded total block mass in the mixed-state sums; the induced error on
 # the error probability is at most a quarter of this
 _MASS_TOL = 1e-14
+# batch size of the mixed-state sums: sectors enumerated at a time, and
+# matrix entries per batched recoupling eigensolve
+_BATCH_ELEMENTS = 1 << 20
 
 
 class Rates(NamedTuple):
@@ -48,8 +51,8 @@ class PortLoad:
     n_c: int
 
     def __post_init__(self):
-        if min(self.n_a, self.n_b, self.n_c) < 1:
-            raise ValueError("every port must carry at least one copy")
+        for name in ("n_a", "n_b", "n_c"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
 
     def canonical(self) -> "PortLoad":
         """The two program ports are interchangeable; orient n_a >= n_c."""
@@ -81,8 +84,7 @@ class PuritySpec:
 def pure_rates(n: int, nprime: int) -> Rates:
     """Inconclusive rate Q and minimum error Pe for pure states with n copies
     at each program port and nprime at the data port."""
-    if n < 1 or nprime < 1:
-        raise ValueError("n and nprime must be >= 1")
+    n, nprime = check_count("n", n), check_count("nprime", nprime)
     q = 1.0 - n * nprime / ((n + 1) * (nprime + 2))
     d = (n + 1) * (n + nprime + 1)
     pe_sum = 0.0
@@ -127,6 +129,10 @@ def general_rates(load: PortLoad) -> Rates:
 
 def zeta_series(x: float, tol: float = 1e-15) -> float:
     """sum_k (1 - sqrt(1 - x^k)) for 0 < x < 1; converges geometrically."""
+    if not 0.0 < x < 1.0:
+        raise ValueError(f"x {x} outside (0, 1)")
+    if not tol > 0.0:
+        raise ValueError(f"tol {tol} is not positive")
     total = 0.0
     k = 0
     while True:
@@ -147,8 +153,9 @@ def pure_asymptotics(mode: str, n: int | None = None, nprime: int | None = None)
     mode="symmetric": n = nprime large; both rates decay as 1/n.
     """
     if mode == "program-limit":
-        if nprime is None or nprime < 1:
-            raise ValueError("program-limit requires nprime >= 1")
+        nprime = check_count("nprime", nprime)
+        if n is not None:
+            n = check_count("n", n)
         q = 2.0 / (nprime + 2)
         pe = 0.5 - (
             math.sqrt(math.pi)
@@ -158,12 +165,10 @@ def pure_asymptotics(mode: str, n: int | None = None, nprime: int | None = None)
         ) * (1.0 - (1.0 / n if n else 0.0))
         return Rates(q=q, pe=pe)
     if mode == "data-limit":
-        if n is None or n < 1:
-            raise ValueError("data-limit requires n >= 1")
+        n = check_count("n", n)
         return Rates(q=1.0 / (n + 1), pe=1.0 / (2 * (n + 1)))
     if mode == "symmetric":
-        if n is None or n < 1:
-            raise ValueError("symmetric requires n >= 1")
+        n = check_count("n", n)
         return Rates(q=3.0 / n, pe=0.75 * zeta_series(0.25) / n)
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -199,6 +204,14 @@ def _block_error(n: int, nprime: int, coeff_n: np.ndarray, coeff_t: np.ndarray) 
     enter only through multiplicative weights.  Sectors whose combined trace
     weight is negligible (total discarded mass below _MASS_TOL) are skipped
     before any recoupling matrix is built.
+
+    Both program ports carry n copies, so swapping ja and jc maps the sector
+    matrix M = diag(s1) - Lambda diag(s2) Lambda^T onto -Lambda^T M Lambda:
+    s1 and s2 trade places and Lambda becomes its transpose.  The mirror has
+    the same |eigenvalues| and the same mass, so only triples with ja <= jc
+    are enumerated and those with ja < jc count twice.  Sectors are built and
+    solved in batches of bounded size (see _sector_sum), so the memory stays
+    bounded as n grows.
     """
     nu_n = _nu_array(n)
     nu_p = _nu_array(nprime)
@@ -206,31 +219,54 @@ def _block_error(n: int, nprime: int, coeff_n: np.ndarray, coeff_t: np.ndarray) 
         g.ravel()
         for g in np.meshgrid(_port_spins(n), _port_spins(nprime), _port_spins(n), indexing="ij")
     )
+    folded = ja2 <= jc2
+    ja2, jb2, jc2 = ja2[folded], jb2[folded], jc2[folded]
 
-    # mass of each (ja, jb, jc) triple: its total trace-weight contribution
-    # to gamma * (tr sigma1 + tr sigma2), summed in closed form over J;
-    # wsum[hi + 2] - wsum[lo] sums (x2 + 1) coeff_t[x2] over lo <= x2 <= hi
-    # in steps of 2
+    # mass of each (ja, jb, jc) triple and its mirror: their total
+    # trace-weight contribution to gamma * (tr sigma1 + tr sigma2), summed in
+    # closed form over J; wsum[hi + 2] - wsum[lo] sums (x2 + 1) coeff_t[x2]
+    # over lo <= x2 <= hi in steps of 2
     weight = np.arange(1, n + nprime + 2) * coeff_t
     wsum = np.zeros(n + nprime + 3)
     wsum[2::2] = np.cumsum(weight[0::2])
     wsum[3::2] = np.cumsum(weight[1::2])
     s_ab = wsum[ja2 + jb2 + 2] - wsum[np.abs(ja2 - jb2)]
     s_bc = wsum[jb2 + jc2 + 2] - wsum[np.abs(jb2 - jc2)]
-    nu3 = nu_n[ja2] * nu_p[jb2] * nu_n[jc2]
+    nu3 = np.where(ja2 < jc2, 2.0, 1.0) * nu_n[ja2] * nu_p[jb2] * nu_n[jc2]
     mass = nu3 * ((jc2 + 1) * coeff_n[jc2] * s_ab + (ja2 + 1) * coeff_n[ja2] * s_bc)
     order = np.argsort(mass, kind="stable")
     kept = order[np.searchsorted(np.cumsum(mass[order]), _MASS_TOL, side="right"):]
 
-    # sectors of the kept triples: J runs from the smallest |j_ab - jc| up
-    # to ja + jb + jc, and each sector holds the j_ab (and as many j_bc)
-    # allowed by both of its triads
+    # the sectors of the kept triples are enumerated about _BATCH_ELEMENTS
+    # at a time, so that their index arrays stay bounded too
     ja2, jb2, jc2, nu3 = ja2[kept], jb2[kept], jc2[kept], nu3[kept]
+    ends = np.cumsum(_j_range(ja2, jb2, jc2)[1])
+    cuts = np.searchsorted(
+        ends, np.arange(_BATCH_ELEMENTS, ends[-1], _BATCH_ELEMENTS), side="right"
+    )
+    total = sum(
+        _sector_sum(ja2[part], jb2[part], jc2[part], nu3[part], coeff_n, coeff_t)
+        for part in np.split(np.arange(len(ends)), cuts)
+    )
+    return (1.0 - total / 2.0) / 2.0
+
+
+def _j_range(ja2, jb2, jc2):
+    """Lowest doubled total spin of each triple and the number of total
+    spins: J runs from the smallest |j_ab - jc| up to ja + jb + jc."""
     j_lo = np.maximum.reduce(
         [np.abs(ja2 - jb2) - jc2, jc2 - ja2 - jb2, (ja2 + jb2 + jc2) % 2]
     )
-    count = (ja2 + jb2 + jc2 - j_lo) // 2 + 1
-    triple = np.repeat(np.arange(len(kept)), count)
+    return j_lo, (ja2 + jb2 + jc2 - j_lo) // 2 + 1
+
+
+def _sector_sum(ja2, jb2, jc2, nu3, coeff_n, coeff_t) -> float:
+    """Sum of weight times trace norm over every sector of the given
+    triples; each sector holds the j_ab (and as many j_bc) allowed by both of
+    its triads, and each dimension group is solved in slices of at most
+    _BATCH_ELEMENTS matrix entries."""
+    j_lo, count = _j_range(ja2, jb2, jc2)
+    triple = np.repeat(np.arange(len(ja2)), count)
     j2 = j_lo[triple] + 2 * (np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count))
     ja2, jb2, jc2 = ja2[triple], jb2[triple], jc2[triple]
     gamma = nu3[triple] * (j2 + 1)
@@ -240,16 +276,19 @@ def _block_error(n: int, nprime: int, coeff_n: np.ndarray, coeff_t: np.ndarray) 
 
     total = 0.0
     for dim in np.unique(dims):
-        sel = dims == dim
+        group = np.flatnonzero(dims == dim)
+        step = max(1, _BATCH_ELEMENTS // int(dim * dim))
         idx = np.arange(dim)
-        s1 = coeff_t[x_lo[sel][:, None] + 2 * idx] * coeff_n[jc2[sel]][:, None]
-        s2 = coeff_n[ja2[sel]][:, None] * coeff_t[y_lo[sel][:, None] + 2 * idx]
-        lam = recoupling_batch(ja2[sel], jb2[sel], jc2[sel], j2[sel], int(dim))
-        m = -(lam * s2[:, None, :]) @ lam.transpose(0, 2, 1)
-        m[:, idx, idx] += s1
-        w = np.linalg.eigvalsh(m)
-        total += float(gamma[sel] @ np.abs(w).sum(axis=1))
-    return (1.0 - total / 2.0) / 2.0
+        for start in range(0, len(group), step):
+            sel = group[start : start + step]
+            s1 = coeff_t[x_lo[sel][:, None] + 2 * idx] * coeff_n[jc2[sel]][:, None]
+            s2 = coeff_n[ja2[sel]][:, None] * coeff_t[y_lo[sel][:, None] + 2 * idx]
+            lam = recoupling_batch(ja2[sel], jb2[sel], jc2[sel], j2[sel], int(dim))
+            m = -(lam * s2[:, None, :]) @ lam.transpose(0, 2, 1)
+            m[:, idx, idx] += s1
+            w = np.linalg.eigvalsh(m)
+            total += float(gamma[sel] @ np.abs(w).sum(axis=1))
+    return total
 
 
 def mixed_error(n: int, nprime: int, r: float) -> float:
@@ -257,8 +296,7 @@ def mixed_error(n: int, nprime: int, r: float) -> float:
 
     Reduces to :func:`pure_rates` at r = 1 and decreases with r.
     """
-    if n < 1 or nprime < 1:
-        raise ValueError("n and nprime must be >= 1")
+    n, nprime = check_count("n", n), check_count("nprime", nprime)
     r = check_purity(r)
     return _block_error(n, nprime, _coeff_table(n, r), _coeff_table(n + nprime, r))
 
@@ -268,8 +306,7 @@ def mixed_asymptote(n: int, r: float) -> float:
 
     The expansion breaks down for purities of order 1/n; r = 0 is singular.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count("n", n)
     r = check_purity(r, zero=False, note="; the r = 0 limit is singular")
     return 0.5 - r / 3.0 + 1.0 / (3.0 * n * r)
 
@@ -329,8 +366,7 @@ def universal_error(prior: PuritySpec, n: int, nprime: int) -> float:
     direction average is unchanged, so only the block coefficients are
     replaced by their prior averages.
     """
-    if n < 1 or nprime < 1:
-        raise ValueError("n and nprime must be >= 1")
+    n, nprime = check_count("n", n), check_count("nprime", nprime)
     if prior.kind == "fixed":
         return mixed_error(n, nprime, prior.r)
     return _block_error(
@@ -436,8 +472,7 @@ def margin_success(n: int, nprime: int, big_r: float, scheme: str = "weak") -> M
     minimum-error rate.  Per-sector margins saturate at their critical
     values in order of increasing sector overlap.
     """
-    if n < 1 or nprime < 1:
-        raise ValueError("n and nprime must be >= 1")
+    n, nprime = check_count("n", n), check_count("nprime", nprime)
     if not 0.0 <= big_r <= 1.0:
         raise ValueError(f"margin {big_r} outside [0, 1]")
     if scheme == "weak":

@@ -119,21 +119,40 @@ def _check_squeeze(r) -> float:
 
 def eyd_excess_risk(alpha0, r_squeeze: float) -> float:
     """Excess risk of estimate-then-discriminate with a squeezed heterodyne
-    estimation of squeezing r_squeeze (wide-prior limit)."""
+    estimation of squeezing r_squeeze (wide-prior limit).
+
+    With t = e^(2 r_squeeze) the risk is q (1 + t) (den + num / t) / (16 s),
+    a product of positive factors (see :func:`_squeeze_terms`), so nothing
+    cancels at any amplitude or squeezing.
+    """
     x, q, u, s = _exp_terms(_check_amplitude(alpha0))
     r_squeeze = _check_squeeze(r_squeeze)
-    # every power of e^x is divided out, and 1 - s = q / (1 + s)
-    lead = q / (4.0 * s * (1.0 + s)) + x / u * q * (2.0 * s - q) / (8.0 * s)
-    cross = x / u * q * q / (16.0 * s)
-    risk = lead * math.cosh(r_squeeze) ** 2 + cross * math.sinh(2.0 * r_squeeze)
-    # strong antisqueezing of a faint signal drives the form below zero (or
-    # to inf - inf), where it stops being a risk
-    if not 0.0 <= risk < math.inf:
+    num, den = _squeeze_terms(x, q, u, s)
+    t = math.exp(2.0 * r_squeeze)
+    risk = (1.0 + t) * (q * den + q * num / t) / (16.0 * s)
+    # a faint signal under strong squeezing carries a risk beyond the floats
+    if not risk < math.inf:
         raise ValueError(
             f"r_squeeze {r_squeeze} at alpha0 {alpha0}: the closed form gives "
-            f"{risk}, not a finite nonnegative risk"
+            f"{risk}, not a finite risk"
         )
     return risk
+
+
+def _squeeze_terms(x: float, q: float, u: float, s: float):
+    """The two positive coefficients of the heterodyne excess risk.
+
+    In t = e^(2r) the risk lead cosh^2 r + cross sinh 2r reads
+    lead/2 + t (lead/4 + cross/2) + (lead/4 - cross/2)/t, where
+    lead/4 + cross/2 = q den / (16 s) and lead/4 - cross/2 = q num / (16 s)
+    with den = 1/(1 + s) + (x/u) s and num = den - (x/u) q > 0.  For faint
+    signals num ~ 3x/2, the shortfall of two terms near 1, so it is summed
+    so that nothing cancels.
+    """
+    den = 1.0 / (1.0 + s) + x / u * s
+    if x > 1.0:
+        return 1.0 / (1.0 + s) + x / u * (s - q), den
+    return u * (2.0 + s) / (1.0 + s) - _exp_remainder(x) * (x / u) * (1.0 - s - u), den
 
 
 def optimal_squeezing(alpha0) -> float:
@@ -141,16 +160,14 @@ def optimal_squeezing(alpha0) -> float:
 
     Negative for every amplitude (antisqueezing along the line to the
     vacuum), diverging like log(3 a^2 / 2) / 4 to -inf for faint signals
-    (homodyne limit) and approaching zero for bright ones.
+    (homodyne limit) and approaching zero for bright ones.  It is
+    log(num / den) / 4, with the coefficients of :func:`_squeeze_terms`.
     """
     x, q, u, s = _exp_terms(_check_amplitude(alpha0))
-    # log of (u/(1+s) + x (s - q)) / (u/(1+s) + x s), both terms divided by
-    # u; the numerator falls short of the denominator by x q / u
-    den = 1.0 / (1.0 + s) + x / u * s
+    num, den = _squeeze_terms(x, q, u, s)
     if x > 1.0:
+        # num falls short of den by x q / u
         return 0.25 * math.log1p(-x / u * q / den)
-    # faint signals: the numerator, ~3x/2, rearranged so that nothing cancels
-    num = u * (2.0 + s) / (1.0 + s) - _exp_remainder(x) * (x / u) * (1.0 - s - u)
     return 0.25 * math.log(num / den)
 
 

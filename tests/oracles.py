@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from qdl.angular import HalfInt, multiplicity, multiplicity_table
+from qdl.angular import HalfInt, multiplicity, multiplicity_table, recoupling_batch, wigner_d
 from qdl.learning import spin_z_expectation
 from qdl.linalg import as_matrix, check_purity, herm_eigvals, pauli_matrices, require_hermitian
 
@@ -100,6 +100,67 @@ def programmable_mixed_error_dense(n, nprime, r):
     sigma1 = np.kron(big, small)
     sigma2 = np.kron(small, big)
     return (1.0 - 0.5 * trace_norm_dense(sigma1 - sigma2)) / 2.0
+
+
+def block_error_all_sectors(n, nprime, coeff_n, coeff_t):
+    """The block sum of ``programmable._block_error`` over every
+    (ja, jb, jc, J) sector: no ja <-> jc fold, no pruning, and each dimension
+    group in one batch."""
+    nu_n = np.array(multiplicity_table(n), dtype=float)
+    nu_p = np.array(multiplicity_table(nprime), dtype=float)
+    spins_n, spins_p = range(n % 2, n + 1, 2), range(nprime % 2, nprime + 1, 2)
+    ja2, jb2, jc2 = (g.ravel() for g in np.meshgrid(spins_n, spins_p, spins_n, indexing="ij"))
+    nu3 = nu_n[ja2] * nu_p[jb2] * nu_n[jc2]
+    j_lo = np.maximum.reduce(
+        [np.abs(ja2 - jb2) - jc2, jc2 - ja2 - jb2, (ja2 + jb2 + jc2) % 2]
+    )
+    count = (ja2 + jb2 + jc2 - j_lo) // 2 + 1
+    triple = np.repeat(np.arange(len(ja2)), count)
+    j2 = j_lo[triple] + 2 * (np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count))
+    ja2, jb2, jc2 = ja2[triple], jb2[triple], jc2[triple]
+    gamma = nu3[triple] * (j2 + 1)
+    x_lo = np.maximum(np.abs(ja2 - jb2), np.abs(j2 - jc2))
+    y_lo = np.maximum(np.abs(jb2 - jc2), np.abs(ja2 - j2))
+    dims = (np.minimum(ja2 + jb2, j2 + jc2) - x_lo) // 2 + 1
+    total = 0.0
+    for dim in np.unique(dims):
+        sel = dims == dim
+        idx = np.arange(dim)
+        s1 = coeff_t[x_lo[sel][:, None] + 2 * idx] * coeff_n[jc2[sel]][:, None]
+        s2 = coeff_n[ja2[sel]][:, None] * coeff_t[y_lo[sel][:, None] + 2 * idx]
+        lam = recoupling_batch(ja2[sel], jb2[sel], jc2[sel], j2[sel], int(dim))
+        m = -(lam * s2[:, None, :]) @ lam.transpose(0, 2, 1)
+        m[:, idx, idx] += s1
+        w = np.linalg.eigvalsh(m)
+        total += float(gamma[sel] @ np.abs(w).sum(axis=1))
+    return (1.0 - total / 2.0) / 2.0
+
+
+def symmetric_limit_lan(r: float, tol: float = 1e-16) -> float:
+    """lim n Pe of the programmable machine with n copies at every port and
+    purity r > 0, from local asymptotic normality.
+
+    Each port's spin block is a thermal oscillator state of ratio
+    mu = (1 - r)/(1 + r) displaced by sqrt(j/2) theta, with j ~ n r/2.
+    Removing the common displacement leaves two modes: one is undisplaced
+    under the first hypothesis, the other, turned 60 degrees from it, under
+    the second, and the rest is averaged flat.  Per total photon number N
+    the two states are diag(s) and d^(N/2)(2 pi/3) diag(s) d^(N/2)(2 pi/3)^T
+    with s_k = (1 - mu) mu^k, so the limit is 3 K / (4 r) with
+    K = sum_N (1 - mu^(N+1) - ||difference||_1 / 2).  At r = 1 this is the
+    pure-state 3 zeta(1/4) / 4.
+    """
+    mu = (1.0 - r) / (1.0 + r)
+    k_sum, big_n = 0.0, 0
+    while True:
+        s = (1.0 - mu) * mu ** np.arange(big_n + 1)
+        d = wigner_d(HalfInt(big_n), 2.0 * math.pi / 3.0)
+        m = np.diag(s) - (d * s) @ d.T
+        term = 1.0 - mu ** (big_n + 1) - 0.5 * float(np.abs(np.linalg.eigvalsh(m)).sum())
+        k_sum += term
+        if big_n > 3 and abs(term) < tol:
+            return 0.75 * k_sum / r
+        big_n += 1
 
 
 def programmable_pe_dense(na, nb, nc):
@@ -420,9 +481,23 @@ def symmetric_power(m, order: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=1024)
+def _symmetric_block(purity: float, angle: float, j2: int) -> np.ndarray:
+    """Symmetric power of order j2 of the qubit state of the given purity
+    whose Bloch vector lies in the xz plane at the given angle from z."""
+    sx, _, sz = pauli_matrices()
+    rho = (np.eye(2) + purity * (math.sin(angle) * sx + math.cos(angle) * sz)) / 2
+    block = symmetric_power(rho, j2)
+    block.setflags(write=False)
+    return block
+
+
 def multicopy_error_symmetric_power(q1, q2, eta1: float, n_copies: int) -> float:
     """``discrimination.multicopy_error`` with every block written as
-    det(rho)^(pairs) times the symmetric power of the one-qubit matrix."""
+    det(rho)^(pairs) times the symmetric power of the one-qubit matrix.
+
+    The blocks depend only on the purity, the angle and the spin, so they
+    are built once and shared by every prior and copy count."""
     cosang = float(np.clip(np.dot(q1.bloch, q2.bloch), -1.0, 1.0))
     ang = math.acos(cosang)
     sx, _, sz = pauli_matrices()
@@ -434,8 +509,8 @@ def multicopy_error_symmetric_power(q1, q2, eta1: float, n_copies: int) -> float
     total = 0.0
     for j2 in range(n_copies % 2, n_copies + 1, 2):
         pairs = (n_copies - j2) // 2
-        b1 = det1**pairs * symmetric_power(rho1, j2)
-        b2 = det2**pairs * symmetric_power(rho2, j2)
+        b1 = det1**pairs * _symmetric_block(q1.purity, 0.0, j2)
+        b2 = det2**pairs * _symmetric_block(q2.purity, ang, j2)
         w = np.linalg.eigvalsh(eta1 * b1 - (1.0 - eta1) * b2)
         total += nu[j2] * float(np.abs(w).sum())
     return (1.0 - total) / 2.0

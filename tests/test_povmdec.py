@@ -118,6 +118,24 @@ def test_validate_flags_scaled_element():
     assert diag.identity_residual > 1e-3
 
 
+def test_non_hermitian_element_is_named_by_its_label():
+    # every element is checked in one stacked comparison; the error still
+    # names the offending one, here the third, and its worst entry
+    elems = list(bb84_povm().elements)
+    skew = elems[2][1].copy()
+    skew[0, 1] += 0.25
+    elems[2] = ("x+", skew)
+    with pytest.raises(ValueError, match=r"element 'x\+' is not Hermitian: entry \(0,1\)"):
+        povmdec.Povm(dim=2, elements=tuple(elems))
+
+
+def test_povm_rejects_elements_of_the_wrong_dimension_or_none():
+    with pytest.raises(ValueError, match="dimension 2"):
+        povmdec.Povm(dim=2, elements=(("a", np.eye(3)),))
+    with pytest.raises(ValueError, match="at least one element"):
+        povmdec.Povm(dim=2, elements=())
+
+
 def test_validate_flags_negative_element():
     neg = np.diag([1.2, -0.2]).astype(complex)
     rest = np.eye(2) - neg

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy import integrate
 
 import oracles
 from qdl import programmable as prog
-from qdl.angular import HalfInt, block_coefficient, multiplicity
+from qdl.angular import HalfInt, block_coefficient, multiplicity, recoupling_batch
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +121,58 @@ def test_zeta_series_value():
     assert 0.75 * prog.zeta_series(0.25) == pytest.approx(0.882, abs=5e-4)
 
 
+@pytest.mark.parametrize("x", [math.nan, 1.0, 1.5, 0.0, -0.25, math.inf])
+def test_zeta_series_bad_argument_raises_naming_it(x):
+    # at NaN and 1 no term ever falls below tol, and x > 1 makes the
+    # square root negative
+    with pytest.raises(ValueError, match=f"^x {re.escape(str(x))} "):
+        prog.zeta_series(x)
+
+
+def test_zeta_series_nonpositive_tolerance_raises():
+    with pytest.raises(ValueError, match="tol"):
+        prog.zeta_series(0.25, tol=0.0)
+
+
+# every copy count taken by a public entry point, with the argument name its
+# error must carry
+COUNT_ARGUMENTS = {
+    "pure_rates-n": ("n", lambda v: prog.pure_rates(v, 1)),
+    "pure_rates-nprime": ("nprime", lambda v: prog.pure_rates(1, v)),
+    "mixed_error-n": ("n", lambda v: prog.mixed_error(v, 1, 0.5)),
+    "mixed_error-nprime": ("nprime", lambda v: prog.mixed_error(1, v, 0.5)),
+    "universal_error-n": (
+        "n", lambda v: prog.universal_error(prog.PuritySpec("bures"), v, 1)
+    ),
+    "universal_error-nprime": (
+        "nprime", lambda v: prog.universal_error(prog.PuritySpec("bures"), 1, v)
+    ),
+    "margin_success-n": ("n", lambda v: prog.margin_success(v, 1, 0.1)),
+    "margin_success-nprime": ("nprime", lambda v: prog.margin_success(1, v, 0.1)),
+    "program-limit-n": ("n", lambda v: prog.pure_asymptotics("program-limit", n=v, nprime=1)),
+    "program-limit-nprime": ("nprime", lambda v: prog.pure_asymptotics("program-limit", nprime=v)),
+    "data-limit-n": ("n", lambda v: prog.pure_asymptotics("data-limit", n=v)),
+    "symmetric-n": ("n", lambda v: prog.pure_asymptotics("symmetric", n=v)),
+    "mixed_asymptote-n": ("n", lambda v: prog.mixed_asymptote(v, 0.5)),
+    "PortLoad-n_a": ("n_a", lambda v: prog.PortLoad(v, 1, 1)),
+    "PortLoad-n_b": ("n_b", lambda v: prog.PortLoad(1, v, 1)),
+    "PortLoad-n_c": ("n_c", lambda v: prog.PortLoad(1, 1, v)),
+}
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, math.nan, True, "4"])
+@pytest.mark.parametrize("entry", sorted(COUNT_ARGUMENTS))
+def test_bad_copy_count_raises_naming_it(entry, bad):
+    name, call = COUNT_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} {re.escape(repr(bad))} "):
+        call(bad)
+
+
+def test_copy_counts_accept_numpy_integers():
+    assert prog.mixed_error(np.int64(2), np.int32(1), 0.6) == prog.mixed_error(2, 1, 0.6)
+    assert prog.PortLoad(np.int64(3), 2, 1).n_a == 3
+
+
 # ---------------------------------------------------------------------------
 # mixed states
 # ---------------------------------------------------------------------------
@@ -188,6 +241,88 @@ def test_mixed_error_pure_limit_one_ulp_below_one(n, nprime):
 )
 def test_universal_error_in_range(kind, n, nprime):
     assert 0.0 <= prog.universal_error(prog.PuritySpec(kind=kind), n, nprime) <= 0.5
+
+
+# ---------------------------------------------------------------------------
+# the ja <-> jc mirror fold of the block sums
+# ---------------------------------------------------------------------------
+
+
+def _sector_matrix(ja2, jb2, jc2, j2, coeff_n, coeff_t):
+    """M = diag(s1) - Lambda diag(s2) Lambda^T of one sector, built as the
+    block sums build it."""
+    x_lo = max(abs(ja2 - jb2), abs(j2 - jc2))
+    y_lo = max(abs(jb2 - jc2), abs(ja2 - j2))
+    dim = (min(ja2 + jb2, j2 + jc2) - x_lo) // 2 + 1
+    idx = np.arange(dim)
+    lam = recoupling_batch([ja2], [jb2], [jc2], [j2], dim)[0]
+    s1 = coeff_t[x_lo + 2 * idx] * coeff_n[jc2]
+    s2 = coeff_n[ja2] * coeff_t[y_lo + 2 * idx]
+    return np.diag(s1) - (lam * s2) @ lam.T
+
+
+def test_recoupling_mirror_sector_has_the_same_absolute_spectrum():
+    # swapping ja and jc turns M into -Lambda^T M Lambda, so the absolute
+    # eigenvalues agree; checked on random sectors with every spin <= 30
+    rng = np.random.default_rng(8)
+    coeff_n, coeff_t = rng.uniform(size=61), rng.uniform(size=121)
+    checked, largest = 0, 0
+    while checked < 150:
+        ja2, jb2, jc2, j2 = (int(t) for t in rng.integers(0, 61, size=4))
+        lo, hi = max(abs(ja2 - jb2), abs(j2 - jc2)), min(ja2 + jb2, j2 + jc2)
+        if (ja2 + jb2 + jc2 + j2) % 2 or lo > hi:
+            continue
+        m = _sector_matrix(ja2, jb2, jc2, j2, coeff_n, coeff_t)
+        mirror = _sector_matrix(jc2, jb2, ja2, j2, coeff_n, coeff_t)
+        assert mirror.shape == m.shape
+        got = np.sort(np.abs(np.linalg.eigvalsh(mirror)))
+        want = np.sort(np.abs(np.linalg.eigvalsh(m)))
+        assert np.abs(got - want).max() <= 1e-13, (ja2, jb2, jc2, j2)
+        checked, largest = checked + 1, max(largest, len(m))
+    assert largest >= 20
+
+
+FOLD_LOADS = dict(n=st.integers(min_value=1, max_value=16), nprime=st.integers(1, 8))
+# tiny, mid, one ulp below 1, and 1
+FOLD_PURITIES = st.sampled_from((1e-300, 0.55, float(np.nextafter(1.0, 0.0)), 1.0))
+
+
+@QUICK
+@given(r=FOLD_PURITIES, **FOLD_LOADS)
+@example(n=15, nprime=4, r=0.55)
+@example(n=16, nprime=8, r=1e-300)
+def test_mixed_error_matches_every_sector_sum(n, nprime, r):
+    # the folded, pruned sum against every (ja, jb, jc, J) sector: pruning
+    # only ever drops mass, so the two differ by at most _MASS_TOL / 4
+    want = oracles.block_error_all_sectors(
+        n, nprime, prog._coeff_table(n, r), prog._coeff_table(n + nprime, r)
+    )
+    assert abs(prog.mixed_error(n, nprime, r) - want) <= prog._MASS_TOL / 4 + 1e-15
+
+
+@QUICK
+@given(kind=st.sampled_from(("hard-sphere", "bures", "chernoff")), **FOLD_LOADS)
+@example(kind="chernoff", n=13, nprime=2)
+def test_universal_error_matches_every_sector_sum(kind, n, nprime):
+    want = oracles.block_error_all_sectors(
+        n, nprime, prog._avg_coeff_table(kind, n), prog._avg_coeff_table(kind, n + nprime)
+    )
+    got = prog.universal_error(prog.PuritySpec(kind=kind), n, nprime)
+    assert abs(got - want) <= prog._MASS_TOL / 4 + 1e-15
+
+
+def test_symmetric_law_below_full_purity_is_the_lan_limit():
+    # criterion 3's 3 zeta(1/4) / (4 n r^2) is exact only at r = 1; below,
+    # (Pe - law)/Pe tends to 1 - law / L, with L the limit of n Pe from local
+    # asymptotic normality (+0.0263 at r = 0.9, against 0 for the 1/r^2 law).
+    # Extrapolated here from n = 20..30 by c + a/sqrt(n) + b/n + e/n^1.5
+    r = 0.9
+    law = 0.75 * prog.zeta_series(0.25) / (r * r)
+    assert oracles.symmetric_limit_lan(1.0) == pytest.approx(law * r * r, rel=1e-14)
+    ns = np.arange(20, 31, 2)
+    misfit = [1.0 - law / (n * prog.mixed_error(int(n), int(n), r)) for n in ns]
+    fit = np.linalg.lstsq(np.vander(ns**-0.5, 4, increasing=True), misfit, rcond=None)[0]
+    assert fit[0] == pytest.approx(1.0 - law / oracles.symmetric_limit_lan(r), abs=5e-4)
 
 
 def test_mixed_asymptote_values():

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -90,6 +91,39 @@ def test_collective_beats_eyd_on_grid_with_factor_two():
         assert col < eyd
         ratios.append(eyd / col)
     assert max(ratios) > 2.0
+
+
+def _eyd_risk_high_precision(a: float, r: float):
+    """lead cosh^2 r + cross sinh 2r, the eyd closed form as written before
+    its rearrangement, at 50 digits beyond the 2 |log10 a| its two
+    cancelling terms cost."""
+    with mpmath.workdps(50 + int(2 * max(0.0, -math.log10(a)))):
+        x = mpmath.mpf(a) ** 2
+        q, u = mpmath.exp(-x), -mpmath.expm1(-x)
+        s = mpmath.sqrt(u)
+        lead = q / (4 * s * (1 + s)) + x / u * q * (2 * s - q) / (8 * s)
+        cross = x / u * q * q / (16 * s)
+        return lead * mpmath.cosh(r) ** 2 + cross * mpmath.sinh(2 * r)
+
+
+@pytest.mark.parametrize(
+    "a", [*np.logspace(-150, -14, 18), 0.2, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
+)
+def test_eyd_risk_matches_high_precision_at_optimal_squeezing(a):
+    # for faint signals the two terms of lead cosh^2 r + cross sinh 2r
+    # cancel almost completely at the optimal squeezing
+    r = reading.optimal_squeezing(float(a))
+    got = reading.eyd_excess_risk(float(a), r)
+    want = _eyd_risk_high_precision(float(a), r)
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_eyd_risk_finite_under_strong_antisqueezing_of_faint_signals():
+    # both terms of lead cosh^2 r + cross sinh 2r overflow here, but their
+    # sum does not
+    for a, r in ((1e-9, -354.0), (1e-9, -20.0), (1e-150, -300.0)):
+        got = reading.eyd_excess_risk(a, r)
+        assert abs(got - _eyd_risk_high_precision(a, r)) <= 1e-12 * got
 
 
 def test_plain_heterodyne_value():
@@ -306,10 +340,8 @@ BAD_READING_INPUTS = [
                  id="closed-form-squeeze-nan"),
     pytest.param("squeeze inf", lambda: reading.eyd_excess_risk(0.9, math.inf),
                  id="closed-form-squeeze-inf"),
-    pytest.param("r_squeeze -354.0 at alpha0 1e-09",
-                 lambda: reading.eyd_excess_risk(1e-9, -354.0), id="closed-form-not-finite"),
-    pytest.param("r_squeeze -20.0 at alpha0 1e-09",
-                 lambda: reading.eyd_excess_risk(1e-9, -20.0), id="closed-form-negative"),
+    pytest.param("r_squeeze 354.0 at alpha0 1e-09",
+                 lambda: reading.eyd_excess_risk(1e-9, 354.0), id="closed-form-not-finite"),
     pytest.param("quadrature_order 2.5", lambda: reading.finite_n_oracle(CFG, "collective", 2.5),
                  id="order-fraction"),
     pytest.param("quadrature_order 0", lambda: reading.finite_n_oracle(CFG, "eyd", 0),
