@@ -29,16 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .linalg import check_purity
-
-
-def _lf(n: int) -> float:
-    return math.lgamma(n + 1)
+from .linalg import check_count, check_purity
 
 
 @dataclass(frozen=True, order=True)
@@ -61,18 +56,6 @@ class HalfInt:
 
     def __float__(self) -> float:
         return self.twice / 2.0
-
-    def __add__(self, other) -> "HalfInt":
-        return HalfInt(self.twice + HalfInt.coerce(other).twice)
-
-    def __sub__(self, other) -> "HalfInt":
-        return HalfInt(self.twice - HalfInt.coerce(other).twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt(-self.twice)
-
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
 
     def __repr__(self) -> str:
         if self.twice % 2 == 0:
@@ -235,19 +218,14 @@ def jordan_overlap(n: int, nprime: int, k: int) -> float:
     three-system couplings with n copies at each outer port and nprime in
     the middle, in the sector k = 0..n above the smallest total momentum.
 
-    Equals C(n,k) / C(n+nprime, n-k); increases with k and reaches 1 in the
+    Equals C(n,k) / C(n+nprime, n-k), correctly rounded because Python's
+    true division of two ints is; increases with k and reaches 1 in the
     totally symmetric sector k = n.
     """
-    if n < 1 or nprime < 1:
-        raise ValueError("port loads must be >= 1")
+    n, nprime = check_count("n", n), check_count("nprime", nprime)
     if not 0 <= k <= n:
         raise ValueError(f"k={k} outside 0..{n}")
-    if n + nprime <= 60:
-        return float(Fraction(math.comb(n, k), math.comb(n + nprime, n - k)))
-    return math.exp(
-        _lf(n) - _lf(k) - _lf(n - k)
-        - (_lf(n + nprime) - _lf(n - k) - _lf(nprime + k))
-    )
+    return math.comb(n, k) / math.comb(n + nprime, n - k)
 
 
 def intermediate_couplings(ja, jb, jc, j) -> tuple[tuple, tuple]:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angular import HalfInt, block_coefficient, clebsch_gordan_slices, multiplicity
-from .linalg import check_purity
+from .linalg import check_count, check_purity
 
 # log-barrier schedule of the seed solver: t grows by _BARRIER_GROWTH until
 # the central-path gap (total block dimension)/t of the scaled problem drops
@@ -52,8 +52,7 @@ def lm_error(n: int) -> float:
     seed state joined with the data qubit; it equals the programmable-machine
     bound identically.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count("n", n)
     d = n + 1
     # projection amplitudes of the seed (+ data qubit) onto the symmetric
     # coupling of data and the opposite-label block, per total spin k - 1/2
@@ -238,7 +237,8 @@ def lm_mixed_optimize(n: int, r: float) -> LmOptimum:
     delta_lm + gap.  The programmable machine supplies the unbeatable lower
     bound on the error.
     """
-    if not 1 <= n <= 5:
+    n = check_count("n", n)
+    if n > 5:
         raise ValueError("seed optimization is desk-scale: n must be 1..5")
     r = check_purity(r, zero=False)
     primal_total = dual_total = 0.0
@@ -277,8 +277,7 @@ def eyd_qubit(n: int) -> EydRates:
     2/(3(n+2)); at n = 1 the optimal finite estimation measurement does
     strictly better and attains (4 - sqrt(2))/12.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count("n", n)
     pe = (1.0 - 2.0 * n / (3.0 * (n + 2))) / 2.0
     if n == 1:
         return EydRates(pe=pe, excess_risk=(4.0 - math.sqrt(2.0)) / 12.0)
@@ -290,8 +289,7 @@ def reversed_error(n: int) -> float:
 
     One classical bit flows backwards, so the rate (1 - n/(6(n+1)))/2 stays
     above 5/12 however large the training set."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count("n", n)
     return (1.0 - n / (6.0 * (n + 1))) / 2.0
 
 
@@ -300,18 +298,15 @@ def reversed_error(n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def robustness_factors(n: int, r: float, delta: float = 0.0) -> RobustnessFactors:
+def robustness_factors(n: int, r: float) -> RobustnessFactors:
     """Noise and training-fluctuation scaling of the trained machine.
 
     Returns the factor r (1 - (1-r)/(n r^2)) by which the conditional
     averages shrink relative to the pure equal-split problem, and the
-    resulting excess-risk prediction 1/(3 n r).  The fluctuation amplitude
-    ``delta`` only enters beyond this order and is accepted for the record.
+    resulting excess-risk prediction 1/(3 n r).  Training-set fluctuations
+    only enter beyond this order.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = check_count("n", n)
     r = check_purity(r, zero=False)
-    if not math.isfinite(delta):
-        raise ValueError("delta must be finite")
     scaling = r * (1.0 - (1.0 - r) / (n * r * r))
     return RobustnessFactors(scaling=scaling, excess_risk=1.0 / (3.0 * n * r))

@@ -12,6 +12,10 @@ into at most (N-1)d + 1 extremals.  The vertex LP never changes between
 rounds except that columns die, so each search resumes from the previous
 optimal basis.  Higher-rank inputs are first split along their
 eigenbases, with a relabelling map carrying the outcomes back.
+
+A POVM holds its elements as one (N, d, d) stack; every trace, spectrum,
+Bloch vector and JSON matrix is taken over the whole stack at once, and the
+Bloch points are plain arrays: N weights and N rows of Bloch vectors.
 """
 
 from __future__ import annotations
@@ -46,10 +50,12 @@ class UnsupportedCriterionError(ValueError):
 
 @dataclass(frozen=True)
 class Povm:
-    """Labelled positive elements resolving the identity on dimension d."""
+    """Labelled positive elements resolving the identity on dimension d;
+    ``ops`` is their (N, d, d) stack, whose rows ``elements`` holds."""
 
     dim: int
     elements: tuple
+    ops: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 2:
@@ -63,28 +69,13 @@ class Povm:
         if ops.shape[1] != self.dim:
             raise ValueError(f"elements of shape {ops.shape[1:]} on dimension {self.dim}")
         object.__setattr__(self, "elements", tuple(zip(labels, ops)))
+        object.__setattr__(self, "ops", ops)
 
     def total(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for _, op in self.elements:
-            out += op
-        return out
+        return self.ops.sum(axis=0)
 
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.elements)
-
-
-@dataclass(frozen=True)
-class BlochPoint:
-    """Trace weight and generalized Bloch vector of a normalized element."""
-
-    weight: float
-    vector: np.ndarray
-
-    def __post_init__(self):
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
-        object.__setattr__(self, "vector", np.asarray(self.vector, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -150,43 +141,39 @@ def _generator_stack(d: int) -> np.ndarray:
     return np.stack(gellmann_basis(d))
 
 
-def bloch_points(p: Povm) -> list[BlochPoint]:
-    """Weights and Bloch vectors of the normalized POVM elements."""
-    gens = _generator_stack(p.dim)
-    pts = []
-    for _, op in p.elements:
-        a = float(np.trace(op).real)
-        if a <= _ZERO:
-            continue
-        vec = np.einsum("gij,ji->g", gens, op / a).real
-        pts.append(BlochPoint(weight=a, vector=vec))
-    return pts
+def _bloch(ops: np.ndarray):
+    """Traces, normalized elements and Bloch vectors of a stack of elements.
+    A row of zero trace normalizes to NaN; callers drop it by its trace."""
+    traces = np.trace(ops, axis1=1, axis2=2).real
+    with np.errstate(divide="ignore", invalid="ignore"):
+        normalized = ops / traces[:, None, None]
+    vectors = np.einsum("gij,nji->ng", _generator_stack(ops.shape[1]), normalized).real
+    return traces, normalized, vectors
 
 
-def element_from_bloch(point: BlochPoint, d: int) -> np.ndarray:
+def bloch_points(p: Povm) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (traces) and Bloch vectors, one row each, of the elements of
+    positive trace."""
+    traces, _, vectors = _bloch(p.ops)
+    keep = traces > _ZERO
+    return traces[keep], vectors[keep]
+
+
+def element_from_bloch(weight: float, vector: np.ndarray, d: int) -> np.ndarray:
     """Reconstruct weight * (1/d + v.generators / 2) from a Bloch point."""
-    basis = gellmann_basis(d)
-    out = np.eye(d, dtype=complex) / d
-    for v, g in zip(point.vector, basis):
-        out += 0.5 * v * g
-    return point.weight * out
+    gens = _generator_stack(d)
+    return weight * (np.eye(d) / d + 0.5 * np.einsum("g,gij->ij", vector, gens))
 
 
 def validate_povm(p: Povm) -> PovmDiagnostics:
     """Diagnostics only, never raises: identity and barycentre residuals plus
     the smallest eigenvalue of every element."""
-    pts = bloch_points(p)
-    weight_residual = abs(sum(pt.weight for pt in pts) - p.dim)
-    bary = sum((pt.weight * pt.vector for pt in pts), np.zeros(p.dim**2 - 1))
-    identity_residual = float(np.abs(p.total() - np.eye(p.dim)).max())
-    min_eigs = {
-        label: float(np.linalg.eigvalsh(op)[0]) for label, op in p.elements
-    }
+    weights, vectors = bloch_points(p)
     return PovmDiagnostics(
-        weight_residual=float(weight_residual),
-        barycentre_residual=float(np.linalg.norm(bary)),
-        identity_residual=identity_residual,
-        min_eigenvalues=min_eigs,
+        weight_residual=float(abs(weights.sum() - p.dim)),
+        barycentre_residual=float(np.linalg.norm(weights @ vectors)),
+        identity_residual=float(np.abs(p.total() - np.eye(p.dim)).max()),
+        min_eigenvalues=dict(zip(p.labels(), np.linalg.eigvalsh(p.ops)[:, 0].tolist())),
     )
 
 
@@ -206,20 +193,22 @@ def rank1_expand(p: Povm) -> tuple[Povm, dict]:
     zeros.  Returns the rank-1 POVM and the map from new labels back to the
     source outcomes; aggregating through the map recovers the input.
     """
+    w, v = np.linalg.eigh((p.ops + p.ops.conj().transpose(0, 2, 1)) / 2)
+    w, v = w[:, ::-1], v[:, :, ::-1]  # eigenvalues descending
+    sums = w.sum(axis=1)
+    tr = np.maximum(sums, _ZERO)
     new_elements = []
     relabel = {}
-    for label, op in p.elements:
-        w, v = linalg.herm_eig(op)
-        tr = max(float(np.sum(w)), _ZERO)
-        keep = [i for i in range(len(w)) if w[i] > 1e-10 * tr]
-        if len(keep) == 1 and abs(w[keep[0]] - np.sum(w)) < 1e-12 * tr:
+    for k, (label, op) in enumerate(p.elements):
+        keep = np.flatnonzero(w[k] > 1e-10 * tr[k])
+        if len(keep) == 1 and abs(w[k, keep[0]] - sums[k]) < 1e-12 * tr[k]:
             new_elements.append((label, op))
             relabel[label] = label
             continue
         for pos, i in enumerate(keep):
-            vec = v[:, i]
+            vec = v[k, :, i]
             new_label = f"{label}#{pos}" if len(keep) > 1 else label
-            new_elements.append((new_label, w[i] * np.outer(vec, vec.conj())))
+            new_elements.append((new_label, w[k, i] * np.outer(vec, vec.conj())))
             relabel[new_label] = label
     return Povm(dim=p.dim, elements=tuple(new_elements)), relabel
 
@@ -311,20 +300,21 @@ def _solve_vertex(cols, b, cost, basis, binv) -> np.ndarray:
     return x[: -len(b)]
 
 
-def find_extremal_vertex(points: list[BlochPoint]) -> np.ndarray:
-    """One vertex of the feasible-weight polytope: coefficients x >= 0 with
+def find_extremal_vertex(vectors: np.ndarray) -> np.ndarray:
+    """One vertex of the feasible-weight polytope over the Bloch vectors v_i,
+    the rows of an (N, d^2 - 1) array: coefficients x >= 0 with
     sum x_i = d and sum x_i v_i = 0, supported on at most d^2 points.
 
     When no such x exists the input was not a POVM; the raised error carries
     a vector whose product with every Bloch vector is negative.
     """
-    if not points:
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim != 2 or not len(vectors):
         raise ValueError("no points given")
-    nvec = len(points[0].vector)
-    d = math.isqrt(nvec + 1)
-    if d * d != nvec + 1:
+    d = math.isqrt(vectors.shape[1] + 1)
+    if d * d != vectors.shape[1] + 1:
         raise ValueError("Bloch vectors must have length d^2 - 1")
-    return _solve_vertex(*_vertex_lp(np.stack([pt.vector for pt in points])))
+    return _solve_vertex(*_vertex_lp(vectors))
 
 
 def is_extremal(p: Povm) -> tuple[bool, np.ndarray | None]:
@@ -335,23 +325,21 @@ def is_extremal(p: Povm) -> tuple[bool, np.ndarray | None]:
     element, relative to the normalized elements) with sum y_i E_i = 0, along
     which the measurement splits into two distinct POVMs.
     """
-    mats = []
-    for label, op in p.elements:
-        w = np.linalg.eigvalsh(op)
-        tr = float(np.sum(w))
-        if tr > _ZERO and w[-1] < tr * (1.0 - 1e-8):
-            raise ValueError(
-                f"element {label!r} has rank > 1; expand with rank1_expand first"
-            )
-        mats.append((op / tr).ravel())
-    stack = np.array(mats).T  # (d^2 complex, N)
+    w = np.linalg.eigvalsh(p.ops)
+    tr = w.sum(axis=1)
+    high = (tr > _ZERO) & (w[:, -1] < tr * (1.0 - 1e-8))
+    if high.any():
+        raise ValueError(
+            f"element {p.labels()[np.argmax(high)]!r} has rank > 1; "
+            "expand with rank1_expand first"
+        )
+    stack = (p.ops / tr[:, None, None]).reshape(len(tr), -1).T  # (d^2 complex, N)
     stack = np.vstack([stack.real, stack.imag])
     _, s, vh = np.linalg.svd(stack)
     rank = int(np.sum(s > 1e-10 * (s[0] if len(s) else 1.0)))
     if rank == len(p.elements) and len(p.elements) <= p.dim**2:
         return True, None
-    witness = vh[-1]
-    return False, witness
+    return False, vh[-1]
 
 
 def _extraction_loop(rank1: Povm, refine=None):
@@ -363,40 +351,32 @@ def _extraction_loop(rank1: Povm, refine=None):
     are fixed and the current weights always balance, so each search
     resumes from the previous optimal basis with the dead outcomes priced
     out (phase-1 cost 1, barred from re-entering), and only has to pivot
-    them out of the basis.  refine(points, x), if given, may swap the
-    vertex found for another one of the live points.  A step whose
+    them out of the basis.  refine(vectors, x), if given, may swap the
+    vertex found for another one over the live Bloch vectors.  A step whose
     extraction probability is within 1e-8 of one (or whose vertex uses
     every live outcome) is final: the sliver that would remain carries
     reconstruction weight remaining * (1 - prob), far below round-off, and
     dividing by 1 - prob would only amplify noise.
     """
     d = rank1.dim
-    labels = [label for label, _ in rank1.elements]
-    traces = [float(np.trace(op).real) for _, op in rank1.elements]
-    normalized = [op / t for (_, op), t in zip(rank1.elements, traces)]
-    gens = _generator_stack(d)
-    vectors = np.stack([np.einsum("gij,ji->g", gens, e).real for e in normalized])
+    labels = rank1.labels()
+    weights, normalized, vectors = _bloch(rank1.ops)
     lp = _vertex_lp(vectors)
     cost = lp[2]
-    weights = np.array(traces)
     live = np.arange(len(labels))
     terms = []
     remaining = 1.0
     for _ in range(len(labels) + 1):
         x = _solve_vertex(*lp)[live]
         if refine is not None:
-            x = refine([BlochPoint(weights[i], vectors[i]) for i in live], x)
+            x = refine(vectors[live], x)
         support = x > _ZERO
         prob = float((weights[live][support] / x[support]).min())
         final = prob >= 1.0 - 1e-8 or int(support.sum()) == live.size
-        elements = tuple(
-            (labels[i], xi * normalized[i])
-            for i, xi in zip(live, x)
-            if xi > _ZERO
-        )
-        terms.append(
-            (remaining if final else remaining * prob, Povm(dim=d, elements=elements))
-        )
+        keep = live[support]
+        ops = x[support, None, None] * normalized[keep]
+        extremal = Povm(dim=d, elements=tuple(zip([labels[i] for i in keep], ops)))
+        terms.append((remaining if final else remaining * prob, extremal))
         if final:
             return tuple(terms)
         raw = np.maximum(weights[live] - prob * x, 0.0)
@@ -432,39 +412,27 @@ def _vertex_quality(x: np.ndarray) -> float:
     return float(np.sum(x * x))
 
 
-def _neighboring_vertices(points: list[BlochPoint], x: np.ndarray):
+def _neighboring_vertices(vectors: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
     """Vertices one simplex pivot away from x, found by re-solving the
     feasibility system with each support element forced out."""
-    support = set(np.nonzero(x > _ZERO)[0])
     out = []
-    for drop in sorted(support):
-        sub = [pt for i, pt in enumerate(points) if i != drop]
-        if len(sub) < 2:
-            continue
+    if len(vectors) < 3:
+        return out
+    for drop in np.flatnonzero(x > _ZERO):
         try:
-            xs = find_extremal_vertex(sub)
+            xs = find_extremal_vertex(np.delete(vectors, drop, axis=0))
         except InfeasiblePovmError:
             continue
-        full = np.zeros(len(points))
-        j = 0
-        for i in range(len(points)):
-            if i != drop:
-                full[i] = xs[j]
-                j += 1
-        out.append(full)
+        out.append(np.insert(xs, drop, 0.0))
     return out
 
 
-def _antipodal_vertices(points: list[BlochPoint]) -> list[np.ndarray]:
-    """Two-outcome vertices: pairs of opposite unit Bloch vectors (d = 2)."""
-    out = []
-    n = len(points)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if float(points[i].vector @ points[j].vector) < -1.0 + 1e-9:
-                x = np.zeros(n)
-                x[i] = x[j] = 1.0
-                out.append(x)
+def _antipodal_vertices(vectors: np.ndarray) -> np.ndarray:
+    """Two-outcome vertices, one per row, in lexicographic order of the
+    pair: pairs of opposite unit Bloch vectors (d = 2)."""
+    pairs = np.argwhere(np.triu(vectors @ vectors.T < -1.0 + 1e-9, 1))
+    out = np.zeros((len(pairs), len(vectors)))
+    out[np.arange(len(pairs))[:, None], pairs] = 1.0
     return out
 
 
@@ -486,14 +454,14 @@ def ordered_decompose(p: Povm, criterion: str = "fewest-outcomes") -> Decomposit
     require_valid(p)
     rank1, relabel = rank1_expand(p)
 
-    def refine(points, best):
+    def refine(vectors, best):
         improved = True
         while improved:
             improved = False
-            for cand in _neighboring_vertices(points, best):
+            for cand in _neighboring_vertices(vectors, best):
                 if _vertex_quality(cand) > _vertex_quality(best) + 1e-12:
                     best, improved = cand, True
-        for cand in _antipodal_vertices(points):
+        for cand in _antipodal_vertices(vectors):
             if _vertex_quality(cand) > _vertex_quality(best) + 1e-12:
                 best = cand
         return best
@@ -507,20 +475,17 @@ def ordered_decompose(p: Povm, criterion: str = "fewest-outcomes") -> Decomposit
 # ---------------------------------------------------------------------------
 
 
-def _matrix_to_json(op: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in op]
-
-
 def _matrix_from_json(rows) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in rows])
 
 
 def povm_to_json(p: Povm) -> dict:
+    """Each matrix as rows of [re, im] entry pairs."""
+    matrices = np.stack([p.ops.real, p.ops.imag], -1).tolist()
     return {
         "dim": p.dim,
         "elements": [
-            {"label": label, "matrix": _matrix_to_json(op)}
-            for label, op in p.elements
+            {"label": label, "matrix": m} for label, m in zip(p.labels(), matrices)
         ],
     }
 

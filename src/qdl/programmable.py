@@ -35,6 +35,10 @@ _MASS_TOL = 1e-14
 # batch size of the mixed-state sums: sectors enumerated at a time, and
 # matrix entries per batched recoupling eigensolve
 _BATCH_ELEMENTS = 1 << 20
+# zeta_series stops at the first term below _ZETA_TOL and refuses an x that
+# would need more than _ZETA_MAX_TERMS terms (a fraction of a second)
+_ZETA_TOL = 1e-15
+_ZETA_MAX_TERMS = 10**6
 
 
 class Rates(NamedTuple):
@@ -127,18 +131,20 @@ def general_rates(load: PortLoad) -> Rates:
     return Rates(q=q, pe=pe)
 
 
-def zeta_series(x: float, tol: float = 1e-15) -> float:
-    """sum_k (1 - sqrt(1 - x^k)) for 0 < x < 1; converges geometrically."""
+def zeta_series(x: float) -> float:
+    """sum_k (1 - sqrt(1 - x^k)) for 0 < x < 1, summed until a term drops
+    below 1e-15.  That takes about log(2e-15) / log(x) terms, so an x whose
+    sum would need more than _ZETA_MAX_TERMS of them is refused."""
     if not 0.0 < x < 1.0:
         raise ValueError(f"x {x} outside (0, 1)")
-    if not tol > 0.0:
-        raise ValueError(f"tol {tol} is not positive")
+    if math.log(2.0 * _ZETA_TOL) < _ZETA_MAX_TERMS * math.log(x):
+        raise ValueError(f"x {x} too close to 1: the sum needs over {_ZETA_MAX_TERMS} terms")
     total = 0.0
     k = 0
     while True:
         term = 1.0 - math.sqrt(1.0 - x**k)
         total += term
-        if k > 0 and term < tol:
+        if k > 0 and term < _ZETA_TOL:
             return total
         k += 1
 

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import check_count
+
 # relative Gram trace left out of a span factor (see _span_factor)
 _SPAN_TOL = 1e-15
 # largest |squeeze| for which e^(2 |squeeze|) is a finite float
@@ -174,9 +176,7 @@ def optimal_squeezing(alpha0) -> float:
 def concentrate_modes(alpha: complex, n: int) -> complex:
     """Amplitude after piling n equal coherent modes into one with a chain of
     unbalanced beam splitters; energy n |alpha|^2 is conserved."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return math.sqrt(n) * alpha
+    return math.sqrt(check_count("n", n)) * alpha
 
 
 def _hermite_nodes(order: int):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -336,12 +337,27 @@ def test_jordan_overlap_matches_6j_construction():
 
 
 def test_jordan_overlap_log_space_branch():
-    # large loads exercise the log-gamma path; compare to exact integers
-    from fractions import Fraction
-
+    # large loads; compare to exact integers
     n, nprime, k = 50, 40, 17
     want = float(Fraction(math.comb(n, k), math.comb(n + nprime, n - k)))
     assert jordan_overlap(n, nprime, k) == pytest.approx(want, rel=1e-12)
+
+
+def test_jordan_overlap_is_the_exact_ratio_beyond_sixty_copies():
+    # the correctly rounded C(n,k) / C(n+nprime, n-k) at every load, also
+    # where n + nprime > 60
+    for n, nprime in [(50, 40), (40, 21), (61, 1), (100, 100), (30, 31)]:
+        for k in range(n + 1):
+            want = float(Fraction(math.comb(n, k), math.comb(n + nprime, n - k)))
+            assert jordan_overlap(n, nprime, k) == want, (n, nprime, k)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, math.nan, True, "4"])
+@pytest.mark.parametrize("name", ["n", "nprime"])
+def test_jordan_overlap_bad_load_raises_naming_it(name, bad):
+    loads = {"n": 2, "nprime": 2, name: bad}
+    with pytest.raises(ValueError, match=f"^{name} {re.escape(repr(bad))} "):
+        jordan_overlap(loads["n"], loads["nprime"], 0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -195,6 +196,22 @@ def test_seed_optimization_rejects_large_n():
         learning.lm_mixed_optimize(6, 0.5)
 
 
+COUNT_ENTRIES = {
+    "lm_error": learning.lm_error,
+    "eyd_qubit": learning.eyd_qubit,
+    "reversed_error": learning.reversed_error,
+    "robustness_factors": lambda n: learning.robustness_factors(n, 0.5),
+    "lm_mixed_optimize": lambda n: learning.lm_mixed_optimize(n, 0.5),
+}
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, math.nan, True, "4"])
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRIES))
+def test_bad_copy_count_raises_naming_it(entry, bad):
+    with pytest.raises(ValueError, match=f"^n {re.escape(repr(bad))} "):
+        COUNT_ENTRIES[entry](bad)
+
+
 # ---------------------------------------------------------------------------
 # robustness identities
 # ---------------------------------------------------------------------------
@@ -234,5 +251,3 @@ def test_robustness_identity_on_every_small_sector(n, r):
 def test_robustness_validation():
     with pytest.raises(ValueError):
         learning.robustness_factors(3, 0.0)
-    with pytest.raises(ValueError):
-        learning.robustness_factors(3, 0.5, math.inf)

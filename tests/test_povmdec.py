@@ -77,9 +77,9 @@ def test_pure_state_bloch_length():
         vec = np.zeros(d)
         vec[0] = 1.0
         proj = np.outer(vec, vec).astype(complex)
-        pts = povmdec.bloch_points(povmdec.Povm(dim=d, elements=(("p", proj), ("rest", np.eye(d) - proj))))
+        _, vecs = povmdec.bloch_points(povmdec.Povm(dim=d, elements=(("p", proj), ("rest", np.eye(d) - proj))))
         want = math.sqrt(2 * (d - 1) / d)
-        assert np.linalg.norm(pts[0].vector) == pytest.approx(want, abs=1e-12)
+        assert np.linalg.norm(vecs[0]) == pytest.approx(want, abs=1e-12)
     # for qubits the length is one
     assert math.sqrt(2 * (2 - 1) / 2) == 1.0
 
@@ -89,10 +89,25 @@ def test_bloch_round_trip():
     for d in (2, 3):
         ops = oracles.random_povm(rng, d, 5)
         p = povmdec.Povm(dim=d, elements=tuple((str(i), op) for i, op in enumerate(ops)))
-        pts = povmdec.bloch_points(p)
-        for (label, op), pt in zip(p.elements, pts):
-            recon = povmdec.element_from_bloch(pt, d)
+        weights, vecs = povmdec.bloch_points(p)
+        for (label, op), w, v in zip(p.elements, weights, vecs):
+            recon = povmdec.element_from_bloch(w, v, d)
             assert np.abs(recon - op).max() < 1e-10
+
+
+def test_stacked_bloch_points_equal_the_per_element_loop():
+    # the stacked traces and Bloch vectors round exactly as one element at
+    # a time does, so the vertex LP and every extraction see the same input
+    rng = np.random.default_rng(5)
+    for d in (2, 3, 4):
+        ops = oracles.random_povm(rng, d, 3 * d * d)
+        p = povmdec.Povm(dim=d, elements=tuple((str(i), op) for i, op in enumerate(ops)))
+        gens = np.stack(povmdec.gellmann_basis(d))
+        weights, vecs = povmdec.bloch_points(p)
+        for (_, op), w, v in zip(p.elements, weights, vecs):
+            a = float(np.trace(op).real)
+            assert w == a
+            assert np.array_equal(v, np.einsum("gij,ji->g", gens, op / a).real)
 
 
 # ---------------------------------------------------------------------------
@@ -195,18 +210,18 @@ def test_rank1_expand_random_full_rank():
 
 
 def test_vertex_orthogonal_projectors():
-    x = povmdec.find_extremal_vertex(povmdec.bloch_points(stern_gerlach()))
+    x = povmdec.find_extremal_vertex(povmdec.bloch_points(stern_gerlach())[1])
     assert np.allclose(x, [1.0, 1.0], atol=1e-10)
 
 
 def test_vertex_pentagon_is_trine():
-    pts = povmdec.bloch_points(pentagon_povm())
-    x = povmdec.find_extremal_vertex(pts)
+    _, vecs = povmdec.bloch_points(pentagon_povm())
+    x = povmdec.find_extremal_vertex(vecs)
     support = np.nonzero(x > 1e-10)[0]
     assert len(support) == 3
     # the vertex balances: sum x_i = 2 and the weighted vectors cancel
     assert x.sum() == pytest.approx(2.0, abs=1e-10)
-    bary = sum(x[i] * pts[i].vector for i in support)
+    bary = sum(x[i] * vecs[i] for i in support)
     assert np.linalg.norm(bary) < 1e-10
 
 
@@ -217,12 +232,11 @@ def test_vertex_hexagon_support_bound_and_bruteforce():
         for k in range(6)
     ]
     p = povmdec.Povm(dim=2, elements=tuple(elems))
-    pts = povmdec.bloch_points(p)
-    x = povmdec.find_extremal_vertex(pts)
+    _, vecs = povmdec.bloch_points(p)
+    x = povmdec.find_extremal_vertex(vecs)
     support = np.nonzero(x > 1e-10)[0]
     assert 2 <= len(support) <= 4
     # brute-force: the support must be one of the balanced subsets
-    vecs = np.array([pt.vector for pt in pts])
     feasible_supports = []
     for mask in range(1, 2**6):
         idx = [i for i in range(6) if mask >> i & 1]
@@ -239,14 +253,11 @@ def test_vertex_hexagon_support_bound_and_bruteforce():
 def test_infeasibility_certificate():
     # all vectors in one hemisphere cannot balance; the certificate has a
     # strictly negative product against every point
-    pts = [
-        povmdec.BlochPoint(weight=0.5, vector=np.array([1.0, 0.1 * k, 0.2]))
-        for k in range(4)
-    ]
+    vecs = np.array([[1.0, 0.1 * k, 0.2] for k in range(4)])
     with pytest.raises(povmdec.InfeasiblePovmError) as exc:
-        povmdec.find_extremal_vertex(pts)
+        povmdec.find_extremal_vertex(vecs)
     nu = exc.value.certificate
-    assert max(float(pt.vector @ nu) for pt in pts) < -1e-10
+    assert max(float(v @ nu) for v in vecs) < -1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +450,17 @@ def drawn_povm(draw):
 @PROPERTY
 @given(draw=POVM_DRAWS)
 def test_decompose_round_trip_term_bound_and_extremality(draw):
+    # the ordered decomposition is defined for qubits only
     p = drawn_povm(draw)
-    res = povmdec.decompose(p)
     nbar = len(povmdec.rank1_expand(p)[0].elements)
-    assert len(res.terms) <= (nbar - 1) * p.dim + 1
-    recon = res.reconstruct(p.dim, p.labels())
-    assert max(np.abs(recon[lab] - op).max() for lab, op in p.elements) <= 1e-9
-    for _, ext in res.terms:
-        assert povmdec.is_extremal(ext)[0]
+    runs = [povmdec.decompose] + ([povmdec.ordered_decompose] if p.dim == 2 else [])
+    for run in runs:
+        res = run(p)
+        assert len(res.terms) <= (nbar - 1) * p.dim + 1
+        recon = res.reconstruct(p.dim, p.labels())
+        assert max(np.abs(recon[lab] - op).max() for lab, op in p.elements) <= 1e-9
+        for _, ext in res.terms:
+            assert povmdec.is_extremal(ext)[0]
 
 
 @PROPERTY
@@ -454,11 +468,11 @@ def test_decompose_round_trip_term_bound_and_extremality(draw):
 def test_vertex_is_a_balanced_point_of_small_support(draw):
     p = drawn_povm(draw)
     d = p.dim
-    pts = povmdec.bloch_points(p)
-    x = povmdec.find_extremal_vertex(pts)
+    _, vecs = povmdec.bloch_points(p)
+    x = povmdec.find_extremal_vertex(vecs)
     assert np.all(x >= 0.0)
     assert x.sum() == pytest.approx(d, abs=1e-9)
-    balance = sum(xi * pt.vector for xi, pt in zip(x, pts))
+    balance = sum(xi * v for xi, v in zip(x, vecs))
     assert np.abs(balance).max() <= 1e-9
     assert np.count_nonzero(x) <= d * d
 
@@ -474,11 +488,10 @@ def test_infeasibility_certificate_separates_every_point(draw):
     vecs = rng.standard_normal((n, d * d - 1))
     vecs *= np.sign(vecs @ u)[:, None]
     vecs += 0.1 * u
-    pts = [povmdec.BlochPoint(weight=1.0, vector=v) for v in vecs]
     with pytest.raises(povmdec.InfeasiblePovmError) as exc:
-        povmdec.find_extremal_vertex(pts)
+        povmdec.find_extremal_vertex(vecs)
     nu = exc.value.certificate
-    assert max(float(pt.vector @ nu) for pt in pts) < 0.0
+    assert max(float(v @ nu) for v in vecs) < 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import re
+import time
 
 import numpy as np
 import pytest
@@ -129,9 +130,24 @@ def test_zeta_series_bad_argument_raises_naming_it(x):
         prog.zeta_series(x)
 
 
-def test_zeta_series_nonpositive_tolerance_raises():
-    with pytest.raises(ValueError, match="tol"):
-        prog.zeta_series(0.25, tol=0.0)
+def test_zeta_series_value_is_pinned():
+    assert prog.zeta_series(0.25) == float.fromhex("0x1.2d1a0419f75abp+0")
+
+
+@pytest.mark.parametrize(
+    "x", [0.999, 0.99996, 0.9999663, 0.99999, 1 - 1e-12, math.nextafter(1.0, 0.0)]
+)
+def test_zeta_series_near_one_returns_or_raises_naming_it_within_a_second(x):
+    # the sum needs about log(2e-15) / log(x) terms: months of summing at
+    # x = 1 - 1e-12, so such an x is refused up front
+    start = time.perf_counter()
+    try:
+        value = prog.zeta_series(x)
+    except ValueError as exc:
+        assert str(exc).startswith(f"x {x} ")
+    else:
+        assert math.isfinite(value) and value > 1.0
+    assert time.perf_counter() - start < 1.0
 
 
 # every copy count taken by a public entry point, with the argument name its

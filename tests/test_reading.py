@@ -165,6 +165,12 @@ def test_concentrate_modes():
     )
 
 
+@pytest.mark.parametrize("bad", [0, -3, 2.5, math.nan, True, "4"])
+def test_concentrate_modes_bad_mode_count_raises_naming_it(bad):
+    with pytest.raises(ValueError, match=f"^n {re.escape(repr(bad))} "):
+        reading.concentrate_modes(1.0, bad)
+
+
 # ---------------------------------------------------------------------------
 # coherent states: truncated Fock reference and analytic overlaps
 # ---------------------------------------------------------------------------
