@@ -28,6 +28,7 @@ two by Sturm pivots; the rotation matrices need none.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -223,8 +224,8 @@ def jordan_overlap(n: int, nprime: int, k: int) -> float:
     totally symmetric sector k = n.
     """
     n, nprime = check_count("n", n), check_count("nprime", nprime)
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside 0..{n}")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k <= n:
+        raise ValueError(f"k={k!r} is not an integer in 0..{n}")
     return math.comb(n, k) / math.comb(n + nprime, n - k)
 
 

@@ -7,7 +7,8 @@ operator; with the right seed the machine attains the programmable-machine
 error for every training-set size.  This module evaluates that error, the
 estimate-and-discriminate and reversed-order alternatives, the mixed-state
 conditional operators, and the optimal seed for noisy training sets from an
-exact semidefinite program whose dual certifies the optimum.
+exact semidefinite program whose dual certifies the optimum.  It is posed, and
+the seed kept, in the coupled |J m> basis, where its operators are tridiagonal.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular import HalfInt, block_coefficient, clebsch_gordan_slices, multiplicity
+from .angular import HalfInt, block_coefficient, multiplicity
 from .linalg import check_count, check_purity
 
 # log-barrier schedule of the seed solver: t grows by _BARRIER_GROWTH until
@@ -63,10 +64,20 @@ def lm_error(n: int) -> float:
     return norm_sq / (d * (n + 2))
 
 
+def _spin2(name: str, j, n=None) -> int:
+    """Doubled spin 2j, raising a ValueError that names it unless 2j >= 0
+    and, for a block of n copies, 2j <= n with the parity of n."""
+    j2 = HalfInt.coerce(j).twice
+    if j2 < 0 or n is not None and (j2 > n or (n - j2) % 2):
+        where = "" if n is None else f" for n={n} (2j must be 0..n with the parity of n)"
+        raise ValueError(f"spin {name}={HalfInt(j2)!r} is impossible{where}")
+    return j2
+
+
 def spin_weights(j, r: float) -> np.ndarray:
     """Normalized magnetic-number weights of a spin-j block of a purity-r
     tensor power, ordered m = -j..j."""
-    j2 = HalfInt.coerce(j).twice
+    j2 = _spin2("j", j)
     r = check_purity(r)
     if r == 0.0:
         return np.full(j2 + 1, 1.0 / (j2 + 1))
@@ -77,9 +88,8 @@ def spin_weights(j, r: float) -> np.ndarray:
 
 def spin_z_expectation(j, r: float) -> float:
     """Mean magnetic number of a spin-j block at purity r."""
-    j2 = HalfInt.coerce(j).twice
-    m = np.arange(-j2, j2 + 1, 2) / 2.0
-    return float(np.dot(m, spin_weights(j, r)))
+    w = spin_weights(j, r)
+    return float(np.dot(np.arange(len(w)) - (len(w) - 1) / 2.0, w))
 
 
 def block_probability(n: int, j, r: float) -> float:
@@ -88,71 +98,73 @@ def block_probability(n: int, j, r: float) -> float:
     return multiplicity(n, j) * (j2 + 1) * block_coefficient(n, j, r)
 
 
+def _conditional_factor(j2: int, r: float) -> float:
+    """f_j = r <Jz>_j / (j (j + 1)), 0 at j = 0: a spin-j block of the
+    training set contributes f_j Jz to the conditional operator."""
+    j = j2 / 2.0
+    return r * spin_z_expectation(HalfInt(j2), r) / (j * (j + 1.0)) if j2 else 0.0
+
+
 def gamma_up(n: int, r: float, ja, jc) -> np.ndarray:
     """Conditional training-set operator after an up outcome on the data
-    qubit, in the (ja, jc) sector.
+    qubit, in the (ja, jc) sector: (f_a Jz_a - f_c Jz_c) / (2 (2ja+1) (2jc+1)).
 
     The operator is diagonal in the product magnetic basis; the returned
     array holds its diagonal values on the (m_a, m_c) grid.  At r = 1 and
     maximal spins it reduces to (Jz_a - Jz_c) / ((n+1)^2 (n+2)).
     """
+    n = check_count("n", n)
     r = check_purity(r, zero=False)
-    ja2 = HalfInt.coerce(ja).twice
-    jc2 = HalfInt.coerce(jc).twice
-    if (n - ja2) % 2 or (n - jc2) % 2:
-        raise ValueError("sector spins must match the parity of n")
-    ma = np.arange(-ja2, ja2 + 1, 2) / 2.0
-    mc = np.arange(-jc2, jc2 + 1, 2) / 2.0
-
-    def side(j2, mvals):
-        if j2 == 0:
-            return np.zeros(1)
-        j = j2 / 2.0
-        factor = r * spin_z_expectation(HalfInt(j2), r) / j
-        return factor * mvals / (j + 1.0)
-
-    grid = side(ja2, ma)[:, None] - side(jc2, mc)[None, :]
-    return grid / (2.0 * (ja2 + 1) * (jc2 + 1))
+    ja2, jc2 = _spin2("ja", ja, n), _spin2("jc", jc, n)
+    side_a = _conditional_factor(ja2, r) * np.arange(-ja2, ja2 + 1, 2) / 2.0
+    side_c = _conditional_factor(jc2, r) * np.arange(-jc2, jc2 + 1, 2) / 2.0
+    return (side_a[:, None] - side_c[None, :]) / (2.0 * (ja2 + 1) * (jc2 + 1))
 
 
-def gamma_up_blocks(n: int, r: float) -> dict:
-    """All sector operators with their occupation probabilities, keyed by
-    the doubled sector spins (2 j_a, 2 j_c)."""
-    out = {}
-    for ja2 in range(n % 2, n + 1, 2):
-        pa = block_probability(n, HalfInt(ja2), r)
-        for jc2 in range(n % 2, n + 1, 2):
-            pc = block_probability(n, HalfInt(jc2), r)
-            out[(ja2, jc2)] = (pa * pc, gamma_up(n, r, HalfInt(ja2), HalfInt(jc2)))
-    return out
+def _gamma_coupled(ja2: int, jc2: int, r: float) -> dict:
+    """``gamma_up`` of sector (ja, jc) in the coupled basis: G_m keyed by
+    (2ja, 2jc, 2m), rows and columns over ascending J >= max(|ja - jc|, |m|).
+
+    G_m = ((f_a + f_c) Jz_a - f_c m) / (2 (2ja+1) (2jc+1)), as Jz_c = m - Jz_a, and
+    Jz_a is tridiagonal (projection theorem): m (J(J+1) + ja(ja+1) - jc(jc+1)) /
+    (2 J(J+1)) on the diagonal, 0 at J = 0; between J - 1 and J the positive (Condon-
+    Shortley) sqrt((J^2 - m^2)(J^2 - (ja-jc)^2)((ja+jc+1)^2 - J^2) / (4J^2 (4J^2 - 1))).
+    """
+    fa, fc = _conditional_factor(ja2, r), _conditional_factor(jc2, r)
+    ja, jc = ja2 / 2.0, jc2 / 2.0
+    blocks = {}
+    for m2 in range(-(ja2 + jc2), ja2 + jc2 + 1, 2):
+        m = m2 / 2.0
+        j = np.arange(max(abs(ja2 - jc2), abs(m2)), ja2 + jc2 + 1, 2) / 2.0
+        jj = j * (j + 1.0)
+        diag = m * (jj + ja * (ja + 1.0) - jc * (jc + 1.0)) / np.where(jj > 0.0, 2.0 * jj, 1.0)
+        k2 = j[1:] ** 2
+        off = (fa + fc) * np.sqrt((k2 - m * m) * (k2 - (ja - jc) ** 2)
+                                  * ((ja + jc + 1.0) ** 2 - k2) / (4.0 * k2 * (4.0 * k2 - 1.0)))
+        g = np.diag((fa + fc) * diag - fc * m) + np.diag(off, 1) + np.diag(off, -1)
+        blocks[(ja2, jc2, m2)] = g / (2.0 * (ja2 + 1) * (jc2 + 1))
+    return blocks
 
 
 @dataclass(frozen=True)
 class SeedOperator:
-    """Seed of the covariant training measurement.
+    """Seed of the covariant training measurement, in the coupled basis.
 
-    ``blocks`` maps (2 j_a, 2 j_c, 2 m) to a PSD matrix on the magnetic
-    subspace m of that sector, ordered by ascending m_a.  Resolving the
-    identity requires sum_m <j m|Omega_m|j m> = 2j + 1 for every total spin
-    j the sector supports.
+    ``blocks`` maps (2 j_a, 2 j_c, 2 m) to a PSD matrix on the states |J m> of
+    that sector, J >= max(|j_a - j_c|, |m|) ascending.  Resolving the identity
+    requires sum_m <J m|Omega_m|J m> = 2J + 1 for every J the sector supports.
     """
 
     n: int
     blocks: dict
 
     def resolution_residual(self) -> float:
-        totals = {
-            (ja2, jc2, j2): 0.0
-            for ja2, jc2, _ in self.blocks
-            for j2 in range(abs(ja2 - jc2), ja2 + jc2 + 1, 2)
-        }
-        for (ja2, jc2, m2), c in zip(self.blocks, clebsch_gordan_slices(list(self.blocks))):
-            # column k of the slice is the coupled vector of 2J = j_lo + 2k
-            j_lo = max(abs(ja2 - jc2), abs(m2))
-            diag = np.real(np.sum(c * (self.blocks[(ja2, jc2, m2)] @ c), axis=0))
-            for k, value in enumerate(diag):
-                totals[(ja2, jc2, j_lo + 2 * k)] += float(value)
-        return max(abs(tot - (j2 + 1)) for (_, _, j2), tot in totals.items())
+        totals = {}
+        for (ja2, jc2, _), b in self.blocks.items():
+            tot = totals.setdefault((ja2, jc2), -np.arange(abs(ja2 - jc2) + 1.0, ja2 + jc2 + 2, 2))
+            # block m carries the trailing spins J >= |m|
+            tot[len(tot) - len(b):] += np.diag(b).real
+        return max(float(np.abs(tot).max()) for tot in totals.values())
 
     def min_eigenvalue(self) -> float:
         return min(
@@ -169,7 +181,7 @@ class LmOptimum(NamedTuple):
 
 def _solve_sector(gammas, b):
     """Maximize sum_m tr(G_m X_m) over PSD X_m subject to
-    sum_m (X_m)_jj = b_j, all in the coupled |j m> basis.
+    sum_m (X_m)_jj = b_j = 2j + 1, all in the coupled |j m> basis.
 
     Block m carries the spins j >= |m|, the trailing entries of ``b``.  The
     dual, minimize b.y subject to S_m = diag(y_{j>=|m|}) - G_m >= 0, is
@@ -182,11 +194,8 @@ def _solve_sector(gammas, b):
     offsets = [len(b) - len(g) for g in gammas]
     scale = max(np.abs(g).max() for g in gammas)
     if scale == 0.0:
-        # every feasible point scores 0, certified by y = 0; spread b evenly
-        count = np.zeros(len(b))
-        for k in offsets:
-            count[k:] += 1.0
-        return 0.0, 0.0, [np.diag(b[k:] / count[k:]) for k in offsets]
+        # every point scores 0, certified by y = 0; X_m = I is feasible (b = 2j + 1)
+        return 0.0, 0.0, [np.eye(len(g)) for g in gammas]
     gs = [g / scale for g in gammas]
     nu = sum(len(g) for g in gs)
     # G_m is orthogonally similar to a diagonal with entries in [-1, 1], so
@@ -243,26 +252,16 @@ def lm_mixed_optimize(n: int, r: float) -> LmOptimum:
     r = check_purity(r, zero=False)
     primal_total = dual_total = 0.0
     blocks = {}
-    sectors = gamma_up_blocks(n, r)
-    keys = [
-        (ja2, jc2, m2) for ja2, jc2 in sectors for m2 in range(-(ja2 + jc2), ja2 + jc2 + 1, 2)
-    ]
-    slices = dict(zip(keys, clebsch_gordan_slices(keys)))
-    for (ja2, jc2), (p_xi, grid) in sectors.items():
-        j_values = range(abs(ja2 - jc2), ja2 + jc2 + 1, 2)
-        m_values = range(-(ja2 + jc2), ja2 + jc2 + 1, 2)
-        c_by_m = [slices[(ja2, jc2, m2)] for m2 in m_values]
-        g_by_m = []
-        for m2, c in zip(m_values, c_by_m):
-            # the slice rows run over ascending m_a, with m_c = m - m_a
-            ma2 = np.arange(max(-ja2, m2 - jc2), min(ja2, m2 + jc2) + 1, 2)
-            g = grid[(ma2 + ja2) // 2, (m2 - ma2 + jc2) // 2]
-            g_by_m.append(c.T @ (g[:, None] * c))
-        dual, primal, xs = _solve_sector(g_by_m, np.array([j2 + 1.0 for j2 in j_values]))
-        dual_total += p_xi * dual
-        primal_total += p_xi * primal
-        for m2, c, x in zip(m_values, c_by_m, xs):
-            blocks[(ja2, jc2, m2)] = c @ x @ c.T
+    spins = range(n % 2, n + 1, 2)
+    prob = {j2: block_probability(n, HalfInt(j2), r) for j2 in spins}
+    for ja2 in spins:
+        for jc2 in spins:
+            gammas = _gamma_coupled(ja2, jc2, r)
+            b = np.arange(abs(ja2 - jc2), ja2 + jc2 + 1, 2) + 1.0
+            dual, primal, xs = _solve_sector(list(gammas.values()), b)
+            dual_total += prob[ja2] * prob[jc2] * dual
+            primal_total += prob[ja2] * prob[jc2] * primal
+            blocks.update(zip(gammas, xs))
     delta = 2.0 * primal_total
     return LmOptimum(
         delta_lm=delta, seed=SeedOperator(n=n, blocks=blocks), gap=2.0 * dual_total - delta

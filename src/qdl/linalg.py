@@ -1,4 +1,4 @@
-"""Dense complex-matrix kernel: Hermitian eigendecompositions, trace norms,
+"""Dense complex-matrix kernel: Hermitian spectra, trace norms,
 the purity and copy-count checks shared by every module, and qubit states.
 
 Matrices are plain complex ``numpy`` arrays in row-major order.  All
@@ -80,18 +80,6 @@ def require_hermitian(m, tol: float = HERMITICITY_TOL, names=None) -> np.ndarray
             f"conjugate by {dev[k, i, j]:.3e}"
         )
     return a
-
-
-def herm_eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns eigenvalues in descending order and the matching orthonormal
-    eigenvectors as columns, so that ``V @ diag(w) @ V.conj().T``
-    reconstructs the input.
-    """
-    a = require_hermitian(m)
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
-    return np.ascontiguousarray(w[::-1]), np.ascontiguousarray(v[:, ::-1])
 
 
 def herm_eigvals(m) -> np.ndarray:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
@@ -46,8 +45,7 @@ class ReadingConfig:
             raise ValueError(f"amplitude alpha0 {self.alpha0} must be finite")
         if not 0 < self.mu < math.inf:
             raise ValueError(f"prior width mu {self.mu} must be positive and finite")
-        if not (isinstance(self.n_aux, numbers.Integral) and self.n_aux >= 1):
-            raise ValueError(f"n_aux {self.n_aux} must be an integer >= 1")
+        check_count("n_aux", self.n_aux)
 
     @property
     def amplitude(self) -> float:
@@ -180,9 +178,7 @@ def concentrate_modes(alpha: complex, n: int) -> complex:
 
 
 def _hermite_nodes(order: int):
-    if not (isinstance(order, numbers.Integral) and order >= 1):
-        raise ValueError(f"quadrature_order {order!r} must be a positive integer")
-    return np.polynomial.hermite.hermgauss(order)
+    return np.polynomial.hermite.hermgauss(check_count("quadrature_order", order))
 
 
 def coherent_overlap(a, b) -> np.ndarray:

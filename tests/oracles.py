@@ -12,8 +12,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from qdl.angular import HalfInt, multiplicity, multiplicity_table, recoupling_batch, wigner_d
-from qdl.learning import spin_z_expectation
+from qdl.angular import (
+    HalfInt,
+    clebsch_gordan_slices,
+    multiplicity,
+    multiplicity_table,
+    recoupling_batch,
+    wigner_d,
+)
+from qdl.learning import block_probability, gamma_up, spin_z_expectation
 from qdl.linalg import as_matrix, check_purity, herm_eigvals, pauli_matrices, require_hermitian
 
 PSD_TOL = 1e-9
@@ -240,6 +247,36 @@ def sigma_pair(r: float, j2: int):
     pure0 = np.kron(p_ab / dj1, eye_j / dj)
     pure1 = np.kron(eye_j / dj, p_bc / dj1)
     return sigma0, sigma1, pure0, pure1, r * jz / j
+
+
+def _gamma_up_slices(n: int, r: float):
+    """Yield ((2ja, 2jc, 2m), g, C) for every slice of every sector of n
+    copies: g is the product-basis diagonal of ``gamma_up`` on the slice
+    m_a + m_c = m, over ascending m_a, and C the Clebsch-Gordan slice from it
+    to the coupled states |J m>, J ascending (one batched call for all)."""
+    spins = range(n % 2, n + 1, 2)
+    grids = {(a, c): gamma_up(n, r, HalfInt(a), HalfInt(c)) for a in spins for c in spins}
+    keys = [(a, c, m2) for a, c in grids for m2 in range(-(a + c), a + c + 1, 2)]
+    for (ja2, jc2, m2), c in zip(keys, clebsch_gordan_slices(keys)):
+        ma2 = np.arange(max(-ja2, m2 - jc2), min(ja2, m2 + jc2) + 1, 2)
+        yield (ja2, jc2, m2), grids[(ja2, jc2)][(ma2 + ja2) // 2, (m2 - ma2 + jc2) // 2], c
+
+
+def gamma_up_coupled(n: int, r: float) -> dict:
+    """The product-basis ``gamma_up`` of every sector of n copies rotated into
+    the coupled basis, C^T diag(g) C per slice, keyed by (2ja, 2jc, 2m)."""
+    return {key: c.T @ (g[:, None] * c) for key, g, c in _gamma_up_slices(n, r)}
+
+
+def seed_surrogate_product_basis(seed, r: float) -> float:
+    """Half the trace-norm surrogate of a coupled-basis seed, evaluated in the
+    product basis: the sum over sectors of p_a p_c sum_m tr(Gamma C X_m C^T)."""
+    n = seed.n
+    prob = {j2: block_probability(n, HalfInt(j2), r) for j2 in range(n % 2, n + 1, 2)}
+    return sum(
+        prob[key[0]] * prob[key[1]] * float(g @ np.diag(c @ seed.blocks[key] @ c.T))
+        for key, g, c in _gamma_up_slices(n, r)
+    )
 
 
 def tensor_product(a, b) -> np.ndarray:

@@ -319,6 +319,12 @@ def test_jordan_overlap_monotone_and_range_error():
         jordan_overlap(3, 1, 4)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, -1, 4, math.nan, "1"])
+def test_jordan_overlap_bad_sector_index_raises_naming_it(bad):
+    with pytest.raises(ValueError, match=f"^k={re.escape(repr(bad))} "):
+        jordan_overlap(3, 1, bad)
+
+
 def test_jordan_overlap_matches_6j_construction():
     # the overlap in sector J = nprime/2 + k equals the rescaled 6j symbol
     # (up to the overall coupling phase, which downstream consumers never see)

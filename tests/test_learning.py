@@ -121,6 +121,37 @@ def test_gamma_up_parity_validation():
         learning.gamma_up(2, 0.5, 0.5, 1.0)
 
 
+BAD_SPINS = [
+    pytest.param("ja=5/2", lambda: learning.gamma_up(1, 0.5, 2.5, 0.5), id="gamma-up-above-n"),
+    pytest.param("jc=2", lambda: learning.gamma_up(2, 0.5, 1, 2), id="gamma-up-above-n-integer"),
+    pytest.param("jc=-1/2", lambda: learning.gamma_up(1, 0.5, 0.5, -0.5), id="gamma-up-negative"),
+    pytest.param("ja=0", lambda: learning.gamma_up(1, 0.5, 0, 0.5), id="gamma-up-parity"),
+    pytest.param("j=-1", lambda: learning.spin_weights(-1, 0.5), id="spin-weights-negative"),
+    pytest.param("j=-1/2", lambda: learning.spin_z_expectation(-0.5, 0.5), id="spin-z-negative"),
+]
+
+
+@pytest.mark.parametrize("named, call", BAD_SPINS)
+def test_impossible_sector_spin_raises_naming_it(named, call):
+    with pytest.raises(ValueError, match=f"^spin {re.escape(named)} "):
+        call()
+
+
+@pytest.mark.parametrize("n", [39, 40])
+def test_coupled_conditional_operators_match_clebsch_gordan_rotation(n):
+    # every (ja, jc, m) of n copies, 2ja, 2jc <= 40, in the parity of n: the
+    # closed tridiagonal G_m against gamma_up's product-basis diagonal
+    # conjugated by Clebsch-Gordan slices, off-diagonal signs included
+    want = oracles.gamma_up_coupled(n, 0.7)
+    got = {}
+    for ja2 in range(n % 2, n + 1, 2):
+        for jc2 in range(n % 2, n + 1, 2):
+            got.update(learning._gamma_coupled(ja2, jc2, 0.7))
+    assert list(got) == list(want)
+    for key, g in got.items():
+        assert np.abs(g - want[key]).max() <= 1e-15, key
+
+
 def test_block_probabilities_normalized():
     for n in (1, 3, 5):
         for r in (0.2, 0.8):
@@ -191,6 +222,17 @@ def test_seed_optimization_certified_and_resolving(n, r):
     assert opt.seed.resolution_residual() <= 1e-8
 
 
+@pytest.mark.parametrize("r", [0.1, 0.55, 0.7, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_coupled_seed_rotated_to_product_basis_attains_delta(n, r):
+    # the coupled-basis seed, rotated back by Clebsch-Gordan slices, scores
+    # sum p_a p_c sum_m tr(Gamma C X_m C^T) = delta_lm / 2 against gamma_up
+    opt = learning.lm_mixed_optimize(n, r)
+    assert oracles.seed_surrogate_product_basis(opt.seed, r) == pytest.approx(
+        opt.delta_lm / 2, abs=1e-13
+    )
+
+
 def test_seed_optimization_rejects_large_n():
     with pytest.raises(ValueError, match="desk"):
         learning.lm_mixed_optimize(6, 0.5)
@@ -202,6 +244,7 @@ COUNT_ENTRIES = {
     "reversed_error": learning.reversed_error,
     "robustness_factors": lambda n: learning.robustness_factors(n, 0.5),
     "lm_mixed_optimize": lambda n: learning.lm_mixed_optimize(n, 0.5),
+    "gamma_up": lambda n: learning.gamma_up(n, 0.5, 0.5, 0.5),
 }
 
 

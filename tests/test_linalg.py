@@ -14,42 +14,24 @@ def random_hermitian(rng, dim):
 
 
 def test_herm_eig_identity():
-    w, v = linalg.herm_eig(np.eye(2))
-    assert np.allclose(w, [1.0, 1.0])
-    assert np.allclose(v.conj().T @ v, np.eye(2))
+    assert np.allclose(linalg.herm_eigvals(np.eye(2)), [1.0, 1.0])
 
 
 def test_herm_eig_diagonal_descending():
-    w, v = linalg.herm_eig(np.diag([3.0, -1.0]))
-    assert np.allclose(w, [3.0, -1.0])
-    # canonical basis vectors up to phase
-    assert abs(abs(v[0, 0]) - 1.0) < 1e-12
-    assert abs(abs(v[1, 1]) - 1.0) < 1e-12
+    assert np.allclose(linalg.herm_eigvals(np.diag([3.0, -1.0])), [3.0, -1.0])
 
 
 def test_herm_eig_pauli_x():
     # 2x2 characteristic polynomial by hand: lambda^2 - 1 = 0
     sx, _, _ = linalg.pauli_matrices()
-    w, _ = linalg.herm_eig(sx)
-    assert np.allclose(w, [1.0, -1.0])
-
-
-def test_herm_eig_reconstruction_and_orthonormality():
-    rng = np.random.default_rng(3)
-    for dim in (2, 5, 17, 40):
-        m = random_hermitian(rng, dim)
-        w, v = linalg.herm_eig(m)
-        assert np.all(np.diff(w) <= 1e-12)
-        recon = (v * w) @ v.conj().T
-        assert np.abs(recon - m).max() <= 1e-10 * dim
-        assert np.abs(v.conj().T @ v - np.eye(dim)).max() <= 1e-10
+    assert np.allclose(linalg.herm_eigvals(sx), [1.0, -1.0])
 
 
 def test_herm_eig_rejects_non_hermitian_naming_entry():
     m = np.eye(3, dtype=complex)
     m[0, 2] = 0.5
     with pytest.raises(ValueError, match=r"\(0,2\)|\(2,0\)"):
-        linalg.herm_eig(m)
+        linalg.herm_eigvals(m)
 
 
 def test_trace_norm_examples():

@@ -356,6 +356,11 @@ BAD_READING_INPUTS = [
                  id="order-negative"),
     pytest.param("mu inf", lambda: reading.ReadingConfig(0.9, math.inf, 4), id="mu-inf"),
     pytest.param("n_aux 2.5", lambda: reading.ReadingConfig(0.9, 1.0, 2.5), id="n-aux-fraction"),
+    pytest.param("n_aux True", lambda: reading.ReadingConfig(0.9, 0.5, True), id="n-aux-bool"),
+    pytest.param("quadrature_order True",
+                 lambda: reading.known_state_error(CFG, quadrature_order=True), id="order-bool"),
+    pytest.param("quadrature_order True",
+                 lambda: reading.finite_n_oracle(CFG, "collective", True), id="oracle-order-bool"),
 ]
 
 
