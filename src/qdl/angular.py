@@ -173,18 +173,24 @@ def wigner6j(j1, j2, j12, j3, j, j23) -> float:
     return phase * float(lam[row, col]) / math.sqrt((c2 + 1) * (f2 + 1))
 
 
+def check_spin(name: str, j, n=None) -> int:
+    """Doubled spin 2j, raising a ValueError that names it unless 2j >= 0
+    and, for a block of n copies, 2j <= n with the parity of n."""
+    j2 = _twice(j)
+    if j2 < 0 or n is not None and (j2 > n or (n - j2) % 2):
+        where = "" if n is None else f" for n={n} (2j must be 0..n with the parity of n)"
+        raise ValueError(f"spin {name}={HalfInt(j2)!r} is impossible{where}")
+    return j2
+
+
 def multiplicity(n: int, j) -> int:
     """Number of equivalent spin-j blocks of n qubits.
 
     Counts standard two-row Young tableaux, equivalently nonnegative
     random-walk paths of n half-steps ending at j.
     """
-    j2 = _twice(j)
-    if n < 1 or j2 < 0 or j2 > n:
-        raise ValueError(f"j={HalfInt(j2)} out of range for n={n}")
-    if (n - j2) % 2:
-        raise ValueError(f"j={HalfInt(j2)} has wrong parity for n={n}")
-    k = (n - j2) // 2
+    n = check_count("n", n)
+    k = (n - check_spin("j", j, n)) // 2
     return math.comb(n, k) - (math.comb(n, k - 1) if k >= 1 else 0)
 
 
@@ -194,10 +200,9 @@ def block_coefficient(n: int, j, r: float) -> float:
 
     Satisfies sum_j multiplicity * (2j+1) * coefficient = 1.
     """
+    n = check_count("n", n)
+    j2 = check_spin("j", j, n)
     r = check_purity(r)
-    j2 = _twice(j)
-    if (n - j2) % 2 or j2 < 0 or j2 > n:
-        raise ValueError(f"j={HalfInt(j2)} invalid for n={n}")
     k = (n - j2) // 2
     if r == 0.0:
         return 0.5**n

@@ -35,11 +35,18 @@ def _csv(stream, header, rows) -> int:
 
 
 def _thread_count() -> int:
-    raw = os.environ.get("QDL_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+    """Sweep workers from QDL_THREADS: 1 when unset or empty, otherwise an
+    integer >= 1."""
+    raw = os.environ.get("QDL_THREADS", "")
+    if not raw:
         return 1
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"QDL_THREADS {raw!r} is not an integer >= 1")
+    return count
 
 
 def _sweep(fn, xs):

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angular import HalfInt, block_coefficient, multiplicity
+from .angular import HalfInt, block_coefficient, check_spin, multiplicity
 from .linalg import check_count, check_purity
 
 # log-barrier schedule of the seed solver: t grows by _BARRIER_GROWTH until
@@ -64,20 +64,10 @@ def lm_error(n: int) -> float:
     return norm_sq / (d * (n + 2))
 
 
-def _spin2(name: str, j, n=None) -> int:
-    """Doubled spin 2j, raising a ValueError that names it unless 2j >= 0
-    and, for a block of n copies, 2j <= n with the parity of n."""
-    j2 = HalfInt.coerce(j).twice
-    if j2 < 0 or n is not None and (j2 > n or (n - j2) % 2):
-        where = "" if n is None else f" for n={n} (2j must be 0..n with the parity of n)"
-        raise ValueError(f"spin {name}={HalfInt(j2)!r} is impossible{where}")
-    return j2
-
-
 def spin_weights(j, r: float) -> np.ndarray:
     """Normalized magnetic-number weights of a spin-j block of a purity-r
     tensor power, ordered m = -j..j."""
-    j2 = _spin2("j", j)
+    j2 = check_spin("j", j)
     r = check_purity(r)
     if r == 0.0:
         return np.full(j2 + 1, 1.0 / (j2 + 1))
@@ -94,7 +84,8 @@ def spin_z_expectation(j, r: float) -> float:
 
 def block_probability(n: int, j, r: float) -> float:
     """Probability that an n-fold purity-r power projects onto spin j."""
-    j2 = HalfInt.coerce(j).twice
+    n = check_count("n", n)
+    j2 = check_spin("j", j, n)
     return multiplicity(n, j) * (j2 + 1) * block_coefficient(n, j, r)
 
 
@@ -115,7 +106,7 @@ def gamma_up(n: int, r: float, ja, jc) -> np.ndarray:
     """
     n = check_count("n", n)
     r = check_purity(r, zero=False)
-    ja2, jc2 = _spin2("ja", ja, n), _spin2("jc", jc, n)
+    ja2, jc2 = check_spin("ja", ja, n), check_spin("jc", jc, n)
     side_a = _conditional_factor(ja2, r) * np.arange(-ja2, ja2 + 1, 2) / 2.0
     side_c = _conditional_factor(jc2, r) * np.arange(-jc2, jc2 + 1, 2) / 2.0
     return (side_a[:, None] - side_c[None, :]) / (2.0 * (ja2 + 1) * (jc2 + 1))

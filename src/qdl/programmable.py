@@ -23,6 +23,7 @@ from scipy import special as _sp
 
 from .angular import (
     block_coefficient,
+    check_spin,
     jordan_overlap,
     multiplicity_table,
     recoupling_batch,
@@ -324,11 +325,8 @@ def averaged_block_coefficient(kind: str, m: int, j) -> float:
     "chernoff" the distinguishability-induced measure, whose average comes
     out as sums of incomplete beta functions.
     """
-    from .angular import HalfInt
-
-    j2 = HalfInt.coerce(j).twice
-    if (m - j2) % 2 or j2 < 0 or j2 > m:
-        raise ValueError(f"j={HalfInt(j2)} invalid for m={m}")
+    m = check_count("m", m)
+    j2 = check_spin("j", j, m)
     half_m = m / 2.0
     jv = j2 / 2.0
     if kind == "hard-sphere":

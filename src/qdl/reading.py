@@ -7,9 +7,10 @@ a known centre; n auxiliary modes from the same source help.  Closed forms
 cover the asymptotic excess risk of the optimal collective measurement and
 of estimate-and-discriminate receivers built on squeezed heterodyne
 detection, including the optimal squeezing.  A finite-n oracle evaluates
-both strategies from the Gram matrices of the coherent states they mix:
-<a|b> = exp(-|a|^2/2 - |b|^2/2 + conj(a) b) is analytic, so no number-basis
-cutoff enters.
+both strategies on the coherent (product) states they mix and computes
+only the overlap rows that a pivoted span factor needs; <a|b> =
+exp(-|a|^2/2 - |b|^2/2 + conj(a) b) is analytic, so no number-basis cutoff
+enters.
 
 All closed forms take the amplitude modulus; a global phase rotation makes
 the localisation centre real and nonnegative without loss of generality.
@@ -26,7 +27,7 @@ import numpy as np
 
 from .linalg import check_count
 
-# relative Gram trace left out of a span factor (see _span_factor)
+# relative weight left out of a span factor (see _span_factor)
 _SPAN_TOL = 1e-15
 # largest |squeeze| for which e^(2 |squeeze|) is a finite float
 _SQUEEZE_MAX = 0.5 * math.log(sys.float_info.max)
@@ -182,44 +183,53 @@ def _hermite_nodes(order: int):
 
 
 def coherent_overlap(a, b) -> np.ndarray:
-    """Matrix of coherent-state overlaps <a_i|b_j> for amplitude vectors a
-    and b: exp(-|a_i|^2/2 - |b_j|^2/2 + conj(a_i) b_j)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    g = np.multiply.outer(np.conj(a), b)
-    g -= np.add.outer(np.abs(a) ** 2 / 2.0, np.abs(b) ** 2 / 2.0)
+    """Matrix of overlaps <a_i|b_j> of coherent product states.
+
+    Row i of a (or b) holds the amplitudes of one product state, one column
+    per mode; a 1-D input is one mode.  The overlap is
+    exp(conj(a_i).b_j - |a_i|^2/2 - |b_j|^2/2), with the dot product and
+    the norms summed over modes.
+    """
+    a = np.asarray(a, dtype=complex).reshape(len(a), -1)
+    b = np.asarray(b, dtype=complex).reshape(len(b), -1)
+    g = np.conj(a) @ b.T
+    g -= np.add.outer((np.abs(a) ** 2).sum(axis=1) / 2.0, (np.abs(b) ** 2).sum(axis=1) / 2.0)
     return np.exp(g, out=g)
 
 
-def _span_factor(gram: np.ndarray) -> np.ndarray:
-    """Pivoted Cholesky factor R (rank x K) with R^H R ~= gram, the Gram
-    matrix of K states.
+def _span_factor(amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Pivoted Cholesky factor R (rank x K) with R^H R ~= G, the Gram
+    matrix of the K states sqrt(w_k)|amps_k> (product states as in
+    :func:`coherent_overlap`).
 
-    Each step takes the state farthest from the span of those taken so far;
-    R^H R is the Gram matrix of the states projected onto that span, and d
-    holds their squared distances from it.  The loop stops once the
-    discarded mass eps = sum(d), the trace of the Schur complement, is at
-    most _SPAN_TOL * tr(gram).
+    Each step takes the state farthest from the span of those taken so far
+    and computes only its row of G; R^H R is the Gram matrix of the states
+    projected onto that span, and d holds their squared distances from it,
+    starting at the weights (coherent states have unit norm).  The loop
+    stops once the discarded mass eps = sum(d), the trace of the Schur
+    complement, is at most _SPAN_TOL * sum(weights).
 
     Error bound.  An operator sum_k c_k |v_k><v_k| (real c) is replaced by
     its compression to the span, whose nonzero spectrum is that of
     R diag(c) R^H.  Compression never raises the trace norm (pinching) and
-    lowers it by at most 2 sqrt(T eps') + eps', with T = sum_k |c_k| gram_kk
+    lowers it by at most 2 sqrt(T eps') + eps', with T = sum_k |c_k| w_k
     and eps' = sum_k |c_k| d_k.  Both oracles weigh each state by one in
-    total (eyd up to its heterodyne quadrature) and have tr(gram) = 2, so
-    up to rounding their error probability is never below the exact value
-    at the given quadrature and exceeds it by at most
+    total (eyd up to its heterodyne quadrature) and have sum(weights) = 2,
+    so up to rounding their error probability is never below the exact
+    value at the given quadrature and exceeds it by at most
     sqrt(_SPAN_TOL) + _SPAN_TOL / 2, about 3.2e-8; against a truncated-Fock
     evaluation the excess is of the order of eps itself, a few 1e-15.
     """
-    d = gram.diagonal().real.copy()
+    d = np.array(weights, dtype=float)
+    sw = np.sqrt(d)
     stop = _SPAN_TOL * d.sum()
-    r = np.zeros(gram.shape, dtype=gram.dtype)  # pages past the rank stay untouched
+    r = np.zeros((len(d), len(d)), dtype=complex)  # pages past the rank stay untouched
     for i in range(len(d)):
         if d.sum() <= stop:
             return r[:i]
         p = int(np.argmax(d))
-        r[i] = (gram[p] - r[:i, p].conj() @ r[:i]) / math.sqrt(d[p])
+        row = coherent_overlap(amps[p : p + 1], amps)[0] * (sw[p] * sw)
+        r[i] = (row - r[:i, p].conj() @ r[:i]) / math.sqrt(d[p])
         d -= np.abs(r[i]) ** 2
         d[p] = 0.0
     return r
@@ -253,8 +263,8 @@ def finite_n_oracle(
     """Average error of a strategy at finite n.
 
     The Gaussian prior is integrated with a tensor Gauss-Hermite rule of the
-    given order per axis, and the Helstrom operators are evaluated on the
-    Gram matrix of the coherent states they mix (error bound in
+    given order per axis, and the Helstrom operators are evaluated in the
+    span of the coherent states they mix (error bound in
     :func:`_span_factor`).  ``strategy`` is "collective" (joint optimal
     measurement of the concentrated auxiliary mode and the signal) or "eyd"
     (squeezed-heterodyne estimation with squeezing ``squeeze``, followed by
@@ -271,14 +281,9 @@ def _oracle_collective(cfg: ReadingConfig, order: int) -> float:
     u, wt = _prior_grid(cfg.mu, order)
     k = len(u)
     # displaced frame: the auxiliary mode carries u, the signal -a0 (no hit)
-    # or u/sqrt(n) (hit); each weighted product state sqrt(w_k)|u_k>|s> has
-    # the overlaps of its two modes multiplied
+    # or u/sqrt(n) (hit); the 2K product states sqrt(w_k)|u_k>|s>
     sig = np.concatenate([np.full(k, -cfg.amplitude), u / math.sqrt(cfg.n_aux)])
-    gram = coherent_overlap(sig, sig)
-    sw = np.sqrt(wt)
-    pairs = gram.reshape(2, k, 2, k)  # a view: (hypothesis, node) twice
-    pairs *= (coherent_overlap(u, u) * np.outer(sw, sw))[:, None, :]
-    r = _span_factor(gram)
+    r = _span_factor(np.stack([np.tile(u, 2), sig], axis=1), np.tile(wt, 2))
     # the hypotheses' difference V J V^H, J = diag(1, -1), has the nonzero
     # spectrum of R J R^H
     w = np.linalg.eigvalsh((r[:, :k] @ r[:, :k].conj().T) - (r[:, k:] @ r[:, k:].conj().T))
@@ -295,8 +300,7 @@ def _oracle_eyd(cfg: ReadingConfig, order: int, squeeze: float) -> float:
     # one factor of the states |-a0> and sqrt(w_k)|u_k/sqrt(n)> serves every
     # heterodyne node
     states = np.concatenate([[-cfg.amplitude], u / math.sqrt(cfg.n_aux)])
-    sw = np.concatenate([[1.0], np.sqrt(wu)])
-    r = _span_factor(coherent_overlap(states, states) * np.outer(sw, sw))
+    r = _span_factor(states[:, None], np.concatenate([[1.0], wu]))
 
     # heterodyne outcome v = u + Gaussian noise with axis variances var1 and
     # var2; integrate v with a matched Gauss-Hermite grid
@@ -324,54 +328,3 @@ def _oracle_eyd(cfg: ReadingConfig, order: int, squeeze: float) -> float:
     # that mass can be off one by a quarter, and shrinks the quadrature error
     total = float(v_jac @ np.abs(np.linalg.eigvalsh(ops)).sum(axis=1))
     return 0.5 * (1.0 - 0.5 * total / float(v_jac @ p_v))
-
-
-def eigvec_overlap_identities(alpha0) -> dict:
-    """Squared number-state overlaps of the eigenvectors of the rank-2
-    difference of the two displaced signal hypotheses.
-
-    Returns the overlaps with |0> and |1> of the +/- eigenvectors, the
-    |1>-overlap of the in-plane-orthogonal complement, and the completeness
-    defect of the three |1>-overlaps; closed forms that the construction
-    from the number-state amplitudes must reproduce.
-    """
-    a = _check_amplitude(alpha0)
-    x, q, u, s = _exp_terms(a)
-    # |0> and |-a> overlap in e^(-x/2) = 1 - h; their normalized sum and
-    # difference have norms sqrt(2 - h) and sqrt(h), and the vacuum entry of
-    # the difference is -h, taken from expm1 rather than by subtraction
-    h = -math.expm1(-x / 2.0)
-    # only the |0> and |1> amplitudes of |-a>, e and -a e, enter
-    e = math.exp(-x / 2.0)
-    plus_dir = np.array([1.0 + e, -a * e]) / math.sqrt(2.0 - h)
-    minus_dir = np.array([-h, -a * e]) / math.sqrt(h)
-    v_plus = 0.5 * (plus_dir + minus_dir)
-    v_minus = 0.5 * (plus_dir - minus_dir)
-    ov0 = {
-        "+": abs(v_plus[0]) ** 2,
-        "-": abs(v_minus[0]) ** 2,
-        "closed+": 0.5 * q / (1.0 + s),
-        "closed-": 0.5 * (1.0 + s),
-    }
-    # x / (e^x - 1) = x q / u, and 1 - s = q / (1 + s)
-    ov1 = {
-        "+": abs(v_plus[1]) ** 2,
-        "-": abs(v_minus[1]) ** 2,
-        "closed+": 0.5 * x * q * (1.0 + s) / u,
-        "closed-": 0.5 * x * q * q / ((1.0 + s) * u),
-    }
-    # 1 - x q / u; for faint signals u - x q = x (u - (x - u)/x), which
-    # does not cancel
-    if x > 1.0:
-        ov1_perp = 1.0 - x * q / u
-    else:
-        ov1_perp = x * (u - _exp_remainder(x)) / u
-    completeness = ov1["+"] + ov1["-"] + ov1_perp - 1.0
-    gap0 = 2.0 * s
-    return {
-        "overlap0": ov0,
-        "overlap1": ov1,
-        "overlap1_perp": ov1_perp,
-        "completeness_defect": completeness,
-        "zero_order_gap": gap0,
-    }

@@ -22,6 +22,13 @@ from qdl.angular import (
 )
 from qdl.learning import block_probability, gamma_up, spin_z_expectation
 from qdl.linalg import as_matrix, check_purity, herm_eigvals, pauli_matrices, require_hermitian
+from qdl.reading import (
+    _check_amplitude,
+    _exp_remainder,
+    _exp_terms,
+    _hermite_nodes,
+    _prior_grid,
+)
 
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
@@ -594,8 +601,6 @@ def reading_oracle_fock(cfg, strategy, quadrature_order, squeeze=0.0) -> float:
     """``reading.finite_n_oracle`` with every coherent state written out in a
     truncated Fock basis: the collective strategy as one dense Kronecker
     operator, eyd as one dense eigensolve per heterodyne node."""
-    from qdl.reading import _hermite_nodes, _prior_grid
-
     a0 = cfg.amplitude
     n = cfg.n_aux
     u, wt = _prior_grid(cfg.mu, quadrature_order)
@@ -642,3 +647,54 @@ def reading_oracle_fock(cfg, strategy, quadrature_order, squeeze=0.0) -> float:
         wdiff = np.linalg.eigvalsh(p_v[i] * vac_proj - sigma)
         total += v_jac[i] * float(np.abs(wdiff).sum())
     return 0.5 * (1.0 - 0.5 * total / float(v_jac @ p_v))
+
+
+def eigvec_overlap_identities(alpha0) -> dict:
+    """Squared number-state overlaps of the eigenvectors of the rank-2
+    difference of the two displaced signal hypotheses.
+
+    Returns the overlaps with |0> and |1> of the +/- eigenvectors, the
+    |1>-overlap of the in-plane-orthogonal complement, and the completeness
+    defect of the three |1>-overlaps; closed forms that the construction
+    from the number-state amplitudes must reproduce.
+    """
+    a = _check_amplitude(alpha0)
+    x, q, u, s = _exp_terms(a)
+    # |0> and |-a> overlap in e^(-x/2) = 1 - h; their normalized sum and
+    # difference have norms sqrt(2 - h) and sqrt(h), and the vacuum entry of
+    # the difference is -h, taken from expm1 rather than by subtraction
+    h = -math.expm1(-x / 2.0)
+    # only the |0> and |1> amplitudes of |-a>, e and -a e, enter
+    e = math.exp(-x / 2.0)
+    plus_dir = np.array([1.0 + e, -a * e]) / math.sqrt(2.0 - h)
+    minus_dir = np.array([-h, -a * e]) / math.sqrt(h)
+    v_plus = 0.5 * (plus_dir + minus_dir)
+    v_minus = 0.5 * (plus_dir - minus_dir)
+    ov0 = {
+        "+": abs(v_plus[0]) ** 2,
+        "-": abs(v_minus[0]) ** 2,
+        "closed+": 0.5 * q / (1.0 + s),
+        "closed-": 0.5 * (1.0 + s),
+    }
+    # x / (e^x - 1) = x q / u, and 1 - s = q / (1 + s)
+    ov1 = {
+        "+": abs(v_plus[1]) ** 2,
+        "-": abs(v_minus[1]) ** 2,
+        "closed+": 0.5 * x * q * (1.0 + s) / u,
+        "closed-": 0.5 * x * q * q / ((1.0 + s) * u),
+    }
+    # 1 - x q / u; for faint signals u - x q = x (u - (x - u)/x), which
+    # does not cancel
+    if x > 1.0:
+        ov1_perp = 1.0 - x * q / u
+    else:
+        ov1_perp = x * (u - _exp_remainder(x)) / u
+    completeness = ov1["+"] + ov1["-"] + ov1_perp - 1.0
+    gap0 = 2.0 * s
+    return {
+        "overlap0": ov0,
+        "overlap1": ov1,
+        "overlap1_perp": ov1_perp,
+        "completeness_defect": completeness,
+        "zero_order_gap": gap0,
+    }

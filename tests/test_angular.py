@@ -225,6 +225,33 @@ def test_multiplicity_parity_error():
         multiplicity(4, 0.5)
 
 
+SPIN_BLOCK_COUNTS = {
+    "multiplicity": lambda n: multiplicity(n, 0.5),
+    "block_coefficient": lambda n: block_coefficient(n, 0.5, 0.5),
+}
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 3.0, math.nan, True, "4"])
+@pytest.mark.parametrize("entry", sorted(SPIN_BLOCK_COUNTS))
+def test_spin_block_bad_copy_count_raises_naming_it(entry, bad):
+    with pytest.raises(ValueError, match=f"^n {re.escape(repr(bad))} "):
+        SPIN_BLOCK_COUNTS[entry](bad)
+
+
+@pytest.mark.parametrize(
+    "named, call",
+    [
+        pytest.param("j=2", lambda: multiplicity(2, 2), id="multiplicity-above-n"),
+        pytest.param("j=-1/2", lambda: multiplicity(3, -0.5), id="multiplicity-negative"),
+        pytest.param("j=5/2", lambda: block_coefficient(3, 2.5, 0.5), id="coefficient-above-n"),
+        pytest.param("j=1", lambda: block_coefficient(3, 1, 0.5), id="coefficient-parity"),
+    ],
+)
+def test_spin_block_impossible_spin_raises_naming_it(named, call):
+    with pytest.raises(ValueError, match=f"^spin {re.escape(named)} "):
+        call()
+
+
 def test_multiplicity_dimension_identity():
     for n in range(1, 21):
         total = sum(

@@ -195,6 +195,23 @@ def test_table_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+@pytest.mark.parametrize("bad", ["abc", "0", "-2", "2.5"])
+def test_table_refuses_malformed_thread_env(monkeypatch, bad):
+    monkeypatch.setenv("QDL_THREADS", bad)
+    code, out, err = run_cli(["table", "--figure", "fig3.5", "--xmin", "0", "--xmax", "0.01",
+                              "--step", "0.01"])
+    assert code == 1 and not out
+    assert err.startswith(f"error: QDL_THREADS {bad!r} ")
+
+
+def test_table_empty_thread_env_is_the_default(monkeypatch):
+    base = ["table", "--figure", "fig3.5", "--xmin", "0", "--xmax", "0.01", "--step", "0.01"]
+    monkeypatch.delenv("QDL_THREADS", raising=False)
+    unset = run_cli(base)
+    monkeypatch.setenv("QDL_THREADS", "")
+    assert run_cli(base) == unset and unset[0] == 0
+
+
 def test_table_svg_written(tmp_path):
     csv_file = tmp_path / "t.csv"
     svg_file = tmp_path / "t.svg"

@@ -128,6 +128,10 @@ BAD_SPINS = [
     pytest.param("ja=0", lambda: learning.gamma_up(1, 0.5, 0, 0.5), id="gamma-up-parity"),
     pytest.param("j=-1", lambda: learning.spin_weights(-1, 0.5), id="spin-weights-negative"),
     pytest.param("j=-1/2", lambda: learning.spin_z_expectation(-0.5, 0.5), id="spin-z-negative"),
+    pytest.param("j=1/2", lambda: learning.block_probability(2, 0.5, 0.5),
+                 id="block-probability-parity"),
+    pytest.param("j=2", lambda: learning.block_probability(3, 2, 0.5),
+                 id="block-probability-above-n"),
 ]
 
 
@@ -245,6 +249,7 @@ COUNT_ENTRIES = {
     "robustness_factors": lambda n: learning.robustness_factors(n, 0.5),
     "lm_mixed_optimize": lambda n: learning.lm_mixed_optimize(n, 0.5),
     "gamma_up": lambda n: learning.gamma_up(n, 0.5, 0.5, 0.5),
+    "block_probability": lambda n: learning.block_probability(n, 0.5, 0.5),
 }
 
 

@@ -173,6 +173,9 @@ COUNT_ARGUMENTS = {
     "PortLoad-n_a": ("n_a", lambda v: prog.PortLoad(v, 1, 1)),
     "PortLoad-n_b": ("n_b", lambda v: prog.PortLoad(1, v, 1)),
     "PortLoad-n_c": ("n_c", lambda v: prog.PortLoad(1, 1, v)),
+    "averaged_block_coefficient-m": (
+        "m", lambda v: prog.averaged_block_coefficient("bures", v, 0.5)
+    ),
 }
 
 

@@ -202,6 +202,24 @@ def test_coherent_overlap_matches_fock_vectors():
     want = vecs.conj() @ vecs.T
     assert np.abs(reading.coherent_overlap(amps, amps) - want).max() < 1e-12
     assert reading.coherent_overlap(amps[1:2], amps[3:]).shape == (1, 2)
+    # two-mode product states, one row each, against Kronecker products
+    pairs = np.stack([amps, amps[::-1]], axis=1)
+    prods = np.stack([np.kron(va, vb) for va, vb in zip(vecs, vecs[::-1])])
+    got = reading.coherent_overlap(pairs, pairs[1:4])
+    assert np.abs(got - prods.conj() @ prods[1:4].T).max() < 1e-12
+
+
+def test_coherent_overlap_of_one_mode_is_the_single_mode_formula():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=30) + 1j * rng.normal(size=30)
+    b = 2.0 * (rng.normal(size=20) + 1j * rng.normal(size=20))
+    want = np.exp(
+        np.multiply.outer(np.conj(a), b)
+        - np.add.outer(np.abs(a) ** 2 / 2.0, np.abs(b) ** 2 / 2.0)
+    )
+    got = reading.coherent_overlap(a, b)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() < 4e-15
 
 
 def test_gaussian_prior_quadrature_moments():
@@ -214,7 +232,7 @@ def test_gaussian_prior_quadrature_moments():
 
 def test_eigvec_overlap_identities():
     for a0 in (1e-9, 0.6, 1.0, 1.7, 5.0, 40.0):
-        ids = reading.eigvec_overlap_identities(a0)
+        ids = oracles.eigvec_overlap_identities(a0)
         for key in ("+", "-"):
             assert ids["overlap0"][key] == pytest.approx(
                 ids["overlap0"]["closed" + key], abs=1e-12
@@ -232,7 +250,7 @@ def test_eigvec_overlap_identities():
 def test_eigvec_overlap_identities_at_extreme_amplitudes(a0):
     # the faint and the bright end give finite values, matched by the
     # truncated construction to relative precision
-    ids = reading.eigvec_overlap_identities(a0)
+    ids = oracles.eigvec_overlap_identities(a0)
     for group in ("overlap0", "overlap1"):
         for key in ("+", "-"):
             got, want = ids[group][key], ids[group]["closed" + key]
@@ -290,12 +308,21 @@ def test_gram_oracles_match_fock_reference(a0, mu, naux, order):
 
 def test_span_factor_reproduces_gram_matrix():
     z = np.linspace(-1.0, 1.0, 40) * (1 + 0.5j)
-    gram = reading.coherent_overlap(z, z)
-    r = reading._span_factor(gram)
-    assert len(r) < len(z)  # nearby coherent states span few dimensions
-    resid = gram - r.conj().T @ r
-    assert np.trace(resid).real <= reading._SPAN_TOL * len(z)
-    assert np.abs(resid).max() < 1e-14
+    cases = [(z, np.ones(len(z)), reading.coherent_overlap(z, z))]
+    # the collective oracle's weighted two-mode product states: their Gram
+    # matrix is the product of the single-mode ones, scaled by sqrt(w_i w_j)
+    u, wt = reading._prior_grid(0.5, 6)
+    sig = np.concatenate([np.full(len(u), -0.9), u / 4.0])
+    aux = np.tile(u, 2)
+    w = np.tile(wt, 2)
+    gram = reading.coherent_overlap(aux, aux) * reading.coherent_overlap(sig, sig)
+    cases.append((np.stack([aux, sig], axis=1), w, gram * np.sqrt(np.outer(w, w))))
+    for amps, weights, gram in cases:
+        r = reading._span_factor(amps, weights)
+        assert len(r) < len(amps)  # nearby coherent states span few dimensions
+        resid = gram - r.conj().T @ r
+        assert np.trace(resid).real <= reading._SPAN_TOL * weights.sum()
+        assert np.abs(resid).max() < 1e-14
 
 
 def test_oracle_orders_24_and_32_agree():
@@ -305,6 +332,13 @@ def test_oracle_orders_24_and_32_agree():
             reading.finite_n_oracle(cfg, strategy, order, squeeze=squeeze) for order in (24, 32)
         )
         assert abs(pe24 - pe32) < 1e-9, strategy
+
+
+def test_collective_oracle_orders_32_and_48_agree():
+    # 2 x 48^2 states: the span factor builds only the rows it pivots on
+    cfg = reading.ReadingConfig(alpha0=0.9, mu=1.0, n_aux=16)
+    pe32, pe48 = (reading.finite_n_oracle(cfg, "collective", order) for order in (32, 48))
+    assert abs(pe32 - pe48) < 1e-9
 
 
 @settings(deadline=None)
