@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -59,6 +60,9 @@ def _sweep(fn, xs):
 
 
 def _grid(xmin: float, xmax: float, step: float):
+    for name, value in (("--xmin", xmin), ("--xmax", xmax), ("--step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} {value} is not a finite number")
     if step <= 0 or xmax < xmin:
         return []
     out = []

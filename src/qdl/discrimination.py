@@ -197,8 +197,8 @@ def chernoff_classical(p1, p2) -> float:
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("distributions must be 1-D of equal length")
     for name, p in (("p1", a), ("p2", b)):
-        if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{name} is not a normalized distribution")
+        if not (p.min() >= -1e-12 and abs(p.sum() - 1.0) <= 1e-9):
+            raise ValueError(f"{name} {p.tolist()} is not a normalized distribution")
     joint = (a > 0) & (b > 0)
     if not np.any(joint):
         return math.inf

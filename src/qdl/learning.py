@@ -66,13 +66,13 @@ def lm_error(n: int) -> float:
 
 def spin_weights(j, r: float) -> np.ndarray:
     """Normalized magnetic-number weights of a spin-j block of a purity-r
-    tensor power, ordered m = -j..j."""
+    tensor power, ordered m = -j..j.
+
+    Relative to the top weight, w_m = ((1 - r)/(1 + r))^(j - m), which
+    cannot all underflow at large j."""
     j2 = check_spin("j", j)
     r = check_purity(r)
-    if r == 0.0:
-        return np.full(j2 + 1, 1.0 / (j2 + 1))
-    m2 = np.arange(-j2, j2 + 1, 2)
-    w = ((1.0 - r) / 2.0) ** ((j2 - m2) / 2) * ((1.0 + r) / 2.0) ** ((j2 + m2) / 2)
+    w = ((1.0 - r) / (1.0 + r)) ** np.arange(j2, -1, -1)
     return w / w.sum()
 
 
@@ -291,12 +291,12 @@ def reversed_error(n: int) -> float:
 def robustness_factors(n: int, r: float) -> RobustnessFactors:
     """Noise and training-fluctuation scaling of the trained machine.
 
-    Returns the factor r (1 - (1-r)/(n r^2)) by which the conditional
+    Returns the factor r - (1-r)/(n r) by which the conditional
     averages shrink relative to the pure equal-split problem, and the
     resulting excess-risk prediction 1/(3 n r).  Training-set fluctuations
     only enter beyond this order.
     """
     n = check_count("n", n)
     r = check_purity(r, zero=False)
-    scaling = r * (1.0 - (1.0 - r) / (n * r * r))
+    scaling = r - (1.0 - r) / (n * r)
     return RobustnessFactors(scaling=scaling, excess_risk=1.0 / (3.0 * n * r))

@@ -72,9 +72,10 @@ def require_hermitian(m, tol: float = HERMITICITY_TOL, names=None) -> np.ndarray
             )
     if stack.shape[1] != stack.shape[2]:
         raise ValueError(f"matrix of shape {stack.shape[1:]} is not square")
-    dev = np.abs(stack - stack.conj().transpose(0, 2, 1))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
+        dev = np.abs(stack - stack.conj().transpose(0, 2, 1))
     k, i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)
-    if dev[k, i, j] > tol:
+    if not dev[k, i, j] <= tol:
         raise ValueError(
             f"{names[k]} is not Hermitian: entry ({i},{j}) deviates from its "
             f"conjugate by {dev[k, i, j]:.3e}"
@@ -113,8 +114,8 @@ class QubitState:
     def __post_init__(self):
         object.__setattr__(self, "purity", check_purity(self.purity))
         v = np.asarray(self.bloch, dtype=float)
-        if v.shape != (3,) or abs(np.linalg.norm(v) - 1.0) > 1e-9:
-            raise ValueError("bloch must be a unit 3-vector")
+        if v.shape != (3,) or not abs(np.linalg.norm(v) - 1.0) <= 1e-9:
+            raise ValueError(f"bloch {self.bloch!r} must be a finite unit 3-vector")
         object.__setattr__(self, "bloch", v)
 
     def density(self) -> np.ndarray:

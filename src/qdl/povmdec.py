@@ -314,6 +314,9 @@ def find_extremal_vertex(vectors: np.ndarray) -> np.ndarray:
     d = math.isqrt(vectors.shape[1] + 1)
     if d * d != vectors.shape[1] + 1:
         raise ValueError("Bloch vectors must have length d^2 - 1")
+    bad = np.flatnonzero(~np.isfinite(vectors).all(axis=1))
+    if len(bad):
+        raise ValueError(f"Bloch vector {bad[0]} {vectors[bad[0]].tolist()} is not finite")
     return _solve_vertex(*_vertex_lp(vectors))
 
 
@@ -475,10 +478,6 @@ def ordered_decompose(p: Povm, criterion: str = "fewest-outcomes") -> Decomposit
 # ---------------------------------------------------------------------------
 
 
-def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
 def povm_to_json(p: Povm) -> dict:
     """Each matrix as rows of [re, im] entry pairs."""
     matrices = np.stack([p.ops.real, p.ops.imag], -1).tolist()
@@ -491,12 +490,31 @@ def povm_to_json(p: Povm) -> dict:
 
 
 def povm_from_json(data) -> Povm:
+    """Inverse of :func:`povm_to_json`.  A malformed document raises a
+    ``ValueError`` that names the element at fault by index and label."""
     if isinstance(data, str):
         data = json.loads(data)
-    elements = tuple(
-        (e["label"], _matrix_from_json(e["matrix"])) for e in data["elements"]
-    )
-    return Povm(dim=int(data["dim"]), elements=elements)
+    if not isinstance(data, dict):
+        raise ValueError(f"POVM JSON must be an object, not a {type(data).__name__}")
+    where = "POVM JSON"
+    try:
+        dim = data["dim"]
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise ValueError(f"dim {dim!r} is not an integer")
+        elements = []
+        for k, e in enumerate(data["elements"]):
+            where = f"POVM JSON element {k}"  # by index alone if the label is missing
+            where += f" {e['label']!r}"
+            m = np.ascontiguousarray(e["matrix"], dtype=float)
+            if m.shape != (dim, dim, 2):
+                raise ValueError(f"matrix of shape {m.shape} is not ({dim}, {dim}, 2)")
+            # a float64 (re, im) pair is laid out as one complex128: exactly
+            # complex(re, im), signed zeros included
+            elements.append((e["label"], m.view(complex)[..., 0]))
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        reason = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValueError(f"{where}: {reason}") from exc
+    return Povm(dim=dim, elements=tuple(elements))
 
 
 def decomposition_to_json(result: DecompositionResult) -> dict:

@@ -7,10 +7,10 @@ a known centre; n auxiliary modes from the same source help.  Closed forms
 cover the asymptotic excess risk of the optimal collective measurement and
 of estimate-and-discriminate receivers built on squeezed heterodyne
 detection, including the optimal squeezing.  A finite-n oracle evaluates
-both strategies on the coherent (product) states they mix and computes
-only the overlap rows that a pivoted span factor needs; <a|b> =
-exp(-|a|^2/2 - |b|^2/2 + conj(a) b) is analytic, so no number-basis cutoff
-enters.
+both strategies on the coherent (product) states they mix, computing only
+the overlap rows a pivoted span factor needs (<a|b> is analytic, so no
+number-basis cutoff enters); eyd integrates each quadrature axis of its
+heterodyne outcome with its own Gaussian kernel.
 
 All closed forms take the amplitude modulus; a global phase rotation makes
 the localisation centre real and nonnegative without loss of generality.
@@ -303,26 +303,25 @@ def _oracle_eyd(cfg: ReadingConfig, order: int, squeeze: float) -> float:
     r = _span_factor(states[:, None], np.concatenate([[1.0], wu]))
 
     # heterodyne outcome v = u + Gaussian noise with axis variances var1 and
-    # var2; integrate v with a matched Gauss-Hermite grid
+    # var2, integrated with a matched Gauss-Hermite grid; both grids are tensor
+    # products, so p(v|u) = g1[i1, k1] g2[i2, k2] and each axis has its own
+    # kernel and Jacobian sqrt(2) s w exp(+x^2)
     x, w = _hermite_nodes(order)
-    s1 = math.sqrt(mu * mu / 2.0 + var1)
-    s2 = math.sqrt(mu * mu / 2.0 + var2)
-    v_nodes = np.add.outer(math.sqrt(2.0) * s1 * x, 1j * (math.sqrt(2.0) * s2 * x)).ravel()
-    # quadrature of integral dv^2 f(v): weights w_i w_j * 2 s1 s2 * exp(+x^2)
-    v_jac = (2.0 * s1 * s2 * np.outer(w, w) * np.exp(x[:, None] ** 2 + x[None, :] ** 2)).ravel()
-    du1 = np.real(u)[None, :] - np.real(v_nodes)[:, None]
-    du2 = np.imag(u)[None, :] - np.imag(v_nodes)[:, None]
-    p_v_u = np.exp(-(du1 * du1) / (2.0 * var1) - (du2 * du2) / (2.0 * var2))
-    p_v_u /= 2.0 * math.pi * math.sqrt(var1 * var2)
+    g, jac = [], []
+    for var in (var1, var2):
+        s = math.sqrt(mu * mu / 2.0 + var)
+        du = mu * x[None, :] - math.sqrt(2.0) * s * x[:, None]
+        g.append(np.exp(-(du * du) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var))
+        jac.append(math.sqrt(2.0) * s * w * np.exp(x * x))
+    v_jac = np.outer(*jac).ravel()
+    p_v = (np.outer(g[0] @ w, g[1] @ w) / math.pi).ravel()
 
     # node v's operator p(v)|-a0><-a0| - sum_k p(v|u_k) w_k |u_k/sqrt(n)><.|
-    # is R diag(c_v) R^H: all of them come from one product of the weights
-    # with the outer products of the columns of R
-    p_v = p_v_u @ wu
-    coef = np.concatenate([p_v[:, None], -p_v_u], axis=1)
-    rank = len(r)
-    outer = (r.T[:, :, None] * r.T.conj()[:, None, :]).reshape(len(states), rank * rank)
-    ops = (coef @ outer).reshape(len(v_nodes), rank, rank)
+    # is R diag(c_v) R^H; R's columns carry sqrt(w_k), so the kernels contract
+    # the outer products of the columns of R one axis at a time
+    outer = r.T[:, :, None] * r.T.conj()[:, None, :]
+    mixed = g[0] @ (g[1] @ outer[1:].reshape(order, order, -1)).reshape(order, -1)
+    ops = p_v[:, None, None] * outer[0] - mixed.reshape(-1, len(r), len(r))
     # each node's trace norm is at most 2 p(v); dividing by the outcome mass
     # that the v rule integrates keeps Pe in [0, 1/2] at low orders, where
     # that mass can be off one by a quarter, and shrinks the quadrature error

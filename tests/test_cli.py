@@ -106,6 +106,14 @@ def test_decompose_missing_file_is_computation_error():
     assert "error" in err
 
 
+def test_decompose_malformed_json_is_computation_error(tmp_path):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps({"dim": 2, "elements": [{"label": "a", "matrix": [[["x", 0]]]}]}))
+    code, out, err = run_cli(["decompose", "--input", str(src)])
+    assert code == 1 and not out
+    assert err.startswith("error: POVM JSON element 0 'a': could not convert string to float")
+
+
 def test_unknown_command_usage_error():
     code, _, _ = run_cli(["discombobulate"])
     assert code == 2
@@ -173,6 +181,20 @@ def test_table_empty_grid_header_only(tmp_path):
     header, rows = parse_csv(text)
     assert header == ["R", "Ps_weak", "Ps_strong"]
     assert rows == []
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--step", "nan"), ("--xmax", "inf"), ("--xmin", "nan"), ("--xmin", "-inf")],
+)
+def test_table_refuses_non_finite_grid_bound(flag, value):
+    bounds = {"--xmin": "0", "--xmax": "0.05", "--step": "0.01"}
+    bounds[flag] = value
+    # "--xmin=-inf": a separate "-inf" would parse as an option
+    argv = ["table", "--figure", "fig4.5"] + [f"{k}={v}" for k, v in bounds.items()]
+    code, out, err = run_cli(argv)
+    assert code == 1 and not out
+    assert err == f"error: {flag} {float(value)} is not a finite number\n"
 
 
 def test_table_output_byte_identical_across_runs(tmp_path):

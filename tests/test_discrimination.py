@@ -227,6 +227,37 @@ def test_chernoff_classical_rejects_unnormalized():
         disc.chernoff_classical([0.5, 0.4], [0.5, 0.5])
 
 
+@pytest.mark.parametrize(
+    "p1, p2, name",
+    [
+        ([math.nan, 1.0], [0.5, 0.5], "p1"),
+        ([0.5, 0.5], [0.5, math.nan], "p2"),
+        ([math.inf, 0.0], [0.5, 0.5], "p1"),
+        ([0.5, 0.5], [1.5, -0.5], "p2"),
+    ],
+)
+def test_chernoff_classical_rejects_non_finite_or_negative_naming_it(p1, p2, name):
+    with pytest.raises(ValueError, match=f"^{name} .* is not a normalized distribution"):
+        disc.chernoff_classical(p1, p2)
+
+
+NAN_DENSITY = np.array([[0.5, math.nan], [math.nan, 0.5]], dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        pytest.param(lambda: disc.helstrom_error(
+            disc.BinaryHypotheses(NAN_DENSITY, np.eye(2) / 2)), id="helstrom"),
+        pytest.param(lambda: disc.chernoff_quantum(NAN_DENSITY, np.eye(2) / 2), id="chernoff-rho1"),
+        pytest.param(lambda: disc.chernoff_quantum(np.eye(2) / 2, NAN_DENSITY), id="chernoff-rho2"),
+    ],
+)
+def test_non_finite_density_is_refused_naming_the_entry(fn):
+    with pytest.raises(ValueError, match=r"^matrix is not Hermitian: entry \(0,1\)"):
+        fn()
+
+
 def test_chernoff_quantum_equal_pure_commuting():
     rng = np.random.default_rng(31)
     rho = oracles.random_density(rng, 3)

@@ -274,6 +274,34 @@ def test_robustness_factor_values():
     assert out.excess_risk == pytest.approx(1 / (3 * 2 * 0.7), abs=1e-14)
 
 
+def test_robustness_factor_at_a_purity_whose_square_underflows():
+    # n r^2 underflows to zero; the factor r - (1 - r)/(n r) does not divide by it
+    out = learning.robustness_factors(1, 1e-200)
+    assert out.scaling == pytest.approx(1e-200 - (1 - 1e-200) / 1e-200, rel=1e-15)
+    assert out.excess_risk == pytest.approx(1 / 3e-200, rel=1e-15)
+
+
+@pytest.mark.parametrize("j2", [0, 1, 2, 5, 12])
+@pytest.mark.parametrize("r", [Fraction(0), Fraction(1, 3), Fraction(9, 10), Fraction(1)])
+def test_spin_weights_match_exact_binomial_weights(j2, r):
+    # ((1 - r)/2)^(j - m) ((1 + r)/2)^(j + m), normalized, in exact arithmetic
+    w = [((1 - r) / 2) ** ((j2 - m2) // 2) * ((1 + r) / 2) ** ((j2 + m2) // 2)
+         for m2 in range(-j2, j2 + 1, 2)]
+    want = [float(x / sum(w)) for x in w]
+    got = learning.spin_weights(HalfInt(j2), float(r))
+    assert got == pytest.approx(want, abs=4e-16)
+
+
+def test_spin_weights_at_a_spin_where_every_binomial_weight_underflows():
+    # each weight ((1 - r)/2)^(j - m) ((1 + r)/2)^(j + m) is below 4^-j; relative
+    # to the top one they are (1/3)^(j - m) at r = 1/2
+    w = learning.spin_weights(10**6, 0.5)
+    assert len(w) == 2 * 10**6 + 1 and np.all(np.isfinite(w))
+    assert w.sum() == pytest.approx(1.0, abs=1e-14)
+    assert w[-1] == pytest.approx(2 / 3, abs=1e-15) and w[-2] == pytest.approx(2 / 9, abs=1e-15)
+    assert learning.spin_z_expectation(10**6, 0.5) == pytest.approx(10**6 - 0.5, abs=1e-8)
+
+
 def test_robustness_identity_explicit_block():
     # the equal-spin identity at two copies per label, spin one, r = 0.7 runs
     # on the explicit spin-1 (x) qubit (x) spin-1 block

@@ -34,6 +34,22 @@ def test_herm_eig_rejects_non_hermitian_naming_entry():
         linalg.herm_eigvals(m)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, complex(0, math.nan)])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2), (2, 1)])
+def test_non_finite_entry_is_refused_naming_it(entry, value):
+    m = np.eye(3, dtype=complex) / 3
+    m[entry] = value
+    i, j = sorted(entry)
+    with pytest.raises(ValueError, match=rf"^matrix is not Hermitian: entry \({i},{j}\)"):
+        linalg.trace_norm(m)
+
+
+def test_stacked_non_finite_entry_names_its_matrix():
+    ms = np.stack([np.eye(2), np.diag([1.0, math.nan])])
+    with pytest.raises(ValueError, match=r"^b is not Hermitian: entry \(1,1\)"):
+        linalg.require_hermitian(ms, names=["a", "b"])
+
+
 def test_trace_norm_examples():
     assert linalg.trace_norm(np.diag([1.0, -1.0])) == pytest.approx(2.0)
     assert linalg.trace_norm(np.zeros((3, 3))) == 0.0
@@ -154,6 +170,14 @@ def test_density_eigenvalues_sum_to_one_nonnegative():
         w = oracles.DensityMatrix(rho).eigenvalues()
         assert w.sum() == pytest.approx(1.0, abs=1e-9)
         assert w.min() >= -1e-9
+
+
+@pytest.mark.parametrize(
+    "bloch", [[math.nan, 0.0, 1.0], [0.0, math.inf, 0.0], [0.0, 0.6, 0.7], [1.0, 0.0]]
+)
+def test_qubit_state_refuses_a_bad_bloch_vector_naming_it(bloch):
+    with pytest.raises(ValueError, match=re.escape(f"bloch {bloch!r}")):
+        linalg.QubitState(0.5, bloch)
 
 
 def test_qubit_state_eigenvalues():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -248,6 +249,14 @@ def test_vertex_hexagon_support_bound_and_bruteforce():
         if np.allclose(a @ sol, b, atol=1e-9) and np.all(sol > 1e-9):
             feasible_supports.append(tuple(idx))
     assert tuple(support) in feasible_supports
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_vertex_refuses_non_finite_bloch_vector_naming_it(value):
+    vecs = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [0.5, 0.0, 0.0]])
+    vecs[2, 1] = value
+    with pytest.raises(ValueError, match=r"^Bloch vector 2 \[0\.5, "):
+        povmdec.find_extremal_vertex(vecs)
 
 
 def test_infeasibility_certificate():
@@ -507,6 +516,48 @@ def test_povm_json_round_trip():
     for (la, oa), (lb, ob) in zip(p.elements, back.elements):
         assert la == lb
         assert np.abs(oa - ob).max() < 1e-15
+
+
+def test_povm_json_keeps_signed_zeros():
+    data = povmdec.povm_to_json(bb84_povm())
+    data["elements"][0]["matrix"][0][1] = [-0.0, -0.0]
+    data["elements"][0]["matrix"][1][0] = [-0.0, 0.0]
+    op = povmdec.povm_from_json(data).ops[0]
+    assert np.signbit([op[0, 1].real, op[0, 1].imag, op[1, 0].real, op[1, 0].imag]).tolist() == [
+        True, True, True, False
+    ]
+
+
+def _set_entry(value):
+    def edit(data):
+        data["elements"][1]["matrix"][0][1] = value
+    return edit
+
+
+MALFORMED_POVM_JSON = [
+    pytest.param(_set_entry(["x", 0]), "element 1 'z1'", id="string-entry"),
+    pytest.param(_set_entry(3), "element 1 'z1'", id="bare-number-entry"),
+    pytest.param(_set_entry([10**400, 0]), "element 1 'z1'", id="huge-integer-entry"),
+    pytest.param(lambda d: d["elements"].__setitem__(2, 7), "element 2", id="bare-number-element"),
+    pytest.param(lambda d: d.__setitem__("elements", "ab"), "element 0", id="string-elements"),
+    pytest.param(lambda d: d["elements"][3].pop("matrix"), "element 3 'x-'", id="no-matrix"),
+    pytest.param(lambda d: d.__setitem__("dim", 2.7), "dim 2.7", id="float-dim"),
+    pytest.param(lambda d: d.__setitem__("dim", True), "dim True", id="bool-dim"),
+    pytest.param(lambda d: d.__setitem__("dim", 3), "element 0 'z0'", id="wrong-dim"),
+]
+
+
+@pytest.mark.parametrize("edit, names", MALFORMED_POVM_JSON)
+def test_povm_from_json_malformed_raises_value_error_naming_it(edit, names):
+    data = povmdec.povm_to_json(bb84_povm())
+    edit(data)
+    with pytest.raises(ValueError, match=f"^POVM JSON:? {re.escape(names)}"):
+        povmdec.povm_from_json(data)
+
+
+def test_povm_from_json_top_level_list_raises_value_error():
+    with pytest.raises(ValueError, match="must be an object, not a list"):
+        povmdec.povm_from_json([povmdec.povm_to_json(bb84_povm())])
 
 
 def test_decomposition_json_shape():

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -339,6 +340,20 @@ def test_collective_oracle_orders_32_and_48_agree():
     cfg = reading.ReadingConfig(alpha0=0.9, mu=1.0, n_aux=16)
     pe32, pe48 = (reading.finite_n_oracle(cfg, "collective", order) for order in (32, 48))
     assert abs(pe32 - pe48) < 1e-9
+
+
+def test_eyd_oracle_peak_memory_at_order_32():
+    # the heterodyne kernel factors over the two quadrature axes, so no array
+    # spans heterodyne nodes x prior nodes (the dense kernel peaked at 69 MiB)
+    cfg = reading.ReadingConfig(alpha0=0.9, mu=1.0, n_aux=16)
+    squeeze = reading.optimal_squeezing(0.9)
+    tracemalloc.start()
+    try:
+        reading.finite_n_oracle(cfg, "eyd", 32, squeeze)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 @settings(deadline=None)
