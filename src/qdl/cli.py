@@ -2,10 +2,13 @@
 
 Evaluates the library quantities as CSV rows, sweeps curve families into CSV
 tables (optionally with an SVG line plot), and runs the POVM decomposer on
-JSON files.  Output is deterministic: fixed 9-significant-digit formatting
-with a period decimal separator, and sweep results are assembled in input
-order whatever the worker count (capped by the QDL_THREADS environment
-variable).
+JSON files.  The row commands (discriminate, programmable, learn, read)
+return a header and one row, which ``run`` writes; ``decompose`` and
+``table`` write their own file, stdout or SVG.  Each ``table`` figure is one
+``FIGURES`` entry: default grid, labels and row builder.  Output is
+deterministic: fixed 9-significant-digit formatting with a period decimal
+separator, and sweep results are assembled in input order whatever the
+worker count (capped by the QDL_THREADS environment variable).
 """
 
 from __future__ import annotations
@@ -26,13 +29,10 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _csv(stream, header, rows) -> int:
+def _csv(stream, header, rows) -> None:
     stream.write(",".join(header) + "\n")
-    count = 0
     for row in rows:
         stream.write(",".join(_fmt(v) for v in row) + "\n")
-        count += 1
-    return count
 
 
 def _thread_count() -> int:
@@ -59,12 +59,19 @@ def _sweep(fn, xs):
         return list(pool.map(fn, xs))
 
 
+# a finer grid is a mistyped step, not a figure: refuse it before the loop
+# below fills memory with points
+_MAX_GRID_POINTS = 10**6
+
+
 def _grid(xmin: float, xmax: float, step: float):
     for name, value in (("--xmin", xmin), ("--xmax", xmax), ("--step", step)):
         if not math.isfinite(value):
             raise ValueError(f"{name} {value} is not a finite number")
     if step <= 0 or xmax < xmin:
         return []
+    if (xmax - xmin) / step > _MAX_GRID_POINTS:
+        raise ValueError(f"--step {step} gives more than {_MAX_GRID_POINTS} grid points")
     out = []
     k = 0
     while True:
@@ -76,252 +83,166 @@ def _grid(xmin: float, xmax: float, step: float):
 
 
 # ---------------------------------------------------------------------------
-# commands
+# row commands: each returns (header, row) and run() writes the one-row CSV
 # ---------------------------------------------------------------------------
 
 
-def _cmd_discriminate(args, out):
+def _surrogate_error(delta_lm: float) -> float:
+    """Learning-machine error (1 - delta_lm/2)/2 from its optimized surrogate."""
+    return (1.0 - delta_lm / 2.0) / 2.0
+
+
+def _cmd_discriminate(args):
     c, eta = args.overlap, args.prior
     if args.mode == "minerr":
-        pe = discrimination.pure_overlap_error(c, eta)
-        _csv(out, ["overlap", "prior", "Pe"], [[c, eta, pe]])
-    elif args.mode == "unambiguous":
-        q = discrimination.unambiguous_q(c, eta)
-        _csv(out, ["overlap", "prior", "Q"], [[c, eta, q]])
-    else:
-        if args.margin is None:
-            raise ValueError("weak/strong modes require --margin")
-        fn = (
-            discrimination.weak_margin
-            if args.mode == "weak"
-            else discrimination.strong_margin
-        )
-        res = fn(c, args.margin)
-        _csv(
-            out,
-            ["overlap", "margin", "Ps", "Pe", "Q", "phi", "regime"],
-            [[
-                c,
-                args.margin,
-                res.p_success,
-                res.p_error,
-                res.p_inconclusive,
-                float("nan") if res.phi is None else res.phi,
-                res.regime,
-            ]],
-        )
-    return 0
+        return ["overlap", "prior", "Pe"], [c, eta, discrimination.pure_overlap_error(c, eta)]
+    if args.mode == "unambiguous":
+        return ["overlap", "prior", "Q"], [c, eta, discrimination.unambiguous_q(c, eta)]
+    if args.margin is None:
+        raise ValueError("weak/strong modes require --margin")
+    fn = discrimination.weak_margin if args.mode == "weak" else discrimination.strong_margin
+    res = fn(c, args.margin)
+    phi = float("nan") if res.phi is None else res.phi
+    return ["overlap", "margin", "Ps", "Pe", "Q", "phi", "regime"], [
+        c, args.margin, res.p_success, res.p_error, res.p_inconclusive, phi, res.regime
+    ]
 
 
-def _cmd_programmable(args, out):
+def _cmd_programmable(args):
+    n, nprime = args.n, args.nprime
     if args.margin is not None:
-        curve = programmable.margin_success(args.n, args.nprime, args.margin, args.scheme)
-        _csv(
-            out,
-            ["n", "nprime", "R", "scheme", "Ps"],
-            [[args.n, args.nprime, args.margin, args.scheme, curve.p_success]],
-        )
-        return 0
+        curve = programmable.margin_success(n, nprime, args.margin, args.scheme)
+        return ["n", "nprime", "R", "scheme", "Ps"], [
+            n, nprime, args.margin, args.scheme, curve.p_success
+        ]
     if args.na is not None:
-        load = programmable.PortLoad(args.na, args.nb, args.nc)
-        rates = programmable.general_rates(load)
-        _csv(
-            out,
-            ["na", "nb", "nc", "Q", "Pe"],
-            [[args.na, args.nb, args.nc, rates.q, rates.pe]],
-        )
-        return 0
+        rates = programmable.general_rates(programmable.PortLoad(args.na, args.nb, args.nc))
+        return ["na", "nb", "nc", "Q", "Pe"], [args.na, args.nb, args.nc, rates.q, rates.pe]
     if args.prior is not None:
         kind = {"hs": "hard-sphere", "bures": "bures", "chernoff": "chernoff"}[args.prior]
-        pe = programmable.universal_error(
-            programmable.PuritySpec(kind=kind), args.n, args.nprime
-        )
-        _csv(out, ["n", "nprime", "prior", "Pe"], [[args.n, args.nprime, kind, pe]])
-        return 0
+        pe = programmable.universal_error(programmable.PuritySpec(kind=kind), n, nprime)
+        return ["n", "nprime", "prior", "Pe"], [n, nprime, kind, pe]
     if args.purity is not None:
-        pe = programmable.mixed_error(args.n, args.nprime, args.purity)
-        _csv(out, ["n", "nprime", "r", "Pe"], [[args.n, args.nprime, args.purity, pe]])
-        return 0
-    rates = programmable.pure_rates(args.n, args.nprime)
-    _csv(out, ["n", "nprime", "Q", "Pe"], [[args.n, args.nprime, rates.q, rates.pe]])
-    return 0
+        pe = programmable.mixed_error(n, nprime, args.purity)
+        return ["n", "nprime", "r", "Pe"], [n, nprime, args.purity, pe]
+    rates = programmable.pure_rates(n, nprime)
+    return ["n", "nprime", "Q", "Pe"], [n, nprime, rates.q, rates.pe]
 
 
-def _cmd_learn(args, out):
+def _cmd_learn(args):
     n = args.n
     if args.strategy == "lm":
         pe = learning.lm_error(n)
-        _csv(
-            out,
-            ["n", "Pe", "excess_risk"],
-            [[n, pe, pe - learning.known_pair_error()]],
-        )
-    elif args.strategy == "eyd":
+        return ["n", "Pe", "excess_risk"], [n, pe, pe - learning.known_pair_error()]
+    if args.strategy == "eyd":
         rates = learning.eyd_qubit(n)
-        _csv(out, ["n", "Pe", "excess_risk"], [[n, rates.pe, rates.excess_risk]])
-    elif args.strategy == "reversed":
-        _csv(out, ["n", "Pe"], [[n, learning.reversed_error(n)]])
-    else:  # sdp
-        r = args.purity if args.purity is not None else 1.0
-        opt = learning.lm_mixed_optimize(n, r)
-        pe = (1.0 - opt.delta_lm / 2.0) / 2.0
-        _csv(
-            out,
-            ["n", "r", "delta_lm", "Pe", "excess_risk"],
-            [[n, r, opt.delta_lm, pe, pe - learning.known_pair_error(r)]],
-        )
-    return 0
+        return ["n", "Pe", "excess_risk"], [n, rates.pe, rates.excess_risk]
+    if args.strategy == "reversed":
+        return ["n", "Pe"], [n, learning.reversed_error(n)]
+    r = args.purity if args.purity is not None else 1.0
+    opt = learning.lm_mixed_optimize(n, r)
+    pe = _surrogate_error(opt.delta_lm)
+    return ["n", "r", "delta_lm", "Pe", "excess_risk"], [
+        n, r, opt.delta_lm, pe, pe - learning.known_pair_error(r)
+    ]
 
 
-def _cmd_read(args, out):
+def _cmd_read(args):
     a0 = args.alpha0
     if args.oracle:
         cfg = reading.ReadingConfig(alpha0=a0, mu=args.mu, n_aux=args.naux)
-        pe = reading.finite_n_oracle(
-            cfg,
-            strategy=args.strategy,
-            quadrature_order=args.quad,
-            squeeze=args.squeeze if args.squeeze is not None else 0.0,
-        )
-        _csv(
-            out,
-            ["alpha0", "strategy", "naux", "mu", "Pe"],
-            [[a0, args.strategy, args.naux, args.mu, pe]],
-        )
-        return 0
+        squeeze = args.squeeze if args.squeeze is not None else 0.0
+        pe = reading.finite_n_oracle(cfg, args.strategy, args.quad, squeeze)
+        return ["alpha0", "strategy", "naux", "mu", "Pe"], [
+            a0, args.strategy, args.naux, args.mu, pe
+        ]
     if args.strategy == "collective":
         risk = reading.collective_excess_risk(a0)
-        _csv(out, ["alpha0", "strategy", "excess_risk"], [[a0, "collective", risk]])
-        return 0
+        return ["alpha0", "strategy", "excess_risk"], [a0, "collective", risk]
     squeeze = args.squeeze
     if squeeze is None:
         squeeze = reading.optimal_squeezing(a0)
     risk = reading.eyd_excess_risk(a0, squeeze)
-    _csv(
-        out,
-        ["alpha0", "strategy", "squeeze", "excess_risk"],
-        [[a0, "eyd", squeeze, risk]],
-    )
-    return 0
+    return ["alpha0", "strategy", "squeeze", "excess_risk"], [a0, "eyd", squeeze, risk]
 
 
 def _cmd_decompose(args, out):
     with open(args.input, "r", encoding="utf-8") as fh:
         povm = povmdec.povm_from_json(json.load(fh))
-    result = (
-        povmdec.ordered_decompose(povm) if args.ordered else povmdec.decompose(povm)
-    )
+    result = povmdec.ordered_decompose(povm) if args.ordered else povmdec.decompose(povm)
     payload = json.dumps(povmdec.decomposition_to_json(result), indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
     else:
         out.write(payload + "\n")
-    return 0
 
 
 # ---------------------------------------------------------------------------
 # figure tables
 # ---------------------------------------------------------------------------
 
-FIGURE_DEFAULTS = {
-    # id: (xmin, xmax, step, x label, y labels)
-    "fig3.5": (0.0, 0.25, 0.0025, "r", ["Ps_weak", "Ps_strong"]),
-    "fig4.1": (0.0, 1.0, 0.1, "r", ["Pe_n3", "Pe_n11", "Pe_n29"]),
-    "fig4.2": (1, 26, 1, "n", ["Pe_r0.2", "Pe_r0.5", "Pe_r0.7", "Pe_r1.0"]),
-    "fig4.3": (0.1, 1.0, 0.05, "r", ["Pe_n20", "asym_n20", "Pe_n79", "asym_n79"]),
-    "fig4.4": (1, 16, 1, "n", ["Pe_hs", "Pe_bures", "Pe_chernoff"]),
-    "fig4.5": (0.0, 0.2, 0.002, "R", ["Ps_weak", "Ps_strong"]),
+
+def _mixed_by_load_row(args, n):
+    n = int(round(n))
+    return [n] + [programmable.mixed_error(n, n, r) for r in (0.2, 0.5, 0.7, 1.0)]
+
+
+def _universal_row(args, n):
+    n = int(round(n))
+    return [n] + [
+        programmable.universal_error(programmable.PuritySpec(kind=k), n, n)
+        for k in ("hard-sphere", "bures", "chernoff")
+    ]
+
+
+def _learning_excess_row(args, r):
+    cells = [r]
+    for n in (1, 2, 3):
+        pe_lm = _surrogate_error(learning.lm_mixed_optimize(n, r).delta_lm)
+        pe_opt = programmable.mixed_error(n, 1, r)
+        base = learning.known_pair_error(r)
+        cells += [pe_lm - base, pe_opt - base]
+    return cells
+
+
+FIGURES = {
+    # id: (xmin, xmax, step, x label, y labels, row(args, x))
+    "fig3.5": (0.0, 0.25, 0.0025, "r", ["Ps_weak", "Ps_strong"], lambda args, r: [
+        r,
+        discrimination.weak_margin(args.overlap, r).p_success,
+        discrimination.strong_margin(args.overlap, r).p_success,
+    ]),
+    "fig4.1": (0.0, 1.0, 0.1, "r", ["Pe_n3", "Pe_n11", "Pe_n29"], lambda args, r: [
+        r, *(programmable.mixed_error(n, n, r) for n in (3, 11, 29))
+    ]),
+    "fig4.2": (1, 26, 1, "n", ["Pe_r0.2", "Pe_r0.5", "Pe_r0.7", "Pe_r1.0"],
+               _mixed_by_load_row),
+    "fig4.3": (0.1, 1.0, 0.05, "r", ["Pe_n20", "asym_n20", "Pe_n79", "asym_n79"],
+               lambda args, r: [
+                   r,
+                   programmable.mixed_error(20, 1, r),
+                   programmable.mixed_asymptote(20, r),
+                   programmable.mixed_error(79, 1, r),
+                   programmable.mixed_asymptote(79, r),
+               ]),
+    "fig4.4": (1, 16, 1, "n", ["Pe_hs", "Pe_bures", "Pe_chernoff"], _universal_row),
+    "fig4.5": (0.0, 0.2, 0.002, "R", ["Ps_weak", "Ps_strong"], lambda args, big_r: [
+        big_r,
+        programmable.margin_success(args.n, args.nprime, big_r, "weak").p_success,
+        programmable.margin_success(args.n, args.nprime, big_r, "strong").p_success,
+    ]),
     "fig5.1": (0.1, 0.9, 0.1, "r", ["R_lm_n1", "R_opt_n1", "R_lm_n2", "R_opt_n2",
-                                    "R_lm_n3", "R_opt_n3"]),
-    "fig6.2": (0.1, 3.0, 0.05, "alpha0", ["squeeze_opt"]),
-    "fig6.3": (0.3, 1.5, 0.05, "alpha0", ["R_collective", "R_eyd"]),
+                                    "R_lm_n3", "R_opt_n3"], _learning_excess_row),
+    "fig6.2": (0.1, 3.0, 0.05, "alpha0", ["squeeze_opt"], lambda args, a0: [
+        a0, reading.optimal_squeezing(a0)
+    ]),
+    "fig6.3": (0.3, 1.5, 0.05, "alpha0", ["R_collective", "R_eyd"], lambda args, a0: [
+        a0,
+        reading.collective_excess_risk(a0),
+        reading.eyd_excess_risk(a0, reading.optimal_squeezing(a0)),
+    ]),
 }
-
-
-def _figure_rows(figure: str, xs, args):
-    if figure == "fig3.5":
-        c = args.overlap
-
-        def row(r):
-            return [
-                r,
-                discrimination.weak_margin(c, r).p_success,
-                discrimination.strong_margin(c, r).p_success,
-            ]
-
-    elif figure == "fig4.1":
-
-        def row(r):
-            return [r] + [programmable.mixed_error(n, n, r) for n in (3, 11, 29)]
-
-    elif figure == "fig4.2":
-
-        def row(n):
-            n = int(round(n))
-            return [n] + [
-                programmable.mixed_error(n, n, r) for r in (0.2, 0.5, 0.7, 1.0)
-            ]
-
-    elif figure == "fig4.3":
-
-        def row(r):
-            return [
-                r,
-                programmable.mixed_error(20, 1, r),
-                programmable.mixed_asymptote(20, r),
-                programmable.mixed_error(79, 1, r),
-                programmable.mixed_asymptote(79, r),
-            ]
-
-    elif figure == "fig4.4":
-
-        def row(n):
-            n = int(round(n))
-            return [n] + [
-                programmable.universal_error(programmable.PuritySpec(kind=k), n, n)
-                for k in ("hard-sphere", "bures", "chernoff")
-            ]
-
-    elif figure == "fig4.5":
-        n, nprime = args.n, args.nprime
-
-        def row(big_r):
-            return [
-                big_r,
-                programmable.margin_success(n, nprime, big_r, "weak").p_success,
-                programmable.margin_success(n, nprime, big_r, "strong").p_success,
-            ]
-
-    elif figure == "fig5.1":
-
-        def row(r):
-            cells = [r]
-            for n in (1, 2, 3):
-                opt = learning.lm_mixed_optimize(n, r)
-                pe_lm = (1.0 - opt.delta_lm / 2.0) / 2.0
-                pe_opt = programmable.mixed_error(n, 1, r)
-                base = learning.known_pair_error(r)
-                cells += [pe_lm - base, pe_opt - base]
-            return cells
-
-    elif figure == "fig6.2":
-
-        def row(a0):
-            return [a0, reading.optimal_squeezing(a0)]
-
-    elif figure == "fig6.3":
-
-        def row(a0):
-            return [
-                a0,
-                reading.collective_excess_risk(a0),
-                reading.eyd_excess_risk(a0, reading.optimal_squeezing(a0)),
-            ]
-
-    else:
-        raise ValueError(f"unknown figure id {figure!r}")
-    return _sweep(row, xs)
 
 
 def _write_svg(path: str, header, rows):
@@ -360,37 +281,28 @@ def _write_svg(path: str, header, rows):
         fh.write("\n".join(parts) + "\n")
 
 
-def emit_table(figure: str, sink, args, svg_path: str | None = None) -> int:
-    xmin, xmax, step, xlabel, ylabels = FIGURE_DEFAULTS[figure]
-    if args.xmin is not None:
-        xmin = args.xmin
-    if args.xmax is not None:
-        xmax = args.xmax
-    if args.step is not None:
-        step = args.step
-    xs = _grid(xmin, xmax, step)
-    rows = _figure_rows(figure, xs, args)
-    count = _csv(sink, [xlabel] + ylabels, rows)
-    if svg_path:
-        _write_svg(svg_path, [xlabel] + ylabels, rows)
-    return count
-
-
 def _cmd_table(args, out):
-    if args.figure not in FIGURE_DEFAULTS:
-        raise ValueError(
-            f"unknown figure {args.figure!r}; known: {sorted(FIGURE_DEFAULTS)}"
-        )
+    if args.figure not in FIGURES:
+        raise ValueError(f"unknown figure {args.figure!r}; known: {sorted(FIGURES)}")
+    xmin, xmax, step, xlabel, ylabels, row = FIGURES[args.figure]
+    header = [xlabel] + ylabels
     try:
         sink = open(args.out, "w", encoding="utf-8") if args.out else out
         try:
-            emit_table(args.figure, sink, args, svg_path=args.svg)
+            xs = _grid(
+                xmin if args.xmin is None else args.xmin,
+                xmax if args.xmax is None else args.xmax,
+                step if args.step is None else args.step,
+            )
+            rows = _sweep(lambda x: row(args, x), xs)
+            _csv(sink, header, rows)
+            if args.svg:
+                _write_svg(args.svg, header, rows)
         finally:
             if args.out:
                 sink.close()
     except OSError as exc:
         raise RuntimeError(f"cannot write table: {exc}") from exc
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -407,32 +319,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("discriminate", help="known-state binary discrimination")
+    p.set_defaults(row=_cmd_discriminate)
     p.add_argument("--overlap", type=float, required=True)
     p.add_argument("--prior", type=float, default=0.5)
-    p.add_argument(
-        "--mode", choices=["minerr", "unambiguous", "weak", "strong"], default="minerr"
-    )
+    p.add_argument("--mode", choices=["minerr", "unambiguous", "weak", "strong"],
+                   default="minerr")
     p.add_argument("--margin", type=float)
 
     p = sub.add_parser("programmable", help="programmable discrimination machines")
+    p.set_defaults(row=_cmd_programmable)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--nprime", type=int, default=1)
-    p.add_argument("--na", type=int)
     p.add_argument("--nb", type=int, default=1)
     p.add_argument("--nc", type=int, default=1)
-    p.add_argument("--purity", type=float)
-    p.add_argument("--prior", choices=["hs", "bures", "chernoff"])
-    p.add_argument("--margin", type=float)
     p.add_argument("--scheme", choices=["weak", "strong"], default="weak")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--na", type=int)
+    mode.add_argument("--purity", type=float)
+    mode.add_argument("--prior", choices=["hs", "bures", "chernoff"])
+    mode.add_argument("--margin", type=float)
 
     p = sub.add_parser("learn", help="learning-machine error rates")
+    p.set_defaults(row=_cmd_learn)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--purity", type=float)
-    p.add_argument(
-        "--strategy", choices=["lm", "eyd", "reversed", "sdp"], default="lm"
-    )
+    p.add_argument("--strategy", choices=["lm", "eyd", "reversed", "sdp"], default="lm")
 
     p = sub.add_parser("read", help="coherent-state quantum reading")
+    p.set_defaults(row=_cmd_read)
     p.add_argument("--alpha0", type=float, required=True)
     p.add_argument("--strategy", choices=["collective", "eyd"], default="collective")
     p.add_argument("--squeeze", type=float)
@@ -442,11 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad", type=int, default=32)
 
     p = sub.add_parser("decompose", help="decompose a POVM into extremals")
+    p.set_defaults(write=_cmd_decompose)
     p.add_argument("--input", required=True)
     p.add_argument("--ordered", action="store_true")
     p.add_argument("--output")
 
     p = sub.add_parser("table", help="reproduce a curve family as CSV")
+    p.set_defaults(write=_cmd_table)
     p.add_argument("--figure", required=True)
     p.add_argument("--out")
     p.add_argument("--svg")
@@ -460,16 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "discriminate": _cmd_discriminate,
-    "programmable": _cmd_programmable,
-    "learn": _cmd_learn,
-    "read": _cmd_read,
-    "decompose": _cmd_decompose,
-    "table": _cmd_table,
-}
-
-
 def run(argv, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
@@ -479,7 +385,12 @@ def run(argv, out=None, err=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return _HANDLERS[args.command](args, out)
+        if "row" in args:
+            header, row = args.row(args)
+            _csv(out, header, [row])
+        else:
+            args.write(args, out)
+        return 0
     except (ValueError, RuntimeError, OSError, KeyError) as exc:
         err.write(f"error: {exc}\n")
         return 1

@@ -20,6 +20,22 @@ from .angular import HalfInt, multiplicity_table, wigner_d
 from .linalg import QubitState, trace_norm
 
 _GOLDEN = (math.sqrt(5) - 1) / 2
+# trace and eigenvalue slack of a density matrix: rounding, not a state
+_DENSITY_TOL = 1e-9
+
+
+def _require_density(name: str, m) -> np.ndarray:
+    """Return ``m`` as a complex array, raising a ``ValueError`` that names it
+    as ``name`` unless it is a density matrix: Hermitian, unit trace and no
+    eigenvalue below zero, each within ``_DENSITY_TOL``."""
+    a = linalg.require_hermitian(m)
+    trace = np.trace(a).real
+    if not abs(trace - 1.0) <= _DENSITY_TOL:
+        raise ValueError(f"{name} is not a density matrix: trace {trace:.9g}")
+    low = np.linalg.eigvalsh(a)[0]
+    if low < -_DENSITY_TOL:
+        raise ValueError(f"{name} is not a density matrix: eigenvalue {low:.9g}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -31,8 +47,8 @@ class BinaryHypotheses:
     eta1: float = 0.5
 
     def __post_init__(self):
-        r1 = linalg.require_hermitian(self.rho1)
-        r2 = linalg.require_hermitian(self.rho2)
+        r1 = _require_density("rho1", self.rho1)
+        r2 = _require_density("rho2", self.rho2)
         if r1.shape != r2.shape:
             raise ValueError(f"dimension mismatch: {r1.shape} vs {r2.shape}")
         if not 0.0 <= self.eta1 <= 1.0:
@@ -219,8 +235,8 @@ def chernoff_quantum(rho1, rho2) -> float:
     the support-projector limit, so the value is infinity only for disjoint
     supports.
     """
-    r1 = linalg.require_hermitian(rho1)
-    r2 = linalg.require_hermitian(rho2)
+    r1 = _require_density("rho1", rho1)
+    r2 = _require_density("rho2", rho2)
     if r1.shape != r2.shape:
         raise ValueError(f"dimension mismatch: {r1.shape} vs {r2.shape}")
     w1, v1 = np.linalg.eigh(r1)

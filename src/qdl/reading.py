@@ -223,10 +223,13 @@ def _span_factor(amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
     d = np.array(weights, dtype=float)
     sw = np.sqrt(d)
     stop = _SPAN_TOL * d.sum()
-    r = np.zeros((len(d), len(d)), dtype=complex)  # pages past the rank stay untouched
-    for i in range(len(d)):
+    k = len(d)
+    r = np.zeros((min(k, 64), k), dtype=complex)
+    for i in range(k):
         if d.sum() <= stop:
             return r[:i]
+        if i == len(r):
+            r = np.concatenate([r, np.zeros((min(i, k - i), k), dtype=complex)])
         p = int(np.argmax(d))
         row = coherent_overlap(amps[p : p + 1], amps)[0] * (sw[p] * sw)
         r[i] = (row - r[:i, p].conj() @ r[:i]) / math.sqrt(d[p])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qdl import cli, povmdec, programmable, reading
+from qdl import cli, discrimination, learning, povmdec, programmable, reading
 
 
 def run_cli(argv):
@@ -41,6 +41,21 @@ def test_programmable_purity_and_prior_rows():
     _, rows = parse_csv(out)
     want = programmable.universal_error(programmable.PuritySpec(kind="hard-sphere"), 2, 2)
     assert float(rows[0][-1]) == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "modes",
+    [
+        ["--purity", "0.7", "--prior", "hs"],
+        ["--purity", "0.7", "--margin", "0.1"],
+        ["--na", "2", "--purity", "0.7"],
+        ["--margin", "0.1", "--prior", "bures"],
+    ],
+)
+def test_programmable_refuses_conflicting_modes(modes, capsys):
+    code, out, _ = run_cli(["programmable", "--n", "2", "--nprime", "1", *modes])
+    assert code == 2 and not out
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_discriminate_weak_margin_row():
@@ -195,6 +210,69 @@ def test_table_refuses_non_finite_grid_bound(flag, value):
     code, out, err = run_cli(argv)
     assert code == 1 and not out
     assert err == f"error: {flag} {float(value)} is not a finite number\n"
+
+
+@pytest.mark.parametrize(
+    "figure, bounds, step",
+    [
+        ("fig6.2", [], "1e-300"),
+        ("fig6.2", [], "1e-7"),
+        ("fig4.5", ["--xmin=-1e308", "--xmax=1e308"], "1e300"),
+    ],
+)
+def test_table_refuses_a_grid_past_a_million_points(figure, bounds, step):
+    code, out, err = run_cli(["table", "--figure", figure, *bounds, "--step", step])
+    assert code == 1 and not out
+    assert err == f"error: --step {float(step)} gives more than 1000000 grid points\n"
+
+
+def _cell(v):
+    return f"{v:.9g}" if isinstance(v, float) else str(v)
+
+
+def _lm_excess(n, r):
+    return (1 - learning.lm_mixed_optimize(n, r).delta_lm / 2) / 2 - learning.known_pair_error(r)
+
+
+FIGURE_CASES = {
+    # id: (a cheap x, the documented header, its row from the library)
+    "fig3.5": (0.05, ["r", "Ps_weak", "Ps_strong"], lambda r: [
+        r, discrimination.weak_margin(0.7, r).p_success,
+        discrimination.strong_margin(0.7, r).p_success]),
+    "fig4.1": (0.6, ["r", "Pe_n3", "Pe_n11", "Pe_n29"], lambda r: [
+        r, programmable.mixed_error(3, 3, r), programmable.mixed_error(11, 11, r),
+        programmable.mixed_error(29, 29, r)]),
+    "fig4.2": (3, ["n", "Pe_r0.2", "Pe_r0.5", "Pe_r0.7", "Pe_r1.0"], lambda n: [
+        n, programmable.mixed_error(3, 3, 0.2), programmable.mixed_error(3, 3, 0.5),
+        programmable.mixed_error(3, 3, 0.7), programmable.mixed_error(3, 3, 1.0)]),
+    "fig4.3": (0.5, ["r", "Pe_n20", "asym_n20", "Pe_n79", "asym_n79"], lambda r: [
+        r, programmable.mixed_error(20, 1, r), programmable.mixed_asymptote(20, r),
+        programmable.mixed_error(79, 1, r), programmable.mixed_asymptote(79, r)]),
+    "fig4.4": (2, ["n", "Pe_hs", "Pe_bures", "Pe_chernoff"], lambda n: [n] + [
+        programmable.universal_error(programmable.PuritySpec(kind=k), 2, 2)
+        for k in ("hard-sphere", "bures", "chernoff")]),
+    "fig4.5": (0.05, ["R", "Ps_weak", "Ps_strong"], lambda big_r: [
+        big_r, programmable.margin_success(9, 2, big_r, "weak").p_success,
+        programmable.margin_success(9, 2, big_r, "strong").p_success]),
+    "fig5.1": (0.5, ["r", "R_lm_n1", "R_opt_n1", "R_lm_n2", "R_opt_n2", "R_lm_n3", "R_opt_n3"],
+               lambda r: [r] + [
+                   v for n in (1, 2, 3)
+                   for v in (_lm_excess(n, r),
+                             programmable.mixed_error(n, 1, r) - learning.known_pair_error(r))]),
+    "fig6.2": (1.0, ["alpha0", "squeeze_opt"], lambda a0: [a0, reading.optimal_squeezing(a0)]),
+    "fig6.3": (1.0, ["alpha0", "R_collective", "R_eyd"], lambda a0: [
+        a0, reading.collective_excess_risk(a0),
+        reading.eyd_excess_risk(a0, reading.optimal_squeezing(a0))]),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(cli.FIGURES))
+def test_every_figure_row_is_its_documented_library_row(figure):
+    x, header, row = FIGURE_CASES[figure]
+    code, out, err = run_cli(["table", "--figure", figure, "--xmin", str(x), "--xmax", str(x),
+                              "--step", "1"])
+    assert code == 0 and not err
+    assert out.splitlines() == [",".join(header), ",".join(_cell(v) for v in row(x))]
 
 
 def test_table_output_byte_identical_across_runs(tmp_path):

@@ -258,6 +258,35 @@ def test_non_finite_density_is_refused_naming_the_entry(fn):
         fn()
 
 
+HALF = np.eye(2) / 2
+
+
+@pytest.mark.parametrize(
+    "fn, match",
+    [
+        pytest.param(lambda: disc.BinaryHypotheses(3 * np.eye(2), HALF),
+                     "^rho1 is not a density matrix: trace 6$", id="helstrom-trace"),
+        pytest.param(lambda: disc.BinaryHypotheses(np.diag([2.0, -1.0]), HALF),
+                     "^rho1 is not a density matrix: eigenvalue -1$", id="helstrom-negative"),
+        pytest.param(lambda: disc.BinaryHypotheses(HALF, np.diag([1.0, 1e-6])),
+                     "^rho2 is not a density matrix: trace 1.000001$", id="helstrom-rho2"),
+        pytest.param(lambda: disc.chernoff_quantum(np.diag([1.5, -0.5]), HALF),
+                     "^rho1 is not a density matrix: eigenvalue -0.5$", id="chernoff-negative"),
+        pytest.param(lambda: disc.chernoff_quantum(HALF, np.eye(2)),
+                     "^rho2 is not a density matrix: trace 2$", id="chernoff-trace"),
+    ],
+)
+def test_non_density_input_is_refused_naming_it(fn, match):
+    with pytest.raises(ValueError, match=match):
+        fn()
+
+
+def test_density_check_allows_rounding_slack():
+    rho = np.diag([1.0 + 5e-10, -5e-10])
+    assert disc.helstrom_error(disc.BinaryHypotheses(rho, HALF)) == pytest.approx(0.25, abs=1e-9)
+    assert disc.chernoff_quantum(rho, rho) == pytest.approx(0.0, abs=1e-9)
+
+
 def test_chernoff_quantum_equal_pure_commuting():
     rng = np.random.default_rng(31)
     rho = oracles.random_density(rng, 3)

@@ -356,6 +356,19 @@ def test_eyd_oracle_peak_memory_at_order_32():
     assert peak < 40 * 2**20
 
 
+def test_collective_oracle_peak_memory_at_order_64():
+    # 2 x 64^2 states: the span factor holds only the rows up to the rank
+    # (a K x K factor would be 1 GiB here)
+    cfg = reading.ReadingConfig(alpha0=0.9, mu=1.0, n_aux=16)
+    tracemalloc.start()
+    try:
+        reading.finite_n_oracle(cfg, "collective", 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
 @settings(deadline=None)
 @given(
     a0=st.floats(min_value=0.3, max_value=1.5),
