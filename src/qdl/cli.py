@@ -19,6 +19,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 
 from . import discrimination, learning, povmdec, programmable, reading
 
@@ -286,21 +287,18 @@ def _cmd_table(args, out):
         raise ValueError(f"unknown figure {args.figure!r}; known: {sorted(FIGURES)}")
     xmin, xmax, step, xlabel, ylabels, row = FIGURES[args.figure]
     header = [xlabel] + ylabels
+    xs = _grid(
+        xmin if args.xmin is None else args.xmin,
+        xmax if args.xmax is None else args.xmax,
+        step if args.step is None else args.step,
+    )
+    # rows before --out: a refused grid or a failed row leaves no file behind
+    rows = _sweep(lambda x: row(args, x), xs)
     try:
-        sink = open(args.out, "w", encoding="utf-8") if args.out else out
-        try:
-            xs = _grid(
-                xmin if args.xmin is None else args.xmin,
-                xmax if args.xmax is None else args.xmax,
-                step if args.step is None else args.step,
-            )
-            rows = _sweep(lambda x: row(args, x), xs)
+        with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(out) as sink:
             _csv(sink, header, rows)
-            if args.svg:
-                _write_svg(args.svg, header, rows)
-        finally:
-            if args.out:
-                sink.close()
+        if args.svg:
+            _write_svg(args.svg, header, rows)
     except OSError as exc:
         raise RuntimeError(f"cannot write table: {exc}") from exc
 
@@ -381,7 +379,9 @@ def run(argv, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage errors and --help to the process streams
+        with redirect_stdout(out), redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -72,6 +72,8 @@ def require_hermitian(m, tol: float = HERMITICITY_TOL, names=None) -> np.ndarray
             )
     if stack.shape[1] != stack.shape[2]:
         raise ValueError(f"matrix of shape {stack.shape[1:]} is not square")
+    if stack.shape[1] == 0:
+        raise ValueError(f"{names[0]} is empty: shape {stack.shape[1:]}")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, refused below
         dev = np.abs(stack - stack.conj().transpose(0, 2, 1))
     k, i, j = np.unravel_index(int(np.argmax(dev)), dev.shape)

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special as _sp
+from numpy.polynomial import legendre
 
 from .angular import (
     block_coefficient,
@@ -322,8 +322,8 @@ def averaged_block_coefficient(kind: str, m: int, j) -> float:
     """Block coefficient of an m-fold power averaged over a purity prior.
 
     kind "hard-sphere" uses w(r) ~ r^2, "bures" w(r) ~ r^2/sqrt(1-r^2), and
-    "chernoff" the distinguishability-induced measure, whose average comes
-    out as sums of incomplete beta functions.
+    "chernoff" the distinguishability-induced measure, whose average is read
+    from the quadrature table of :func:`_chernoff_table`.
     """
     m = check_count("m", m)
     j2 = check_spin("j", j, m)
@@ -342,21 +342,39 @@ def averaged_block_coefficient(kind: str, m: int, j) -> float:
             - math.lgamma(m + 3.0)
         )
     if kind == "chernoff":
-        total = 0.0
-        for mm2 in range(-j2, j2 + 1, 2):
-            a1, b1 = (m + 1 - mm2) / 2.0, (m + 1 + mm2) / 2.0
-            a2, b2 = (m - mm2 + 2) / 2.0, (m + mm2 + 2) / 2.0
-            total += _beta_inc(a1, b1) - 2.0 * _beta_inc(a2, b2)
-        return 2.0 / ((math.pi - 2.0) * (j2 + 1)) * total
+        return float(_chernoff_table(m)[j2])
     raise ValueError(f"unknown prior kind {kind!r}")
 
 
-def _beta_inc(a: float, b: float) -> float:
-    """Unregularized incomplete beta B_x(a, b) at x = 1/2."""
-    return float(_sp.betainc(a, b, 0.5)) * math.exp(_sp.betaln(a, b))
+@lru_cache(maxsize=64)
+def _chernoff_table(m: int) -> np.ndarray:
+    """Chernoff-prior block coefficients of an m-fold power, indexed by 2j.
+
+    Under t = sin^2, the summand B_1/2(a, b) - 2 B_1/2(a + 1/2, b + 1/2) of
+    the average at mu = 2 m_z is 2 int_0^(pi/4) sin^(m-mu) cos^(m+mu)
+    (cos - sin)^2, non-negative, and each window |mu| <= 2j sums the positive
+    pairs f(mu) + f(-mu): nothing cancels.  The peaks are about 1/sqrt(m)
+    wide, so 3 sqrt(m) + 16 Gauss-Legendre nodes suffice (within 5e-14 of
+    60-digit values through m = 300).
+    """
+    x, w = legendre.leggauss(int(3 * math.sqrt(m)) + 16)
+    theta = (x + 1.0) * (math.pi / 8.0)
+    s, c = np.sin(theta), np.cos(theta)
+    mu = np.arange(-m, m + 1, 2)[:, None]
+    f = (s ** (m - mu) * c ** (m + mu)) @ (w * (c - s) ** 2)
+    pairs = (f + f[::-1])[(m + 1) // 2 :]
+    if m % 2 == 0:
+        pairs[0] /= 2.0
+    out = np.zeros(m + 1)
+    j2 = np.arange(m % 2, m + 1, 2)
+    out[j2] = np.cumsum(pairs) * (math.pi / 2.0) / ((math.pi - 2.0) * (j2 + 1))
+    out.flags.writeable = False
+    return out
 
 
 def _avg_coeff_table(kind: str, m: int) -> np.ndarray:
+    if kind == "chernoff":
+        return _chernoff_table(m)
     out = np.zeros(m + 1)
     for j2 in range(m % 2, m + 1, 2):
         out[j2] = averaged_block_coefficient(kind, m, j2 / 2)

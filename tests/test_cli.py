@@ -1,6 +1,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,9 +57,10 @@ def test_programmable_purity_and_prior_rows():
     ],
 )
 def test_programmable_refuses_conflicting_modes(modes, capsys):
-    code, out, _ = run_cli(["programmable", "--n", "2", "--nprime", "1", *modes])
+    code, out, err = run_cli(["programmable", "--n", "2", "--nprime", "1", *modes])
     assert code == 2 and not out
-    assert "not allowed with argument" in capsys.readouterr().err
+    assert "not allowed with argument" in err
+    assert capsys.readouterr() == ("", "")
 
 
 def test_discriminate_weak_margin_row():
@@ -224,6 +229,38 @@ def test_table_refuses_a_grid_past_a_million_points(figure, bounds, step):
     code, out, err = run_cli(["table", "--figure", figure, *bounds, "--step", step])
     assert code == 1 and not out
     assert err == f"error: --step {float(step)} gives more than 1000000 grid points\n"
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        ["--step=nan"],
+        # rows 0.2 to 1.0 succeed, then the margin 1.2 is refused
+        ["--xmin", "0.2", "--xmax", "1.4", "--step", "0.2"],
+    ],
+)
+def test_table_error_leaves_no_out_file(tmp_path, bounds):
+    out_file = tmp_path / "x.csv"
+    code, out, err = run_cli(["table", "--figure", "fig3.5", *bounds, "--out", str(out_file)])
+    assert code == 1 and not out and err.startswith("error: ")
+    assert not out_file.exists()
+
+
+def test_table_unwritable_out_is_an_error(tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(["table", "--figure", "fig6.2", "--xmin", "1", "--xmax", "1",
+                              "--out", str(target)])
+    assert code == 1 and not out
+    assert err.startswith("error: cannot write table: ")
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = "import sys, qdl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def _cell(v):

@@ -274,6 +274,8 @@ HALF = np.eye(2) / 2
                      "^rho1 is not a density matrix: eigenvalue -0.5$", id="chernoff-negative"),
         pytest.param(lambda: disc.chernoff_quantum(HALF, np.eye(2)),
                      "^rho2 is not a density matrix: trace 2$", id="chernoff-trace"),
+        pytest.param(lambda: disc.chernoff_quantum(np.zeros((0, 0)), np.zeros((0, 0))),
+                     r"^matrix is empty: shape \(0, 0\)$", id="chernoff-empty"),
     ],
 )
 def test_non_density_input_is_refused_naming_it(fn, match):

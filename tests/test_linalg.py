@@ -50,6 +50,11 @@ def test_stacked_non_finite_entry_names_its_matrix():
         linalg.require_hermitian(ms, names=["a", "b"])
 
 
+def test_empty_stack_is_refused_naming_its_first_matrix():
+    with pytest.raises(ValueError, match=r"^a is empty: shape \(0, 0\)$"):
+        linalg.require_hermitian(np.zeros((2, 0, 0)), names=["a", "b"])
+
+
 def test_trace_norm_examples():
     assert linalg.trace_norm(np.diag([1.0, -1.0])) == pytest.approx(2.0)
     assert linalg.trace_norm(np.zeros((3, 3))) == 0.0

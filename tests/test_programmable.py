@@ -2,6 +2,7 @@ import math
 import re
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -382,6 +383,29 @@ def test_averaged_coefficients_against_quadrature():
                 )
                 got = prog.averaged_block_coefficient(kind, m, HalfInt(j2))
                 assert got == pytest.approx(want, abs=1e-9)
+
+
+def _chernoff_reference(m):
+    """60-digit Chernoff-prior coefficients of an m-fold power by doubled
+    spin: each window sum of B_1/2(a, b) - 2 B_1/2(a + 1/2, b + 1/2)."""
+    with mpmath.workdps(60):
+        terms = []
+        for mu in range(-m, m + 1, 2):
+            a, b = mpmath.mpf(m + 1 - mu) / 2, mpmath.mpf(m + 1 + mu) / 2
+            terms.append(mpmath.betainc(a, b, 0, 0.5)
+                         - 2 * mpmath.betainc(a + 0.5, b + 0.5, 0, 0.5))
+        return {
+            j2: 2 / ((mpmath.pi - 2) * (j2 + 1))
+            * mpmath.fsum(terms[(m - j2) // 2 : (m + j2) // 2 + 1])
+            for j2 in range(m % 2, m + 1, 2)
+        }
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 13, 32, 128, 300])
+def test_chernoff_coefficient_against_60_digit_reference(m):
+    for j2, want in _chernoff_reference(m).items():
+        got = prog.averaged_block_coefficient("chernoff", m, HalfInt(j2))
+        assert abs(got - float(want)) <= 1e-13 * float(want), j2
 
 
 def test_hard_sphere_closed_form_display():
