@@ -171,12 +171,11 @@ def _cmd_decompose(args, out):
     with open(args.input, "r", encoding="utf-8") as fh:
         povm = povmdec.povm_from_json(json.load(fh))
     result = povmdec.ordered_decompose(povm) if args.ordered else povmdec.decompose(povm)
-    payload = json.dumps(povmdec.decomposition_to_json(result), indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        out.write(payload + "\n")
+    # the result is complete before --output is opened: a refused input
+    # leaves no file behind
+    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext(out) as sink:
+        povmdec._write_decomposition(result, sink.write)
+        sink.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -398,3 +397,7 @@ def run(argv, out=None, err=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

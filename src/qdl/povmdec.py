@@ -478,13 +478,17 @@ def ordered_decompose(p: Povm, criterion: str = "fewest-outcomes") -> Decomposit
 # ---------------------------------------------------------------------------
 
 
+def _pairs(ops: np.ndarray) -> list:
+    """A stack of complex matrices as nested lists of [re, im] entry pairs."""
+    return np.stack([ops.real, ops.imag], -1).tolist()
+
+
 def povm_to_json(p: Povm) -> dict:
     """Each matrix as rows of [re, im] entry pairs."""
-    matrices = np.stack([p.ops.real, p.ops.imag], -1).tolist()
     return {
         "dim": p.dim,
         "elements": [
-            {"label": label, "matrix": m} for label, m in zip(p.labels(), matrices)
+            {"label": label, "matrix": m} for label, m in zip(p.labels(), _pairs(p.ops))
         ],
     }
 
@@ -525,3 +529,58 @@ def decomposition_to_json(result: DecompositionResult) -> dict:
         ],
         "relabel": dict(result.relabel),
     }
+
+
+# The indented text of decomposition_to_json, written without the pure-Python
+# encoder that json.dumps(indent=2) falls back to.  A term's matrices come
+# from one call of the C encoder in its compact form, which is then
+# re-indented by replacing its separators: a float repr holds no bracket,
+# comma or space, so every separator found belongs to the list structure.
+# The encoded lists are fresh from tolist(), so they cannot be circular.
+_compact = json.JSONEncoder(separators=(", ", ": "), check_circular=False).encode
+_NUMBER, _ENTRY, _ROW = ("\n" + " " * depth for depth in (18, 16, 14))
+_REINDENT = (
+    ("]], [[", f"{_ENTRY}]{_ROW}],{_ROW}[{_ENTRY}[{_NUMBER}"),
+    ("], [", f"{_ENTRY}],{_ENTRY}[{_NUMBER}"),
+    (", ", f",{_NUMBER}"),
+)
+_ELEMENT = """{
+            "label": %s,
+            "matrix": [
+              [
+                [
+                  %s
+                ]
+              ]
+            ]
+          }"""
+_TERM = """{
+      "extremal": {
+        "dim": %s,
+        "elements": [
+          %s
+        ]
+      },
+      "probability": %s
+    }"""
+
+
+def _write_decomposition(result: DecompositionResult, write) -> None:
+    """Pass ``json.dumps(decomposition_to_json(result), indent=2,
+    sort_keys=True)`` to ``write`` in chunks of one term each."""
+    relabel = json.dumps(dict(result.relabel), indent=2, sort_keys=True)
+    write('{\n  "relabel": %s,\n  "terms": [' % relabel.replace("\n", "\n  "))
+    sep = "\n    "
+    for p, extremal in result.terms:
+        # "[[[[" + matrix 0 + "]]], [[[" + matrix 1 + ... + "]]]]"
+        matrices = _compact(_pairs(extremal.ops))[4:-4].split("]]], [[[")
+        elements = []
+        for label, text in zip(extremal.labels(), matrices):
+            for compact, indented in _REINDENT:
+                text = text.replace(compact, indented)
+            elements.append(_ELEMENT % (_compact(label), text))
+        write(sep + _TERM % (
+            _compact(extremal.dim), ",\n          ".join(elements), _compact(float(p))
+        ))
+        sep = ",\n    "
+    write("\n  ]\n}" if result.terms else "]\n}")

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from qdl import cli, discrimination, learning, povmdec, programmable, reading
 
 
@@ -96,7 +97,7 @@ def test_read_eyd_defaults_to_optimal_squeezing():
     assert float(row["squeeze"]) == pytest.approx(reading.optimal_squeezing(0.8), abs=1e-8)
 
 
-def test_decompose_pentagon_json(tmp_path):
+def pentagon_povm():
     elems = []
     sx = np.array([[0, 1], [1, 0]], dtype=complex)
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -104,9 +105,17 @@ def test_decompose_pentagon_json(tmp_path):
         th = 2 * math.pi * k / 5
         op = 0.4 * (np.eye(2) + math.cos(th) * sx + math.sin(th) * sy) / 2
         elems.append((f"p{k}", op))
-    povm = povmdec.Povm(dim=2, elements=tuple(elems))
+    return povmdec.Povm(dim=2, elements=tuple(elems))
+
+
+def random_d4_povm():
+    ops = oracles.random_povm(np.random.default_rng(4), 4, 20)
+    return povmdec.Povm(dim=4, elements=tuple((str(i), op) for i, op in enumerate(ops)))
+
+
+def test_decompose_pentagon_json(tmp_path):
     src = tmp_path / "pentagon.json"
-    src.write_text(json.dumps(povmdec.povm_to_json(povm)))
+    src.write_text(json.dumps(povmdec.povm_to_json(pentagon_povm())))
 
     code, out, err = run_cli(["decompose", "--input", str(src)])
     assert code == 0 and not err
@@ -118,6 +127,46 @@ def test_decompose_pentagon_json(tmp_path):
     assert code == 0
     data = json.loads(dst.read_text())
     assert len(data["terms"]) == 3
+
+
+@pytest.mark.parametrize(
+    "make, flags",
+    [(pentagon_povm, []), (pentagon_povm, ["--ordered"]), (random_d4_povm, [])],
+    ids=["pentagon", "pentagon-ordered", "random-d4"],
+)
+def test_decompose_prints_the_indented_sorted_json_of_the_result(tmp_path, make, flags):
+    povm = make()
+    src = tmp_path / "povm.json"
+    src.write_text(json.dumps(povmdec.povm_to_json(povm)))
+    result = povmdec.ordered_decompose(povm) if flags else povmdec.decompose(povm)
+    want = json.dumps(povmdec.decomposition_to_json(result), indent=2, sort_keys=True) + "\n"
+
+    code, out, err = run_cli(["decompose", "--input", str(src), *flags])
+    assert code == 0 and not err
+    assert out == want
+
+    dst = tmp_path / "out.json"
+    code, out, err = run_cli(["decompose", "--input", str(src), *flags, "--output", str(dst)])
+    assert code == 0 and not out and not err
+    assert dst.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"dim": 2, "elements": [{"label": "a", "matrix": [[["x", 0]]]}]},
+        # well formed, but the elements sum to 2 I: refused by the decomposer
+        {"dim": 2, "elements": [{"label": "a", "matrix": [[[2, 0], [0, 0]], [[0, 0], [2, 0]]]}]},
+    ],
+    ids=["malformed", "not-a-povm"],
+)
+def test_decompose_error_leaves_no_output_file(tmp_path, document):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(document))
+    dst = tmp_path / "x.json"
+    code, out, err = run_cli(["decompose", "--input", str(src), "--output", str(dst)])
+    assert code == 1 and not out and err.startswith("error: ")
+    assert not dst.exists()
 
 
 def test_decompose_missing_file_is_computation_error():
@@ -252,6 +301,16 @@ def test_table_unwritable_out_is_an_error(tmp_path):
                               "--out", str(target)])
     assert code == 1 and not out
     assert err.startswith("error: cannot write table: ")
+
+
+@pytest.mark.parametrize("module", ["qdl", "qdl.cli"])
+def test_running_the_package_as_a_module_reaches_the_cli(tmp_path, module):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", module, "table", "--figure", "fig4.1",
+                           "--step=nan"], env=env, cwd=tmp_path, capture_output=True, text=True)
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "error: --step nan is not a finite number\n"
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

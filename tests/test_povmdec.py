@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -567,3 +568,53 @@ def test_decomposition_json_shape():
     assert all(set(t) == {"probability", "extremal"} for t in data["terms"])
     total = sum(t["probability"] for t in data["terms"])
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+# entries whose repr is unusual: signed zero, the smallest subnormal, the
+# exponent extremes and integer-valued floats
+JSON_ENTRIES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e-300, 1e-300, -1e300,
+                     1.0, -7.0, 2.0**53, 1e16, 123456789.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# labels that must be escaped, or that hold the separators the writer
+# re-indents
+JSON_LABELS = st.one_of(
+    st.sampled_from(['"', "\\", 'a"b\\c', "é", "Ψ⟩", "量子", "#", "z0#1", ", ", '", "',
+                     '"], ["', "]], [[", "\n"]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def decomposition_results(draw):
+    d = draw(st.integers(2, 4))
+    size = 2 * d * d
+    lower, diag = np.tril_indices(d, -1), np.diag_indices(d)
+    terms = []
+    for _ in range(draw(st.integers(0, 5))):
+        labels = draw(st.lists(JSON_LABELS, min_size=1, max_size=5))
+        # random entries across the exponent range, some replaced by drawn ones
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        shape = (len(labels), size)
+        entries = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 301, shape)
+        at = st.tuples(st.integers(0, len(labels) - 1), st.integers(0, size - 1))
+        for k, value in draw(st.lists(st.tuples(at, JSON_ENTRIES), max_size=8)):
+            entries[k] = value
+        ops = entries.view(complex).reshape(-1, d, d)
+        ops[:, lower[0], lower[1]] = ops[:, lower[1], lower[0]].conj()
+        ops[:, diag[0], diag[1]] = ops[:, diag[0], diag[1]].real
+        extremal = povmdec.Povm(dim=d, elements=tuple(zip(labels, ops)))
+        terms.append((draw(st.floats()), extremal))
+    relabel = draw(st.dictionaries(JSON_LABELS, JSON_LABELS, max_size=6))
+    return povmdec.DecompositionResult(terms=tuple(terms), relabel=relabel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(result=decomposition_results())
+def test_decomposition_writer_matches_indented_sorted_json_dumps(result):
+    chunks = []
+    povmdec._write_decomposition(result, chunks.append)
+    want = json.dumps(povmdec.decomposition_to_json(result), indent=2, sort_keys=True)
+    assert "".join(chunks) == want
+    assert len(chunks) == len(result.terms) + 2
