@@ -287,6 +287,9 @@ def recoupling_batch(ja2, jb2, jc2, j2, dim: int) -> np.ndarray:
     only up to sign; :func:`overlap_matrix` applies the Condon-Shortley
     signs, which products such as Lambda diag(s) Lambda^T never see.
     """
+    if dim == 1:
+        # one intermediate momentum each: the 1 x 1 eigenvector is (1)
+        return np.ones((len(ja2), 1, 1))
     return _eigenvectors(*_recoupling_tridiagonal(ja2, jb2, jc2, j2, dim))
 
 

@@ -185,15 +185,14 @@ def _cmd_decompose(args, out):
 
 def _mixed_by_load_row(args, n):
     n = int(round(n))
-    return [n] + [programmable.mixed_error(n, n, r) for r in (0.2, 0.5, 0.7, 1.0)]
+    specs = [programmable.PuritySpec("fixed", r) for r in (0.2, 0.5, 0.7, 1.0)]
+    return [n] + programmable.universal_errors(specs, n, n)
 
 
 def _universal_row(args, n):
     n = int(round(n))
-    return [n] + [
-        programmable.universal_error(programmable.PuritySpec(kind=k), n, n)
-        for k in ("hard-sphere", "bures", "chernoff")
-    ]
+    specs = [programmable.PuritySpec(k) for k in ("hard-sphere", "bures", "chernoff")]
+    return [n] + programmable.universal_errors(specs, n, n)
 
 
 def _learning_excess_row(args, r):
@@ -298,6 +297,8 @@ def _cmd_table(args, out):
             _csv(sink, header, rows)
         if args.svg:
             _write_svg(args.svg, header, rows)
+    except BrokenPipeError:
+        raise
     except OSError as exc:
         raise RuntimeError(f"cannot write table: {exc}") from exc
 
@@ -390,13 +391,29 @@ def run(argv, out=None, err=None) -> int:
         else:
             args.write(args, out)
         return 0
+    except BrokenPipeError:
+        # the reader of the output stream has gone; main() exits quietly
+        raise
     except (ValueError, RuntimeError, OSError, KeyError) as exc:
         err.write(f"error: {exc}\n")
         return 1
 
 
+# exit status when the reader of stdout closes it early (`qdl ... | head`):
+# 128 + SIGPIPE, what a shell reports for a process that signal ended
+BROKEN_PIPE_STATUS = 141
+
+
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        status = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's SIGPIPE recipe: point stdout at devnull so that the
+        # flush at exit cannot fail again, and say nothing on stderr
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = BROKEN_PIPE_STATUS
+    sys.exit(status)
 
 
 if __name__ == "__main__":

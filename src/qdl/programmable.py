@@ -16,7 +16,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -202,22 +202,26 @@ def _port_spins(m: int) -> tuple:
     return tuple(range(m % 2, m + 1, 2))
 
 
-def _block_error(n: int, nprime: int, coeff_n: np.ndarray, coeff_t: np.ndarray) -> float:
-    """Minimum error from the sector-by-sector trace norms.
+def _block_error(n: int, nprime: int, tables) -> list[float]:
+    """Minimum errors from the sector-by-sector trace norms, one per table.
 
-    ``coeff_n`` and ``coeff_t`` are the (possibly prior-averaged) block
-    coefficient tables of the n-fold and (n+nprime)-fold powers.  Sectors are
-    labelled by the port spins and the total spin; equivalent representations
-    enter only through multiplicative weights.  Sectors whose combined trace
-    weight is negligible (total discarded mass below _MASS_TOL) are skipped
-    before any recoupling matrix is built.
+    ``tables`` is a sequence of (coeff_n, coeff_t) pairs: the (possibly
+    prior-averaged) block coefficient tables of the n-fold and
+    (n+nprime)-fold powers.  Sectors are labelled by the port spins and the
+    total spin; equivalent representations enter only through
+    multiplicative weights.  Each table is pruned by its own mass: the
+    (ja, jb, jc) triples whose combined trace weight is negligible for it
+    (total discarded mass below _MASS_TOL) are skipped, so each error keeps
+    exactly the sectors it would keep alone.  The sectors of the union of
+    kept triples are enumerated once, and each recoupling matrix serves
+    every table that keeps its sector.
 
     Both program ports carry n copies, so swapping ja and jc maps the sector
     matrix M = diag(s1) - Lambda diag(s2) Lambda^T onto -Lambda^T M Lambda:
     s1 and s2 trade places and Lambda becomes its transpose.  The mirror has
     the same |eigenvalues| and the same mass, so only triples with ja <= jc
     are enumerated and those with ja < jc count twice.  Sectors are built and
-    solved in batches of bounded size (see _sector_sum), so the memory stays
+    solved in batches of bounded size (see _sector_sums), so the memory stays
     bounded as n grows.
     """
     nu_n = _nu_array(n)
@@ -228,34 +232,40 @@ def _block_error(n: int, nprime: int, coeff_n: np.ndarray, coeff_t: np.ndarray) 
     )
     folded = ja2 <= jc2
     ja2, jb2, jc2 = ja2[folded], jb2[folded], jc2[folded]
+    nu3 = np.where(ja2 < jc2, 2.0, 1.0) * nu_n[ja2] * nu_p[jb2] * nu_n[jc2]
 
     # mass of each (ja, jb, jc) triple and its mirror: their total
     # trace-weight contribution to gamma * (tr sigma1 + tr sigma2), summed in
     # closed form over J; wsum[hi + 2] - wsum[lo] sums (x2 + 1) coeff_t[x2]
     # over lo <= x2 <= hi in steps of 2
-    weight = np.arange(1, n + nprime + 2) * coeff_t
-    wsum = np.zeros(n + nprime + 3)
-    wsum[2::2] = np.cumsum(weight[0::2])
-    wsum[3::2] = np.cumsum(weight[1::2])
-    s_ab = wsum[ja2 + jb2 + 2] - wsum[np.abs(ja2 - jb2)]
-    s_bc = wsum[jb2 + jc2 + 2] - wsum[np.abs(jb2 - jc2)]
-    nu3 = np.where(ja2 < jc2, 2.0, 1.0) * nu_n[ja2] * nu_p[jb2] * nu_n[jc2]
-    mass = nu3 * ((jc2 + 1) * coeff_n[jc2] * s_ab + (ja2 + 1) * coeff_n[ja2] * s_bc)
-    order = np.argsort(mass, kind="stable")
-    kept = order[np.searchsorted(np.cumsum(mass[order]), _MASS_TOL, side="right"):]
+    keep = np.zeros((len(tables), len(ja2)), dtype=bool)
+    for row, (coeff_n, coeff_t) in zip(keep, tables):
+        weight = np.arange(1, n + nprime + 2) * coeff_t
+        wsum = np.zeros(n + nprime + 3)
+        wsum[2::2] = np.cumsum(weight[0::2])
+        wsum[3::2] = np.cumsum(weight[1::2])
+        s_ab = wsum[ja2 + jb2 + 2] - wsum[np.abs(ja2 - jb2)]
+        s_bc = wsum[jb2 + jc2 + 2] - wsum[np.abs(jb2 - jc2)]
+        mass = nu3 * ((jc2 + 1) * coeff_n[jc2] * s_ab + (ja2 + 1) * coeff_n[ja2] * s_bc)
+        order = np.argsort(mass, kind="stable")
+        row[order[np.searchsorted(np.cumsum(mass[order]), _MASS_TOL, side="right"):]] = True
 
     # the sectors of the kept triples are enumerated about _BATCH_ELEMENTS
     # at a time, so that their index arrays stay bounded too
-    ja2, jb2, jc2, nu3 = ja2[kept], jb2[kept], jc2[kept], nu3[kept]
+    used = np.flatnonzero(keep.any(axis=0))
+    ja2, jb2, jc2, nu3, keep = ja2[used], jb2[used], jc2[used], nu3[used], keep[:, used]
     ends = np.cumsum(_j_range(ja2, jb2, jc2)[1])
     cuts = np.searchsorted(
         ends, np.arange(_BATCH_ELEMENTS, ends[-1], _BATCH_ELEMENTS), side="right"
     )
+    # with equal loads (one copy each has no two sectors to share) the
+    # recoupling matrices are shared across 6j orbits
+    orbits = n == nprime > 1
     total = sum(
-        _sector_sum(ja2[part], jb2[part], jc2[part], nu3[part], coeff_n, coeff_t)
+        _sector_sums(ja2[part], jb2[part], jc2[part], nu3[part], keep[:, part], tables, orbits)
         for part in np.split(np.arange(len(ends)), cuts)
     )
-    return (1.0 - total / 2.0) / 2.0
+    return [(1.0 - t / 2.0) / 2.0 for t in total.tolist()]
 
 
 def _j_range(ja2, jb2, jc2):
@@ -267,35 +277,140 @@ def _j_range(ja2, jb2, jc2):
     return j_lo, (ja2 + jb2 + jc2 - j_lo) // 2 + 1
 
 
-def _sector_sum(ja2, jb2, jc2, nu3, coeff_n, coeff_t) -> float:
+def _orbit_keys(a, b, c, d):
+    """Orbit of each sector (a, b, c, d) = (ja, jb, jc, J), as doubled
+    spins, under the eight relabellings that keep (j_ab, j_bc) as its
+    intermediate pair, and whether its own labelling is a mirror of the
+    orbit's label.
+
+    The 6j symbol {a b x; c d y} is invariant under (b, a, d, c),
+    (c, d, a, b) and (d, c, b, a), so those sectors share |Lambda| with the
+    same row and column order; their a <-> c mirrors share |Lambda^T|
+    (Schulten and Gordon, J. Math. Phys. 16, 1961 (1975)).  The label is the
+    smallest packed image; a member whose mirror flag differs from another
+    member's has the transpose of that member's |Lambda|.
+    """
+    base = int(max(a.max(), b.max(), c.max(), d.max())) + 1
+
+    def pack(p, q, r, s):
+        return ((p * base + q) * base + r) * base + s
+
+    key, flip = pack(a, b, c, d), np.zeros(len(a), dtype=bool)
+    for mirror, image in (
+        (False, (b, a, d, c)), (False, (c, d, a, b)), (False, (d, c, b, a)),
+        (True, (c, b, a, d)), (True, (d, a, b, c)), (True, (a, d, c, b)), (True, (b, c, d, a)),
+    ):
+        other = pack(*image)
+        lower = other < key
+        key = np.where(lower, other, key)
+        flip[lower] = mirror
+    return key, flip
+
+
+def _sector_sums(ja2, jb2, jc2, nu3, keep, tables, orbits: bool) -> np.ndarray:
     """Sum of weight times trace norm over every sector of the given
-    triples; each sector holds the j_ab (and as many j_bc) allowed by both of
-    its triads, and each dimension group is solved in slices of at most
-    _BATCH_ELEMENTS matrix entries."""
+    triples, one sum per table, which counts only the triples it keeps
+    (``keep``, tables x triples); each sector holds the j_ab (and as many
+    j_bc) allowed by both of its triads.
+
+    With ``orbits`` (equal loads, so that the data port and the total spin
+    range over the program spins too) each recoupling matrix is built once
+    per orbit of _orbit_keys, and a member of the other mirror class forms
+    its M with s1 and s2 traded: -Lambda M Lambda^T of its own sector.  Row
+    and column signs of a shared Lambda enter M only as a diagonal +-1
+    congruence, so no spectrum changes.  Each dimension group is solved in
+    slices of whole orbits whose members hold about _BATCH_ELEMENTS matrix
+    entries or fewer.
+    """
     j_lo, count = _j_range(ja2, jb2, jc2)
     triple = np.repeat(np.arange(len(ja2)), count)
     j2 = j_lo[triple] + 2 * (np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count))
-    ja2, jb2, jc2 = ja2[triple], jb2[triple], jc2[triple]
+    ja2, jb2, jc2, keep = ja2[triple], jb2[triple], jc2[triple], keep[:, triple]
     gamma = nu3[triple] * (j2 + 1)
     x_lo = np.maximum(np.abs(ja2 - jb2), np.abs(j2 - jc2))
     y_lo = np.maximum(np.abs(jb2 - jc2), np.abs(ja2 - j2))
     dims = (np.minimum(ja2 + jb2, j2 + jc2) - x_lo) // 2 + 1
+    everywhere = keep.all(axis=1)  # the tables that keep every triple here
+    if orbits:
+        # sectors by dimension, the members of one orbit side by side with
+        # its first sector at the head, and mirror flags relative to the head
+        key, flip = _orbit_keys(ja2, jb2, jc2, j2)
+        order = np.lexsort((key, dims))
+        key = key[order]
+        head = np.ones(len(order), dtype=bool)
+        head[1:] = key[1:] != key[:-1]
+        rank = np.cumsum(head) - 1  # the orbit of each sector
+        flip = flip[order]
+        flip ^= flip[head][rank]
+    else:
+        order = np.argsort(dims, kind="stable")
+    dims = dims[order]
 
-    total = 0.0
-    for dim in np.unique(dims):
-        group = np.flatnonzero(dims == dim)
-        step = max(1, _BATCH_ELEMENTS // int(dim * dim))
+    total = np.zeros(len(tables))
+    bounds = (np.flatnonzero(dims[1:] != dims[:-1]) + 1).tolist()
+    for lo, hi in zip([0] + bounds, bounds + [len(dims)]):
+        dim = int(dims[lo])
+        step = max(1, _BATCH_ELEMENTS // (dim * dim))
         idx = np.arange(dim)
-        for start in range(0, len(group), step):
-            sel = group[start : start + step]
-            s1 = coeff_t[x_lo[sel][:, None] + 2 * idx] * coeff_n[jc2[sel]][:, None]
-            s2 = coeff_n[ja2[sel]][:, None] * coeff_t[y_lo[sel][:, None] + 2 * idx]
-            lam = recoupling_batch(ja2[sel], jb2[sel], jc2[sel], j2[sel], int(dim))
-            m = -(lam * s2[:, None, :]) @ lam.transpose(0, 2, 1)
-            m[:, idx, idx] += s1
-            w = np.linalg.eigvalsh(m)
-            total += float(gamma[sel] @ np.abs(w).sum(axis=1))
+        cuts = list(range(lo + step, hi, step))
+        if orbits and cuts:
+            # a slice holds whole orbits: it ends before the first head
+            # past step members
+            heads = lo + np.flatnonzero(head[lo:hi])
+            cuts = heads[np.flatnonzero(np.diff((heads - lo) // step)) + 1].tolist()
+        for a, b in zip([lo] + cuts, cuts + [hi]):
+            sel = order[a:b]
+            reps = sel[head[a:b]] if orbits else sel
+            if len(reps) < len(sel):
+                # the members' copy first: the heads' matrices, freed once it
+                # is filled, then leave no hole below it in the heap
+                lam = np.empty((len(sel), dim, dim))
+                np.take(recoupling_batch(ja2[reps], jb2[reps], jc2[reps], j2[reps], dim),
+                        rank[a:b] - rank[a], axis=0, out=lam)
+            else:
+                lam = recoupling_batch(ja2[reps], jb2[reps], jc2[reps], j2[reps], dim)
+            for t, (coeff_n, coeff_t) in enumerate(tables):
+                if everywhere[t]:
+                    kept, mem, lam_t = slice(None), sel, lam
+                else:
+                    kept = keep[t, sel]
+                    mem, lam_t = sel[kept], lam[kept]
+                    if not len(mem):
+                        continue
+                s1 = coeff_t[x_lo[mem][:, None] + 2 * idx] * coeff_n[jc2[mem]][:, None]
+                s2 = coeff_n[ja2[mem]][:, None] * coeff_t[y_lo[mem][:, None] + 2 * idx]
+                if orbits:
+                    swap = flip[a:b][kept][:, None]
+                    s1, s2 = np.where(swap, s2, s1), np.where(swap, s1, s2)
+                if dim == 1:
+                    w = s1 - s2  # Lambda = (1): M is the scalar s1 - s2
+                else:
+                    m = -(lam_t * s2[:, None, :]) @ lam_t.transpose(0, 2, 1)
+                    m[:, idx, idx] += s1
+                    w = np.linalg.eigvalsh(m)
+                total[t] += float(gamma[mem] @ np.abs(w).sum(axis=1))
     return total
+
+
+def universal_errors(priors: Sequence[PuritySpec], n: int, nprime: int) -> list[float]:
+    """Minimum errors of the fully universal machine at one port load, one
+    per purity prior, in order.
+
+    A fixed-purity prior is a state of known purity (see :func:`mixed_error`);
+    the isotropic direction average is the same for every prior, so only the
+    block coefficients are replaced by their prior averages.  The priors
+    share one pass over the sectors, so each recoupling matrix is built once
+    for all of them; each value is the one-prior value to rounding.
+    """
+    n, nprime = check_count("n", n), check_count("nprime", nprime)
+    tables = [(_prior_table(p, n), _prior_table(p, n + nprime)) for p in priors]
+    return _block_error(n, nprime, tables) if tables else []
+
+
+def _prior_table(prior: PuritySpec, m: int) -> np.ndarray:
+    if prior.kind == "fixed":
+        return _coeff_table(m, prior.r)
+    return _avg_coeff_table(prior.kind, m)
 
 
 def mixed_error(n: int, nprime: int, r: float) -> float:
@@ -303,9 +418,7 @@ def mixed_error(n: int, nprime: int, r: float) -> float:
 
     Reduces to :func:`pure_rates` at r = 1 and decreases with r.
     """
-    n, nprime = check_count("n", n), check_count("nprime", nprime)
-    r = check_purity(r)
-    return _block_error(n, nprime, _coeff_table(n, r), _coeff_table(n + nprime, r))
+    return universal_errors([PuritySpec("fixed", r)], n, nprime)[0]
 
 
 def mixed_asymptote(n: int, r: float) -> float:
@@ -382,18 +495,10 @@ def _avg_coeff_table(kind: str, m: int) -> np.ndarray:
 
 
 def universal_error(prior: PuritySpec, n: int, nprime: int) -> float:
-    """Minimum error of the fully universal machine under a purity prior.
-
-    A fixed-purity prior degenerates to :func:`mixed_error`; the isotropic
-    direction average is unchanged, so only the block coefficients are
-    replaced by their prior averages.
-    """
-    n, nprime = check_count("n", n), check_count("nprime", nprime)
-    if prior.kind == "fixed":
-        return mixed_error(n, nprime, prior.r)
-    return _block_error(
-        n, nprime, _avg_coeff_table(prior.kind, n), _avg_coeff_table(prior.kind, n + nprime)
-    )
+    """Minimum error of the fully universal machine under a purity prior
+    (see :func:`universal_errors`); a fixed-purity prior degenerates to
+    :func:`mixed_error`."""
+    return universal_errors([prior], n, nprime)[0]
 
 
 # ---------------------------------------------------------------------------

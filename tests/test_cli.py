@@ -313,6 +313,22 @@ def test_running_the_package_as_a_module_reaches_the_cli(tmp_path, module):
     assert done.stderr == "error: --step nan is not a finite number\n"
 
 
+def test_closed_stdout_pipe_exits_quietly(tmp_path):
+    # `qdl table ... | head -1`: the reader leaves after the first line, and
+    # the table (about 0.8 MB) is far larger than a pipe buffer
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "qdl", "table", "--figure", "fig3.5", "--step", "0.00001"]
+    with subprocess.Popen(argv, env=env, cwd=tmp_path, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first == b"r,Ps_weak,Ps_strong\n"
+    assert err == b"" and code == cli.BROKEN_PIPE_STATUS == 141
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
     src = Path(cli.__file__).resolve().parents[1]
     probe = "import sys, qdl.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -381,14 +397,17 @@ def test_table_output_byte_identical_across_runs(tmp_path):
 
 
 def test_table_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
-    f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    base = ["table", "--figure", "fig3.5", "--xmin", "0", "--xmax", "0.1",
-            "--step", "0.01"]
-    monkeypatch.setenv("QDL_THREADS", "1")
-    assert run_cli(base + ["--out", str(f1)])[0] == 0
-    monkeypatch.setenv("QDL_THREADS", "4")
-    assert run_cli(base + ["--out", str(f2)])[0] == 0
-    assert f1.read_bytes() == f2.read_bytes()
+    # fig4.2 and fig4.4 rows solve stacks of purities and priors at one n
+    grids = {"fig3.5": ("0", "0.1", "0.01"), "fig4.2": ("1", "4", "1"),
+             "fig4.4": ("1", "4", "1")}
+    for figure, (xmin, xmax, step) in grids.items():
+        f1, f2 = tmp_path / f"{figure}-1.csv", tmp_path / f"{figure}-4.csv"
+        base = ["table", "--figure", figure, "--xmin", xmin, "--xmax", xmax, "--step", step]
+        monkeypatch.setenv("QDL_THREADS", "1")
+        assert run_cli(base + ["--out", str(f1)])[0] == 0
+        monkeypatch.setenv("QDL_THREADS", "4")
+        assert run_cli(base + ["--out", str(f2)])[0] == 0
+        assert f1.read_bytes() == f2.read_bytes(), figure
 
 
 @pytest.mark.parametrize("bad", ["abc", "0", "-2", "2.5"])

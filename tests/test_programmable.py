@@ -268,9 +268,8 @@ def test_universal_error_in_range(kind, n, nprime):
 # ---------------------------------------------------------------------------
 
 
-def _sector_matrix(ja2, jb2, jc2, j2, coeff_n, coeff_t):
-    """M = diag(s1) - Lambda diag(s2) Lambda^T of one sector, built as the
-    block sums build it."""
+def _sector_parts(ja2, jb2, jc2, j2, coeff_n, coeff_t):
+    """Lambda, s1 and s2 of one sector, built as the block sums build them."""
     x_lo = max(abs(ja2 - jb2), abs(j2 - jc2))
     y_lo = max(abs(jb2 - jc2), abs(ja2 - j2))
     dim = (min(ja2 + jb2, j2 + jc2) - x_lo) // 2 + 1
@@ -278,6 +277,12 @@ def _sector_matrix(ja2, jb2, jc2, j2, coeff_n, coeff_t):
     lam = recoupling_batch([ja2], [jb2], [jc2], [j2], dim)[0]
     s1 = coeff_t[x_lo + 2 * idx] * coeff_n[jc2]
     s2 = coeff_n[ja2] * coeff_t[y_lo + 2 * idx]
+    return lam, s1, s2
+
+
+def _sector_matrix(ja2, jb2, jc2, j2, coeff_n, coeff_t):
+    """M = diag(s1) - Lambda diag(s2) Lambda^T of one sector."""
+    lam, s1, s2 = _sector_parts(ja2, jb2, jc2, j2, coeff_n, coeff_t)
     return np.diag(s1) - (lam * s2) @ lam.T
 
 
@@ -302,6 +307,63 @@ def test_recoupling_mirror_sector_has_the_same_absolute_spectrum():
     assert largest >= 20
 
 
+def test_recoupling_orbit_members_share_one_matrix():
+    # the relabellings that keep (j_ab, j_bc) as the intermediate pair: the
+    # 6j symmetries (b, a, J, c), (c, J, a, b), (J, c, b, a) share |Lambda|,
+    # and the four a <-> c mirrors share |Lambda^T|.  So each member's M,
+    # built on one shared Lambda (s1 and s2 traded where _orbit_keys flags a
+    # mirror), has the absolute spectrum of its own; every spin <= 30
+    rng = np.random.default_rng(18)
+    coeff_n, coeff_t = rng.uniform(size=61), rng.uniform(size=121)
+    checked, largest = 0, 0
+    while checked < 100:
+        a, b, c, d = (int(t) for t in rng.integers(0, 61, size=4))
+        if (a + b + c + d) % 2 or max(abs(a - b), abs(d - c)) > min(a + b, d + c):
+            continue
+        images = [(a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a),
+                  (c, b, a, d), (d, a, b, c), (a, d, c, b), (b, c, d, a)]
+        key, flip = prog._orbit_keys(*(np.array(spins) for spins in zip(*images)))
+        assert len(set(key.tolist())) == 1, images[0]
+        shared = _sector_parts(*images[0], coeff_n, coeff_t)[0]
+        for k, image in enumerate(images):
+            lam, s1, s2 = _sector_parts(*image, coeff_n, coeff_t)
+            want = np.abs(shared.T if k >= 4 else shared)
+            assert np.abs(np.abs(lam) - want).max() <= 1e-13, image
+            own = np.abs(np.linalg.eigvalsh(np.diag(s1) - (lam * s2) @ lam.T))
+            if flip[k] != flip[0]:
+                s1, s2 = s2, s1
+            got = np.abs(np.linalg.eigvalsh(np.diag(s1) - (shared * s2) @ shared.T))
+            assert np.abs(np.sort(got) - np.sort(own)).max() <= 1e-13, image
+        checked, largest = checked + 1, max(largest, len(shared))
+    assert largest >= 20
+
+
+def test_sector_sums_share_matrices_in_any_triple_order(monkeypatch):
+    # the stacked, orbit-sharing sum against each table alone over its own
+    # triples, every sector with its own matrix.  In a shuffled triple order
+    # the first sector of an orbit, whose matrix the orbit shares, is often a
+    # mirror of the orbit's label; a tiny batch cuts every dimension group
+    # into slices of a few orbits
+    n = 8
+    rng = np.random.default_rng(5)
+    spins = range(0, n + 1, 2)
+    triples = np.array([(a, b, c) for a in spins for b in spins for c in spins if a <= c])
+    ja2, jb2, jc2 = rng.permutation(triples).T
+    nu3 = rng.uniform(size=len(ja2))
+    tables = [(prog._coeff_table(n, r), prog._coeff_table(2 * n, r)) for r in (0.55, 0.9)]
+    keep = np.ones((2, len(ja2)), dtype=bool)
+    keep[1, ::3] = False
+    for batch in (prog._BATCH_ELEMENTS, 64):
+        monkeypatch.setattr(prog, "_BATCH_ELEMENTS", batch)
+        got = prog._sector_sums(ja2, jb2, jc2, nu3, keep, tables, True)
+        for t, table in enumerate(tables):
+            k = keep[t]
+            alone = prog._sector_sums(
+                ja2[k], jb2[k], jc2[k], nu3[k], keep[t:t + 1, k], [table], False
+            )
+            assert abs(got[t] - alone[0]) <= 1e-13 * alone[0], (batch, t)
+
+
 FOLD_LOADS = dict(n=st.integers(min_value=1, max_value=16), nprime=st.integers(1, 8))
 # tiny, mid, one ulp below 1, and 1
 FOLD_PURITIES = st.sampled_from((1e-300, 0.55, float(np.nextafter(1.0, 0.0)), 1.0))
@@ -311,6 +373,7 @@ FOLD_PURITIES = st.sampled_from((1e-300, 0.55, float(np.nextafter(1.0, 0.0)), 1.
 @given(r=FOLD_PURITIES, **FOLD_LOADS)
 @example(n=15, nprime=4, r=0.55)
 @example(n=16, nprime=8, r=1e-300)
+@example(n=8, nprime=8, r=0.55)  # equal loads: matrices shared across orbits
 def test_mixed_error_matches_every_sector_sum(n, nprime, r):
     # the folded, pruned sum against every (ja, jb, jc, J) sector: pruning
     # only ever drops mass, so the two differ by at most _MASS_TOL / 4
@@ -323,12 +386,26 @@ def test_mixed_error_matches_every_sector_sum(n, nprime, r):
 @QUICK
 @given(kind=st.sampled_from(("hard-sphere", "bures", "chernoff")), **FOLD_LOADS)
 @example(kind="chernoff", n=13, nprime=2)
+@example(kind="chernoff", n=6, nprime=6)
 def test_universal_error_matches_every_sector_sum(kind, n, nprime):
     want = oracles.block_error_all_sectors(
         n, nprime, prog._avg_coeff_table(kind, n), prog._avg_coeff_table(kind, n + nprime)
     )
     got = prog.universal_error(prog.PuritySpec(kind=kind), n, nprime)
     assert abs(got - want) <= prog._MASS_TOL / 4 + 1e-15
+
+
+@pytest.mark.parametrize("n, nprime", [(6, 6), (9, 9), (7, 2)])
+def test_universal_errors_is_the_stack_of_single_calls(n, nprime):
+    # r = 1 prunes most sectors, a mid purity none and a prior few, so the
+    # stack runs over a union that each value sees only in part
+    specs = [prog.PuritySpec("fixed", 1.0), prog.PuritySpec("fixed", 0.55),
+             prog.PuritySpec("bures"), prog.PuritySpec("chernoff")]
+    got = prog.universal_errors(specs, n, nprime)
+    assert len(got) == len(specs)
+    for spec, value in zip(specs, got):
+        assert abs(value - prog.universal_error(spec, n, nprime)) <= 1e-15, spec
+    assert prog.universal_errors([], n, nprime) == []
 
 
 def test_symmetric_law_below_full_purity_is_the_lan_limit():
@@ -467,7 +544,7 @@ def test_universal_chernoff_value_against_dense_quadrature():
                 )
             return arr
 
-        return prog._block_error(n, nprime, table(n), table(n + nprime))
+        return prog._block_error(n, nprime, [(table(n), table(n + nprime))])[0]
 
     got = prog.universal_error(prog.PuritySpec(kind="chernoff"), n, nprime)
     assert got == pytest.approx(avg_dense("chernoff"), abs=1e-9)
