@@ -14,6 +14,7 @@ worker count (capped by the QDL_THREADS environment variable).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -132,6 +133,8 @@ def _cmd_programmable(args):
 
 def _cmd_learn(args):
     n = args.n
+    if args.purity is not None and args.strategy != "sdp":
+        raise ValueError(f"--purity applies to --strategy sdp only, not {args.strategy}")
     if args.strategy == "lm":
         pe = learning.lm_error(n)
         return ["n", "Pe", "excess_risk"], [n, pe, pe - learning.known_pair_error()]
@@ -150,6 +153,8 @@ def _cmd_learn(args):
 
 def _cmd_read(args):
     a0 = args.alpha0
+    if args.squeeze is not None and args.strategy != "eyd":
+        raise ValueError(f"--squeeze applies to --strategy eyd only, not {args.strategy}")
     if args.oracle:
         cfg = reading.ReadingConfig(alpha0=a0, mu=args.mu, n_aux=args.naux)
         squeeze = args.squeeze if args.squeeze is not None else 0.0
@@ -308,6 +313,8 @@ def _cmd_table(args, out):
 # ---------------------------------------------------------------------------
 
 
+# one parser per process, built on first use: parsing leaves it unchanged
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdl",

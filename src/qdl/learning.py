@@ -22,10 +22,10 @@ import numpy as np
 from .angular import HalfInt, block_coefficient, check_spin, multiplicity
 from .linalg import check_count, check_purity
 
-# log-barrier schedule of the seed solver: t grows by _BARRIER_GROWTH until
-# the central-path gap (total block dimension)/t of the scaled problem drops
-# below _BARRIER_END.  A larger t buys nothing: as the S_m approach
-# singularity, the primal blocks S_m^-1 / t lose precision.
+# log-barrier schedule of the seed solver: a sector's t grows by
+# _BARRIER_GROWTH until its central-path gap (total block dimension)/t of the
+# scaled problem drops below _BARRIER_END.  A larger t buys nothing: as the
+# S_m approach singularity, the primal blocks S_m^-1 / t lose precision.
 _BARRIER_GROWTH = 10.0
 _BARRIER_END = 1e-10
 
@@ -112,29 +112,45 @@ def gamma_up(n: int, r: float, ja, jc) -> np.ndarray:
     return (side_a[:, None] - side_c[None, :]) / (2.0 * (ja2 + 1) * (jc2 + 1))
 
 
-def _gamma_coupled(ja2: int, jc2: int, r: float) -> dict:
-    """``gamma_up`` of sector (ja, jc) in the coupled basis: G_m keyed by
-    (2ja, 2jc, 2m), rows and columns over ascending J >= max(|ja - jc|, |m|).
+def _gamma_coupled(n: int, r: float):
+    """``gamma_up`` of every sector of n copies in the coupled basis, as one stack.
+
+    Returns (keys, g): ``keys`` lists (2ja, 2jc, 2m) sector by sector (ja, then
+    jc, ascending) and m ascending within a sector; ``g[i]`` is an (n+1)-square
+    matrix holding G_m of ``keys[i]`` in its trailing corner, rows and columns
+    over ascending J >= max(|ja - jc|, |m|), and zeros elsewhere.
 
     G_m = ((f_a + f_c) Jz_a - f_c m) / (2 (2ja+1) (2jc+1)), as Jz_c = m - Jz_a, and
     Jz_a is tridiagonal (projection theorem): m (J(J+1) + ja(ja+1) - jc(jc+1)) /
     (2 J(J+1)) on the diagonal, 0 at J = 0; between J - 1 and J the positive (Condon-
     Shortley) sqrt((J^2 - m^2)(J^2 - (ja-jc)^2)((ja+jc+1)^2 - J^2) / (4J^2 (4J^2 - 1))).
     """
-    fa, fc = _conditional_factor(ja2, r), _conditional_factor(jc2, r)
-    ja, jc = ja2 / 2.0, jc2 / 2.0
-    blocks = {}
-    for m2 in range(-(ja2 + jc2), ja2 + jc2 + 1, 2):
-        m = m2 / 2.0
-        j = np.arange(max(abs(ja2 - jc2), abs(m2)), ja2 + jc2 + 1, 2) / 2.0
-        jj = j * (j + 1.0)
-        diag = m * (jj + ja * (ja + 1.0) - jc * (jc + 1.0)) / np.where(jj > 0.0, 2.0 * jj, 1.0)
-        k2 = j[1:] ** 2
-        off = (fa + fc) * np.sqrt((k2 - m * m) * (k2 - (ja - jc) ** 2)
-                                  * ((ja + jc + 1.0) ** 2 - k2) / (4.0 * k2 * (4.0 * k2 - 1.0)))
-        g = np.diag((fa + fc) * diag - fc * m) + np.diag(off, 1) + np.diag(off, -1)
-        blocks[(ja2, jc2, m2)] = g / (2.0 * (ja2 + 1) * (jc2 + 1))
-    return blocks
+    spins = range(n % 2, n + 1, 2)
+    keys = [(a, c, m2) for a in spins for c in spins for m2 in range(-(a + c), a + c + 1, 2)]
+    ja2, jc2, m2 = (np.array(col)[:, None] for col in zip(*keys))
+    factor = np.array([_conditional_factor(j2, r) for j2 in range(n + 1)])
+    fa, fc = factor[ja2], factor[jc2]
+    ja, jc, m = ja2 / 2.0, jc2 / 2.0, m2 / 2.0
+    size = n + 1
+    # doubled J of each row, the top spin ja + jc in the last one
+    j2 = ja2 + jc2 - 2 * np.arange(size - 1, -1, -1)
+    rows = j2 >= np.maximum(np.abs(ja2 - jc2), np.abs(m2))
+    j = j2 / 2.0
+    jj = j * (j + 1.0)
+    diag = m * (jj + ja * (ja + 1.0) - jc * (jc + 1.0)) / np.where(jj > 0.0, 2.0 * jj, 1.0)
+    # the entries between J - 1 and J, both rows of the block
+    pairs = rows[:, :-1]
+    k2 = np.where(pairs, j[:, 1:] ** 2, 1.0)
+    off = (fa + fc) * np.sqrt(np.maximum((k2 - m * m) * (k2 - (ja - jc) ** 2)
+                                         * ((ja + jc + 1.0) ** 2 - k2)
+                                         / (4.0 * k2 * (4.0 * k2 - 1.0)), 0.0))
+    scale = 2.0 * (ja2 + 1) * (jc2 + 1)
+    g = np.zeros((len(keys), size, size))
+    flat = g.reshape(len(keys), -1)
+    flat[:, ::size + 1] = np.where(rows, (fa + fc) * diag - fc * m, 0.0) / scale
+    flat[:, 1::size + 1] = np.where(pairs, off, 0.0) / scale
+    flat[:, size::size + 1] = flat[:, 1::size + 1]
+    return keys, g
 
 
 @dataclass(frozen=True)
@@ -170,61 +186,88 @@ class LmOptimum(NamedTuple):
     gap: float
 
 
-def _solve_sector(gammas, b):
+def _solve_sectors(g, dims, starts, b):
     """Maximize sum_m tr(G_m X_m) over PSD X_m subject to
-    sum_m (X_m)_jj = b_j = 2j + 1, all in the coupled |j m> basis.
+    sum_m (X_m)_jj = b_j = 2j + 1, in the coupled |j m> basis, for every
+    sector at once.
 
-    Block m carries the spins j >= |m|, the trailing entries of ``b``.  The
-    dual, minimize b.y subject to S_m = diag(y_{j>=|m|}) - G_m >= 0, is
-    solved with a damped-Newton log barrier; every iterate, the last one
-    included, passes a Cholesky factorization of each S_m, so the returned
-    b.y is a certified upper bound.  The primal blocks are S_m^-1 / t at the
-    last centring, made exactly feasible by a diagonal congruence.
-    Returns (dual value, primal value, primal blocks).
+    ``g`` stacks the G_m of all sectors, each in the trailing ``dims`` corner
+    of a common square and scaled so that its sector's largest |entry| is 1;
+    sector s owns the blocks from ``starts[s]`` to the next start, m
+    ascending.  ``b[s]`` holds the sector's 2j + 1 in its trailing entries and
+    0 before them; block m carries the trailing spins j >= |m|.  The dual,
+    minimize b.y subject to S_m = diag(y_{j>=|m|}) - G_m >= 0, is solved with
+    a damped-Newton log barrier.  Each sector keeps its own barrier parameter,
+    decrement and stop, so it takes the steps it would take alone, while one
+    batched Cholesky, inverse and Hessian assembly serve all sectors per step.
+    Every iterate, the last one included, passes a Cholesky factorization of
+    each S_m, so each b.y is a certified upper bound.  The primal blocks are
+    S_m^-1 / t at the last centring, made exactly feasible by a diagonal
+    congruence.  Returns y and the stack of primal blocks.
     """
-    offsets = [len(b) - len(g) for g in gammas]
-    scale = max(np.abs(g).max() for g in gammas)
-    if scale == 0.0:
-        # every point scores 0, certified by y = 0; X_m = I is feasible (b = 2j + 1)
-        return 0.0, 0.0, [np.eye(len(g)) for g in gammas]
-    gs = [g / scale for g in gammas]
-    nu = sum(len(g) for g in gs)
+    count, size = g.shape[:2]
+    sectors = len(starts)
+    sector = np.repeat(np.arange(sectors), np.diff(starts, append=count))
+    nu = np.add.reduceat(dims, starts).tolist()
+    # a block's own rows; the rest of its square is an identity, masked out
+    own = np.arange(size) >= size - dims[:, None]
+    mask = (own[:, :, None] & own[:, None, :]).astype(float)
+    # rows no spin of the sector reaches: an identity in its Hessian
+    idle = b == 0.0
     # G_m is orthogonally similar to a diagonal with entries in [-1, 1], so
     # this start has S_m >= I
-    y = np.full(len(b), 2.0)
-    t = 1.0
-    while True:
-        lam_prev = math.inf
-        while True:
-            grad, hess = t * b, np.zeros((len(b), len(b)))
-            s_inv = []
-            for k, g in zip(offsets, gs):
-                l_inv = np.linalg.inv(np.linalg.cholesky(np.diag(y[k:]) - g))
-                s_inv.append(l_inv.T @ l_inv)
-                grad[k:] -= np.diag(s_inv[-1])
-                hess[k:, k:] += s_inv[-1] * s_inv[-1]
-            step = -np.linalg.solve(hess, grad)
-            lam = math.sqrt(max(-float(grad @ step), 0.0))
-            if lam >= 0.25:
-                y += step / (1.0 + lam)
+    y = np.full(b.shape, 2.0)
+    t = [1.0] * sectors
+    lam_prev = [math.inf] * sectors
+    live = [True] * sectors
+    # gradient rows: t b of each sector, then its blocks' diagonals in m
+    # order, so that the fold below subtracts them one by one
+    heads = starts + np.arange(sectors)
+    tails = np.arange(count) + sector + 1
+    terms = np.empty((count + sectors, size))
+    s = -g
+    s_diag = s.reshape(count, -1)[:, ::size + 1]
+    s_diag[~own] = 1.0
+    g_diag = g.reshape(count, -1)[:, ::size + 1]
+    s_inv = np.empty_like(s)
+    s_inv_diag = s_inv.reshape(count, -1)[:, ::size + 1]
+    hess = np.empty((sectors, size, size))
+    hess_diag = hess.reshape(sectors, -1)[:, ::size + 1]
+    while any(live):
+        np.subtract(y[sector], g_diag, out=s_diag, where=own)
+        l_inv = np.linalg.inv(np.linalg.cholesky(s))
+        np.matmul(np.swapaxes(l_inv, 1, 2), l_inv, out=s_inv)
+        s_inv *= mask
+        terms[heads] = np.array(t)[:, None] * b
+        terms[tails] = s_inv_diag
+        grad = np.subtract.reduceat(terms, heads)
+        np.add.reduceat(s_inv * s_inv, starts, out=hess)
+        hess_diag += idle
+        step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        dots = (grad[:, None, :] @ step[:, :, None]).ravel().tolist()
+        # per sector: the divisor of its step, inf for no step
+        divisor = [math.inf] * sectors
+        for k in range(sectors):
+            if not live[k]:
                 continue
+            lam = math.sqrt(max(-dots[k], 0.0))
+            if lam >= 0.25:
+                divisor[k] = 1.0 + lam
             # exact full steps contract the decrement by 4/9 or more, so one
             # that does not halve it has reached the rounding floor: centred
-            if lam >= lam_prev / 2.0:
-                break
-            lam_prev = lam
-            y += step
-        if nu / t < _BARRIER_END:
-            break
-        t *= _BARRIER_GROWTH
-    xs = [s / t for s in s_inv]
-    occupation = np.zeros(len(b))
-    for k, x in zip(offsets, xs):
-        occupation[k:] += np.diag(x)
-    d = np.sqrt(b / occupation)
-    xs = [x * np.outer(d[k:], d[k:]) for k, x in zip(offsets, xs)]
-    primal = sum(float(np.sum(g * x)) for g, x in zip(gs, xs))
-    return scale * float(b @ y), scale * primal, xs
+            elif lam < lam_prev[k] / 2.0:
+                lam_prev[k] = lam
+                divisor[k] = 1.0
+            elif nu[k] / t[k] < _BARRIER_END:
+                live[k] = False
+            else:
+                t[k] *= _BARRIER_GROWTH
+                lam_prev[k] = math.inf
+        y += step / np.array(divisor)[:, None]
+    xs = s_inv / np.array(t)[sector, None, None]
+    occupation = np.add.reduceat(xs.reshape(count, -1)[:, ::size + 1], starts)
+    d = np.sqrt(np.divide(b, occupation, out=np.zeros_like(b), where=~idle))[sector]
+    return y, xs * (d[:, :, None] * d[:, None, :])
 
 
 def lm_mixed_optimize(n: int, r: float) -> LmOptimum:
@@ -241,18 +284,46 @@ def lm_mixed_optimize(n: int, r: float) -> LmOptimum:
     if n > 5:
         raise ValueError("seed optimization is desk-scale: n must be 1..5")
     r = check_purity(r, zero=False)
-    primal_total = dual_total = 0.0
-    blocks = {}
+    keys, g = _gamma_coupled(n, r)
+    size = n + 1
     spins = range(n % 2, n + 1, 2)
     prob = {j2: block_probability(n, HalfInt(j2), r) for j2 in spins}
-    for ja2 in spins:
-        for jc2 in spins:
-            gammas = _gamma_coupled(ja2, jc2, r)
-            b = np.arange(abs(ja2 - jc2), ja2 + jc2 + 1, 2) + 1.0
-            dual, primal, xs = _solve_sector(list(gammas.values()), b)
-            dual_total += prob[ja2] * prob[jc2] * dual
-            primal_total += prob[ja2] * prob[jc2] * primal
-            blocks.update(zip(gammas, xs))
+    ja2, jc2, m2 = np.array(keys).T
+    dims = (ja2 + jc2 - np.maximum(np.abs(ja2 - jc2), np.abs(m2))) // 2 + 1
+    # sector (ja, jc) owns the blocks lo:hi of the stack
+    sectors, lo = [], 0
+    for a in spins:
+        for c in spins:
+            hi = lo + a + c + 1
+            sectors.append((a, c, lo, hi, float(np.abs(g[lo:hi]).max())))
+            lo = hi
+    # an all-zero sector scores 0 at every point, certified by y = 0, and
+    # X_m = I is feasible (b = 2j + 1); the others are solved together
+    solved = [(a, c, lo, hi, scale) for a, c, lo, hi, scale in sectors if scale > 0.0]
+    if solved:
+        gs = np.concatenate([g[lo:hi] / scale for _, _, lo, hi, scale in solved])
+        starts = np.cumsum([0] + [hi - lo for _, _, lo, hi, _ in solved[:-1]])
+        b = np.zeros((len(solved), size))
+        for row, (a, c, _, _, _) in zip(b, solved):
+            row[size - min(a, c) - 1:] = np.arange(abs(a - c), a + c + 1, 2) + 1.0
+        y, xs = _solve_sectors(
+            gs, np.concatenate([dims[lo:hi] for _, _, lo, hi, _ in solved]), starts, b)
+        runs = zip(y, b, np.split(gs, starts[1:]), np.split(xs, starts[1:]))
+    primal_total = dual_total = 0.0
+    blocks = {}
+    for a, c, lo, hi, scale in sectors:
+        if scale == 0.0:
+            blocks.update((key, np.eye(d)) for key, d in zip(keys[lo:hi], dims[lo:hi]))
+            continue
+        y_s, b_s, g_s, x_s = next(runs)
+        width = min(a, c) + 1
+        dual = scale * float(b_s[size - width:] @ y_s[size - width:])
+        primal = 0.0
+        for key, d, gm, xm in zip(keys[lo:hi], dims[lo:hi], g_s, x_s):
+            blocks[key] = xm = xm[size - d:, size - d:]
+            primal += float(np.sum(gm[size - d:, size - d:] * xm))
+        dual_total += prob[a] * prob[c] * dual
+        primal_total += prob[a] * prob[c] * (scale * primal)
     delta = 2.0 * primal_total
     return LmOptimum(
         delta_lm=delta, seed=SeedOperator(n=n, blocks=blocks), gap=2.0 * dual_total - delta

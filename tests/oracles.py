@@ -20,7 +20,16 @@ from qdl.angular import (
     recoupling_batch,
     wigner_d,
 )
-from qdl.learning import block_probability, gamma_up, spin_z_expectation
+from qdl.learning import (
+    _BARRIER_END,
+    _BARRIER_GROWTH,
+    LmOptimum,
+    SeedOperator,
+    _gamma_coupled,
+    block_probability,
+    gamma_up,
+    spin_z_expectation,
+)
 from qdl.linalg import as_matrix, check_purity, herm_eigvals, pauli_matrices, require_hermitian
 from qdl.reading import (
     _check_amplitude,
@@ -283,6 +292,75 @@ def seed_surrogate_product_basis(seed, r: float) -> float:
     return sum(
         prob[key[0]] * prob[key[1]] * float(g @ np.diag(c @ seed.blocks[key] @ c.T))
         for key, g, c in _gamma_up_slices(n, r)
+    )
+
+
+def _solve_seed_sector(gammas, b):
+    """Maximize sum_m tr(G_m X_m) over PSD X_m subject to
+    sum_m (X_m)_jj = b_j = 2j + 1 in one sector, on its own barrier path, one
+    magnetic block at a time: the same log barrier, schedule and primal repair
+    as ``learning._solve_sectors``.  Returns (dual value, primal value, primal
+    blocks)."""
+    offsets = [len(b) - len(g) for g in gammas]
+    scale = max(np.abs(g).max() for g in gammas)
+    if scale == 0.0:
+        return 0.0, 0.0, [np.eye(len(g)) for g in gammas]
+    gs = [g / scale for g in gammas]
+    nu = sum(len(g) for g in gs)
+    y = np.full(len(b), 2.0)
+    t = 1.0
+    while True:
+        lam_prev = math.inf
+        while True:
+            grad, hess = t * b, np.zeros((len(b), len(b)))
+            s_inv = []
+            for k, g in zip(offsets, gs):
+                l_inv = np.linalg.inv(np.linalg.cholesky(np.diag(y[k:]) - g))
+                s_inv.append(l_inv.T @ l_inv)
+                grad[k:] -= np.diag(s_inv[-1])
+                hess[k:, k:] += s_inv[-1] * s_inv[-1]
+            step = -np.linalg.solve(hess, grad)
+            lam = math.sqrt(max(-float(grad @ step), 0.0))
+            if lam >= 0.25:
+                y += step / (1.0 + lam)
+                continue
+            if lam >= lam_prev / 2.0:
+                break
+            lam_prev = lam
+            y += step
+        if nu / t < _BARRIER_END:
+            break
+        t *= _BARRIER_GROWTH
+    xs = [s / t for s in s_inv]
+    occupation = np.zeros(len(b))
+    for k, x in zip(offsets, xs):
+        occupation[k:] += np.diag(x)
+    d = np.sqrt(b / occupation)
+    xs = [x * np.outer(d[k:], d[k:]) for k, x in zip(offsets, xs)]
+    primal = sum(float(np.sum(g * x)) for g, x in zip(gs, xs))
+    return scale * float(b @ y), scale * primal, xs
+
+
+def seed_sdp_per_sector(n: int, r: float) -> LmOptimum:
+    """``learning.lm_mixed_optimize`` solved one (ja, jc) sector after another,
+    each on its own barrier path, from the library's conditional operators."""
+    keys, g = _gamma_coupled(n, r)
+    sectors = {}
+    for (ja2, jc2, m2), gm in zip(keys, g):
+        dim = (ja2 + jc2 - max(abs(ja2 - jc2), abs(m2))) // 2 + 1
+        sectors.setdefault((ja2, jc2), {})[(ja2, jc2, m2)] = gm[len(gm) - dim:, len(gm) - dim:]
+    prob = {j2: block_probability(n, HalfInt(j2), r) for j2 in range(n % 2, n + 1, 2)}
+    primal_total = dual_total = 0.0
+    blocks = {}
+    for (ja2, jc2), gammas in sectors.items():
+        b = np.arange(abs(ja2 - jc2), ja2 + jc2 + 1, 2) + 1.0
+        dual, primal, xs = _solve_seed_sector(list(gammas.values()), b)
+        dual_total += prob[ja2] * prob[jc2] * dual
+        primal_total += prob[ja2] * prob[jc2] * primal
+        blocks.update(zip(gammas, xs))
+    delta = 2.0 * primal_total
+    return LmOptimum(
+        delta_lm=delta, seed=SeedOperator(n=n, blocks=blocks), gap=2.0 * dual_total - delta
     )
 
 

@@ -97,6 +97,40 @@ def test_read_eyd_defaults_to_optimal_squeezing():
     assert float(row["squeeze"]) == pytest.approx(reading.optimal_squeezing(0.8), abs=1e-8)
 
 
+@pytest.mark.parametrize(
+    "argv, option, strategy, wanted",
+    [
+        (["learn", "--n", "3", "--strategy", "lm", "--purity", "0.5"], "--purity", "lm", "sdp"),
+        (["learn", "--n", "3", "--purity", "0.5"], "--purity", "lm", "sdp"),
+        (["learn", "--n", "3", "--strategy", "eyd", "--purity", "0.5"], "--purity", "eyd", "sdp"),
+        (["learn", "--n", "3", "--strategy", "reversed", "--purity", "0.5"],
+         "--purity", "reversed", "sdp"),
+        (["read", "--alpha0", "1", "--strategy", "collective", "--squeeze", "0.3"],
+         "--squeeze", "collective", "eyd"),
+        (["read", "--alpha0", "1", "--squeeze", "0.3", "--oracle"],
+         "--squeeze", "collective", "eyd"),
+    ],
+)
+def test_option_the_strategy_would_ignore_is_refused(argv, option, strategy, wanted):
+    assert run_cli(argv) == (
+        1, "", f"error: {option} applies to --strategy {wanted} only, not {strategy}\n"
+    )
+
+
+def test_usage_errors_around_a_row_in_one_process():
+    # one parser serves every command of a process: a usage error must leave
+    # it as it was, for the next row and for the next error
+    bad = ["programmable", "--purity", "0.7", "--prior", "hs"]
+    first = run_cli(bad)
+    row = run_cli(["learn", "--n", "4", "--strategy", "reversed"])
+    again = run_cli(bad)
+    assert first == again
+    assert first[:2] == (2, "") and "not allowed with argument --purity" in first[2]
+    assert row == (0, "n,Pe\n4,0.433333333\n", "")
+    assert run_cli(["--help"]) == run_cli(["--help"])
+    assert cli.build_parser() is cli.build_parser()
+
+
 def pentagon_povm():
     elems = []
     sx = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -147,13 +147,13 @@ def test_coupled_conditional_operators_match_clebsch_gordan_rotation(n):
     # closed tridiagonal G_m against gamma_up's product-basis diagonal
     # conjugated by Clebsch-Gordan slices, off-diagonal signs included
     want = oracles.gamma_up_coupled(n, 0.7)
-    got = {}
-    for ja2 in range(n % 2, n + 1, 2):
-        for jc2 in range(n % 2, n + 1, 2):
-            got.update(learning._gamma_coupled(ja2, jc2, 0.7))
-    assert list(got) == list(want)
-    for key, g in got.items():
-        assert np.abs(g - want[key]).max() <= 1e-15, key
+    keys, stack = learning._gamma_coupled(n, 0.7)
+    assert keys == list(want)
+    for key, g in zip(keys, stack):
+        # G_m fills the trailing corner of its square, zeros elsewhere
+        dim = len(g) - len(want[key])
+        assert not g[:dim].any() and not g[:, :dim].any()
+        assert np.abs(g[dim:, dim:] - want[key]).max() <= 1e-15, key
 
 
 def test_block_probabilities_normalized():
@@ -235,6 +235,23 @@ def test_coupled_seed_rotated_to_product_basis_attains_delta(n, r):
     assert oracles.seed_surrogate_product_basis(opt.seed, r) == pytest.approx(
         opt.delta_lm / 2, abs=1e-13
     )
+
+
+@pytest.mark.parametrize("r", [1e-20, 0.1, 0.55, 0.7, 0.9, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_stacked_seed_solver_matches_per_sector_reference(n, r):
+    # every sector in one stacked barrier loop against each sector on its own
+    # path, from the same operators; the stack pads blocks with an identity,
+    # which moves LAPACK's rounding, so the two agree to rounding, not bits
+    opt = learning.lm_mixed_optimize(n, r)
+    ref = oracles.seed_sdp_per_sector(n, r)
+    assert abs(opt.delta_lm - ref.delta_lm) <= 1e-14
+    assert abs(opt.gap - ref.gap) <= 1e-14
+    assert list(opt.seed.blocks) == list(ref.seed.blocks)
+    for key, x in ref.seed.blocks.items():
+        assert np.abs(opt.seed.blocks[key] - x).max() <= 1e-12, key
+    assert opt.seed.resolution_residual() <= 1e-8
+    assert 0.0 <= opt.gap <= 1e-10
 
 
 def test_seed_optimization_rejects_large_n():
