@@ -238,11 +238,12 @@ def _phase1_simplex(cols, b, cost, basis, binv):
     bland = False
     last_obj = math.inf
     stall = 0
+    ratios = np.empty(m)
     for step in range(1, 500 * ncol + 1):
         cb = cost[basis]
         gain = (cb @ binv) @ cols - cost  # minus the reduced costs
         gain[closed] = 0.0
-        entering = int(np.argmax(gain > _ZERO) if bland else np.argmax(gain))
+        entering = int((gain > _ZERO).argmax() if bland else gain.argmax())
         if gain[entering] <= _ZERO:
             bmat = cols[:, basis]
             xb = np.maximum(np.linalg.solve(bmat, b), 0.0)
@@ -253,13 +254,13 @@ def _phase1_simplex(cols, b, cost, basis, binv):
             return x, None
         xb = np.maximum(binv @ b, 0.0)
         direction = binv @ cols[:, entering]
-        ratios = np.full(m, math.inf)
+        ratios.fill(math.inf)
         np.divide(xb, direction, out=ratios, where=direction > _ZERO)
         best = ratios.min()
         if best == math.inf:
             raise RuntimeError("unbounded feasibility subproblem")
-        tied = np.flatnonzero(ratios <= best + 1e-12)
-        leave = tied[np.argmin(basis[tied])]
+        tied = (ratios <= best + 1e-12).nonzero()[0]
+        leave = tied[basis[tied].argmin()]
         obj = float(cb @ xb)
         stall = stall + 1 if obj >= last_obj - 1e-13 else 0
         bland = bland or stall > m + 10
@@ -268,7 +269,7 @@ def _phase1_simplex(cols, b, cost, basis, binv):
         closed[entering] = True
         basis[leave] = entering
         row = binv[leave] / direction[leave]
-        binv -= np.outer(direction, row)
+        binv -= direction[:, None] * row
         binv[leave] = row
         if step % m == 0:
             binv[:] = np.linalg.inv(cols[:, basis])
@@ -349,17 +350,18 @@ def _extraction_loop(rank1: Povm, refine=None):
     """Shared peeling loop over a rank-1 POVM.
 
     The normalized elements and their Bloch vectors never change; only the
-    weight vector evolves, renormalized to its exact total each step so
-    round-off cannot compound.  The vertex LP is built once: its columns
-    are fixed and the current weights always balance, so each search
-    resumes from the previous optimal basis with the dead outcomes priced
-    out (phase-1 cost 1, barred from re-entering), and only has to pivot
-    them out of the basis.  refine(vectors, x), if given, may swap the
-    vertex found for another one over the live Bloch vectors.  A step whose
-    extraction probability is within 1e-8 of one (or whose vertex uses
-    every live outcome) is final: the sliver that would remain carries
-    reconstruction weight remaining * (1 - prob), far below round-off, and
-    dividing by 1 - prob would only amplify noise.
+    weight vector evolves, renormalized to its exact total each step.  The
+    vertex LP is built once: its columns are fixed and the current weights
+    always balance, so each search resumes from the previous optimal basis
+    with the dead outcomes priced out (phase-1 cost 1, barred from
+    re-entering), and only has to pivot them out of the basis.
+    refine(vectors, x), if given, may swap the vertex found for another one
+    over the live Bloch vectors.  A step whose extraction probability is
+    within 1e-8 of one (or whose vertex uses every live outcome) is final:
+    the sliver that would remain carries reconstruction weight remaining *
+    (1 - prob), far below round-off, and dividing by 1 - prob would only
+    amplify noise.  It also scales up the remainder's imbalance; a step that
+    leaves it above 1e-9 is final too, before a vertex LP turns infeasible.
     """
     d = rank1.dim
     labels = rank1.labels()
@@ -376,15 +378,17 @@ def _extraction_loop(rank1: Povm, refine=None):
         support = x > _ZERO
         prob = float((weights[live][support] / x[support]).min())
         final = prob >= 1.0 - 1e-8 or int(support.sum()) == live.size
+        if not final:
+            raw = np.maximum(weights[live] - prob * x, 0.0)
+            raw[raw <= _ZERO * (1.0 - prob)] = 0.0
+            raw *= d / raw.sum()
+            final = np.linalg.norm(raw @ vectors[live]) > 1e-9
         keep = live[support]
         ops = x[support, None, None] * normalized[keep]
         extremal = Povm(dim=d, elements=tuple(zip([labels[i] for i in keep], ops)))
         terms.append((remaining if final else remaining * prob, extremal))
         if final:
             return tuple(terms)
-        raw = np.maximum(weights[live] - prob * x, 0.0)
-        raw[raw <= _ZERO * (1.0 - prob)] = 0.0
-        raw *= d / raw.sum()
         weights[live] = raw
         cost[live[raw == 0.0]] = 1.0
         live = live[raw > 0.0]
@@ -415,18 +419,22 @@ def _vertex_quality(x: np.ndarray) -> float:
     return float(np.sum(x * x))
 
 
-def _neighboring_vertices(vectors: np.ndarray, x: np.ndarray) -> list[np.ndarray]:
+def _neighboring_vertices(vectors: np.ndarray, x: np.ndarray, solved: dict) -> list:
     """Vertices one simplex pivot away from x, found by re-solving the
-    feasibility system with each support element forced out."""
+    feasibility system with each support element forced out; ``solved``
+    keeps each drop's vertex over these vectors (None if infeasible)."""
     out = []
     if len(vectors) < 3:
         return out
-    for drop in np.flatnonzero(x > _ZERO):
-        try:
-            xs = find_extremal_vertex(np.delete(vectors, drop, axis=0))
-        except InfeasiblePovmError:
-            continue
-        out.append(np.insert(xs, drop, 0.0))
+    for drop in (x > _ZERO).nonzero()[0].tolist():
+        if drop not in solved:
+            try:
+                xs = find_extremal_vertex(np.delete(vectors, drop, axis=0))
+                solved[drop] = np.insert(xs, drop, 0.0)
+            except InfeasiblePovmError:
+                solved[drop] = None
+        if solved[drop] is not None:
+            out.append(solved[drop])
     return out
 
 
@@ -458,10 +466,11 @@ def ordered_decompose(p: Povm, criterion: str = "fewest-outcomes") -> Decomposit
     rank1, relabel = rank1_expand(p)
 
     def refine(vectors, best):
+        solved = {}  # the live vectors are fixed within one extraction step
         improved = True
         while improved:
             improved = False
-            for cand in _neighboring_vertices(vectors, best):
+            for cand in _neighboring_vertices(vectors, best, solved):
                 if _vertex_quality(cand) > _vertex_quality(best) + 1e-12:
                     best, improved = cand, True
         for cand in _antipodal_vertices(vectors):
@@ -478,18 +487,12 @@ def ordered_decompose(p: Povm, criterion: str = "fewest-outcomes") -> Decomposit
 # ---------------------------------------------------------------------------
 
 
-def _pairs(ops: np.ndarray) -> list:
-    """A stack of complex matrices as nested lists of [re, im] entry pairs."""
-    return np.stack([ops.real, ops.imag], -1).tolist()
-
-
 def povm_to_json(p: Povm) -> dict:
     """Each matrix as rows of [re, im] entry pairs."""
+    matrices = np.stack([p.ops.real, p.ops.imag], -1).tolist()
     return {
         "dim": p.dim,
-        "elements": [
-            {"label": label, "matrix": m} for label, m in zip(p.labels(), _pairs(p.ops))
-        ],
+        "elements": [{"label": lab, "matrix": m} for lab, m in zip(p.labels(), matrices)],
     }
 
 
@@ -532,18 +535,9 @@ def decomposition_to_json(result: DecompositionResult) -> dict:
 
 
 # The indented text of decomposition_to_json, written without the pure-Python
-# encoder that json.dumps(indent=2) falls back to.  A term's matrices come
-# from one call of the C encoder in its compact form, which is then
-# re-indented by replacing its separators: a float repr holds no bracket,
-# comma or space, so every separator found belongs to the list structure.
-# The encoded lists are fresh from tolist(), so they cannot be circular.
-_compact = json.JSONEncoder(separators=(", ", ": "), check_circular=False).encode
-_NUMBER, _ENTRY, _ROW = ("\n" + " " * depth for depth in (18, 16, 14))
-_REINDENT = (
-    ("]], [[", f"{_ENTRY}]{_ROW}],{_ROW}[{_ENTRY}[{_NUMBER}"),
-    ("], [", f"{_ENTRY}],{_ENTRY}[{_NUMBER}"),
-    (", ", f",{_NUMBER}"),
-)
+# encoder that json.dumps(indent=2) falls back to.  Every matrix is written
+# through one template per dimension with a %r slot per number: repr is how
+# json writes a finite float, and Povm refuses NaN and infinite entries.
 _ELEMENT = """{
             "label": %s,
             "matrix": [
@@ -565,6 +559,15 @@ _TERM = """{
     }"""
 
 
+@lru_cache(maxsize=16)
+def _element_template(d: int) -> str:
+    """_ELEMENT for a d x d matrix, with a %s slot for the encoded label and
+    then a %r slot for each number, in the order of the flattened pairs."""
+    number, entry, row = ("\n" + " " * depth for depth in (18, 16, 14))
+    text = f"{entry}],{entry}[{number}".join([f"%r,{number}%r"] * d)
+    return _ELEMENT % ("%s", f"{entry}]{row}],{row}[{entry}[{number}".join([text] * d))
+
+
 def _write_decomposition(result: DecompositionResult, write) -> None:
     """Pass ``json.dumps(decomposition_to_json(result), indent=2,
     sort_keys=True)`` to ``write`` in chunks of one term each."""
@@ -572,15 +575,12 @@ def _write_decomposition(result: DecompositionResult, write) -> None:
     write('{\n  "relabel": %s,\n  "terms": [' % relabel.replace("\n", "\n  "))
     sep = "\n    "
     for p, extremal in result.terms:
-        # "[[[[" + matrix 0 + "]]], [[[" + matrix 1 + ... + "]]]]"
-        matrices = _compact(_pairs(extremal.ops))[4:-4].split("]]], [[[")
-        elements = []
-        for label, text in zip(extremal.labels(), matrices):
-            for compact, indented in _REINDENT:
-                text = text.replace(compact, indented)
-            elements.append(_ELEMENT % (_compact(label), text))
-        write(sep + _TERM % (
-            _compact(extremal.dim), ",\n          ".join(elements), _compact(float(p))
-        ))
+        ops = extremal.ops
+        body = _element_template(extremal.dim)
+        rows = np.stack([ops.real, ops.imag], -1).reshape(len(ops), -1).tolist()
+        elements = ",\n          ".join(
+            body % (json.dumps(label), *row) for label, row in zip(extremal.labels(), rows)
+        )
+        write(sep + _TERM % (json.dumps(extremal.dim), elements, json.dumps(float(p))))
         sep = ",\n    "
     write("\n  ]\n}" if result.terms else "]\n}")

@@ -214,6 +214,57 @@ def random_povm(rng, dim, outcomes):
     return [inv_sqrt @ g @ inv_sqrt for g in gs]
 
 
+def phase1_simplex_reference(cols, b, cost, basis, binv):
+    """The pivot loop of ``povmdec._phase1_simplex`` written with the numpy
+    wrappers: np.outer for the eta update, a fresh ratio array per pivot.
+    Same arguments, same in-place updates of basis and binv, same result;
+    the library loop must match it bit for bit."""
+    zero = 1e-10
+    m, ncol = cols.shape
+    barred = cost > 0.0
+    barred[ncol - m:] = False
+    closed = barred.copy()
+    closed[basis] = True
+    bland = False
+    last_obj = math.inf
+    stall = 0
+    for step in range(1, 500 * ncol + 1):
+        cb = cost[basis]
+        gain = (cb @ binv) @ cols - cost
+        gain[closed] = 0.0
+        entering = int(np.argmax(gain > zero) if bland else np.argmax(gain))
+        if gain[entering] <= zero:
+            bmat = cols[:, basis]
+            xb = np.maximum(np.linalg.solve(bmat, b), 0.0)
+            if cb @ xb > 1e-8:
+                return None, np.linalg.solve(bmat.T, cb)
+            x = np.zeros(ncol)
+            x[basis] = xb
+            return x, None
+        xb = np.maximum(binv @ b, 0.0)
+        direction = binv @ cols[:, entering]
+        ratios = np.full(m, math.inf)
+        np.divide(xb, direction, out=ratios, where=direction > zero)
+        best = ratios.min()
+        if best == math.inf:
+            raise RuntimeError("unbounded feasibility subproblem")
+        tied = np.flatnonzero(ratios <= best + 1e-12)
+        leave = tied[np.argmin(basis[tied])]
+        obj = float(cb @ xb)
+        stall = stall + 1 if obj >= last_obj - 1e-13 else 0
+        bland = bland or stall > m + 10
+        last_obj = obj
+        closed[basis[leave]] = barred[basis[leave]]
+        closed[entering] = True
+        basis[leave] = entering
+        row = binv[leave] / direction[leave]
+        binv -= np.outer(direction, row)
+        binv[leave] = row
+        if step % m == 0:
+            binv[:] = np.linalg.inv(cols[:, basis])
+    raise RuntimeError("simplex iteration limit exceeded")
+
+
 def cg_matrix(j2: int, up_first: bool) -> np.ndarray:
     """Isometry from the spin-(j+1/2) subspace of C^2 (x) S_j (or S_j (x) C^2)
     into the product basis."""

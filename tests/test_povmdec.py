@@ -1,6 +1,8 @@
 import json
 import math
 import re
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -151,6 +153,18 @@ def test_povm_rejects_elements_of_the_wrong_dimension_or_none():
         povmdec.Povm(dim=2, elements=(("a", np.eye(3)),))
     with pytest.raises(ValueError, match="at least one element"):
         povmdec.Povm(dim=2, elements=())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.inf)])
+@pytest.mark.parametrize("at", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_povm_refuses_non_finite_entries(value, at):
+    # the JSON writer prints every matrix entry by repr, which matches json
+    # for finite floats only (repr nan where json writes NaN)
+    op = np.diag([0.5, 0.5]).astype(complex)
+    op[at] = value
+    op[at[::-1]] = np.conj(op[at])
+    with pytest.raises(ValueError, match="element 'a' is not Hermitian"):
+        povmdec.Povm(dim=2, elements=(("a", op), ("b", np.eye(2) - op)))
 
 
 def test_validate_flags_negative_element():
@@ -327,6 +341,23 @@ def test_decompose_rejects_non_povm():
         povmdec.decompose(bad)
 
 
+def test_decompose_stops_where_the_remainder_loses_balance():
+    # benchmark seed 17, pass 7: d = 4 and 11 outcomes.  Each step divides
+    # the remainder by 1 - prob, which also scales up its imbalance; left to
+    # grow, it made a late vertex LP infeasible and the POVM was refused
+    path = Path(__file__).parent / "fixtures" / "povm-seed17-pass07-d4.json"
+    p = povmdec.povm_from_json(path.read_text(encoding="utf-8"))
+    assert povmdec.validate_povm(p).is_valid
+    res = povmdec.decompose(p)
+    nbar = len(povmdec.rank1_expand(p)[0].elements)
+    assert len(res.terms) <= (nbar - 1) * p.dim + 1
+    assert res.probabilities().sum() == pytest.approx(1.0, abs=1e-12)
+    recon = res.reconstruct(p.dim, p.labels())
+    assert max(np.abs(recon[lab] - op).max() for lab, op in p.elements) <= 1e-12
+    for _, ext in res.terms:
+        assert povmdec.is_extremal(ext)[0]
+
+
 def test_decompose_full_rank_with_relabel():
     rng = np.random.default_rng(23)
     ops = oracles.random_povm(rng, 2, 3)
@@ -422,6 +453,45 @@ def test_ordered_rejects_higher_dimensions():
         povmdec.ordered_decompose(bb84_povm(), criterion="most-outcomes")
 
 
+def same_terms(a, b):
+    return len(a.terms) == len(b.terms) and all(
+        pa == pb and ea.labels() == eb.labels() and bits(ea.ops) == bits(eb.ops)
+        for (pa, ea), (pb, eb) in zip(a.terms, b.terms)
+    )
+
+
+def test_ordered_decompose_solves_each_dropped_outcome_once_per_step():
+    # within one extraction step the live vectors are fixed, so the LP with
+    # outcome k dropped is one LP however often the climb drops k; the
+    # vectors passed differ between drops and between steps (the live set
+    # shrinks), so no LP may be passed twice
+    rng = np.random.default_rng(43)
+    library, neighbours = povmdec.find_extremal_vertex, povmdec._neighboring_vertices
+    saved = 0
+    for n in (5, 8, 12):
+        ops = oracles.random_povm(rng, 2, n)
+        p = povmdec.Povm(dim=2, elements=tuple((str(i), op) for i, op in enumerate(ops)))
+        runs = []
+        for forget in (False, True):
+            seen = []
+
+            def counted(vectors):
+                seen.append(vectors.tobytes())
+                return library(vectors)
+
+            with mock.patch.object(povmdec, "find_extremal_vertex", counted), mock.patch.object(
+                povmdec, "_neighboring_vertices",
+                (lambda v, x, solved: neighbours(v, x, {})) if forget else neighbours,
+            ):
+                runs.append((povmdec.ordered_decompose(p), seen))
+        (got, memo_calls), (want, all_calls) = runs
+        assert len(set(memo_calls)) == len(memo_calls)
+        assert set(memo_calls) == set(all_calls)
+        assert same_terms(got, want)
+        saved += len(all_calls) - len(memo_calls)
+    assert saved > 0
+
+
 # ---------------------------------------------------------------------------
 # randomized round trips
 # ---------------------------------------------------------------------------
@@ -502,6 +572,63 @@ def test_infeasibility_certificate_separates_every_point(draw):
         povmdec.find_extremal_vertex(vecs)
     nu = exc.value.certificate
     assert max(float(v @ nu) for v in vecs) < 0.0
+
+
+def bits(a):
+    return None if a is None else (a.dtype, a.shape, a.tobytes())
+
+
+def checked_simplex(calls):
+    """The library pivot loop, run after the reference loop of tests/oracles.py
+    on copies of the same basis and inverse; x, the certificate, and the
+    basis and inverse left behind must agree bit for bit."""
+    library = povmdec._phase1_simplex
+
+    def run(cols, b, cost, basis, binv):
+        ref_basis, ref_binv = basis.copy(), binv.copy()
+        want = oracles.phase1_simplex_reference(cols, b, cost, ref_basis, ref_binv)
+        got = library(cols, b, cost, basis, binv)
+        assert [bits(g) for g in got] == [bits(w) for w in want]
+        assert bits(basis) == bits(ref_basis)
+        assert bits(binv) == bits(ref_binv)
+        calls.append(got[0] is None)
+        return got
+
+    return run
+
+
+@PROPERTY
+@given(draw=POVM_DRAWS)
+def test_simplex_matches_reference_loop_on_cold_vertex_lps(draw):
+    # the LP over every Bloch vector, each neighbour LP with one vector
+    # dropped, and an infeasible one whose certificate is compared too
+    p = drawn_povm(draw)
+    _, vecs = povmdec.bloch_points(p)
+    u = np.random.default_rng(draw[2]).standard_normal(vecs.shape)
+    lps = [vecs] + [np.delete(vecs, k, axis=0) for k in range(len(vecs))]
+    lps.append(u * np.sign(u @ u[0])[:, None] + 0.1 * u[0])
+    calls = []
+    with mock.patch.object(povmdec, "_phase1_simplex", checked_simplex(calls)):
+        for v in lps:
+            try:
+                povmdec.find_extremal_vertex(v)
+            except povmdec.InfeasiblePovmError:
+                pass
+    assert len(calls) == len(lps) and calls[-1]
+
+
+@PROPERTY
+@given(draw=POVM_DRAWS)
+def test_simplex_matches_reference_loop_on_warm_started_extractions(draw):
+    # every search of the extraction loop resumes from the basis and inverse
+    # that the previous search left behind
+    p = drawn_povm(draw)
+    calls = []
+    with mock.patch.object(povmdec, "_phase1_simplex", checked_simplex(calls)):
+        res = povmdec.decompose(p)
+        if p.dim == 2:
+            povmdec.ordered_decompose(p)
+    assert len(calls) >= len(res.terms)
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +715,7 @@ JSON_LABELS = st.one_of(
 
 @st.composite
 def decomposition_results(draw):
-    d = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 6))
     size = 2 * d * d
     lower, diag = np.tril_indices(d, -1), np.diag_indices(d)
     terms = []
