@@ -6,8 +6,8 @@ discriminates the two direction-averaged global states.  Averaging makes
 those states block diagonal over total-spin sectors, so every rate below
 reduces to small per-sector computations: binomial overlaps for pure
 states, and multiplicity-weighted trace norms of small rotated blocks for
-mixed states of known or unknown purity.  Error margins interpolate between
-the unambiguous and minimum-error extremes.
+mixed states of known or unknown purity (two-level blocks in closed form).
+Error margins interpolate between the unambiguous and minimum-error extremes.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from numpy.polynomial import legendre
 
 from .angular import (
+    _recoupling_tridiagonal,
     block_coefficient,
     check_spin,
     jordan_overlap,
@@ -36,6 +37,9 @@ _MASS_TOL = 1e-14
 # batch size of the mixed-state sums: sectors enumerated at a time, and
 # matrix entries per batched recoupling eigensolve
 _BATCH_ELEMENTS = 1 << 20
+# the mixed-state sums refuse n + nprime above _MAX_COPIES: every block coefficient
+# of weight above 2^-100 stays a normal float, and far from overflow once scaled
+_MAX_COPIES = 900
 # zeta_series stops at the first term below _ZETA_TOL and refuses an x that
 # would need more than _ZETA_MAX_TERMS terms (a fraction of a second)
 _ZETA_TOL = 1e-15
@@ -185,21 +189,22 @@ def pure_asymptotics(mode: str, n: int | None = None, nprime: int | None = None)
 # ---------------------------------------------------------------------------
 
 
-def _coeff_table(m: int, r: float) -> np.ndarray:
-    """Block coefficient of an m-fold power, indexed by the doubled spin."""
+def _prior_table(prior: PuritySpec, m: int) -> np.ndarray:
+    """Block coefficient of an m-fold power under a purity prior, indexed by
+    the doubled spin."""
+    if prior.kind == "chernoff":
+        return _chernoff_table(m)
     out = np.zeros(m + 1)
     for j2 in range(m % 2, m + 1, 2):
-        out[j2] = block_coefficient(m, j2 / 2, r)
+        out[j2] = (block_coefficient(m, j2 / 2, prior.r) if prior.kind == "fixed"
+                   else averaged_block_coefficient(prior.kind, m, j2 / 2))
     return out
 
 
-def _nu_array(m: int) -> np.ndarray:
-    return np.array(multiplicity_table(m), dtype=float)
-
-
-@lru_cache(maxsize=64)
-def _port_spins(m: int) -> tuple:
-    return tuple(range(m % 2, m + 1, 2))
+def _nu_split(m: int):
+    """multiplicity_table(m) as mantissas in [1/2, 1) and exact exponents of 2."""
+    exp = [v.bit_length() for v in multiplicity_table(m)]
+    return np.array([v / (1 << e) for v, e in zip(multiplicity_table(m), exp)]), np.array(exp)
 
 
 def _block_error(n: int, nprime: int, tables) -> list[float]:
@@ -208,13 +213,13 @@ def _block_error(n: int, nprime: int, tables) -> list[float]:
     ``tables`` is a sequence of (coeff_n, coeff_t) pairs: the (possibly
     prior-averaged) block coefficient tables of the n-fold and
     (n+nprime)-fold powers.  Sectors are labelled by the port spins and the
-    total spin; equivalent representations enter only through
-    multiplicative weights.  Each table is pruned by its own mass: the
-    (ja, jb, jc) triples whose combined trace weight is negligible for it
-    (total discarded mass below _MASS_TOL) are skipped, so each error keeps
-    exactly the sectors it would keep alone.  The sectors of the union of
-    kept triples are enumerated once, and each recoupling matrix serves
-    every table that keeps its sector.
+    total spin; equivalent representations enter only through multiplicative
+    weights, mantissas times exact powers of two so that none overflows.
+    Each table is pruned by its own mass: the (ja, jb, jc) triples whose
+    combined trace weight is negligible for it (total discarded mass below
+    _MASS_TOL) are skipped, so each error keeps exactly the sectors it would
+    keep alone.  The sectors of the union of kept triples are enumerated
+    once, and each recoupling matrix serves every table that keeps its sector.
 
     Both program ports carry n copies, so swapping ja and jc maps the sector
     matrix M = diag(s1) - Lambda diag(s2) Lambda^T onto -Lambda^T M Lambda:
@@ -224,15 +229,16 @@ def _block_error(n: int, nprime: int, tables) -> list[float]:
     solved in batches of bounded size (see _sector_sums), so the memory stays
     bounded as n grows.
     """
-    nu_n = _nu_array(n)
-    nu_p = _nu_array(nprime)
-    ja2, jb2, jc2 = (
-        g.ravel()
-        for g in np.meshgrid(_port_spins(n), _port_spins(nprime), _port_spins(n), indexing="ij")
-    )
+    (mant_n, exp_n), (mant_p, exp_p) = _nu_split(n), _nu_split(nprime)
+    ja2, jb2, jc2 = (g.ravel() for g in np.meshgrid(
+        *(range(m % 2, m + 1, 2) for m in (n, nprime, n)), indexing="ij"))
     folded = ja2 <= jc2
     ja2, jb2, jc2 = ja2[folded], jb2[folded], jc2[folded]
-    nu3 = np.where(ja2 < jc2, 2.0, 1.0) * nu_n[ja2] * nu_p[jb2] * nu_n[jc2]
+    # nu_a nu_b nu_c = weight 2^shift, with the mirror's 2 in weight; the
+    # power of two scales one factor, exactly, before it meets the other, and
+    # leaves it below 2^(n + nprime + 3) (see _MAX_COPIES)
+    weight = np.where(ja2 < jc2, 2.0, 1.0) * mant_n[ja2] * mant_p[jb2] * mant_n[jc2]
+    shift = exp_n[ja2] + exp_p[jb2] + exp_n[jc2]
 
     # mass of each (ja, jb, jc) triple and its mirror: their total
     # trace-weight contribution to gamma * (tr sigma1 + tr sigma2), summed in
@@ -240,20 +246,21 @@ def _block_error(n: int, nprime: int, tables) -> list[float]:
     # over lo <= x2 <= hi in steps of 2
     keep = np.zeros((len(tables), len(ja2)), dtype=bool)
     for row, (coeff_n, coeff_t) in zip(keep, tables):
-        weight = np.arange(1, n + nprime + 2) * coeff_t
+        dim_t = np.arange(1, n + nprime + 2) * coeff_t
         wsum = np.zeros(n + nprime + 3)
-        wsum[2::2] = np.cumsum(weight[0::2])
-        wsum[3::2] = np.cumsum(weight[1::2])
-        s_ab = wsum[ja2 + jb2 + 2] - wsum[np.abs(ja2 - jb2)]
-        s_bc = wsum[jb2 + jc2 + 2] - wsum[np.abs(jb2 - jc2)]
-        mass = nu3 * ((jc2 + 1) * coeff_n[jc2] * s_ab + (ja2 + 1) * coeff_n[ja2] * s_bc)
+        wsum[2::2] = np.cumsum(dim_t[0::2])
+        wsum[3::2] = np.cumsum(dim_t[1::2])
+        s_ab = np.ldexp(wsum[ja2 + jb2 + 2] - wsum[np.abs(ja2 - jb2)], shift)
+        s_bc = np.ldexp(wsum[jb2 + jc2 + 2] - wsum[np.abs(jb2 - jc2)], shift)
+        mass = weight * ((jc2 + 1) * coeff_n[jc2] * s_ab + (ja2 + 1) * coeff_n[ja2] * s_bc)
         order = np.argsort(mass, kind="stable")
         row[order[np.searchsorted(np.cumsum(mass[order]), _MASS_TOL, side="right"):]] = True
 
     # the sectors of the kept triples are enumerated about _BATCH_ELEMENTS
     # at a time, so that their index arrays stay bounded too
     used = np.flatnonzero(keep.any(axis=0))
-    ja2, jb2, jc2, nu3, keep = ja2[used], jb2[used], jc2[used], nu3[used], keep[:, used]
+    ja2, jb2, jc2, weight, shift = ja2[used], jb2[used], jc2[used], weight[used], shift[used]
+    keep = keep[:, used]
     ends = np.cumsum(_j_range(ja2, jb2, jc2)[1])
     cuts = np.searchsorted(
         ends, np.arange(_BATCH_ELEMENTS, ends[-1], _BATCH_ELEMENTS), side="right"
@@ -262,7 +269,8 @@ def _block_error(n: int, nprime: int, tables) -> list[float]:
     # recoupling matrices are shared across 6j orbits
     orbits = n == nprime > 1
     total = sum(
-        _sector_sums(ja2[part], jb2[part], jc2[part], nu3[part], keep[:, part], tables, orbits)
+        _sector_sums(ja2[part], jb2[part], jc2[part], weight[part], shift[part],
+                     keep[:, part], tables, orbits)
         for part in np.split(np.arange(len(ends)), cuts)
     )
     return [(1.0 - t / 2.0) / 2.0 for t in total.tolist()]
@@ -307,17 +315,19 @@ def _orbit_keys(a, b, c, d):
     return key, flip
 
 
-def _sector_sums(ja2, jb2, jc2, nu3, keep, tables, orbits: bool) -> np.ndarray:
+def _sector_sums(ja2, jb2, jc2, weight, shift, keep, tables, orbits: bool) -> np.ndarray:
     """Sum of weight times trace norm over every sector of the given
     triples, one sum per table, which counts only the triples it keeps
     (``keep``, tables x triples); each sector holds the j_ab (and as many
-    j_bc) allowed by both of its triads.
+    j_bc) allowed by both of its triads, and its n-fold coefficients are
+    scaled by 2^shift.  A sector with one or two j_ab is solved in closed
+    form, from T = 4 J_bc^2 alone; a larger one by a batched eigensolve.
 
     With ``orbits`` (equal loads, so that the data port and the total spin
-    range over the program spins too) each recoupling matrix is built once
-    per orbit of _orbit_keys, and a member of the other mirror class forms
-    its M with s1 and s2 traded: -Lambda M Lambda^T of its own sector.  Row
-    and column signs of a shared Lambda enter M only as a diagonal +-1
+    range over the program spins too) each larger recoupling matrix is built
+    once per orbit of _orbit_keys, and a member of the other mirror class
+    forms its M with s1 and s2 traded: -Lambda M Lambda^T of its own sector.
+    Row and column signs of a shared Lambda enter M only as a diagonal +-1
     congruence, so no spectrum changes.  Each dimension group is solved in
     slices of whole orbits whose members hold about _BATCH_ELEMENTS matrix
     entries or fewer.
@@ -326,7 +336,7 @@ def _sector_sums(ja2, jb2, jc2, nu3, keep, tables, orbits: bool) -> np.ndarray:
     triple = np.repeat(np.arange(len(ja2)), count)
     j2 = j_lo[triple] + 2 * (np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count))
     ja2, jb2, jc2, keep = ja2[triple], jb2[triple], jc2[triple], keep[:, triple]
-    gamma = nu3[triple] * (j2 + 1)
+    gamma = weight[triple] * (j2 + 1)
     x_lo = np.maximum(np.abs(ja2 - jb2), np.abs(j2 - jc2))
     y_lo = np.maximum(np.abs(jb2 - jc2), np.abs(ja2 - j2))
     dims = (np.minimum(ja2 + jb2, j2 + jc2) - x_lo) // 2 + 1
@@ -361,7 +371,14 @@ def _sector_sums(ja2, jb2, jc2, nu3, keep, tables, orbits: bool) -> np.ndarray:
         for a, b in zip([lo] + cuts, cuts + [hi]):
             sel = order[a:b]
             reps = sel[head[a:b]] if orbits else sel
-            if len(reps) < len(sel):
+            up = shift[triple[sel]]  # each sector's power of two
+            if dim == 1:  # one j_ab: P plays no part
+                lam = np.zeros((len(sel), 1))
+            elif dim == 2:  # P of _two_level_norms
+                lam = np.hstack(_recoupling_tridiagonal(ja2[sel], jb2[sel], jc2[sel], j2[sel], dim))
+                lam[:, :dim] -= y_lo[sel][:, None] * (y_lo[sel][:, None] + 2.0)
+                lam /= 4.0 * y_lo[sel][:, None] + 8.0
+            elif len(reps) < len(sel):
                 # the members' copy first: the heads' matrices, freed once it
                 # is filled, then leave no hole below it in the heap
                 lam = np.empty((len(sel), dim, dim))
@@ -371,25 +388,36 @@ def _sector_sums(ja2, jb2, jc2, nu3, keep, tables, orbits: bool) -> np.ndarray:
                 lam = recoupling_batch(ja2[reps], jb2[reps], jc2[reps], j2[reps], dim)
             for t, (coeff_n, coeff_t) in enumerate(tables):
                 if everywhere[t]:
-                    kept, mem, lam_t = slice(None), sel, lam
+                    kept, mem, lam_t, up_t = slice(None), sel, lam, up
                 else:
                     kept = keep[t, sel]
-                    mem, lam_t = sel[kept], lam[kept]
+                    mem, lam_t, up_t = sel[kept], lam[kept], up[kept]
                     if not len(mem):
                         continue
-                s1 = coeff_t[x_lo[mem][:, None] + 2 * idx] * coeff_n[jc2[mem]][:, None]
-                s2 = coeff_n[ja2[mem]][:, None] * coeff_t[y_lo[mem][:, None] + 2 * idx]
-                if orbits:
-                    swap = flip[a:b][kept][:, None]
-                    s1, s2 = np.where(swap, s2, s1), np.where(swap, s1, s2)
-                if dim == 1:
-                    w = s1 - s2  # Lambda = (1): M is the scalar s1 - s2
+                ca, cc = (np.ldexp(coeff_n[j[mem]], up_t) for j in (ja2, jc2))
+                s1 = coeff_t[x_lo[mem][:, None] + 2 * idx] * cc[:, None]
+                s2 = ca[:, None] * coeff_t[y_lo[mem][:, None] + 2 * idx]
+                if dim <= 2:
+                    w = _two_level_norms(s1, s2, lam_t)
                 else:
+                    if orbits:
+                        swap = flip[a:b][kept][:, None]
+                        s1, s2 = np.where(swap, s2, s1), np.where(swap, s1, s2)
                     m = -(lam_t * s2[:, None, :]) @ lam_t.transpose(0, 2, 1)
                     m[:, idx, idx] += s1
-                    w = np.linalg.eigvalsh(m)
-                total[t] += float(gamma[mem] @ np.abs(w).sum(axis=1))
+                    w = np.abs(np.linalg.eigvalsh(m)).sum(axis=1)
+                total[t] += float(gamma[mem] @ w)
     return total
+
+
+def _two_level_norms(s1, s2, p) -> np.ndarray:
+    """Trace norms of sector matrices M = diag(s1) - Lambda diag(s2) Lambda^T
+    with one or two j_ab: Lambda diag(s2) Lambda^T = s2_0 + (s2_1 - s2_0) P, the
+    upper eigenprojector P = (T - y (y + 2)) / (4 y + 8) of T = 4 J_bc^2 held in
+    ``p`` as diag(P), P[0, 1]; ||[[a, b], [b, c]]||_1 = max(|a + c|, hypot(a - c, 2b))."""
+    rise = s2[:, -1] - s2[:, 0]
+    m = s1 - s2[:, :1] - rise[:, None] * p[:, : s1.shape[1]]
+    return np.maximum(np.abs(m.sum(axis=1)), np.hypot(m[:, 0] - m[:, -1], 2.0 * rise * p[:, -1]))
 
 
 def universal_errors(priors: Sequence[PuritySpec], n: int, nprime: int) -> list[float]:
@@ -403,14 +431,10 @@ def universal_errors(priors: Sequence[PuritySpec], n: int, nprime: int) -> list[
     for all of them; each value is the one-prior value to rounding.
     """
     n, nprime = check_count("n", n), check_count("nprime", nprime)
+    if n + nprime > _MAX_COPIES:
+        raise ValueError(f"n {n} plus nprime {nprime} is above {_MAX_COPIES} copies")
     tables = [(_prior_table(p, n), _prior_table(p, n + nprime)) for p in priors]
     return _block_error(n, nprime, tables) if tables else []
-
-
-def _prior_table(prior: PuritySpec, m: int) -> np.ndarray:
-    if prior.kind == "fixed":
-        return _coeff_table(m, prior.r)
-    return _avg_coeff_table(prior.kind, m)
 
 
 def mixed_error(n: int, nprime: int, r: float) -> float:
@@ -482,15 +506,6 @@ def _chernoff_table(m: int) -> np.ndarray:
     j2 = np.arange(m % 2, m + 1, 2)
     out[j2] = np.cumsum(pairs) * (math.pi / 2.0) / ((math.pi - 2.0) * (j2 + 1))
     out.flags.writeable = False
-    return out
-
-
-def _avg_coeff_table(kind: str, m: int) -> np.ndarray:
-    if kind == "chernoff":
-        return _chernoff_table(m)
-    out = np.zeros(m + 1)
-    for j2 in range(m % 2, m + 1, 2):
-        out[j2] = averaged_block_coefficient(kind, m, j2 / 2)
     return out
 
 

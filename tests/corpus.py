@@ -1,15 +1,22 @@
-"""Byte-identity corpus of ``qdl decompose`` commands.
+"""Byte-identity corpus of ``qdl`` commands.
 
 Every command of the corpus is run in-process through ``qdl.cli.run``, in a
 fresh working directory that holds its inputs and is named by relative
 paths only, so nothing it prints depends on where it ran.  Its record is the
-exit code and the sha256 of stdout, of stderr and of each ``--output`` file
-(null where no file was written).  The commands are:
+exit code and the sha256 of stdout, of stderr and of each ``--output``,
+``--out`` or ``--svg`` file (null where no file was written).  Beside the
+hashes it keeps the text of stderr, of every stdout but a decomposition's,
+and of each CSV file, so that a moved digit shows.  The commands, each
+distinct command line once, are:
 
-* every ``decompose`` command of benchmark seeds 1-3 (``bench/run.py
-  --workload decompose``), on the POVM files ``bench/workloads.py`` writes;
-* the decompose examples of the README;
-* refused inputs: not a POVM, malformed, missing, and a usage error.
+* the CLI examples of the README;
+* refused inputs and usage errors of every command: not a POVM, malformed,
+  missing; bad copy counts, purities, margins and grids; mutually exclusive
+  modes; options the chosen strategy would ignore;
+* the nine ``table`` figures at their default grids, and an unknown figure;
+* ``programmable --nprime 1 --purity`` at n = 1..5 and five purities;
+* every command of benchmark seeds 1-3 (``bench/run.py --workload ...``) of
+  the three workloads, on the inputs ``bench/workloads.py`` generates.
 
 Usage, from the root of a checkout:
 
@@ -43,8 +50,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = Path(__file__).resolve().parent / "corpus.json"
 BENCH_SEEDS = (1, 2, 3)
-# the groups tier-1 checks, in about a second
-SLICE = ("readme", "errors", "seed1-pass00")
+WORKLOADS = ("decompose", "tables", "learn-read")
+# the groups tier-1 checks, in a few seconds: one pass of each workload
+SLICE = ("readme", "errors", "figures-fast", *(f"{w}-seed1-pass00" for w in WORKLOADS))
+# the default figures of the slice; the others take seconds each
+FAST_FIGURES = ("fig3.5", "fig4.5", "fig6.2", "fig6.3", "fig9.9")
 
 
 def stack() -> dict:
@@ -93,23 +103,69 @@ def _documents() -> dict:
 
 def _static_commands() -> list:
     readme = [
-        ["decompose", "--input", "pentagon.json"],
-        ["decompose", "--input", "povm.json", "--ordered", "--output", "out.json"],
+        "programmable --n 1 --nprime 1",
+        "programmable --n 2 --nprime 1 --purity 0.7",
+        "programmable --n 2 --nprime 2 --prior chernoff",
+        "programmable --n 9 --nprime 2 --margin 0.05 --scheme strong",
+        "discriminate --overlap 0.7 --mode weak --margin 0.02",
+        "learn --n 4 --strategy lm",
+        "learn --n 2 --strategy sdp --purity 0.7",
+        "read --alpha0 1 --strategy collective",
+        "read --alpha0 1 --strategy eyd",
+        "read --alpha0 1 --strategy collective --oracle --naux 64 --mu 1 --quad 16",
+        "decompose --input pentagon.json",
+        "decompose --input povm.json --ordered --output out.json",
+        "table --figure fig4.5 --out curve.csv --svg curve.svg",
     ]
     errors = [
-        ["decompose", "--input", "twice.json"],
-        ["decompose", "--input", "twice.json", "--output", "twice-out.json"],
-        ["decompose", "--input", "negative.json"],
-        ["decompose", "--input", "short.json", "--ordered"],
-        ["decompose", "--input", "qutrit.json", "--ordered"],
-        ["decompose", "--input", "skew.json"],
-        ["decompose", "--input", "nan.json"],
-        ["decompose", "--input", "malformed.json"],
-        ["decompose", "--input", "list.json"],
-        ["decompose", "--input", "missing.json"],
-        ["decompose"],
+        "decompose --input twice.json",
+        "decompose --input twice.json --output twice-out.json",
+        "decompose --input negative.json",
+        "decompose --input short.json --ordered",
+        "decompose --input qutrit.json --ordered",
+        "decompose --input skew.json",
+        "decompose --input nan.json",
+        "decompose --input malformed.json",
+        "decompose --input list.json",
+        "decompose --input missing.json",
+        "decompose",
+        "",
+        "programmable --n 2 --nprime 1 --purity 0.5 --prior bures",
+        "programmable --na 2 --margin 0.1",
+        "programmable --n two",
+        "programmable --n 0 --nprime 1",
+        "programmable --n 2 --nprime -1 --purity 0.5",
+        "programmable --na 0 --nb 1 --nc 1",
+        "programmable --n 2 --nprime 1 --purity 1.5",
+        "programmable --n 2 --nprime 1 --purity nan",
+        "programmable --n 2 --nprime 1 --margin 1.5",
+        "learn --n 2 --strategy lm --purity 0.7",
+        "learn --n 2 --strategy reversed --purity 0.7",
+        "learn --n 0 --strategy lm",
+        "learn --n 2 --strategy sdp --purity 1.5",
+        "learn --strategy lm",
+        "read --alpha0 1 --strategy collective --squeeze 0.3",
+        "read --alpha0 1 --strategy collective --oracle --squeeze 0.3",
+        "read --alpha0 1 --strategy eyd --oracle --quad 0",
+        "read --alpha0 1 --strategy eyd --oracle --naux 0",
+        "read --strategy eyd",
+        "discriminate --overlap 0.7 --mode weak",
+        "table --figure fig4.1 --step 1e-9",
+        "table --figure fig4.1 --step 1e-9 --out refused.csv",
+        "table --figure fig4.1 --xmin nan",
+        "table --figure fig4.3 --xmin 0 --xmax 0",
+        "table --figure fig4.5 --n 0",
+        "table",
     ]
-    return [("readme", a) for a in readme] + [("errors", a) for a in errors]
+    figures = [f"table --figure {f}" for f in (
+        "fig3.5", "fig4.1", "fig4.2", "fig4.3", "fig4.4", "fig4.5", "fig5.1", "fig6.2", "fig6.3",
+        "fig9.9")]
+    rows = [f"programmable --n {n} --nprime 1 --purity {r}"
+            for n in range(1, 6) for r in ("0", "0.3", "0.5", "0.9", "1")]
+    return ([("readme", a) for a in readme] + [("errors", a) for a in errors]
+            + [("figures-fast" if a.split()[-1] in FAST_FIGURES else "figures", a)
+               for a in figures]
+            + [("rows", a) for a in rows])
 
 
 def write_inputs(workdir: Path, groups=None) -> list:
@@ -122,20 +178,26 @@ def write_inputs(workdir: Path, groups=None) -> list:
         sys.path.remove(str(ROOT / "bench"))
     for name, doc in _documents().items():
         (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
-    commands = _static_commands()
+    commands = [(g, a.split()) for g, a in _static_commands()]
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        for seed in BENCH_SEEDS:
-            if groups is not None and not any(g.startswith(f"seed{seed}-") for g in groups):
-                continue
-            directory = Path(f"seed{seed}")
-            directory.mkdir()
-            for k, cmds in enumerate(workloads.generate("decompose", seed, directory)):
-                commands += [(f"seed{seed}-pass{k:02d}", c.argv) for c in cmds]
+        for workload in WORKLOADS:
+            for seed in BENCH_SEEDS:
+                prefix = f"{workload}-seed{seed}-"
+                if groups is not None and not any(g.startswith(prefix) for g in groups):
+                    continue
+                directory = Path(f"seed{seed}")  # the POVM files of decompose
+                directory.mkdir(exist_ok=True)
+                for k, cmds in enumerate(workloads.generate(workload, seed, directory)):
+                    commands += [(f"{prefix}pass{k:02d}", c.argv) for c in cmds]
     finally:
         os.chdir(cwd)
-    return [(g, a) for g, a in commands if groups is None or g in groups]
+    # each distinct command line once, in the group that first runs it
+    first = {}
+    for group, argv in commands:
+        first.setdefault(json.dumps(argv), (group, argv))
+    return [(g, a) for g, a in first.values() if groups is None or g in groups]
 
 
 def _sha(data: bytes) -> str:
@@ -145,22 +207,44 @@ def _sha(data: bytes) -> str:
 def run_command(argv, workdir: Path) -> dict:
     from qdl import cli
 
-    outputs = [argv[i + 1] for i, a in enumerate(argv[:-1]) if a == "--output"]
+    outputs = [argv[i + 1] for i, a in enumerate(argv[:-1])
+               if a in ("--output", "--out", "--svg")]
     out, err = io.StringIO(), io.StringIO()
-    cwd = os.getcwd()
+    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
     os.chdir(workdir)
+    # argparse wraps its usage messages to the terminal's width
+    os.environ["COLUMNS"] = "80"
     try:
         code = cli.run(list(argv), out=out, err=err)
-        files = {}
+        files, text = {}, {"stderr": err.getvalue()}
+        if argv[:1] != ["decompose"]:
+            text["stdout"] = out.getvalue()
         for name in outputs:
             path = Path(name)
             files[name] = _sha(path.read_bytes()) if path.exists() else None
             if path.exists():
+                if name.endswith(".csv"):
+                    text[name] = path.read_text(encoding="utf-8")
                 path.unlink()
     finally:
         os.chdir(cwd)
+        if columns is None:
+            os.environ.pop("COLUMNS")
+        else:
+            os.environ["COLUMNS"] = columns
     return {"code": code, "stdout": _sha(out.getvalue().encode()),
-            "stderr": _sha(err.getvalue().encode()), "files": files}
+            "stderr": _sha(err.getvalue().encode()), "files": files, "text": text}
+
+
+def _first_moved_line(recorded: dict, got: dict) -> str:
+    """The first line of a kept text that moved, recorded and now."""
+    for name, old in recorded.get("text", {}).items():
+        new = got["text"].get(name, "")
+        if old != new:
+            pairs = zip(old.splitlines() + [""], new.splitlines() + [""])
+            line, (was, now) = next((k, p) for k, p in enumerate(pairs, 1) if p[0] != p[1])
+            return f"; {name} line {line}: {was!r} recorded, {now!r} now"
+    return ""
 
 
 def record(workdir: Path) -> dict:
@@ -189,7 +273,8 @@ def check(recorded: dict, workdir: Path, groups=None) -> tuple:
         moved = [f for f in ("code", "stdout", "stderr", "files") if got[f] != rec[f]]
         if moved:
             problems.append(f"qdl {' '.join(argv)}: {', '.join(moved)} changed "
-                            f"(exit code {rec['code']} recorded, {got['code']} now)")
+                            f"(exit code {rec['code']} recorded, {got['code']} now)"
+                            + _first_moved_line(rec, got))
     problems += [f"qdl {' '.join(e['argv'])}: recorded but no longer generated"
                  for e in want.values()]
     return len(commands), problems

@@ -11,7 +11,14 @@ from scipy import integrate
 
 import oracles
 from qdl import programmable as prog
-from qdl.angular import HalfInt, block_coefficient, multiplicity, recoupling_batch
+from qdl import angular
+from qdl.angular import (
+    HalfInt,
+    block_coefficient,
+    multiplicity,
+    multiplicity_table,
+    recoupling_batch,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +356,19 @@ def test_sector_sums_share_matrices_in_any_triple_order(monkeypatch):
     spins = range(0, n + 1, 2)
     triples = np.array([(a, b, c) for a in spins for b in spins for c in spins if a <= c])
     ja2, jb2, jc2 = rng.permutation(triples).T
-    nu3 = rng.uniform(size=len(ja2))
-    tables = [(prog._coeff_table(n, r), prog._coeff_table(2 * n, r)) for r in (0.55, 0.9)]
+    weight = rng.uniform(size=len(ja2))
+    shift = rng.integers(-3, 4, size=len(ja2))
+    specs = [prog.PuritySpec("fixed", r) for r in (0.55, 0.9)]
+    tables = [(prog._prior_table(p, n), prog._prior_table(p, 2 * n)) for p in specs]
     keep = np.ones((2, len(ja2)), dtype=bool)
     keep[1, ::3] = False
     for batch in (prog._BATCH_ELEMENTS, 64):
         monkeypatch.setattr(prog, "_BATCH_ELEMENTS", batch)
-        got = prog._sector_sums(ja2, jb2, jc2, nu3, keep, tables, True)
+        got = prog._sector_sums(ja2, jb2, jc2, weight, shift, keep, tables, True)
         for t, table in enumerate(tables):
             k = keep[t]
             alone = prog._sector_sums(
-                ja2[k], jb2[k], jc2[k], nu3[k], keep[t:t + 1, k], [table], False
+                ja2[k], jb2[k], jc2[k], weight[k], shift[k], keep[t:t + 1, k], [table], False
             )
             assert abs(got[t] - alone[0]) <= 1e-13 * alone[0], (batch, t)
 
@@ -378,7 +387,7 @@ def test_mixed_error_matches_every_sector_sum(n, nprime, r):
     # the folded, pruned sum against every (ja, jb, jc, J) sector: pruning
     # only ever drops mass, so the two differ by at most _MASS_TOL / 4
     want = oracles.block_error_all_sectors(
-        n, nprime, prog._coeff_table(n, r), prog._coeff_table(n + nprime, r)
+        n, nprime, *(prog._prior_table(prog.PuritySpec("fixed", r), m) for m in (n, n + nprime))
     )
     assert abs(prog.mixed_error(n, nprime, r) - want) <= prog._MASS_TOL / 4 + 1e-15
 
@@ -389,7 +398,7 @@ def test_mixed_error_matches_every_sector_sum(n, nprime, r):
 @example(kind="chernoff", n=6, nprime=6)
 def test_universal_error_matches_every_sector_sum(kind, n, nprime):
     want = oracles.block_error_all_sectors(
-        n, nprime, prog._avg_coeff_table(kind, n), prog._avg_coeff_table(kind, n + nprime)
+        n, nprime, *(prog._prior_table(prog.PuritySpec(kind), m) for m in (n, n + nprime))
     )
     got = prog.universal_error(prog.PuritySpec(kind=kind), n, nprime)
     assert abs(got - want) <= prog._MASS_TOL / 4 + 1e-15
@@ -406,6 +415,105 @@ def test_universal_errors_is_the_stack_of_single_calls(n, nprime):
     for spec, value in zip(specs, got):
         assert abs(value - prog.universal_error(spec, n, nprime)) <= 1e-15, spec
     assert prog.universal_errors([], n, nprime) == []
+
+
+# known purities at both ends and in between (1 - 2^-53 is one ulp below 1),
+# then the three priors
+TWO_LEVEL_SPECS = [prog.PuritySpec("fixed", r)
+                   for r in (0.0, 1e-300, 1e-8, 0.5, 1 - 2.0**-53, 1.0)]
+TWO_LEVEL_SPECS += [prog.PuritySpec(kind) for kind in ("hard-sphere", "bures", "chernoff")]
+
+
+@pytest.mark.parametrize("n, nprime", [(1, 1), (2, 1), (3, 1), (8, 1), (20, 1), (79, 1),
+                                       (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (5, 2), (40, 3)])
+def test_closed_form_sectors_match_the_dense_solve_of_every_sector(n, nprime):
+    # the closed form of the sectors with one or two j_ab against a dense
+    # eigvalsh of every sector.  _sector_sums runs over every triple, neither
+    # folded nor pruned, with its multiplicity product as the weight, so the
+    # two sums hold the same terms; _block_error prunes, which moves its value
+    # by at most _MASS_TOL / 4 more
+    ja2, jb2, jc2 = (g.ravel() for g in np.meshgrid(
+        *(range(m % 2, m + 1, 2) for m in (n, nprime, n)), indexing="ij"))
+    nu_n, nu_p = multiplicity_table(n), multiplicity_table(nprime)
+    weight = np.array([float(nu_n[a] * nu_p[b] * nu_n[c]) for a, b, c in zip(ja2, jb2, jc2)])
+    tables = [(prog._prior_table(s, n), prog._prior_table(s, n + nprime)) for s in TWO_LEVEL_SPECS]
+    keep = np.ones((len(tables), len(ja2)), dtype=bool)
+    totals = prog._sector_sums(ja2, jb2, jc2, weight, np.zeros(len(ja2), dtype=int), keep,
+                               tables, n == nprime > 1)
+    pruned = prog._block_error(n, nprime, tables)
+    for spec, total, value, table in zip(TWO_LEVEL_SPECS, totals, pruned, tables):
+        want = oracles.block_error_all_sectors(n, nprime, *table)
+        assert abs((1.0 - total / 2.0) / 2.0 - want) <= 1e-14 * want, spec
+        assert abs(value - want) <= 1e-14 * want + prog._MASS_TOL / 4, spec
+
+
+@pytest.mark.parametrize("a, b, c", [
+    (0.3, 0.0, -0.7), (0.3, 0.0, 0.3), (0.0, 0.0, 0.0),  # b = 0
+    (0.5, 0.2, 0.5), (-0.5, 1e-9, -0.5),  # a = c
+    (0.4, 0.1, -0.4), (0.4, 0.0, -0.4), (1e-17, 1.0, -1e-17),  # a = -c
+    (0.09, 0.12, 0.16), (-0.09, 0.12, -0.16), (1.0, 0.0, 0.0), (1.0, 1e-8, 1e-16),  # rank 1
+    (3e-300, 1e-300, -2e-300), (1e-300, -1e-300, 1e-300), (1.0, 1e-300, -1e-300),
+])
+def test_two_level_trace_norm_on_adversarial_blocks(a, b, c):
+    # s2 = (0, 1) and P = [[0, -b], [-b, 0]] make M = [[a, b], [b, c]] exactly
+    got = prog._two_level_norms(np.array([[a, c]]), np.array([[0.0, 1.0]]),
+                                np.array([[0.0, 0.0, -b]]))
+    want = np.abs(np.linalg.eigvalsh(np.array([[a, b], [b, c]]))).sum()
+    assert got.shape == (1,)
+    assert abs(got[0] - want) <= 1e-15 * (abs(a) + 2 * abs(b) + abs(c))
+    # one j_ab: M = s1 - s2, whatever P holds
+    one = prog._two_level_norms(np.array([[a]]), np.array([[c]]), np.array([[b]]))
+    assert one[0] == abs(a - c)
+
+
+def test_two_level_projector_is_the_upper_recoupling_column():
+    # P = (T - y (y + 2)) / (4 y + 8), T = 4 J_bc^2, equals v v^T for the
+    # column v of Lambda at the doubled j_bc y + 2, on random two-level
+    # sectors with every doubled spin <= 400; so Lambda diag(s2) Lambda^T =
+    # s2_0 + (s2_1 - s2_0) P
+    ja2, jb2, jc2, j2 = np.random.default_rng(21).integers(0, 401, size=(4, 200000))
+    lo = np.maximum(np.abs(ja2 - jb2), np.abs(j2 - jc2))
+    two = ((ja2 + jb2 + jc2 + j2) % 2 == 0) & (np.minimum(ja2 + jb2, j2 + jc2) - lo == 2)
+    ja2, jb2, jc2, j2 = ja2[two], jb2[two], jc2[two], j2[two]
+    assert len(ja2) > 100
+    y = np.maximum(np.abs(jb2 - jc2), np.abs(ja2 - j2))[:, None]
+    diag, off = angular._recoupling_tridiagonal(ja2, jb2, jc2, j2, 2)
+    p = np.hstack([diag - y * (y + 2.0), off]) / (4.0 * y + 8.0)
+    v = recoupling_batch(ja2, jb2, jc2, j2, 2)[:, :, 1]
+    want = np.stack([v[:, 0] ** 2, v[:, 1] ** 2, v[:, 0] * v[:, 1]], axis=1)
+    assert np.abs(p - want).max() <= 1e-13
+
+
+def test_mixed_error_with_one_data_copy_runs_no_eigensolve(monkeypatch):
+    # with one data copy every sector has one or two j_ab, so no LAPACK
+    # eigensolve runs, and the values are those of the unpatched calls
+    want = {(n, r): prog.mixed_error(n, 1, r) for n in range(1, 21) for r in (0.3, 1.0)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolve called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for (n, r), value in want.items():
+        assert prog.mixed_error(n, 1, r) == value
+    with pytest.raises(AssertionError, match="eigensolve"):
+        prog.mixed_error(3, 3, 0.3)
+
+
+def test_mixed_error_at_600_program_copies_is_finite_and_near_its_asymptote():
+    # the multiplicity product nu_a nu_b nu_c passes the largest float near
+    # n = 521, where the block coefficients it multiplies near underflow;
+    # carried as mantissas and exact powers of two, no factor overflows
+    big, before = prog.mixed_error(600, 1, 0.5), prog.mixed_error(515, 1, 0.5)
+    assert 0.0 <= big <= 0.5
+    assert big <= before
+    assert big == pytest.approx(prog.mixed_asymptote(600, 0.5), rel=1e-4)
+
+
+@pytest.mark.parametrize("n, nprime", [(900, 1), (1, 900), (1035, 1)])
+def test_block_sums_refuse_loads_beyond_the_normal_floats(n, nprime):
+    with pytest.raises(ValueError, match=rf"n {n} plus nprime {nprime} is above 900"):
+        prog.universal_errors([prog.PuritySpec("fixed", 0.5), prog.PuritySpec("bures")], n, nprime)
 
 
 def test_symmetric_law_below_full_purity_is_the_lan_limit():
