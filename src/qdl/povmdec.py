@@ -10,8 +10,9 @@ step, the largest extractable probability is peeled off, and at least one
 outcome dies each round, so an N-outcome rank-1 POVM on dimension d splits
 into at most (N-1)d + 1 extremals.  The vertex LP never changes between
 rounds except that columns die, so each search resumes from the previous
-optimal basis.  Higher-rank inputs are first split along their
-eigenbases, with a relabelling map carrying the outcomes back.
+optimal basis; the ordered decomposition's neighbour searches price one
+more column out of the same LP.  Higher-rank inputs are first split along
+their eigenbases, with a relabelling map carrying the outcomes back.
 
 A POVM holds its elements as one (N, d, d) stack; every trace, spectrum,
 Bloch vector and JSON matrix is taken over the whole stack at once, and the
@@ -70,6 +71,14 @@ class Povm:
             raise ValueError(f"elements of shape {ops.shape[1:]} on dimension {self.dim}")
         object.__setattr__(self, "elements", tuple(zip(labels, ops)))
         object.__setattr__(self, "ops", ops)
+
+    @classmethod
+    def _of_stack(cls, dim: int, labels, ops: np.ndarray) -> "Povm":
+        """A Povm over a complex stack that is Hermitian by construction; a
+        re-check of x E / tr E would scale E's tolerated skew part by 1 / tr E."""
+        p = object.__new__(cls)
+        p.__dict__.update(dim=dim, elements=tuple(zip(labels, ops)), ops=ops)
+        return p
 
     def total(self) -> np.ndarray:
         return self.ops.sum(axis=0)
@@ -210,7 +219,8 @@ def rank1_expand(p: Povm) -> tuple[Povm, dict]:
             new_label = f"{label}#{pos}" if len(keep) > 1 else label
             new_elements.append((new_label, w[k, i] * np.outer(vec, vec.conj())))
             relabel[new_label] = label
-    return Povm(dim=p.dim, elements=tuple(new_elements)), relabel
+    labels, ops = zip(*new_elements)
+    return Povm._of_stack(p.dim, labels, np.stack(ops)), relabel
 
 
 def _phase1_simplex(cols, b, cost, basis, binv):
@@ -346,8 +356,8 @@ def is_extremal(p: Povm) -> tuple[bool, np.ndarray | None]:
     return False, vh[-1]
 
 
-def _extraction_loop(rank1: Povm, refine=None):
-    """Shared peeling loop over a rank-1 POVM.
+def _extraction_loop(p: Povm, refine=None) -> DecompositionResult:
+    """Shared peeling loop over the rank-1 expansion of a valid POVM.
 
     The normalized elements and their Bloch vectors never change; only the
     weight vector evolves, renormalized to its exact total each step.  The
@@ -355,14 +365,17 @@ def _extraction_loop(rank1: Povm, refine=None):
     always balance, so each search resumes from the previous optimal basis
     with the dead outcomes priced out (phase-1 cost 1, barred from
     re-entering), and only has to pivot them out of the basis.
-    refine(vectors, x), if given, may swap the vertex found for another one
-    over the live Bloch vectors.  A step whose extraction probability is
-    within 1e-8 of one (or whose vertex uses every live outcome) is final:
-    the sliver that would remain carries reconstruction weight remaining *
-    (1 - prob), far below round-off, and dividing by 1 - prob would only
-    amplify noise.  It also scales up the remainder's imbalance; a step that
-    leaves it above 1e-9 is final too, before a vertex LP turns infeasible.
+    refine(lp, live, vectors, x), if given, may swap the vertex found for
+    another one over the live Bloch vectors, leaving lp as it found it.  A
+    step whose extraction probability is within 1e-8 of one (or whose vertex
+    uses every live outcome) is final: the sliver that would remain carries
+    reconstruction weight remaining * (1 - prob), far below round-off, and
+    dividing by 1 - prob would only amplify noise.  It also scales up the
+    remainder's imbalance; a step that leaves it above 1e-9 is final too,
+    before a vertex LP turns infeasible.
     """
+    require_valid(p)
+    rank1, relabel = rank1_expand(p)
     d = rank1.dim
     labels = rank1.labels()
     weights, normalized, vectors = _bloch(rank1.ops)
@@ -374,7 +387,7 @@ def _extraction_loop(rank1: Povm, refine=None):
     for _ in range(len(labels) + 1):
         x = _solve_vertex(*lp)[live]
         if refine is not None:
-            x = refine(vectors[live], x)
+            x = refine(lp, live, vectors[live], x)
         support = x > _ZERO
         prob = float((weights[live][support] / x[support]).min())
         final = prob >= 1.0 - 1e-8 or int(support.sum()) == live.size
@@ -385,10 +398,10 @@ def _extraction_loop(rank1: Povm, refine=None):
             final = np.linalg.norm(raw @ vectors[live]) > 1e-9
         keep = live[support]
         ops = x[support, None, None] * normalized[keep]
-        extremal = Povm(dim=d, elements=tuple(zip([labels[i] for i in keep], ops)))
+        extremal = Povm._of_stack(d, [labels[i] for i in keep], ops)
         terms.append((remaining if final else remaining * prob, extremal))
         if final:
-            return tuple(terms)
+            return DecompositionResult(terms=tuple(terms), relabel=relabel)
         weights[live] = raw
         cost[live[raw == 0.0]] = 1.0
         live = live[raw > 0.0]
@@ -404,10 +417,7 @@ def decompose(p: Povm) -> DecompositionResult:
     remainder.  Supports a classical relabelling step for inputs of rank
     above 1.
     """
-    require_valid(p)
-    rank1, relabel = rank1_expand(p)
-    terms = _extraction_loop(rank1)
-    return DecompositionResult(terms=terms, relabel=relabel)
+    return _extraction_loop(p)
 
 
 # ---------------------------------------------------------------------------
@@ -419,23 +429,24 @@ def _vertex_quality(x: np.ndarray) -> float:
     return float(np.sum(x * x))
 
 
-def _neighboring_vertices(vectors: np.ndarray, x: np.ndarray, solved: dict) -> list:
-    """Vertices one simplex pivot away from x, found by re-solving the
-    feasibility system with each support element forced out; ``solved``
-    keeps each drop's vertex over these vectors (None if infeasible)."""
-    out = []
-    if len(vectors) < 3:
-        return out
-    for drop in (x > _ZERO).nonzero()[0].tolist():
+def _neighboring_vertices(lp, live, x: np.ndarray, solved: dict) -> list:
+    """For each support element k of x, the vertex that a cold walk finds on
+    the face x_k = 0, not necessarily one pivot from x: the step's vertex LP,
+    solved from its all-artificial basis with k priced out too, pivots as one
+    built without k.  ``solved`` keeps each drop's vertex over the live
+    outcomes (None if infeasible)."""
+    cols, b, cost = lp[:3]
+    drops = (x > _ZERO).nonzero()[0].tolist() if len(live) >= 3 else []
+    for drop in drops:
         if drop not in solved:
+            priced = cost.copy()
+            priced[live[drop]] = 1.0
+            start = np.arange(len(cost) - len(b), len(cost))
             try:
-                xs = find_extremal_vertex(np.delete(vectors, drop, axis=0))
-                solved[drop] = np.insert(xs, drop, 0.0)
+                solved[drop] = _solve_vertex(cols, b, priced, start, np.eye(len(b)))[live]
             except InfeasiblePovmError:
                 solved[drop] = None
-        if solved[drop] is not None:
-            out.append(solved[drop])
-    return out
+    return [solved[k] for k in drops if solved[k] is not None]
 
 
 def _antipodal_vertices(vectors: np.ndarray) -> np.ndarray:
@@ -453,8 +464,8 @@ def ordered_decompose(p: Povm, criterion: str = "fewest-outcomes") -> Decomposit
     Valid for d = 2 only, where the sum-of-squares vertex quality provably
     ranks two-outcome above three- above four-outcome extremals; beyond
     dimension 2 no ordering criterion is guaranteed and the call is refused.
-    Each extraction takes the best vertex reachable from the feasibility
-    vertex by single pivots, plus every antipodal pair.
+    Each extraction climbs from the feasibility vertex through the vertices
+    on the faces x_k = 0 of its support, then tries every antipodal pair.
     """
     if criterion != "fewest-outcomes":
         raise UnsupportedCriterionError(f"unknown criterion {criterion!r}")
@@ -462,15 +473,13 @@ def ordered_decompose(p: Povm, criterion: str = "fewest-outcomes") -> Decomposit
         raise UnsupportedCriterionError(
             "the fewest-outcomes ordering is only guaranteed for dimension 2"
         )
-    require_valid(p)
-    rank1, relabel = rank1_expand(p)
 
-    def refine(vectors, best):
-        solved = {}  # the live vectors are fixed within one extraction step
+    def refine(lp, live, vectors, best):
+        solved = {}  # the live outcomes are fixed within one extraction step
         improved = True
         while improved:
             improved = False
-            for cand in _neighboring_vertices(vectors, best, solved):
+            for cand in _neighboring_vertices(lp, live, best, solved):
                 if _vertex_quality(cand) > _vertex_quality(best) + 1e-12:
                     best, improved = cand, True
         for cand in _antipodal_vertices(vectors):
@@ -478,8 +487,7 @@ def ordered_decompose(p: Povm, criterion: str = "fewest-outcomes") -> Decomposit
                 best = cand
         return best
 
-    terms = _extraction_loop(rank1, refine)
-    return DecompositionResult(terms=terms, relabel=relabel)
+    return _extraction_loop(p, refine)
 
 
 # ---------------------------------------------------------------------------

@@ -464,20 +464,12 @@ def averaged_block_coefficient(kind: str, m: int, j) -> float:
     """
     m = check_count("m", m)
     j2 = check_spin("j", j, m)
-    half_m = m / 2.0
-    jv = j2 / 2.0
-    if kind == "hard-sphere":
-        return 6.0 * math.exp(
-            math.lgamma(half_m + jv + 2.0)
-            + math.lgamma(half_m - jv + 1.0)
-            - math.lgamma(m + 4.0)
-        )
-    if kind == "bures":
-        return (4.0 / math.pi) * math.exp(
-            math.lgamma(half_m + jv + 1.5)
-            + math.lgamma(half_m - jv + 0.5)
-            - math.lgamma(m + 3.0)
-        )
+    a, b = (m + j2) // 2 + 1, (m - j2) // 2  # a + b = m + 1
+    if kind == "hard-sphere":  # 6 a! b! / (m + 3)!
+        return 6 / ((m + 2) * (m + 3) * math.comb(m + 1, a))
+    if kind == "bures":  # (4 / pi) G(a + 1/2) G(b + 1/2) / (m + 2)!
+        return math.comb(2 * a, a) * math.comb(2 * b, b) / (
+            4**m * (m + 2) * math.comb(m + 1, a))
     if kind == "chernoff":
         return float(_chernoff_table(m)[j2])
     raise ValueError(f"unknown prior kind {kind!r}")

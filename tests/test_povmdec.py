@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from qdl import povmdec
+from qdl import cli, povmdec
 
 
 def pauli():
@@ -358,6 +359,66 @@ def test_decompose_stops_where_the_remainder_loses_balance():
         assert povmdec.is_extremal(ext)[0]
 
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_small_trace_element_within_hermiticity_tolerance_decomposes(ordered):
+    # element 'a' has trace 1e-3 and deviates from its conjugate by 8e-10,
+    # inside the tolerance; a re-check of a term x E_a / tr E_a would see
+    # 8e-7 and refuse the POVM
+    path = FIXTURES / "povm-small-trace-wobble.json"
+    p = povmdec.povm_from_json(path.read_text(encoding="utf-8"))
+    assert povmdec.validate_povm(p).is_valid
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["decompose", "--input", str(path)] + ["--ordered"] * ordered
+    assert cli.run(argv, out=out, err=err) == 0 and not err.getvalue()
+    data = json.loads(out.getvalue())
+    # the terms are read as plain matrices: a term holding x E_a / tr E_a
+    # deviates from its conjugate by 8e-7, which povm_from_json refuses
+    recon = {lab: 0.0 for lab in p.labels()}
+    for term in data["terms"]:
+        for e in term["extremal"]["elements"]:
+            m = np.array(e["matrix"])
+            op = m[..., 0] + 1j * m[..., 1]
+            recon[data["relabel"][e["label"]]] += term["probability"] * op
+    assert max(np.abs(recon[lab] - op).max() for lab, op in p.elements) <= 1e-12
+
+
+def hermitian_inputs():
+    """The fixtures and random POVMs of dimension 2..4, each element
+    symmetrized to (E + E^H) / 2, so exactly Hermitian."""
+    povms = [povmdec.povm_from_json(path.read_text(encoding="utf-8"))
+             for path in sorted(FIXTURES.glob("*.json"))]
+    rng = np.random.default_rng(61)
+    for d in (2, 3, 4):
+        for n in (d, 2 * d, 3 * d * d):
+            povms.append(povmdec.Povm(dim=d, elements=tuple(
+                (str(i), op) for i, op in enumerate(oracles.random_povm(rng, d, n)))))
+    return [povmdec.Povm(dim=p.dim, elements=tuple(
+        (lab, (op + op.conj().T) / 2) for lab, op in p.elements)) for p in povms]
+
+
+def test_terms_of_hermitian_inputs_are_hermitian_to_rounding_and_positive():
+    # the terms are built without a Hermiticity check.  They are products
+    # x_i E_i / tr E_i of Hermitian elements and of their eigenprojectors
+    # w v v^H; numpy may fuse the products of a complex multiply, so v v^H
+    # is Hermitian to the rounding of its entries (an imaginary diagonal of
+    # order 1e-19 at entries of order 0.1), not to the bit.  Each term
+    # element deviates from its conjugate transpose by at most 4 ulps of its
+    # largest entry (1.5 measured)
+    checked = 0
+    for p in hermitian_inputs():
+        for res in [povmdec.decompose(p)] + ([povmdec.ordered_decompose(p)] if p.dim == 2 else []):
+            for _, extremal in res.terms:
+                ops = extremal.ops
+                skew = np.abs(ops - ops.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+                assert (skew <= 4 * np.finfo(float).eps * np.abs(ops).max(axis=(1, 2))).all()
+                assert np.linalg.eigvalsh(ops).min() >= -povmdec.PSD_TOL
+                checked += len(ops)
+    assert checked > 100
+
+
 def test_decompose_full_rank_with_relabel():
     rng = np.random.default_rng(23)
     ops = oracles.random_povm(rng, 2, 3)
@@ -461,35 +522,89 @@ def same_terms(a, b):
 
 
 def test_ordered_decompose_solves_each_dropped_outcome_once_per_step():
-    # within one extraction step the live vectors are fixed, so the LP with
-    # outcome k dropped is one LP however often the climb drops k; the
-    # vectors passed differ between drops and between steps (the live set
-    # shrinks), so no LP may be passed twice
+    # within one extraction step the live outcomes are fixed, so the LP with
+    # outcome k priced out is one LP however often the climb drops k; the
+    # priced-out sets differ between drops and between steps (the dead set
+    # grows), so no neighbour LP may be solved twice
     rng = np.random.default_rng(43)
-    library, neighbours = povmdec.find_extremal_vertex, povmdec._neighboring_vertices
+    library, neighbours = povmdec._solve_vertex, povmdec._neighboring_vertices
     saved = 0
     for n in (5, 8, 12):
         ops = oracles.random_povm(rng, 2, n)
         p = povmdec.Povm(dim=2, elements=tuple((str(i), op) for i, op in enumerate(ops)))
         runs = []
         for forget in (False, True):
-            seen = []
+            step, per_step = [], {}
 
-            def counted(vectors):
-                seen.append(vectors.tobytes())
-                return library(vectors)
+            def counted(cols, b, cost, basis, binv):
+                if step:  # a priced-out neighbour solve, keyed by its step
+                    per_step.setdefault(step[0], []).append(cost.tobytes())
+                return library(cols, b, cost, basis, binv)
 
-            with mock.patch.object(povmdec, "find_extremal_vertex", counted), mock.patch.object(
-                povmdec, "_neighboring_vertices",
-                (lambda v, x, solved: neighbours(v, x, {})) if forget else neighbours,
+            def stepped(lp, live, x, solved):
+                step.append(live.tobytes())
+                try:
+                    return neighbours(lp, live, x, {} if forget else solved)
+                finally:
+                    step.pop()
+
+            with mock.patch.object(povmdec, "_solve_vertex", counted), mock.patch.object(
+                povmdec, "_neighboring_vertices", stepped
             ):
-                runs.append((povmdec.ordered_decompose(p), seen))
+                runs.append((povmdec.ordered_decompose(p), per_step))
         (got, memo_calls), (want, all_calls) = runs
-        assert len(set(memo_calls)) == len(memo_calls)
-        assert set(memo_calls) == set(all_calls)
+        assert all(len(set(calls)) == len(calls) for calls in memo_calls.values())
+        assert {k: set(v) for k, v in memo_calls.items()} == {
+            k: set(v) for k, v in all_calls.items()
+        }
         assert same_terms(got, want)
-        saved += len(all_calls) - len(memo_calls)
+        saved += sum(map(len, all_calls.values())) - sum(map(len, memo_calls.values()))
     assert saved > 0
+
+
+def pretty_good_measurement(rng, n):
+    """Rank-1 qubit POVM of the pretty-good measurement of n random pure
+    states: no two of its Bloch vectors are antipodal."""
+    psi = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    psi /= np.linalg.norm(psi, axis=1)[:, None]
+    w, v = np.linalg.eigh(psi.T @ psi.conj())
+    vecs = psi @ ((v * w**-0.5) @ v.conj().T).T  # rows rho^(-1/2) psi_i
+    return [np.outer(u, u.conj()) for u in vecs]
+
+
+@pytest.mark.parametrize("family", ["wishart", "pretty-good"])
+def test_priced_out_neighbours_equal_the_rebuilt_lps(family):
+    # at every extraction step of the ordered decomposition, the neighbour
+    # for each live outcome k equals the vertex of the LP rebuilt from the
+    # live Bloch vectors without k, bit for bit, and is None exactly where
+    # that LP is infeasible
+    rng = np.random.default_rng(59)
+    neighbours = povmdec._neighboring_vertices
+    compared = []
+    for n in (3, 4, 6, 9, 12):
+        ops = oracles.random_povm(rng, 2, n) if family == "wishart" else (
+            pretty_good_measurement(rng, n))
+        p = povmdec.Povm(dim=2, elements=tuple((str(i), op) for i, op in enumerate(ops)))
+        vectors = povmdec._bloch(povmdec.rank1_expand(p)[0].ops)[2]
+
+        def checked(lp, live, x, solved):
+            every = {}
+            neighbours(lp, live, np.ones(len(live)), every)
+            for drop, got in every.items():
+                try:
+                    want = np.insert(povmdec.find_extremal_vertex(
+                        np.delete(vectors[live], drop, 0)), drop, 0.0)
+                except povmdec.InfeasiblePovmError:
+                    want = None
+                assert (got is None) == (want is None)
+                assert want is None or np.array_equal(got, want)
+                compared.append(want is None)
+            assert len(every) == (len(live) if len(live) >= 3 else 0)
+            return neighbours(lp, live, x, solved)
+
+        with mock.patch.object(povmdec, "_neighboring_vertices", checked):
+            povmdec.ordered_decompose(p)
+    assert len(compared) > 50 and not all(compared)
 
 
 # ---------------------------------------------------------------------------

@@ -593,6 +593,25 @@ def test_chernoff_coefficient_against_60_digit_reference(m):
         assert abs(got - float(want)) <= 1e-13 * float(want), j2
 
 
+@pytest.mark.parametrize("m", [1, 2, 5, 20, 100, 300, 899])
+def test_hard_sphere_and_bures_coefficients_against_60_digit_gamma(m):
+    # 6 G(m/2 + j + 2) G(m/2 - j + 1) / G(m + 4) and (4 / pi) G(m/2 + j + 3/2)
+    # G(m/2 - j + 1/2) / G(m + 3), correctly rounded from exact integers
+    with mpmath.workdps(60):
+        h = mpmath.mpf(m) / 2
+        for j2 in range(m % 2, m + 1, 2):
+            j = mpmath.mpf(j2) / 2
+            want = {
+                "hard-sphere": 6 * mpmath.gamma(h + j + 2) * mpmath.gamma(h - j + 1)
+                / mpmath.gamma(m + 4),
+                "bures": 4 / mpmath.pi * mpmath.gamma(h + j + 1.5)
+                * mpmath.gamma(h - j + 0.5) / mpmath.gamma(m + 3),
+            }
+            for kind, value in want.items():
+                got = prog.averaged_block_coefficient(kind, m, HalfInt(j2))
+                assert abs(got - value) <= 2.0**-52 * value, (kind, j2)
+
+
 def test_hard_sphere_closed_form_display():
     for m in (2, 5, 9):
         for j2 in range(m % 2, m + 1, 2):
