@@ -203,7 +203,7 @@ def _solve_sectors(g, dims, starts, b):
     Every iterate, the last one included, passes a Cholesky factorization of
     each S_m, so each b.y is a certified upper bound.  The primal blocks are
     S_m^-1 / t at the last centring, made exactly feasible by a diagonal
-    congruence.  Returns y and the stack of primal blocks.
+    congruence.  Returns per sector b.y and sum_m tr(G_m X_m), and the X_m.
     """
     count, size = g.shape[:2]
     sectors = len(starts)
@@ -267,7 +267,9 @@ def _solve_sectors(g, dims, starts, b):
     xs = s_inv / np.array(t)[sector, None, None]
     occupation = np.add.reduceat(xs.reshape(count, -1)[:, ::size + 1], starts)
     d = np.sqrt(np.divide(b, occupation, out=np.zeros_like(b), where=~idle))[sector]
-    return y, xs * (d[:, :, None] * d[:, None, :])
+    xs *= d[:, :, None] * d[:, None, :]
+    primal = np.add.reduceat((g * xs).sum(axis=(1, 2)), starts)
+    return (b[:, None, :] @ y[:, :, None]).ravel(), primal, xs
 
 
 def lm_mixed_optimize(n: int, r: float) -> LmOptimum:
@@ -278,56 +280,39 @@ def lm_mixed_optimize(n: int, r: float) -> LmOptimum:
     (1 - delta_lm/2)/2), the seed, and ``gap``, the dual upper bound on
     delta_lm minus delta_lm: no covariant seed reaches a surrogate above
     delta_lm + gap.  The programmable machine supplies the unbeatable lower
-    bound on the error.
+    bound on the error.  Both sum the sectors' values, weighted by the
+    probabilities of their spins ja and jc.
     """
     n = check_count("n", n)
     if n > 5:
         raise ValueError("seed optimization is desk-scale: n must be 1..5")
     r = check_purity(r, zero=False)
     keys, g = _gamma_coupled(n, r)
-    size = n + 1
-    spins = range(n % 2, n + 1, 2)
-    prob = {j2: block_probability(n, HalfInt(j2), r) for j2 in spins}
     ja2, jc2, m2 = np.array(keys).T
     dims = (ja2 + jc2 - np.maximum(np.abs(ja2 - jc2), np.abs(m2))) // 2 + 1
-    # sector (ja, jc) owns the blocks lo:hi of the stack
-    sectors, lo = [], 0
-    for a in spins:
-        for c in spins:
-            hi = lo + a + c + 1
-            sectors.append((a, c, lo, hi, float(np.abs(g[lo:hi]).max())))
-            lo = hi
+    # per sector (ja, jc): first block, block count, largest |G|, b = 2J + 1
+    heads = np.flatnonzero(m2 == -(ja2 + jc2))
+    a2, c2 = ja2[heads], jc2[heads]
+    counts = a2 + c2 + 1
+    scale = np.maximum.reduceat(np.abs(g).max(axis=(1, 2)), heads)
+    j2 = (a2 + c2)[:, None] - 2 * np.arange(n, -1, -1)
+    b = np.where(j2 >= np.abs(a2 - c2)[:, None], j2 + 1.0, 0.0)
+    prob = np.array([block_probability(n, HalfInt(j), r) for j in range(n % 2, n + 1, 2)])
+    weight = prob[a2 // 2] * prob[c2 // 2]
     # an all-zero sector scores 0 at every point, certified by y = 0, and
-    # X_m = I is feasible (b = 2j + 1); the others are solved together
-    solved = [(a, c, lo, hi, scale) for a, c, lo, hi, scale in sectors if scale > 0.0]
-    if solved:
-        gs = np.concatenate([g[lo:hi] / scale for _, _, lo, hi, scale in solved])
-        starts = np.cumsum([0] + [hi - lo for _, _, lo, hi, _ in solved[:-1]])
-        b = np.zeros((len(solved), size))
-        for row, (a, c, _, _, _) in zip(b, solved):
-            row[size - min(a, c) - 1:] = np.arange(abs(a - c), a + c + 1, 2) + 1.0
-        y, xs = _solve_sectors(
-            gs, np.concatenate([dims[lo:hi] for _, _, lo, hi, _ in solved]), starts, b)
-        runs = zip(y, b, np.split(gs, starts[1:]), np.split(xs, starts[1:]))
-    primal_total = dual_total = 0.0
-    blocks = {}
-    for a, c, lo, hi, scale in sectors:
-        if scale == 0.0:
-            blocks.update((key, np.eye(d)) for key, d in zip(keys[lo:hi], dims[lo:hi]))
-            continue
-        y_s, b_s, g_s, x_s = next(runs)
-        width = min(a, c) + 1
-        dual = scale * float(b_s[size - width:] @ y_s[size - width:])
-        primal = 0.0
-        for key, d, gm, xm in zip(keys[lo:hi], dims[lo:hi], g_s, x_s):
-            blocks[key] = xm = xm[size - d:, size - d:]
-            primal += float(np.sum(gm[size - d:, size - d:] * xm))
-        dual_total += prob[a] * prob[c] * dual
-        primal_total += prob[a] * prob[c] * (scale * primal)
-    delta = 2.0 * primal_total
-    return LmOptimum(
-        delta_lm=delta, seed=SeedOperator(n=n, blocks=blocks), gap=2.0 * dual_total - delta
-    )
+    # X_m = I is feasible (b = 2J + 1); the others are solved together
+    live = scale > 0.0
+    rows = np.repeat(live, counts)
+    dual, primal = np.zeros((2, len(heads)))
+    xs = np.broadcast_to(np.eye(n + 1), g.shape).copy()
+    if live.any():
+        dual[live], primal[live], xs[rows] = _solve_sectors(
+            g[rows] / np.repeat(scale[live], counts[live])[:, None, None], dims[rows],
+            np.cumsum(counts[live]) - counts[live], b[live])
+    blocks = {key: x[-d:, -d:] for key, d, x in zip(keys, dims, xs)}
+    delta = 2.0 * sum((weight * (scale * primal)).tolist())
+    gap = 2.0 * sum((weight * (scale * dual)).tolist()) - delta
+    return LmOptimum(delta_lm=delta, seed=SeedOperator(n=n, blocks=blocks), gap=gap)
 
 
 def eyd_qubit(n: int) -> EydRates:

@@ -186,13 +186,14 @@ def validate_povm(p: Povm) -> PovmDiagnostics:
     )
 
 
-def require_valid(p: Povm):
+def require_valid(p: Povm) -> PovmDiagnostics:
     diag = validate_povm(p)
     if not diag.is_valid:
         raise ValueError(
             f"not a POVM: identity residual {diag.identity_residual:.2e}, "
             f"min eigenvalue {min(diag.min_eigenvalues.values()):.2e}"
         )
+    return diag
 
 
 def rank1_expand(p: Povm) -> tuple[Povm, dict]:
@@ -367,14 +368,16 @@ def _extraction_loop(p: Povm, refine=None) -> DecompositionResult:
     re-entering), and only has to pivot them out of the basis.
     refine(lp, live, vectors, x), if given, may swap the vertex found for
     another one over the live Bloch vectors, leaving lp as it found it.  A
-    step whose extraction probability is within 1e-8 of one (or whose vertex
-    uses every live outcome) is final: the sliver that would remain carries
-    reconstruction weight remaining * (1 - prob), far below round-off, and
-    dividing by 1 - prob would only amplify noise.  It also scales up the
-    remainder's imbalance; a step that leaves it above 1e-9 is final too,
-    before a vertex LP turns infeasible.
+    step is final when its vertex uses every live outcome, or when the
+    sliver it would leave carries reconstruction mass remaining * (1 - prob)
+    <= SUM_TOL, which the final term then takes.  The rule measures that
+    absolute mass: each renormalization multiplies the remainder's relative
+    imbalance by 1 / (1 - prob), so a relative rule (on 1 - prob or on the
+    imbalance) ends the loop while live outcomes still carry mass, or walks
+    into remainders of pure rounding.  A remainder that still admits no
+    balancing is refused with a ValueError naming the step.
     """
-    require_valid(p)
+    residual = require_valid(p).identity_residual
     rank1, relabel = rank1_expand(p)
     d = rank1.dim
     labels = rank1.labels()
@@ -384,24 +387,27 @@ def _extraction_loop(p: Povm, refine=None) -> DecompositionResult:
     live = np.arange(len(labels))
     terms = []
     remaining = 1.0
-    for _ in range(len(labels) + 1):
-        x = _solve_vertex(*lp)[live]
+    for step in range(1, len(labels) + 2):
+        try:
+            x = _solve_vertex(*lp)[live]
+        except InfeasiblePovmError as exc:
+            raise ValueError(f"cannot decompose: the remainder at step {step}, of probability "
+                             f"{remaining:.3e}, admits no balancing (the input's identity "
+                             f"residual is {residual:.2e})") from exc
         if refine is not None:
             x = refine(lp, live, vectors[live], x)
         support = x > _ZERO
         prob = float((weights[live][support] / x[support]).min())
-        final = prob >= 1.0 - 1e-8 or int(support.sum()) == live.size
-        if not final:
-            raw = np.maximum(weights[live] - prob * x, 0.0)
-            raw[raw <= _ZERO * (1.0 - prob)] = 0.0
-            raw *= d / raw.sum()
-            final = np.linalg.norm(raw @ vectors[live]) > 1e-9
+        final = remaining * (1.0 - prob) <= SUM_TOL or int(support.sum()) == live.size
         keep = live[support]
         ops = x[support, None, None] * normalized[keep]
         extremal = Povm._of_stack(d, [labels[i] for i in keep], ops)
         terms.append((remaining if final else remaining * prob, extremal))
         if final:
             return DecompositionResult(terms=tuple(terms), relabel=relabel)
+        raw = np.maximum(weights[live] - prob * x, 0.0)
+        raw[raw <= _ZERO * (1.0 - prob)] = 0.0
+        raw *= d / raw.sum()
         weights[live] = raw
         cost[live[raw == 0.0]] = 1.0
         live = live[raw > 0.0]

@@ -15,6 +15,8 @@ distinct command line once, are:
   modes; options the chosen strategy would ignore;
 * the nine ``table`` figures at their default grids, and an unknown figure;
 * ``programmable --nprime 1 --purity`` at n = 1..5 and five purities;
+* ``decompose`` of every POVM in ``tests/fixtures``, and ``--ordered`` of
+  each qubit one;
 * every command of benchmark seeds 1-3 (``bench/run.py --workload ...``) of
   the three workloads, on the inputs ``bench/workloads.py`` generates.
 
@@ -49,10 +51,12 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 RECORD = Path(__file__).resolve().parent / "corpus.json"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 BENCH_SEEDS = (1, 2, 3)
 WORKLOADS = ("decompose", "tables", "learn-read")
 # the groups tier-1 checks, in a few seconds: one pass of each workload
-SLICE = ("readme", "errors", "figures-fast", *(f"{w}-seed1-pass00" for w in WORKLOADS))
+SLICE = ("readme", "errors", "figures-fast", "fixtures",
+         *(f"{w}-seed1-pass00" for w in WORKLOADS))
 # the default figures of the slice; the others take seconds each
 FAST_FIGURES = ("fig3.5", "fig4.5", "fig6.2", "fig6.3", "fig9.9")
 
@@ -179,6 +183,14 @@ def write_inputs(workdir: Path, groups=None) -> list:
     for name, doc in _documents().items():
         (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
     commands = [(g, a.split()) for g, a in _static_commands()]
+    (workdir / "fixtures").mkdir(exist_ok=True)
+    for path in sorted(FIXTURES.glob("*.json")):
+        text = path.read_text(encoding="utf-8")
+        (workdir / "fixtures" / path.name).write_text(text, encoding="utf-8")
+        argv = ["decompose", "--input", f"fixtures/{path.name}"]
+        commands.append(("fixtures", argv))
+        if json.loads(text)["dim"] == 2:
+            commands.append(("fixtures", argv + ["--ordered"]))
     cwd = os.getcwd()
     os.chdir(workdir)
     try:

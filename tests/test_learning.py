@@ -254,6 +254,34 @@ def test_stacked_seed_solver_matches_per_sector_reference(n, r):
     assert 0.0 <= opt.gap <= 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_seed_sdp_of_all_zero_operators_is_the_identity(n):
+    # at r = 1e-300 every conditional factor f_j ~ r^2 of a spin j <= 3/2
+    # underflows to 0, so every G_m is 0: each sector scores 0, y = 0
+    # certifies it, and X_m = I resolves the identity exactly
+    opt = learning.lm_mixed_optimize(n, 1e-300)
+    assert opt.delta_lm == 0.0 and opt.gap == 0.0
+    for key, x in opt.seed.blocks.items():
+        assert np.array_equal(x, np.eye(len(x))), key
+    assert opt.seed.resolution_residual() == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_all_zero_sectors_beside_solved_ones_keep_the_identity(n):
+    # at r = 1e-300 the sectors of spins <= 3/2 are all zero; f_j of j = 2
+    # and 5/2 is rounding of order 1e-318 rather than 0, so their sectors
+    # are solved, while the zero ones are masked out of the solve
+    keys, g = learning._gamma_coupled(n, 1e-300)
+    zero = {key[:2] for key in keys} - {key[:2] for key, gm in zip(keys, g) if gm.any()}
+    assert 0 < len(zero) < len(set(key[:2] for key in keys))
+    opt = learning.lm_mixed_optimize(n, 1e-300)
+    for key, x in opt.seed.blocks.items():
+        if key[:2] in zero:
+            assert np.array_equal(x, np.eye(len(x))), key
+    assert abs(opt.delta_lm) <= 1e-300 and 0.0 <= opt.gap <= 1e-300
+    assert opt.seed.resolution_residual() <= 1e-8
+
+
 def test_seed_optimization_rejects_large_n():
     with pytest.raises(ValueError, match="desk"):
         learning.lm_mixed_optimize(6, 0.5)

@@ -362,6 +362,39 @@ def test_decompose_stops_where_the_remainder_loses_balance():
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def test_decompose_keeps_outcomes_whose_remainder_renormalizes_off_balance():
+    # benchmark seed 9, pass 2: d = 4 and 11 outcomes.  At step 27 ten
+    # outcomes tie and nine rounding remainders are zeroed; renormalizing
+    # after step 28 lifts the remainder's imbalance to 1.4e-9.  A rule on
+    # that imbalance ended the loop there and dropped 4 live outcomes
+    # carrying 5.2e-5; only a sliver of mass <= SUM_TOL may end it
+    p = povmdec.povm_from_json((FIXTURES / "povm-seed09-pass02-d4.json").read_text("utf-8"))
+    assert povmdec.validate_povm(p).is_valid
+    res = povmdec.decompose(p)
+    assert res.probabilities().sum() == pytest.approx(1.0, abs=1e-12)
+    recon = res.reconstruct(p.dim, p.labels())
+    assert max(np.abs(recon[lab] - op).max() for lab, op in p.elements) <= 1e-12
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_unbalanceable_remainder_is_refused_naming_the_step(tmp_path, ordered):
+    # identity residual 4e-10, inside SUM_TOL; after {b, c} is extracted
+    # with probability 0.999, the remainder {a, c} scaled by 1 / 0.001 is off
+    # balance by 8e-7 and no vertex LP balances it
+    a = np.array([[1e-3, 4e-10], [4e-10, 0.0]], dtype=complex)
+    p = povmdec.Povm(dim=2, elements=(("a", a), ("b", np.diag([0.999, 0.0]).astype(complex)),
+                                      ("c", np.diag([0.0, 1.0]).astype(complex))))
+    assert povmdec.validate_povm(p).is_valid
+    path = tmp_path / "povm.json"
+    path.write_text(json.dumps(povmdec.povm_to_json(p)), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["decompose", "--input", str(path)] + ["--ordered"] * ordered
+    assert cli.run(argv, out=out, err=err) == 1 and not out.getvalue()
+    assert err.getvalue() == (
+        "error: cannot decompose: the remainder at step 2, of probability 1.000e-03, admits "
+        "no balancing (the input's identity residual is 4.00e-10)\n")
+
+
 @pytest.mark.parametrize("ordered", [False, True])
 def test_small_trace_element_within_hermiticity_tolerance_decomposes(ordered):
     # element 'a' has trace 1e-3 and deviates from its conjugate by 8e-10,
