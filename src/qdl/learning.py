@@ -22,10 +22,10 @@ import numpy as np
 from .angular import HalfInt, block_coefficient, check_spin, multiplicity
 from .linalg import check_count, check_purity
 
-# log-barrier schedule of the seed solver: a sector's t grows by
-# _BARRIER_GROWTH until its central-path gap (total block dimension)/t of the
-# scaled problem drops below _BARRIER_END.  A larger t buys nothing: as the
-# S_m approach singularity, the primal blocks S_m^-1 / t lose precision.
+# log-barrier schedule of the seed solver: t grows by _BARRIER_GROWTH per full
+# Newton step until a sector's central-path gap (total block dimension)/t drops
+# below _BARRIER_END, and that last t is centred to the rounding floor.  Past it
+# the primal blocks S_m^-1 / t lose precision as the S_m approach singularity.
 _BARRIER_GROWTH = 10.0
 _BARRIER_END = 1e-10
 
@@ -77,9 +77,13 @@ def spin_weights(j, r: float) -> np.ndarray:
 
 
 def spin_z_expectation(j, r: float) -> float:
-    """Mean magnetic number of a spin-j block at purity r."""
+    """Mean magnetic number of a spin-j block at purity r, as sum_{m>0} m w_m
+    (1 - q^(2m)) with q = (1 - r)/(1 + r), which does not cancel as r -> 0."""
     w = spin_weights(j, r)
-    return float(np.dot(np.arange(len(w)) - (len(w) - 1) / 2.0, w))
+    r = check_purity(r)
+    m2 = np.arange(len(w) % 2 + 1, len(w), 2)
+    shrink = -np.expm1(m2 * math.log1p(-2.0 * r / (1.0 + r))) if r < 1.0 else 1.0
+    return float(np.dot(m2 / 2.0, w[len(w) - len(m2):] * shrink))
 
 
 def block_probability(n: int, j, r: float) -> float:
@@ -197,8 +201,9 @@ def _solve_sectors(g, dims, starts, b):
     ascending.  ``b[s]`` holds the sector's 2j + 1 in its trailing entries and
     0 before them; block m carries the trailing spins j >= |m|.  The dual,
     minimize b.y subject to S_m = diag(y_{j>=|m|}) - G_m >= 0, is solved with
-    a damped-Newton log barrier.  Each sector keeps its own barrier parameter,
-    decrement and stop, so it takes the steps it would take alone, while one
+    a log barrier: damped Newton steps while the decrement is 1/4 or more, then
+    full steps that each grow t until the last t, centred until the decrement
+    stops halving.  Each sector takes the steps it would take alone, while one
     batched Cholesky, inverse and Hessian assembly serve all sectors per step.
     Every iterate, the last one included, passes a Cholesky factorization of
     each S_m, so each b.y is a certified upper bound.  The primal blocks are
@@ -253,16 +258,17 @@ def _solve_sectors(g, dims, starts, b):
             lam = math.sqrt(max(-dots[k], 0.0))
             if lam >= 0.25:
                 divisor[k] = 1.0 + lam
+            # below 1/4 a full step converges quadratically: only the last t is centred
+            elif nu[k] / t[k] >= _BARRIER_END:
+                divisor[k] = 1.0
+                t[k] *= _BARRIER_GROWTH
             # exact full steps contract the decrement by 4/9 or more, so one
             # that does not halve it has reached the rounding floor: centred
             elif lam < lam_prev[k] / 2.0:
                 lam_prev[k] = lam
                 divisor[k] = 1.0
-            elif nu[k] / t[k] < _BARRIER_END:
-                live[k] = False
             else:
-                t[k] *= _BARRIER_GROWTH
-                lam_prev[k] = math.inf
+                live[k] = False
         y += step / np.array(divisor)[:, None]
     xs = s_inv / np.array(t)[sector, None, None]
     occupation = np.add.reduceat(xs.reshape(count, -1)[:, ::size + 1], starts)

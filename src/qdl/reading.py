@@ -178,10 +178,6 @@ def concentrate_modes(alpha: complex, n: int) -> complex:
     return math.sqrt(check_count("n", n)) * alpha
 
 
-def _hermite_nodes(order: int):
-    return np.polynomial.hermite.hermgauss(check_count("quadrature_order", order))
-
-
 def coherent_overlap(a, b) -> np.ndarray:
     """Matrix of overlaps <a_i|b_j> of coherent product states.
 
@@ -239,20 +235,19 @@ def _span_factor(amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def _prior_grid(mu: float, order: int):
-    """Complex nodes and weights integrating the width-mu Gaussian prior."""
-    x, w = _hermite_nodes(order)
+    """The Gauss-Hermite rule (x, w) of the given order, and the complex nodes
+    and weights of its tensor grid integrating the width-mu Gaussian prior."""
+    x, w = np.polynomial.hermite.hermgauss(check_count("quadrature_order", order))
     u = mu * (x[:, None] + 1j * x[None, :])
     wt = (w[:, None] * w[None, :]) / math.pi
-    return u.ravel(), wt.ravel()
+    return x, w, u.ravel(), wt.ravel()
 
 
 def known_state_error(cfg: ReadingConfig, quadrature_order: int = 32) -> float:
     """Average minimum error when the drawn amplitude is known exactly;
     the baseline the excess risk is measured from."""
-    a0 = cfg.amplitude
-    n = cfg.n_aux
-    u, wt = _prior_grid(cfg.mu, quadrature_order)
-    amp2 = np.abs(a0 + u / math.sqrt(n)) ** 2
+    _, _, u, wt = _prior_grid(cfg.mu, quadrature_order)
+    amp2 = np.abs(cfg.amplitude + u / math.sqrt(cfg.n_aux)) ** 2
     pe = 0.5 * (1.0 - np.sqrt(1.0 - np.exp(-amp2)))
     return float(np.dot(wt, pe))
 
@@ -281,7 +276,7 @@ def finite_n_oracle(
 
 
 def _oracle_collective(cfg: ReadingConfig, order: int) -> float:
-    u, wt = _prior_grid(cfg.mu, order)
+    _, _, u, wt = _prior_grid(cfg.mu, order)
     k = len(u)
     # displaced frame: the auxiliary mode carries u, the signal -a0 (no hit)
     # or u/sqrt(n) (hit); the 2K product states sqrt(w_k)|u_k>|s>
@@ -295,7 +290,7 @@ def _oracle_collective(cfg: ReadingConfig, order: int) -> float:
 
 def _oracle_eyd(cfg: ReadingConfig, order: int, squeeze: float) -> float:
     mu = cfg.mu
-    u, wu = _prior_grid(mu, order)
+    x, w, u, wu = _prior_grid(mu, order)
     # heterodyne noise variances 1/(2 (1 +- tanh r)) at squeezing r, written
     # (1 + e^(-+2r)) / 4 so that no finite r divides by zero
     r_sq = _check_squeeze(squeeze)
@@ -309,7 +304,6 @@ def _oracle_eyd(cfg: ReadingConfig, order: int, squeeze: float) -> float:
     # var2, integrated with a matched Gauss-Hermite grid; both grids are tensor
     # products, so p(v|u) = g1[i1, k1] g2[i2, k2] and each axis has its own
     # kernel and Jacobian sqrt(2) s w exp(+x^2)
-    x, w = _hermite_nodes(order)
     g, jac = [], []
     for var in (var1, var2):
         s = math.sqrt(mu * mu / 2.0 + var)

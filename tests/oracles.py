@@ -35,7 +35,6 @@ from qdl.reading import (
     _check_amplitude,
     _exp_remainder,
     _exp_terms,
-    _hermite_nodes,
     _prior_grid,
 )
 
@@ -349,9 +348,11 @@ def seed_surrogate_product_basis(seed, r: float) -> float:
 def _solve_seed_sector(gammas, b):
     """Maximize sum_m tr(G_m X_m) over PSD X_m subject to
     sum_m (X_m)_jj = b_j = 2j + 1 in one sector, on its own barrier path, one
-    magnetic block at a time: the same log barrier, schedule and primal repair
-    as ``learning._solve_sectors``.  Returns (dual value, primal value, primal
-    blocks)."""
+    magnetic block at a time: the log barrier, barrier parameters, final
+    centring and primal repair of ``learning._solve_sectors``, but centred to
+    the rounding floor at every t, not only the last, so that it reaches the
+    same optimum by an independent path.  Returns (dual value, primal value,
+    primal blocks)."""
     offsets = [len(b) - len(g) for g in gammas]
     scale = max(np.abs(g).max() for g in gammas)
     if scale == 0.0:
@@ -732,7 +733,7 @@ def reading_oracle_fock(cfg, strategy, quadrature_order, squeeze=0.0) -> float:
     operator, eyd as one dense eigensolve per heterodyne node."""
     a0 = cfg.amplitude
     n = cfg.n_aux
-    u, wt = _prior_grid(cfg.mu, quadrature_order)
+    x, w, u, wt = _prior_grid(cfg.mu, quadrature_order)
     k2 = fock_cutoff(max(a0, float(np.abs(u).max()) / math.sqrt(n)))
     sig_vac = coherent_vector(-a0, k2)
     sig_hit = np.stack([coherent_vector(z / math.sqrt(n), k2) for z in u], axis=1)
@@ -753,7 +754,6 @@ def reading_oracle_fock(cfg, strategy, quadrature_order, squeeze=0.0) -> float:
     cosh_r = math.cosh(squeeze)
     # heterodyne outcome v = u + Gaussian noise with axis variances
     # 1/(2 (1 +- tanh r)); integrate v with a matched Gauss-Hermite grid
-    x, w = _hermite_nodes(quadrature_order)
     s1 = math.sqrt(cfg.mu**2 / 2.0 + 1.0 / (2.0 * (1.0 + tanh_r)))
     s2 = math.sqrt(cfg.mu**2 / 2.0 + 1.0 / (2.0 * (1.0 - tanh_r)))
     v_nodes = (

@@ -2,6 +2,7 @@ import math
 import re
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import oracles
 import pytest
@@ -219,7 +220,7 @@ def test_seed_optimization_never_beats_programmable():
     n=st.integers(min_value=1, max_value=3),
     r=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
 )
-@example(n=2, r=1e-20)  # every conditional operator rounds to exactly 0
+@example(n=2, r=1e-20)  # conditional operators of order r^2 = 1e-40
 def test_seed_optimization_certified_and_resolving(n, r):
     opt = learning.lm_mixed_optimize(n, r)
     assert 0.0 <= opt.gap <= 1e-10
@@ -237,12 +238,16 @@ def test_coupled_seed_rotated_to_product_basis_attains_delta(n, r):
     )
 
 
-@pytest.mark.parametrize("r", [1e-20, 0.1, 0.55, 0.7, 0.9, 1.0])
+SEED_PURITIES = [1e-20, 0.1, 0.55, 0.7, 0.9, 1.0]
+
+
+@pytest.mark.parametrize("r", SEED_PURITIES)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_stacked_seed_solver_matches_per_sector_reference(n, r):
-    # every sector in one stacked barrier loop against each sector on its own
-    # path, from the same operators; the stack pads blocks with an identity,
-    # which moves LAPACK's rounding, so the two agree to rounding, not bits
+    # every sector in one stacked barrier loop, centred only at its last t,
+    # against each sector on its own path, centred to the rounding floor at
+    # every t, from the same operators; the two paths and the stack's identity
+    # padding move the rounding, so they agree to rounding, not bits
     opt = learning.lm_mixed_optimize(n, r)
     ref = oracles.seed_sdp_per_sector(n, r)
     assert abs(opt.delta_lm - ref.delta_lm) <= 1e-14
@@ -254,10 +259,10 @@ def test_stacked_seed_solver_matches_per_sector_reference(n, r):
     assert 0.0 <= opt.gap <= 1e-10
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_seed_sdp_of_all_zero_operators_is_the_identity(n):
-    # at r = 1e-300 every conditional factor f_j ~ r^2 of a spin j <= 3/2
-    # underflows to 0, so every G_m is 0: each sector scores 0, y = 0
+    # at r = 1e-300 every conditional factor f_j ~ 2 r^2 / 3 underflows to 0,
+    # so every G_m is 0: each sector scores 0, y = 0
     # certifies it, and X_m = I resolves the identity exactly
     opt = learning.lm_mixed_optimize(n, 1e-300)
     assert opt.delta_lm == 0.0 and opt.gap == 0.0
@@ -266,20 +271,50 @@ def test_seed_sdp_of_all_zero_operators_is_the_identity(n):
     assert opt.seed.resolution_residual() == 0.0
 
 
-@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("n", [2, 4])
 def test_all_zero_sectors_beside_solved_ones_keep_the_identity(n):
-    # at r = 1e-300 the sectors of spins <= 3/2 are all zero; f_j of j = 2
-    # and 5/2 is rounding of order 1e-318 rather than 0, so their sectors
-    # are solved, while the zero ones are masked out of the solve
-    keys, g = learning._gamma_coupled(n, 1e-300)
+    # at even n the (0, 0) sector has f_0 = 0 on both sides, so its G_m is 0 at
+    # every purity; it is masked out of the solve while the others are solved
+    keys, g = learning._gamma_coupled(n, 0.7)
     zero = {key[:2] for key in keys} - {key[:2] for key, gm in zip(keys, g) if gm.any()}
-    assert 0 < len(zero) < len(set(key[:2] for key in keys))
-    opt = learning.lm_mixed_optimize(n, 1e-300)
+    assert zero == {(0, 0)}
+    opt = learning.lm_mixed_optimize(n, 0.7)
     for key, x in opt.seed.blocks.items():
         if key[:2] in zero:
             assert np.array_equal(x, np.eye(len(x))), key
-    assert abs(opt.delta_lm) <= 1e-300 and 0.0 <= opt.gap <= 1e-300
+    assert opt.delta_lm > 0.0 and 0.0 <= opt.gap <= 1e-10
     assert opt.seed.resolution_residual() <= 1e-8
+
+
+# Cholesky factorizations of one lm_mixed_optimize, n = 1..5 at SEED_PURITIES:
+# one per pass of the barrier loop
+SEED_STEPS = {
+    1: [28, 28, 28, 28, 28, 28],
+    2: [31, 30, 31, 31, 31, 31],
+    3: [34, 34, 35, 34, 34, 34],
+    4: [36, 36, 36, 36, 36, 37],
+    5: [57, 56, 39, 38, 38, 39],
+}
+
+
+@pytest.mark.parametrize("n", sorted(SEED_STEPS))
+def test_seed_solver_centres_only_its_last_barrier_parameter(n, monkeypatch):
+    # each intermediate t takes one full step once the decrement is below
+    # 1/4; centring to the rounding floor at every t takes about twice these
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    steps = []
+    for r in SEED_PURITIES:
+        calls.clear()
+        learning.lm_mixed_optimize(n, r)
+        steps.append(len(calls))
+    assert steps == SEED_STEPS[n]
 
 
 def test_seed_optimization_rejects_large_n():
@@ -345,6 +380,21 @@ def test_spin_weights_at_a_spin_where_every_binomial_weight_underflows():
     assert w.sum() == pytest.approx(1.0, abs=1e-14)
     assert w[-1] == pytest.approx(2 / 3, abs=1e-15) and w[-2] == pytest.approx(2 / 9, abs=1e-15)
     assert learning.spin_z_expectation(10**6, 0.5) == pytest.approx(10**6 - 0.5, abs=1e-8)
+
+
+@pytest.mark.parametrize("r", [1e-300, 1e-200, 1e-100, 1e-30, 1e-16, 1e-8, 1e-3, 0.1, 0.5,
+                               0.9, 0.999, 1 - 1e-10, 1 - 2**-53, 1.0])
+def test_spin_z_expectation_matches_mpmath_at_every_purity(r):
+    # sum_m m q^(j-m) / sum_m q^(j-m) with q = (1 - r)/(1 + r), at enough digits
+    # that 1 - q keeps 60 of them; the direct sum cancels as r -> 0
+    for j2 in range(1, 11):
+        with mpmath.workdps(60 + max(0, -int(math.log10(r)))):
+            q = (1 - mpmath.mpf(r)) / (1 + mpmath.mpf(r))
+            m = [mpmath.mpf(m2) / 2 for m2 in range(-j2, j2 + 1, 2)]
+            w = [q ** (mpmath.mpf(j2) / 2 - x) for x in m]
+            want = mpmath.fsum(x * y for x, y in zip(m, w)) / mpmath.fsum(w)
+        got = learning.spin_z_expectation(HalfInt(j2), r)
+        assert abs(got - want) <= 1e-15 * want, j2
 
 
 def test_robustness_identity_explicit_block():

@@ -225,7 +225,7 @@ def test_coherent_overlap_of_one_mode_is_the_single_mode_formula():
 
 def test_gaussian_prior_quadrature_moments():
     for mu in (0.7, 1.3):
-        u, wt = reading._prior_grid(mu, 24)
+        _, _, u, wt = reading._prior_grid(mu, 24)
         assert float(wt.sum()) == pytest.approx(1.0, abs=1e-12)
         assert float((wt * np.abs(u) ** 2).sum()) == pytest.approx(mu * mu, abs=1e-10)
         assert abs(complex((wt * (u + np.conj(u))).sum())) < 1e-10
@@ -312,7 +312,7 @@ def test_span_factor_reproduces_gram_matrix():
     cases = [(z, np.ones(len(z)), reading.coherent_overlap(z, z))]
     # the collective oracle's weighted two-mode product states: their Gram
     # matrix is the product of the single-mode ones, scaled by sqrt(w_i w_j)
-    u, wt = reading._prior_grid(0.5, 6)
+    _, _, u, wt = reading._prior_grid(0.5, 6)
     sig = np.concatenate([np.full(len(u), -0.9), u / 4.0])
     aux = np.tile(u, 2)
     w = np.tile(wt, 2)
