@@ -5,10 +5,10 @@ tables (optionally with an SVG line plot), and runs the POVM decomposer on
 JSON files.  The row commands (discriminate, programmable, learn, read)
 return a header and one row, which ``run`` writes; ``decompose`` and
 ``table`` write their own file, stdout or SVG.  Each ``table`` figure is one
-``FIGURES`` entry: default grid, labels and row builder.  Output is
-deterministic: fixed 9-significant-digit formatting with a period decimal
-separator, and sweep results are assembled in input order whatever the
-worker count (capped by the QDL_THREADS environment variable).
+``FIGURES`` entry: default grid, labels and the function that makes its
+rows.  Output is deterministic: fixed 9-significant-digit formatting with a
+period decimal separator, and sweep results are assembled in input order
+whatever the worker count (capped by the QDL_THREADS environment variable).
 """
 
 from __future__ import annotations
@@ -188,16 +188,30 @@ def _cmd_decompose(args, out):
 # ---------------------------------------------------------------------------
 
 
-def _mixed_by_load_row(args, n):
-    n = int(round(n))
-    specs = [programmable.PuritySpec("fixed", r) for r in (0.2, 0.5, 0.7, 1.0)]
-    return [n] + programmable.universal_errors(specs, n, n)
+def _by_row(row):
+    """Rows of independent row(args, x), the grid shared among the workers."""
+    return lambda args, xs: _sweep(lambda x: row(args, x), xs)
 
 
-def _universal_row(args, n):
-    n = int(round(n))
-    specs = [programmable.PuritySpec(k) for k in ("hard-sphere", "bures", "chernoff")]
-    return [n] + programmable.universal_errors(specs, n, n)
+def _purity_columns(loads, asymptote: bool = False):
+    """Rows of an r-sweep at fixed loads (n, nprime): one universal_errors
+    pass over the grid's purities per load, the loads shared among the sweep
+    workers; with ``asymptote`` each is followed by mixed_asymptote(n, r)."""
+    def rows(args, rs):
+        specs, tails = [], []
+        for r in rs:  # row by row, so that a refused grid names its first failing row
+            specs.append(programmable.PuritySpec("fixed", r))
+            tails.append([(programmable.mixed_asymptote(n, r),) if asymptote else ()
+                          for n, _ in loads])
+        cols = _sweep(lambda load: programmable.universal_errors(specs, *load), loads)
+        return [[r] + [v for value, tail in zip(values, row_tails) for v in (value, *tail)]
+                for r, values, row_tails in zip(rs, zip(*cols), tails)]
+    return rows
+
+
+def _by_load(specs):
+    """Rows of an n-sweep at loads n = nprime (whole: see _cmd_table), one error per spec."""
+    return _by_row(lambda args, n: [int(n)] + programmable.universal_errors(specs, int(n), int(n)))
 
 
 def _learning_excess_row(args, r):
@@ -211,41 +225,28 @@ def _learning_excess_row(args, r):
 
 
 FIGURES = {
-    # id: (xmin, xmax, step, x label, y labels, row(args, x))
-    "fig3.5": (0.0, 0.25, 0.0025, "r", ["Ps_weak", "Ps_strong"], lambda args, r: [
-        r,
-        discrimination.weak_margin(args.overlap, r).p_success,
-        discrimination.strong_margin(args.overlap, r).p_success,
-    ]),
-    "fig4.1": (0.0, 1.0, 0.1, "r", ["Pe_n3", "Pe_n11", "Pe_n29"], lambda args, r: [
-        r, *(programmable.mixed_error(n, n, r) for n in (3, 11, 29))
-    ]),
+    # id: (xmin, xmax, step, x label, y labels, rows(args, xs))
+    "fig3.5": (0.0, 0.25, 0.0025, "r", ["Ps_weak", "Ps_strong"], _by_row(lambda args, r: [
+        r, discrimination.weak_margin(args.overlap, r).p_success,
+        discrimination.strong_margin(args.overlap, r).p_success])),
+    "fig4.1": (0.0, 1.0, 0.1, "r", ["Pe_n3", "Pe_n11", "Pe_n29"],
+               _purity_columns([(3, 3), (11, 11), (29, 29)])),
     "fig4.2": (1, 26, 1, "n", ["Pe_r0.2", "Pe_r0.5", "Pe_r0.7", "Pe_r1.0"],
-               _mixed_by_load_row),
+               _by_load([programmable.PuritySpec("fixed", r) for r in (0.2, 0.5, 0.7, 1.0)])),
     "fig4.3": (0.1, 1.0, 0.05, "r", ["Pe_n20", "asym_n20", "Pe_n79", "asym_n79"],
-               lambda args, r: [
-                   r,
-                   programmable.mixed_error(20, 1, r),
-                   programmable.mixed_asymptote(20, r),
-                   programmable.mixed_error(79, 1, r),
-                   programmable.mixed_asymptote(79, r),
-               ]),
-    "fig4.4": (1, 16, 1, "n", ["Pe_hs", "Pe_bures", "Pe_chernoff"], _universal_row),
-    "fig4.5": (0.0, 0.2, 0.002, "R", ["Ps_weak", "Ps_strong"], lambda args, big_r: [
-        big_r,
-        programmable.margin_success(args.n, args.nprime, big_r, "weak").p_success,
-        programmable.margin_success(args.n, args.nprime, big_r, "strong").p_success,
-    ]),
+               _purity_columns([(20, 1), (79, 1)], asymptote=True)),
+    "fig4.4": (1, 16, 1, "n", ["Pe_hs", "Pe_bures", "Pe_chernoff"], _by_load(
+        [programmable.PuritySpec(k) for k in ("hard-sphere", "bures", "chernoff")])),
+    "fig4.5": (0.0, 0.2, 0.002, "R", ["Ps_weak", "Ps_strong"], _by_row(lambda args, big_r: [
+        big_r, programmable.margin_success(args.n, args.nprime, big_r, "weak").p_success,
+        programmable.margin_success(args.n, args.nprime, big_r, "strong").p_success])),
     "fig5.1": (0.1, 0.9, 0.1, "r", ["R_lm_n1", "R_opt_n1", "R_lm_n2", "R_opt_n2",
-                                    "R_lm_n3", "R_opt_n3"], _learning_excess_row),
-    "fig6.2": (0.1, 3.0, 0.05, "alpha0", ["squeeze_opt"], lambda args, a0: [
-        a0, reading.optimal_squeezing(a0)
-    ]),
-    "fig6.3": (0.3, 1.5, 0.05, "alpha0", ["R_collective", "R_eyd"], lambda args, a0: [
-        a0,
-        reading.collective_excess_risk(a0),
-        reading.eyd_excess_risk(a0, reading.optimal_squeezing(a0)),
-    ]),
+                                    "R_lm_n3", "R_opt_n3"], _by_row(_learning_excess_row)),
+    "fig6.2": (0.1, 3.0, 0.05, "alpha0", ["squeeze_opt"],
+               _by_row(lambda args, a0: [a0, reading.optimal_squeezing(a0)])),
+    "fig6.3": (0.3, 1.5, 0.05, "alpha0", ["R_collective", "R_eyd"], _by_row(lambda args, a0: [
+        a0, reading.collective_excess_risk(a0),
+        reading.eyd_excess_risk(a0, reading.optimal_squeezing(a0))])),
 }
 
 
@@ -288,15 +289,19 @@ def _write_svg(path: str, header, rows):
 def _cmd_table(args, out):
     if args.figure not in FIGURES:
         raise ValueError(f"unknown figure {args.figure!r}; known: {sorted(FIGURES)}")
-    xmin, xmax, step, xlabel, ylabels, row = FIGURES[args.figure]
+    xmin, xmax, step, xlabel, ylabels, build = FIGURES[args.figure]
     header = [xlabel] + ylabels
-    xs = _grid(
-        xmin if args.xmin is None else args.xmin,
-        xmax if args.xmax is None else args.xmax,
-        step if args.step is None else args.step,
-    )
+    xmin, xmax, step = (default if given is None else given for default, given in
+                        ((xmin, args.xmin), (xmax, args.xmax), (step, args.step)))
+    xs = _grid(xmin, xmax, step)
+    if xlabel == "n":  # copy counts: a fractional point is a mistyped option
+        for x in xs:
+            if not float(x).is_integer():
+                name, value = (("--xmin", xmin) if x == xmin else ("--xmax", xmax) if x == xmax
+                               else ("--step", step))
+                raise ValueError(f"{name} {value} puts n = {x} on the grid, not a whole number")
     # rows before --out: a refused grid or a failed row leaves no file behind
-    rows = _sweep(lambda x: row(args, x), xs)
+    rows = build(args, xs)
     try:
         with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(out) as sink:
             _csv(sink, header, rows)

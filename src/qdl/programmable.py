@@ -225,9 +225,10 @@ def _block_error(n: int, nprime: int, tables) -> list[float]:
     matrix M = diag(s1) - Lambda diag(s2) Lambda^T onto -Lambda^T M Lambda:
     s1 and s2 trade places and Lambda becomes its transpose.  The mirror has
     the same |eigenvalues| and the same mass, so only triples with ja <= jc
-    are enumerated and those with ja < jc count twice.  Sectors are built and
-    solved in batches of bounded size (see _sector_sums), so the memory stays
-    bounded as n grows.
+    are enumerated and those with ja < jc count twice.  With equal loads,
+    sectors related by the 6j and Regge (1959) symmetries share one
+    recoupling matrix (see _orbit_keys).  Sectors are built and solved in
+    batches of bounded size (see _sector_sums), so memory stays bounded.
     """
     (mant_n, exp_n), (mant_p, exp_p) = _nu_split(n), _nu_split(nprime)
     ja2, jb2, jc2 = (g.ravel() for g in np.meshgrid(
@@ -266,7 +267,7 @@ def _block_error(n: int, nprime: int, tables) -> list[float]:
         ends, np.arange(_BATCH_ELEMENTS, ends[-1], _BATCH_ELEMENTS), side="right"
     )
     # with equal loads (one copy each has no two sectors to share) the
-    # recoupling matrices are shared across 6j orbits
+    # recoupling matrices are shared across the orbits of _orbit_keys
     orbits = n == nprime > 1
     total = sum(
         _sector_sums(ja2[part], jb2[part], jc2[part], weight[part], shift[part],
@@ -285,34 +286,41 @@ def _j_range(ja2, jb2, jc2):
     return j_lo, (ja2 + jb2 + jc2 - j_lo) // 2 + 1
 
 
+# the relabellings of _orbit_keys as positions in (a, b, c, d) and its Regge
+# image (4 to 7): the identity, three 6j symmetries and their a <-> c mirrors
+_IMAGES = np.array([(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0),
+                    (2, 1, 0, 3), (3, 0, 1, 2), (0, 3, 2, 1), (1, 2, 3, 0)])
+_IMAGES, _MIRRORS = np.vstack([_IMAGES, _IMAGES + 4]), np.arange(16) % 8 >= 4
+
+
 def _orbit_keys(a, b, c, d):
     """Orbit of each sector (a, b, c, d) = (ja, jb, jc, J), as doubled
-    spins, under the eight relabellings that keep (j_ab, j_bc) as its
-    intermediate pair, and whether its own labelling is a mirror of the
-    orbit's label.
+    spins, under the sixteen relabellings that keep (j_ab, j_bc) as its
+    intermediate pair: the orbit's key, whether the sector is a mirror of
+    the orbit's label, and that label (the sector of the key, as (4, B)).
 
     The 6j symbol {a b x; c d y} is invariant under (b, a, d, c),
     (c, d, a, b) and (d, c, b, a), so those sectors share |Lambda| with the
     same row and column order; their a <-> c mirrors share |Lambda^T|
-    (Schulten and Gordon, J. Math. Phys. 16, 1961 (1975)).  The label is the
-    smallest packed image; a member whose mirror flag differs from another
-    member's has the transpose of that member's |Lambda|.
+    (Schulten and Gordon, J. Math. Phys. 16, 1961 (1975)).  Regge's image
+    (s - a, s - b, s - c, s - d), s = (a + b + c + d) / 2, keeps x and y
+    and commutes with all eight (T. Regge, Nuovo Cimento 11, 116 (1959)),
+    so it doubles each orbit.  The key is the smallest packed image; a
+    mirror has the transpose of its label's |Lambda|.
     """
-    base = int(max(a.max(), b.max(), c.max(), d.max())) + 1
-
-    def pack(p, q, r, s):
-        return ((p * base + q) * base + r) * base + s
-
-    key, flip = pack(a, b, c, d), np.zeros(len(a), dtype=bool)
-    for mirror, image in (
-        (False, (b, a, d, c)), (False, (c, d, a, b)), (False, (d, c, b, a)),
-        (True, (c, b, a, d)), (True, (d, a, b, c)), (True, (a, d, c, b)), (True, (b, c, d, a)),
-    ):
-        other = pack(*image)
-        lower = other < key
-        key = np.where(lower, other, key)
-        flip[lower] = mirror
-    return key, flip
+    s = (a + b + c + d) // 2
+    spins = np.stack([a, b, c, d, s - a, s - b, s - c, s - d])
+    base = int(spins.max(initial=0)) + 1
+    which = np.empty(len(a), dtype=np.intp)  # the smallest image of each
+    for lo in range(0, len(a), 4096):  # all sixteen packed, 4096 sectors at a time
+        part = spins[:, lo:lo + 4096]
+        packed = part[_IMAGES[:, 0]]
+        for k in (1, 2, 3):
+            packed = packed * base + part[_IMAGES[:, k]]
+        which[lo:lo + 4096] = packed.argmin(axis=0)
+    label = spins[_IMAGES[which].T, np.arange(len(a))]
+    key = ((label[0] * base + label[1]) * base + label[2]) * base + label[3]
+    return key, _MIRRORS[which], label
 
 
 def _sector_sums(ja2, jb2, jc2, weight, shift, keep, tables, orbits: bool) -> np.ndarray:
@@ -321,16 +329,18 @@ def _sector_sums(ja2, jb2, jc2, weight, shift, keep, tables, orbits: bool) -> np
     (``keep``, tables x triples); each sector holds the j_ab (and as many
     j_bc) allowed by both of its triads, and its n-fold coefficients are
     scaled by 2^shift.  A sector with one or two j_ab is solved in closed
-    form, from T = 4 J_bc^2 alone; a larger one by a batched eigensolve.
+    form, from T = 4 J_bc^2 alone; a larger one by a batched eigensolve of
+    M = c_c diag(G_x) - c_a Lambda diag(G_y) Lambda^T, G_x and G_y the rows
+    of coeff_t over its j_ab and j_bc.
 
-    With ``orbits`` (equal loads, so that the data port and the total spin
-    range over the program spins too) each larger recoupling matrix is built
-    once per orbit of _orbit_keys, and a member of the other mirror class
-    forms its M with s1 and s2 traded: -Lambda M Lambda^T of its own sector.
-    Row and column signs of a shared Lambda enter M only as a diagonal +-1
-    congruence, so no spectrum changes.  Each dimension group is solved in
-    slices of whole orbits whose members hold about _BATCH_ELEMENTS matrix
-    entries or fewer.
+    With ``orbits`` (equal loads) the larger sectors of one orbit of
+    _orbit_keys (6j and Regge (1959) symmetries) share the Lambda of its
+    label; otherwise each is an orbit of one.  Each table forms one rotated
+    block P = Lambda diag(G_y) Lambda^T per orbit, from the label's rows, and
+    a member's M is c_c diag(G_x) - c_a P, c_c and c_a traded for a mirror
+    (-Lambda M Lambda^T of its own sector); the signs of a shared Lambda are
+    a +-1 congruence.  Each dimension group is solved in slices of whole
+    orbits whose members hold about _BATCH_ELEMENTS matrix entries or fewer.
     """
     j_lo, count = _j_range(ja2, jb2, jc2)
     triple = np.repeat(np.arange(len(ja2)), count)
@@ -341,20 +351,22 @@ def _sector_sums(ja2, jb2, jc2, weight, shift, keep, tables, orbits: bool) -> np
     y_lo = np.maximum(np.abs(jb2 - jc2), np.abs(ja2 - j2))
     dims = (np.minimum(ja2 + jb2, j2 + jc2) - x_lo) // 2 + 1
     everywhere = keep.all(axis=1)  # the tables that keep every triple here
+    flip, label = np.zeros(len(j2), dtype=bool), (ja2, jb2, jc2, j2)
     if orbits:
-        # sectors by dimension, the members of one orbit side by side with
-        # its first sector at the head, and mirror flags relative to the head
-        key, flip = _orbit_keys(ja2, jb2, jc2, j2)
+        # the larger sectors by orbit of _orbit_keys; from here on x_lo and
+        # y_lo are those of each sector's label (a mirror's trade places)
+        key, label = np.arange(len(j2)), np.stack(label)
+        big = np.flatnonzero(dims > 2)
+        key[big], flip[big], label[:, big] = _orbit_keys(*label[:, big])
+        x_lo, y_lo = np.where(flip, y_lo, x_lo), np.where(flip, x_lo, y_lo)
+        # sectors by dimension, the members of one orbit side by side
         order = np.lexsort((key, dims))
-        key = key[order]
         head = np.ones(len(order), dtype=bool)
-        head[1:] = key[1:] != key[:-1]
-        rank = np.cumsum(head) - 1  # the orbit of each sector
-        flip = flip[order]
-        flip ^= flip[head][rank]
-    else:
-        order = np.argsort(dims, kind="stable")
+        head[1:] = key[order[1:]] != key[order[:-1]]
+    else:  # orbits of one
+        order, head = np.argsort(dims, kind="stable"), np.ones(len(j2), dtype=bool)
     dims = dims[order]
+    rank = np.cumsum(head) - 1  # the orbit of each sector
 
     total = np.zeros(len(tables))
     bounds = (np.flatnonzero(dims[1:] != dims[:-1]) + 1).tolist()
@@ -362,51 +374,58 @@ def _sector_sums(ja2, jb2, jc2, weight, shift, keep, tables, orbits: bool) -> np
         dim = int(dims[lo])
         step = max(1, _BATCH_ELEMENTS // (dim * dim))
         idx = np.arange(dim)
-        cuts = list(range(lo + step, hi, step))
-        if orbits and cuts:
-            # a slice holds whole orbits: it ends before the first head
-            # past step members
+        # a slice holds whole orbits: it ends before the first head past
+        # step members
+        cuts = []
+        if hi - lo > step:
             heads = lo + np.flatnonzero(head[lo:hi])
             cuts = heads[np.flatnonzero(np.diff((heads - lo) // step)) + 1].tolist()
         for a, b in zip([lo] + cuts, cuts + [hi]):
             sel = order[a:b]
-            reps = sel[head[a:b]] if orbits else sel
-            up = shift[triple[sel]]  # each sector's power of two
+            # each member's ja, jc, power of two, weight and coeff_t rows of
+            # its label's j_ab; then its j_bc rows and P (dim <= 2), or its
+            # orbit in the slice and mirror flag
+            members = [ja2[sel], jc2[sel], shift[triple[sel]], gamma[sel],
+                       x_lo[sel][:, None] + 2 * idx]
             if dim == 1:  # one j_ab: P plays no part
-                lam = np.zeros((len(sel), 1))
+                members += [y_lo[sel][:, None], np.zeros((len(sel), 1))]
             elif dim == 2:  # P of _two_level_norms
-                lam = np.hstack(_recoupling_tridiagonal(ja2[sel], jb2[sel], jc2[sel], j2[sel], dim))
-                lam[:, :dim] -= y_lo[sel][:, None] * (y_lo[sel][:, None] + 2.0)
-                lam /= 4.0 * y_lo[sel][:, None] + 8.0
-            elif len(reps) < len(sel):
-                # the members' copy first: the heads' matrices, freed once it
-                # is filled, then leave no hole below it in the heap
-                lam = np.empty((len(sel), dim, dim))
-                np.take(recoupling_batch(ja2[reps], jb2[reps], jc2[reps], j2[reps], dim),
-                        rank[a:b] - rank[a], axis=0, out=lam)
+                p = np.hstack(_recoupling_tridiagonal(ja2[sel], jb2[sel], jc2[sel], j2[sel], dim))
+                p[:, :dim] -= y_lo[sel][:, None] * (y_lo[sel][:, None] + 2.0)
+                p /= 4.0 * y_lo[sel][:, None] + 8.0
+                members += [y_lo[sel][:, None] + 2 * idx, p]
             else:
-                lam = recoupling_batch(ja2[reps], jb2[reps], jc2[reps], j2[reps], dim)
+                reps = sel[head[a:b]]
+                lam = recoupling_batch(*(v[reps] for v in label), dim)
+                rows_y = y_lo[reps][:, None] + 2 * idx  # of each orbit's label
+                members += [rank[a:b] - rank[a], flip[sel]]
             for t, (coeff_n, coeff_t) in enumerate(tables):
-                if everywhere[t]:
-                    kept, mem, lam_t, up_t = slice(None), sel, lam, up
-                else:
+                part = members
+                if not everywhere[t]:
                     kept = keep[t, sel]
-                    mem, lam_t, up_t = sel[kept], lam[kept], up[kept]
-                    if not len(mem):
+                    part = [v[kept] for v in members]
+                    if not len(part[0]):
                         continue
-                ca, cc = (np.ldexp(coeff_n[j[mem]], up_t) for j in (ja2, jc2))
-                s1 = coeff_t[x_lo[mem][:, None] + 2 * idx] * cc[:, None]
-                s2 = ca[:, None] * coeff_t[y_lo[mem][:, None] + 2 * idx]
+                ja, jc, up, weight_t, rows_x, *rest = part
+                ca, cc = np.ldexp(coeff_n[ja], up), np.ldexp(coeff_n[jc], up)
                 if dim <= 2:
-                    w = _two_level_norms(s1, s2, lam_t)
+                    rows, p = rest
+                    w = _two_level_norms(coeff_t[rows_x] * cc[:, None],
+                                         ca[:, None] * coeff_t[rows], p)
                 else:
-                    if orbits:
-                        swap = flip[a:b][kept][:, None]
-                        s1, s2 = np.where(swap, s2, s1), np.where(swap, s1, s2)
-                    m = -(lam_t * s2[:, None, :]) @ lam_t.transpose(0, 2, 1)
-                    m[:, idx, idx] += s1
+                    orbit, swap = rest
+                    lam_t, rows_t = lam, rows_y
+                    if not everywhere[t]:  # one P for each orbit it keeps a member of
+                        first = np.ones(len(orbit), dtype=bool)
+                        first[1:] = orbit[1:] != orbit[:-1]
+                        lam_t, rows_t = lam[orbit[first]], rows_y[orbit[first]]
+                        orbit = np.cumsum(first) - 1
+                    m = ((lam_t * coeff_t[rows_t][:, None, :]) @ lam_t.transpose(0, 2, 1))[orbit]
+                    m *= -np.where(swap, cc, ca)[:, None, None]
+                    m.reshape(len(m), -1)[:, :: dim + 1] += (np.where(swap, ca, cc)[:, None]
+                                                             * coeff_t[rows_x])
                     w = np.abs(np.linalg.eigvalsh(m)).sum(axis=1)
-                total[t] += float(gamma[mem] @ w)
+                total[t] += float(weight_t @ w)
     return total
 
 

@@ -158,6 +158,11 @@ def _static_commands() -> list:
         "table --figure fig4.1 --step 1e-9 --out refused.csv",
         "table --figure fig4.1 --xmin nan",
         "table --figure fig4.3 --xmin 0 --xmax 0",
+        "table --figure fig4.3 --xmin 0 --xmax 1.2 --step 0.3",
+        "table --figure fig4.1 --xmin 0.5 --xmax 1.5 --step 0.5",
+        "table --figure fig4.4 --xmin 1 --xmax 3 --step 0.5",
+        "table --figure fig4.2 --xmin 2.5 --xmax 2.5",
+        "table --figure fig4.2 --xmin 1 --xmax 2.9999999999",
         "table --figure fig4.5 --n 0",
         "table",
     ]

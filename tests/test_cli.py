@@ -329,6 +329,49 @@ def test_table_error_leaves_no_out_file(tmp_path, bounds):
     assert not out_file.exists()
 
 
+@pytest.mark.parametrize(
+    "figure, bounds, message",
+    [
+        ("fig4.4", ["--xmin", "1", "--xmax", "3", "--step", "0.5"], "--step 0.5 puts n = 1.5"),
+        ("fig4.2", ["--xmin", "2.5", "--xmax", "2.5"], "--xmin 2.5 puts n = 2.5"),
+        ("fig4.2", ["--xmin", "1", "--xmax", "2.9999999999"],
+         "--xmax 2.9999999999 puts n = 2.9999999999"),
+    ],
+)
+def test_table_refuses_a_fractional_copy_count_on_the_grid(tmp_path, figure, bounds, message):
+    # n counts copies: a fractional grid point was once rounded, printing
+    # one row several times or under another n
+    out_file = tmp_path / "x.csv"
+    code, out, err = run_cli(["table", "--figure", figure, *bounds, "--out", str(out_file)])
+    assert code == 1 and not out
+    assert err == f"error: {message} on the grid, not a whole number\n"
+    assert not out_file.exists()
+
+
+def test_purity_sweeps_are_their_row_by_row_values_bit_for_bit():
+    # fig4.1 and fig4.3 solve each load's column of purities in one pass;
+    # the pass prunes each purity by its own mass, so r = 0 (nothing
+    # pruned) beside r = 1 (nearly everything) leaves every value as alone
+    rs = [0.0, 1e-300, 0.3, 0.55, 1 - 2.0**-53, 1.0]
+    got = cli.FIGURES["fig4.1"][-1](None, rs)
+    assert got == [[r] + [programmable.mixed_error(n, n, r) for n in (3, 11, 29)] for r in rs]
+    rs = rs[1:]  # the asymptote refuses r = 0
+    got = cli.FIGURES["fig4.3"][-1](None, rs)
+    assert got == [[r] + [v for n in (20, 79) for v in (
+        programmable.mixed_error(n, 1, r), programmable.mixed_asymptote(n, r))] for r in rs]
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_purity_sweep_refuses_with_its_first_failing_row(monkeypatch, threads):
+    # the r = 0 row fails at its asymptote before the r = 1.2 row fails at
+    # its purity, as in a row-by-row sweep
+    monkeypatch.setenv("QDL_THREADS", threads)
+    code, out, err = run_cli(["table", "--figure", "fig4.3", "--xmin", "0", "--xmax", "1.2",
+                              "--step", "0.3"])
+    assert code == 1 and not out
+    assert err == "error: purity 0.0 outside (0, 1]; the r = 0 limit is singular\n"
+
+
 def test_table_unwritable_out_is_an_error(tmp_path):
     target = tmp_path / "missing" / "x.csv"
     code, out, err = run_cli(["table", "--figure", "fig6.2", "--xmin", "1", "--xmax", "1",
@@ -431,9 +474,11 @@ def test_table_output_byte_identical_across_runs(tmp_path):
 
 
 def test_table_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
-    # fig4.2 and fig4.4 rows solve stacks of purities and priors at one n
+    # fig4.2 and fig4.4 rows solve stacks of purities and priors at one n;
+    # fig4.1 and fig4.3 spread their load columns over the workers
     grids = {"fig3.5": ("0", "0.1", "0.01"), "fig4.2": ("1", "4", "1"),
-             "fig4.4": ("1", "4", "1")}
+             "fig4.4": ("1", "4", "1"), "fig4.1": ("0", "1", "0.25"),
+             "fig4.3": ("0.1", "1", "0.3")}
     for figure, (xmin, xmax, step) in grids.items():
         f1, f2 = tmp_path / f"{figure}-1.csv", tmp_path / f"{figure}-4.csv"
         base = ["table", "--figure", figure, "--xmin", xmin, "--xmax", xmax, "--step", step]

@@ -314,6 +314,12 @@ def test_recoupling_mirror_sector_has_the_same_absolute_spectrum():
     assert largest >= 20
 
 
+def _six_j_images(a, b, c, d):
+    """The sector, its three 6j images, then their four a <-> c mirrors."""
+    return [(a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a),
+            (c, b, a, d), (d, a, b, c), (a, d, c, b), (b, c, d, a)]
+
+
 def test_recoupling_orbit_members_share_one_matrix():
     # the relabellings that keep (j_ab, j_bc) as the intermediate pair: the
     # 6j symmetries (b, a, J, c), (c, J, a, b), (J, c, b, a) share |Lambda|,
@@ -327,9 +333,8 @@ def test_recoupling_orbit_members_share_one_matrix():
         a, b, c, d = (int(t) for t in rng.integers(0, 61, size=4))
         if (a + b + c + d) % 2 or max(abs(a - b), abs(d - c)) > min(a + b, d + c):
             continue
-        images = [(a, b, c, d), (b, a, d, c), (c, d, a, b), (d, c, b, a),
-                  (c, b, a, d), (d, a, b, c), (a, d, c, b), (b, c, d, a)]
-        key, flip = prog._orbit_keys(*(np.array(spins) for spins in zip(*images)))
+        images = _six_j_images(a, b, c, d)
+        key, flip, _ = prog._orbit_keys(*(np.array(spins) for spins in zip(*images)))
         assert len(set(key.tolist())) == 1, images[0]
         shared = _sector_parts(*images[0], coeff_n, coeff_t)[0]
         for k, image in enumerate(images):
@@ -345,17 +350,64 @@ def test_recoupling_orbit_members_share_one_matrix():
     assert largest >= 20
 
 
+def _ranges(a, b, c, d):
+    """Lowest and highest doubled j_ab, then j_bc, of sector (a, b, c, d)."""
+    return (max(abs(a - b), abs(d - c)), min(a + b, d + c),
+            max(abs(b - c), abs(a - d)), min(b + c, a + d))
+
+
+def _regge(a, b, c, d):
+    s = (a + b + c + d) // 2
+    return s - a, s - b, s - c, s - d
+
+
+def test_regge_image_joins_the_orbit_and_shares_its_rotated_block():
+    # Regge's image (s - a, s - b, s - c, s - J), s the half sum, keeps
+    # j_ab, j_bc and |Lambda|, so it gets the sector's key, and its M built
+    # as _sector_sums builds it, c_c diag(G_x) - c_a P on the sector's
+    # P = Lambda diag(G_y) Lambda^T, has the absolute spectrum of its own;
+    # random sectors with every spin <= 60, then a few near 200
+    rng = np.random.default_rng(25)
+    coeff_n, coeff_t = rng.uniform(size=401), rng.uniform(size=401)
+    checked, largest = 0, 0
+    while checked < 155:
+        low, top, tol = (0, 60, 1e-13) if checked < 150 else (180, 200, 1e-12)
+        sector = tuple(int(t) for t in rng.integers(low, top + 1, size=4))
+        x_lo, x_hi, y_lo, _ = _ranges(*sector)
+        if sum(sector) % 2 or x_lo > x_hi:
+            continue
+        image = _regge(*sector)
+        assert _ranges(*image) == _ranges(*sector), sector
+        key, flip, _ = prog._orbit_keys(*(np.array(v) for v in zip(sector, image)))
+        assert key[0] == key[1] and flip[0] == flip[1], sector
+        lam = _sector_parts(*sector, coeff_n, coeff_t)[0]
+        own, s1, s2 = _sector_parts(*image, coeff_n, coeff_t)
+        assert np.abs(np.abs(own) - np.abs(lam)).max() <= tol, sector
+        idx = np.arange(len(lam))
+        p = (lam * coeff_t[y_lo + 2 * idx]) @ lam.T
+        shared = np.diag(coeff_n[image[2]] * coeff_t[x_lo + 2 * idx]) - coeff_n[image[0]] * p
+        got = np.sort(np.abs(np.linalg.eigvalsh(shared)))
+        want = np.sort(np.abs(np.linalg.eigvalsh(np.diag(s1) - (own * s2) @ own.T)))
+        assert np.abs(got - want).max() <= 1e-13, sector
+        checked, largest = checked + 1, max(largest, len(lam))
+    assert largest >= 100
+
+
 def test_sector_sums_share_matrices_in_any_triple_order(monkeypatch):
     # the stacked, orbit-sharing sum against each table alone over its own
     # triples, every sector with its own matrix.  In a shuffled triple order
-    # the first sector of an orbit, whose matrix the orbit shares, is often a
-    # mirror of the orbit's label; a tiny batch cuts every dimension group
-    # into slices of a few orbits
-    n = 8
+    # an orbit's members, many of them mirrors of the label whose matrix they
+    # share, come in any order; a tiny batch cuts every dimension group into
+    # slices of a few orbits.  At n = 10 Regge's image merges the 270
+    # 6j orbits of the sectors with three or more j_ab into 251
+    n = 10
     rng = np.random.default_rng(5)
     spins = range(0, n + 1, 2)
     triples = np.array([(a, b, c) for a in spins for b in spins for c in spins if a <= c])
     ja2, jb2, jc2 = rng.permutation(triples).T
+    sectors = [(a, b, c, d) for a, b, c in triples.tolist() for d in range(0, a + b + c + 1, 2)]
+    sectors = {t for t in sectors if _ranges(*t)[1] - _ranges(*t)[0] >= 4}
+    assert any(_regge(*t) in sectors and _regge(*t) not in _six_j_images(*t) for t in sectors)
     weight = rng.uniform(size=len(ja2))
     shift = rng.integers(-3, 4, size=len(ja2))
     specs = [prog.PuritySpec("fixed", r) for r in (0.55, 0.9)]
@@ -383,6 +435,7 @@ FOLD_PURITIES = st.sampled_from((1e-300, 0.55, float(np.nextafter(1.0, 0.0)), 1.
 @example(n=15, nprime=4, r=0.55)
 @example(n=16, nprime=8, r=1e-300)
 @example(n=8, nprime=8, r=0.55)  # equal loads: matrices shared across orbits
+@example(n=11, nprime=11, r=0.55)  # and Regge images in them
 def test_mixed_error_matches_every_sector_sum(n, nprime, r):
     # the folded, pruned sum against every (ja, jb, jc, J) sector: pruning
     # only ever drops mass, so the two differ by at most _MASS_TOL / 4
