@@ -45,15 +45,7 @@ class HalfInt:
 
     @staticmethod
     def coerce(x) -> "HalfInt":
-        if isinstance(x, HalfInt):
-            return x
-        if isinstance(x, int):
-            return HalfInt(2 * x)
-        d = 2 * float(x)
-        r = round(d)
-        if abs(d - r) > 1e-9:
-            raise ValueError(f"{x} is not an integer or half-integer")
-        return HalfInt(int(r))
+        return x if isinstance(x, HalfInt) else HalfInt(_twice(x))
 
     def __float__(self) -> float:
         return self.twice / 2.0
@@ -65,7 +57,16 @@ class HalfInt:
 
 
 def _twice(x) -> int:
-    return HalfInt.coerce(x).twice
+    """2x for a HalfInt, an int, or a float within 1e-9 of a half-integer."""
+    if isinstance(x, HalfInt):
+        return x.twice
+    if isinstance(x, int):
+        return 2 * x
+    d = 2 * float(x)
+    r = round(d)
+    if abs(d - r) > 1e-9:
+        raise ValueError(f"{x} is not an integer or half-integer")
+    return int(r)
 
 
 def _triangle2(a2: int, b2: int, c2: int) -> bool:

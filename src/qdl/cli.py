@@ -80,6 +80,8 @@ def _grid(xmin: float, xmax: float, step: float):
         x = xmin + k * step
         if x > xmax + step * 1e-9:
             return out
+        if out and x <= out[-1]:  # xmin + k step stopped moving: refuse before memory fills
+            raise ValueError(f"--step {step} is below the float spacing at {out[-1]}")
         out.append(min(x, xmax))
         k += 1
 
@@ -112,14 +114,18 @@ def _cmd_discriminate(args):
 
 def _cmd_programmable(args):
     n, nprime = args.n, args.nprime
+    for option, mode, mode_value in (("nb", "--na", args.na), ("nc", "--na", args.na),
+                                     ("scheme", "--margin", args.margin)):
+        if getattr(args, option) is not None and mode_value is None:
+            raise ValueError(f"--{option} applies to {mode} only")
     if args.margin is not None:
-        curve = programmable.margin_success(n, nprime, args.margin, args.scheme)
-        return ["n", "nprime", "R", "scheme", "Ps"], [
-            n, nprime, args.margin, args.scheme, curve.p_success
-        ]
+        scheme = args.scheme or "weak"
+        ps = programmable.margin_success(n, nprime, args.margin, scheme).p_success
+        return ["n", "nprime", "R", "scheme", "Ps"], [n, nprime, args.margin, scheme, ps]
     if args.na is not None:
-        rates = programmable.general_rates(programmable.PortLoad(args.na, args.nb, args.nc))
-        return ["na", "nb", "nc", "Q", "Pe"], [args.na, args.nb, args.nc, rates.q, rates.pe]
+        nb, nc = (1 if v is None else v for v in (args.nb, args.nc))
+        rates = programmable.general_rates(programmable.PortLoad(args.na, nb, nc))
+        return ["na", "nb", "nc", "Q", "Pe"], [args.na, nb, nc, rates.q, rates.pe]
     if args.prior is not None:
         kind = {"hs": "hard-sphere", "bures": "bures", "chernoff": "chernoff"}[args.prior]
         pe = programmable.universal_error(programmable.PuritySpec(kind=kind), n, nprime)
@@ -155,13 +161,16 @@ def _cmd_read(args):
     a0 = args.alpha0
     if args.squeeze is not None and args.strategy != "eyd":
         raise ValueError(f"--squeeze applies to --strategy eyd only, not {args.strategy}")
+    for option in ("naux", "mu", "quad"):
+        if getattr(args, option) is not None and not args.oracle:
+            raise ValueError(f"--{option} applies to --oracle only")
     if args.oracle:
-        cfg = reading.ReadingConfig(alpha0=a0, mu=args.mu, n_aux=args.naux)
+        naux, mu, quad = (d if v is None else v for v, d in
+                          ((args.naux, 16), (args.mu, 1.0), (args.quad, 32)))
+        cfg = reading.ReadingConfig(alpha0=a0, mu=mu, n_aux=naux)
         squeeze = args.squeeze if args.squeeze is not None else 0.0
-        pe = reading.finite_n_oracle(cfg, args.strategy, args.quad, squeeze)
-        return ["alpha0", "strategy", "naux", "mu", "Pe"], [
-            a0, args.strategy, args.naux, args.mu, pe
-        ]
+        pe = reading.finite_n_oracle(cfg, args.strategy, quad, squeeze)
+        return ["alpha0", "strategy", "naux", "mu", "Pe"], [a0, args.strategy, naux, mu, pe]
     if args.strategy == "collective":
         risk = reading.collective_excess_risk(a0)
         return ["alpha0", "strategy", "excess_risk"], [a0, "collective", risk]
@@ -193,17 +202,23 @@ def _by_row(row):
     return lambda args, xs: _sweep(lambda x: row(args, x), xs)
 
 
+def _load_errors(priors, loads):
+    """programmable.load_errors, each sweep worker running one pass over its share of the loads."""
+    workers = _thread_count()
+    shares = _sweep(lambda k: programmable.load_errors(priors, loads[k::workers]), range(workers))
+    return [shares[k % workers][k // workers] for k in range(len(loads))]
+
+
 def _purity_columns(loads, asymptote: bool = False):
-    """Rows of an r-sweep at fixed loads (n, nprime): one universal_errors
-    pass over the grid's purities per load, the loads shared among the sweep
-    workers; with ``asymptote`` each is followed by mixed_asymptote(n, r)."""
+    """Rows of an r-sweep at fixed loads (n, nprime): the error at each load,
+    followed by mixed_asymptote(n, r) with ``asymptote``."""
     def rows(args, rs):
         specs, tails = [], []
         for r in rs:  # row by row, so that a refused grid names its first failing row
             specs.append(programmable.PuritySpec("fixed", r))
             tails.append([(programmable.mixed_asymptote(n, r),) if asymptote else ()
                           for n, _ in loads])
-        cols = _sweep(lambda load: programmable.universal_errors(specs, *load), loads)
+        cols = _load_errors(specs, loads)
         return [[r] + [v for value, tail in zip(values, row_tails) for v in (value, *tail)]
                 for r, values, row_tails in zip(rs, zip(*cols), tails)]
     return rows
@@ -211,7 +226,10 @@ def _purity_columns(loads, asymptote: bool = False):
 
 def _by_load(specs):
     """Rows of an n-sweep at loads n = nprime (whole: see _cmd_table), one error per spec."""
-    return _by_row(lambda args, n: [int(n)] + programmable.universal_errors(specs, int(n), int(n)))
+    def rows(args, ns):
+        loads = [programmable.check_load(int(n), int(n)) for n in ns]  # refused in grid order
+        return [[n] + errors for (n, _), errors in zip(loads, _load_errors(specs, loads))]
+    return rows
 
 
 def _learning_excess_row(args, r):
@@ -340,9 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(row=_cmd_programmable)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--nprime", type=int, default=1)
-    p.add_argument("--nb", type=int, default=1)
-    p.add_argument("--nc", type=int, default=1)
-    p.add_argument("--scheme", choices=["weak", "strong"], default="weak")
+    p.add_argument("--nb", type=int)
+    p.add_argument("--nc", type=int)
+    p.add_argument("--scheme", choices=["weak", "strong"])
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--na", type=int)
     mode.add_argument("--purity", type=float)
@@ -361,9 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["collective", "eyd"], default="collective")
     p.add_argument("--squeeze", type=float)
     p.add_argument("--oracle", action="store_true")
-    p.add_argument("--naux", type=int, default=16)
-    p.add_argument("--mu", type=float, default=1.0)
-    p.add_argument("--quad", type=int, default=32)
+    p.add_argument("--naux", type=int)
+    p.add_argument("--mu", type=float)
+    p.add_argument("--quad", type=int)
 
     p = sub.add_parser("decompose", help="decompose a POVM into extremals")
     p.set_defaults(write=_cmd_decompose)

@@ -13,6 +13,7 @@ Error margins interpolate between the unambiguous and minimum-error extremes.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,22 +22,21 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.polynomial import legendre
 
-from .angular import (
-    _recoupling_tridiagonal,
-    block_coefficient,
-    check_spin,
-    jordan_overlap,
-    multiplicity_table,
-    recoupling_batch,
-)
+from .angular import (_recoupling_tridiagonal, block_coefficient, check_spin, jordan_overlap,
+                      multiplicity_table, recoupling_batch)
 from .linalg import check_count, check_purity
 
 # discarded total block mass in the mixed-state sums; the induced error on
 # the error probability is at most a quarter of this
 _MASS_TOL = 1e-14
-# batch size of the mixed-state sums: sectors enumerated at a time, and
-# matrix entries per batched recoupling eigensolve
-_BATCH_ELEMENTS = 1 << 20
+# batch sizes of the mixed-state sums: sectors enumerated at a time; the
+# entries of one slice's matrices, each (row, sector) pair's dim^2 entries
+# and 64 more for its other arrays; and the sectors and (row, triple) pairs
+# of a pass and the terms held before they are folded into exact sums, 100
+# to 200 bytes each at their peak
+_BATCH_SECTORS = 1 << 20
+_BATCH_ELEMENTS = 1 << 18
+_BATCH_PAIRS = 1 << 16
 # the mixed-state sums refuse n + nprime above _MAX_COPIES: every block coefficient
 # of weight above 2^-100 stays a normal float, and far from overflow once scaled
 _MAX_COPIES = 900
@@ -201,89 +201,108 @@ def _prior_table(prior: PuritySpec, m: int) -> np.ndarray:
     return out
 
 
-def _nu_split(m: int):
-    """multiplicity_table(m) as mantissas in [1/2, 1) and exact exponents of 2."""
-    exp = [v.bit_length() for v in multiplicity_table(m)]
-    return np.array([v / (1 << e) for v, e in zip(multiplicity_table(m), exp)]), np.array(exp)
+def _block_error(loads) -> list[list[float]]:
+    """Minimum errors from the sector-by-sector trace norms: one list per
+    load (n, nprime, tables), one error per table.  ``tables`` holds (coeff_n,
+    coeff_t) pairs, the (possibly prior-averaged) block coefficient tables of
+    the n-fold and (n+nprime)-fold powers.
 
-
-def _block_error(n: int, nprime: int, tables) -> list[float]:
-    """Minimum errors from the sector-by-sector trace norms, one per table.
-
-    ``tables`` is a sequence of (coeff_n, coeff_t) pairs: the (possibly
-    prior-averaged) block coefficient tables of the n-fold and
-    (n+nprime)-fold powers.  Sectors are labelled by the port spins and the
-    total spin; equivalent representations enter only through multiplicative
-    weights, mantissas times exact powers of two so that none overflows.
-    Each table is pruned by its own mass: the (ja, jb, jc) triples whose
-    combined trace weight is negligible for it (total discarded mass below
-    _MASS_TOL) are skipped, so each error keeps exactly the sectors it would
-    keep alone.  The sectors of the union of kept triples are enumerated
-    once, and each recoupling matrix serves every table that keeps its sector.
+    Sectors are labelled by the port spins and the total spin; equivalent
+    representations enter only through multiplicative weights, mantissas
+    times exact powers of two so that none overflows.  Each table is pruned
+    by its own mass: the (ja, jb, jc) triples whose combined trace weight is
+    negligible for it (total discarded mass below _MASS_TOL) are skipped, and
+    each table's own terms are summed exactly.
 
     Both program ports carry n copies, so swapping ja and jc maps the sector
     matrix M = diag(s1) - Lambda diag(s2) Lambda^T onto -Lambda^T M Lambda:
     s1 and s2 trade places and Lambda becomes its transpose.  The mirror has
     the same |eigenvalues| and the same mass, so only triples with ja <= jc
-    are enumerated and those with ja < jc count twice.  With equal loads,
-    sectors related by the 6j and Regge (1959) symmetries share one
-    recoupling matrix (see _orbit_keys).  Sectors are built and solved in
-    batches of bounded size (see _sector_sums), so memory stays bounded.
+    are enumerated and those with ja < jc count twice.
+
+    The (load, table) rows go through _pass in order, in passes of whole rows
+    holding about _BATCH_PAIRS sectors and (row, triple) pairs or fewer, so
+    memory stays bounded; no value depends on the pass it falls in.
     """
-    (mant_n, exp_n), (mant_p, exp_p) = _nu_split(n), _nu_split(nprime)
-    ja2, jb2, jc2 = (g.ravel() for g in np.meshgrid(
-        *(range(m % 2, m + 1, 2) for m in (n, nprime, n)), indexing="ij"))
-    folded = ja2 <= jc2
-    ja2, jb2, jc2 = ja2[folded], jb2[folded], jc2[folded]
+    rows, cost = [], []
+    for n, nprime, tables in loads:
+        ja2, *_, sectors = _load(n, nprime)
+        rows += [(n, nprime, table) for table in tables]
+        cost += [len(ja2) + (k == 0) * sectors for k in range(len(tables))]
+    fill = np.cumsum(cost, dtype=int) // _BATCH_PAIRS
+    errors = iter([e for _, part in itertools.groupby(zip(fill.tolist(), rows), lambda p: p[0])
+                   for e in _pass([row for _, row in part])])
+    return [[next(errors) for _ in tables] for _, _, tables in loads]
+
+
+def _pass(rows) -> list[float]:
+    """_block_error of the rows (n, nprime, table), one sector pass for all."""
+    coeff_n = np.zeros((len(rows), max(n for n, _, _ in rows) + 1))
+    coeff_t = np.zeros((len(rows), max(n + p for n, p, _ in rows) + 1))
+    triples, row = [], 0
+    for (n, nprime), load in itertools.groupby(rows, lambda r: r[:2]):
+        tables = [table for _, _, table in load]
+        ja2, jb2, jc2, weight, shift, _ = _load(n, nprime)
+        # mass of each (ja, jb, jc) triple and its mirror, one row per table:
+        # their total trace-weight contribution to gamma * (tr sigma1 + tr
+        # sigma2), summed in closed form over J; wsum[hi + 2] - wsum[lo] sums
+        # (x2 + 1) coeff_t[x2] over lo <= x2 <= hi in steps of 2
+        table_n = coeff_n[row:row + len(tables), :n + 1]
+        table_t = coeff_t[row:row + len(tables), :n + nprime + 1]
+        table_n[:], table_t[:] = zip(*tables)
+        dim_t = np.arange(1, n + nprime + 2) * table_t
+        wsum = np.zeros((len(tables), n + nprime + 3))
+        wsum[:, 2::2] = np.cumsum(dim_t[:, 0::2], axis=1)
+        wsum[:, 3::2] = np.cumsum(dim_t[:, 1::2], axis=1)
+        s_ab = np.ldexp(wsum[:, ja2 + jb2 + 2] - wsum[:, np.abs(ja2 - jb2)], shift)
+        s_bc = np.ldexp(wsum[:, jb2 + jc2 + 2] - wsum[:, np.abs(jb2 - jc2)], shift)
+        mass = weight * ((jc2 + 1) * table_n[:, jc2] * s_ab + (ja2 + 1) * table_n[:, ja2] * s_bc)
+        # a table keeps its triples past the lightest ones of total mass below
+        # _MASS_TOL; the triples kept by any table, with the rows that keep each
+        light = (np.cumsum(np.sort(mass, axis=1), axis=1) <= _MASS_TOL).sum(axis=1)
+        keep = np.argsort(np.argsort(mass, axis=1, kind="stable"), axis=1) >= light[:, None]
+        used = keep.any(axis=0)
+        keep = keep[:, used]
+        triples.append((ja2[used], jb2[used], jc2[used], weight[used], shift[used],
+                        keep.sum(axis=0), np.nonzero(keep.T)[1] + row))
+        row += len(tables)
+    totals = _sector_sums(*map(np.concatenate, zip(*triples)), coeff_n, coeff_t)
+    return [(1.0 - t / 2.0) / 2.0 for t in totals]
+
+
+@lru_cache(maxsize=32)
+def _load(n: int, nprime: int):
+    """The triples of a load, read-only: the doubled port spins (ja, jb, jc)
+    with ja <= jc, their weight and shift, and the number of their sectors."""
+    # the multiplicities as mantissas in [1/2, 1) and exact exponents of 2
+    (mant_n, exp_n), (mant_p, exp_p) = ((np.array([v / (1 << v.bit_length()) for v in nu]),
+                                         np.array([v.bit_length() for v in nu], dtype=np.intc))
+                                        for nu in map(multiplicity_table, (n, nprime)))
+    k, a, b = np.arange((n // 2 + 1) ** 2 * (nprime // 2 + 1)), n // 2 + 1, nprime // 2 + 1
+    grid = 2 * np.array((k // (a * b), k // a % b, k % a))
+    spins = (grid + [[n % 2], [nprime % 2], [n % 2]])[:, grid[0] <= grid[2]]
+    ja2, jb2, jc2 = spins
     # nu_a nu_b nu_c = weight 2^shift, with the mirror's 2 in weight; the
     # power of two scales one factor, exactly, before it meets the other, and
     # leaves it below 2^(n + nprime + 3) (see _MAX_COPIES)
     weight = np.where(ja2 < jc2, 2.0, 1.0) * mant_n[ja2] * mant_p[jb2] * mant_n[jc2]
     shift = exp_n[ja2] + exp_p[jb2] + exp_n[jc2]
-
-    # mass of each (ja, jb, jc) triple and its mirror: their total
-    # trace-weight contribution to gamma * (tr sigma1 + tr sigma2), summed in
-    # closed form over J; wsum[hi + 2] - wsum[lo] sums (x2 + 1) coeff_t[x2]
-    # over lo <= x2 <= hi in steps of 2
-    keep = np.zeros((len(tables), len(ja2)), dtype=bool)
-    for row, (coeff_n, coeff_t) in zip(keep, tables):
-        dim_t = np.arange(1, n + nprime + 2) * coeff_t
-        wsum = np.zeros(n + nprime + 3)
-        wsum[2::2] = np.cumsum(dim_t[0::2])
-        wsum[3::2] = np.cumsum(dim_t[1::2])
-        s_ab = np.ldexp(wsum[ja2 + jb2 + 2] - wsum[np.abs(ja2 - jb2)], shift)
-        s_bc = np.ldexp(wsum[jb2 + jc2 + 2] - wsum[np.abs(jb2 - jc2)], shift)
-        mass = weight * ((jc2 + 1) * coeff_n[jc2] * s_ab + (ja2 + 1) * coeff_n[ja2] * s_bc)
-        order = np.argsort(mass, kind="stable")
-        row[order[np.searchsorted(np.cumsum(mass[order]), _MASS_TOL, side="right"):]] = True
-
-    # the sectors of the kept triples are enumerated about _BATCH_ELEMENTS
-    # at a time, so that their index arrays stay bounded too
-    used = np.flatnonzero(keep.any(axis=0))
-    ja2, jb2, jc2, weight, shift = ja2[used], jb2[used], jc2[used], weight[used], shift[used]
-    keep = keep[:, used]
-    ends = np.cumsum(_j_range(ja2, jb2, jc2)[1])
-    cuts = np.searchsorted(
-        ends, np.arange(_BATCH_ELEMENTS, ends[-1], _BATCH_ELEMENTS), side="right"
-    )
-    # with equal loads (one copy each has no two sectors to share) the
-    # recoupling matrices are shared across the orbits of _orbit_keys
-    orbits = n == nprime > 1
-    total = sum(
-        _sector_sums(ja2[part], jb2[part], jc2[part], weight[part], shift[part],
-                     keep[:, part], tables, orbits)
-        for part in np.split(np.arange(len(ends)), cuts)
-    )
-    return [(1.0 - t / 2.0) / 2.0 for t in total.tolist()]
+    for v in (spins, weight, shift):
+        v.flags.writeable = False
+    return ja2, jb2, jc2, weight, shift, int(_j_range(ja2, jb2, jc2)[1].sum())
 
 
 def _j_range(ja2, jb2, jc2):
     """Lowest doubled total spin of each triple and the number of total
     spins: J runs from the smallest |j_ab - jc| up to ja + jb + jc."""
-    j_lo = np.maximum.reduce(
-        [np.abs(ja2 - jb2) - jc2, jc2 - ja2 - jb2, (ja2 + jb2 + jc2) % 2]
-    )
+    j_lo = np.maximum(np.maximum(np.abs(ja2 - jb2) - jc2, jc2 - ja2 - jb2), (ja2 + jb2 + jc2) % 2)
     return j_lo, (ja2 + jb2 + jc2 - j_lo) // 2 + 1
+
+
+def _runs(count):
+    """Run of each element of consecutive runs of the given lengths, and its place in it."""
+    run = np.repeat(np.arange(len(count)), count)
+    return run, np.arange(len(run)) - (np.cumsum(count) - count)[run]
 
 
 # the relabellings of _orbit_keys as positions in (a, b, c, d) and its Regge
@@ -323,137 +342,180 @@ def _orbit_keys(a, b, c, d):
     return key, _MIRRORS[which], label
 
 
-def _sector_sums(ja2, jb2, jc2, weight, shift, keep, tables, orbits: bool) -> np.ndarray:
-    """Sum of weight times trace norm over every sector of the given
-    triples, one sum per table, which counts only the triples it keeps
-    (``keep``, tables x triples); each sector holds the j_ab (and as many
-    j_bc) allowed by both of its triads, and its n-fold coefficients are
-    scaled by 2^shift.  A sector with one or two j_ab is solved in closed
-    form, from T = 4 J_bc^2 alone; a larger one by a batched eigensolve of
-    M = c_c diag(G_x) - c_a Lambda diag(G_y) Lambda^T, G_x and G_y the rows
-    of coeff_t over its j_ab and j_bc.
+def _sector_sums(ja2, jb2, jc2, weight, shift, count, rows, coeff_n, coeff_t) -> list[float]:
+    """Sum of weight times trace norm over the sectors of the given triples,
+    one sum per row of ``coeff_n`` and ``coeff_t``: triple k adds its
+    sectors, times weight[k], to the sums of the next count[k] ``rows``, the
+    n-fold coefficients of each scaled by 2^shift[k].  Each sector holds the
+    j_ab (and as many j_bc) allowed by both of its triads.  A sector with
+    one or two j_ab is solved in closed form, from T = 4 J_bc^2 alone; a
+    larger one by an eigensolve of M = c_c diag(G_x) - c_a Lambda diag(G_y)
+    Lambda^T, G_x and G_y the coeff_t rows over its j_ab and j_bc.
 
-    With ``orbits`` (equal loads) the larger sectors of one orbit of
-    _orbit_keys (6j and Regge (1959) symmetries) share the Lambda of its
-    label; otherwise each is an orbit of one.  Each table forms one rotated
-    block P = Lambda diag(G_y) Lambda^T per orbit, from the label's rows, and
-    a member's M is c_c diag(G_x) - c_a P, c_c and c_a traded for a mirror
-    (-Lambda M Lambda^T of its own sector); the signs of a shared Lambda are
-    a +-1 congruence.  Each dimension group is solved in slices of whole
-    orbits whose members hold about _BATCH_ELEMENTS matrix entries or fewer.
+    Sectors are enumerated about _BATCH_SECTORS at a time, grouped by
+    dimension and by orbit of _orbit_keys (6j and Regge (1959) symmetries),
+    whose Lambda is built once, at the label.  Each (row, orbit) pair forms
+    one P = Lambda diag(G_y) Lambda^T from the label's rows, and a member's
+    M is c_c diag(G_x) - c_a P, c_c and c_a traded for a mirror (-Lambda M
+    Lambda^T of its own sector); a shared Lambda's signs are a +-1 congruence.
+    Slices of whole orbits of about _BATCH_ELEMENTS entries (see there)
+    share one eigvalsh call.  Terms depend on their own matrices alone and
+    each sum is the math.fsum of its terms, those held past _BATCH_PAIRS
+    folded into it exactly (see _fold): no sum depends on who shares the pass.
     """
-    j_lo, count = _j_range(ja2, jb2, jc2)
-    triple = np.repeat(np.arange(len(ja2)), count)
-    j2 = j_lo[triple] + 2 * (np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count))
-    ja2, jb2, jc2, keep = ja2[triple], jb2[triple], jc2[triple], keep[:, triple]
-    gamma = weight[triple] * (j2 + 1)
-    x_lo = np.maximum(np.abs(ja2 - jb2), np.abs(j2 - jc2))
-    y_lo = np.maximum(np.abs(jb2 - jc2), np.abs(ja2 - j2))
-    dims = (np.minimum(ja2 + jb2, j2 + jc2) - x_lo) // 2 + 1
-    everywhere = keep.all(axis=1)  # the tables that keep every triple here
-    flip, label = np.zeros(len(j2), dtype=bool), (ja2, jb2, jc2, j2)
-    if orbits:
-        # the larger sectors by orbit of _orbit_keys; from here on x_lo and
-        # y_lo are those of each sector's label (a mirror's trade places)
-        key, label = np.arange(len(j2)), np.stack(label)
-        big = np.flatnonzero(dims > 2)
-        key[big], flip[big], label[:, big] = _orbit_keys(*label[:, big])
-        x_lo, y_lo = np.where(flip, y_lo, x_lo), np.where(flip, x_lo, y_lo)
-        # sectors by dimension, the members of one orbit side by side
-        order = np.lexsort((key, dims))
+    # the tables flat, row v of coeff_t starting at v * width
+    (count_rows, width_n), width = coeff_n.shape, coeff_t.shape[1]
+    coeff_n, coeff_t = coeff_n.ravel(), coeff_t.ravel()
+    start = np.cumsum(count) - count
+    j_lo, spins = _j_range(ja2, jb2, jc2)
+    block = np.cumsum(spins) // _BATCH_SECTORS
+    cuts = (np.nonzero(block[1:] != block[:-1])[0] + 1).tolist()
+    sums, values, terms, held = [[] for _ in range(count_rows)], [], [], 0
+    for first, last in zip([0] + cuts, cuts + [len(ja2)]):
+        triple, offset = _runs(spins[first:last])
+        triple += first
+        a2, b2, c2, j2 = ja2[triple], jb2[triple], jc2[triple], j_lo[triple] + 2 * offset
+        x_lo = np.maximum(np.abs(a2 - b2), np.abs(j2 - c2))
+        y_lo = np.maximum(np.abs(b2 - c2), np.abs(a2 - j2))
+        dims = (np.minimum(a2 + b2, j2 + c2) - x_lo) // 2 + 1
+        # the larger sectors by orbit of _orbit_keys, the others orbits of one;
+        # x_lo and y_lo are now those of each sector's label (a mirror's swap)
+        key, flip = -1 - np.arange(len(j2)), np.zeros(len(j2), dtype=bool)
+        label, big = (a2, b2, c2, j2), np.flatnonzero(dims > 2)
+        if len(big):
+            label = np.array(label)
+            key[big], flip[big], label[:, big] = _orbit_keys(*label[:, big])
+            x_lo, y_lo = np.where(flip, y_lo, x_lo), np.where(flip, x_lo, y_lo)
+        # sectors by dimension, those with one j_ab among those with two (see
+        # below), the members of one orbit side by side, and the (row,
+        # sector) pairs of each
+        group = np.maximum(dims, 2)
+        order = np.lexsort((key, group))
+        dims, key, group = dims[order], key[order], group[order]
         head = np.ones(len(order), dtype=bool)
-        head[1:] = key[order[1:]] != key[order[:-1]]
-    else:  # orbits of one
-        order, head = np.argsort(dims, kind="stable"), np.ones(len(j2), dtype=bool)
-    dims = dims[order]
-    rank = np.cumsum(head) - 1  # the orbit of each sector
-
-    total = np.zeros(len(tables))
-    bounds = (np.flatnonzero(dims[1:] != dims[:-1]) + 1).tolist()
-    for lo, hi in zip([0] + bounds, bounds + [len(dims)]):
-        dim = int(dims[lo])
-        step = max(1, _BATCH_ELEMENTS // (dim * dim))
-        idx = np.arange(dim)
-        # a slice holds whole orbits: it ends before the first head past
-        # step members
-        cuts = []
-        if hi - lo > step:
-            heads = lo + np.flatnonzero(head[lo:hi])
-            cuts = heads[np.flatnonzero(np.diff((heads - lo) // step)) + 1].tolist()
-        for a, b in zip([lo] + cuts, cuts + [hi]):
-            sel = order[a:b]
-            # each member's ja, jc, power of two, weight and coeff_t rows of
-            # its label's j_ab; then its j_bc rows and P (dim <= 2), or its
-            # orbit in the slice and mirror flag
-            members = [ja2[sel], jc2[sel], shift[triple[sel]], gamma[sel],
-                       x_lo[sel][:, None] + 2 * idx]
-            if dim == 1:  # one j_ab: P plays no part
-                members += [y_lo[sel][:, None], np.zeros((len(sel), 1))]
-            elif dim == 2:  # P of _two_level_norms
-                p = np.hstack(_recoupling_tridiagonal(ja2[sel], jb2[sel], jc2[sel], j2[sel], dim))
-                p[:, :dim] -= y_lo[sel][:, None] * (y_lo[sel][:, None] + 2.0)
-                p /= 4.0 * y_lo[sel][:, None] + 8.0
-                members += [y_lo[sel][:, None] + 2 * idx, p]
-            else:
-                reps = sel[head[a:b]]
-                lam = recoupling_batch(*(v[reps] for v in label), dim)
-                rows_y = y_lo[reps][:, None] + 2 * idx  # of each orbit's label
-                members += [rank[a:b] - rank[a], flip[sel]]
-            for t, (coeff_n, coeff_t) in enumerate(tables):
-                part = members
-                if not everywhere[t]:
-                    kept = keep[t, sel]
-                    part = [v[kept] for v in members]
-                    if not len(part[0]):
-                        continue
-                ja, jc, up, weight_t, rows_x, *rest = part
-                ca, cc = np.ldexp(coeff_n[ja], up), np.ldexp(coeff_n[jc], up)
-                if dim <= 2:
-                    rows, p = rest
-                    w = _two_level_norms(coeff_t[rows_x] * cc[:, None],
-                                         ca[:, None] * coeff_t[rows], p)
-                else:
-                    orbit, swap = rest
-                    lam_t, rows_t = lam, rows_y
-                    if not everywhere[t]:  # one P for each orbit it keeps a member of
-                        first = np.ones(len(orbit), dtype=bool)
-                        first[1:] = orbit[1:] != orbit[:-1]
-                        lam_t, rows_t = lam[orbit[first]], rows_y[orbit[first]]
-                        orbit = np.cumsum(first) - 1
-                    m = ((lam_t * coeff_t[rows_t][:, None, :]) @ lam_t.transpose(0, 2, 1))[orbit]
+        head[1:] = key[1:] != key[:-1]
+        size = count[triple[order]]
+        bounds = (np.flatnonzero(group[1:] != group[:-1]) + 1).tolist()
+        for lo, hi in zip([0] + bounds, bounds + [len(dims)]):
+            dim = int(group[lo])
+            step = max(1, _BATCH_ELEMENTS // (dim * dim + 64))
+            # slices of whole orbits, each ending before the first head past step pairs
+            cuts = []
+            if size[lo:hi].sum() > step:
+                heads = np.flatnonzero(head[lo:hi])
+                before = (np.cumsum(size[lo:hi]) - size[lo:hi])[heads]
+                cuts = (lo + heads[np.flatnonzero(np.diff(before // step)) + 1]).tolist()
+            for a, b in zip([lo] + cuts, cuts + [hi]):
+                sel = order[a:b]
+                # each (row, sector) pair: its place in the slice, sector, row,
+                # scaled n-fold coefficients and coeff_t row over the label's j_ab
+                own, pair = _runs(size[a:b])
+                sector = sel[own]
+                t = triple[sector]
+                v, up = rows[start[t] + pair], shift[t]
+                ca, cc = (np.ldexp(coeff_n[v * width_n + j[sector]], up) for j in (a2, c2))
+                x, y = (v * width + j[sector] for j in (x_lo, y_lo))
+                if dim == 2:  # closed forms, column by column, with P for each sector;
+                    # one j_ab is two equal ones with P = 0, whose norm halves exactly
+                    two = dims[a:b] == 2
+                    rise = np.where(two, 2, 0)[own]
+                    s1, s2 = ([coeff_t[x] * cc, coeff_t[x + rise] * cc],
+                              [ca * coeff_t[y], ca * coeff_t[y + rise]])
+                    q, p = y_lo[sel[two]], np.zeros((3, b - a))
+                    diag, off = _recoupling_tridiagonal(*(lab[sel[two]] for lab in label), 2)
+                    p[:, two] = (diag[:, 0] - q * (q + 2.0), diag[:, 1] - q * (q + 2.0), off[:, 0])
+                    p[:, two] /= 4.0 * q + 8.0
+                    w = _two_level_norms(s1, s2, p[:, own]) * np.where(two, 1.0, 0.5)[own]
+                else:  # one P for each (row, orbit) pair
+                    reps = sel[head[a:b]]
+                    # the (row, orbit) pairs present, in order, and each pair's place
+                    slot = (np.cumsum(head[a:b]) - 1)[own] * count_rows + v
+                    present = np.zeros(len(reps) * count_rows, dtype=bool)
+                    present[slot] = True
+                    orbit, row = np.divmod(np.flatnonzero(present), count_rows)
+                    of_pair = (np.cumsum(present) - 1)[slot]
+                    lam = recoupling_batch(*(lab[reps] for lab in label), dim)
+                    if len(orbit) > len(reps):  # an orbit met by more than one row
+                        lam = lam[orbit]
+                    idx = np.arange(dim)
+                    g_y = coeff_t[(row * width + y_lo[reps][orbit])[:, None] + 2 * idx]
+                    m = ((lam * g_y[:, None, :]) @ lam.transpose(0, 2, 1))[of_pair]
+                    swap = flip[sector]
                     m *= -np.where(swap, cc, ca)[:, None, None]
                     m.reshape(len(m), -1)[:, :: dim + 1] += (np.where(swap, ca, cc)[:, None]
-                                                             * coeff_t[rows_x])
+                                                             * coeff_t[x[:, None] + 2 * idx])
                     w = np.abs(np.linalg.eigvalsh(m)).sum(axis=1)
-                total[t] += float(weight_t @ w)
-    return total
+                if held > _BATCH_PAIRS:  # the terms so far into the exact sums
+                    _fold(sums, values, terms)
+                    values, terms, held = [], [], 0
+                values.append(v)
+                terms.append(weight[t] * (j2[sector] + 1) * w)
+                held += len(v)
+    values, terms = np.concatenate(values), np.concatenate(terms)
+    ends = np.cumsum(np.bincount(values, minlength=count_rows)).tolist()
+    terms = memoryview(terms[np.argsort(values, kind="stable")])
+    return [math.fsum(itertools.chain(s, terms[lo:hi])) for s, lo, hi in zip(sums, [0] + ends, ends)]
+
+
+def _fold(sums, rows, terms) -> None:
+    """Add the terms (arrays, beside arrays of their rows) to the sums of their
+    rows, each held exactly as the successive math.fsum remainders of its
+    terms.  The terms of one row and binary exponent are first summed in
+    exact integers, the two halves of their 53-bit mantissas."""
+    rows, terms = np.concatenate(rows), np.concatenate(terms)
+    if not np.isfinite(terms).all():
+        raise FloatingPointError("a sector term is not finite")
+    mant, exp = np.frexp(terms)
+    code = rows * (int(exp.max()) - int(exp.min()) + 1) + (exp - exp.min())
+    order = np.argsort(code)
+    whole, exp, code = np.ldexp(mant[order], 53).astype(np.int64), exp[order], code[order]
+    first = np.flatnonzero(np.diff(code, prepend=-1))
+    exact = np.stack([np.ldexp(np.add.reduceat(half, first).astype(float), exp[first] - shift)
+                      for half, shift in ((whole >> 26, 27), (whole & (1 << 26) - 1, 53))], 1)
+    owner = rows[order][first]
+    bounds = np.flatnonzero(np.diff(owner)) + 1
+    for v, part in zip(owner[np.r_[0, bounds]].tolist(), np.split(exact, bounds)):
+        x, sums[v] = sums[v] + part.ravel().tolist(), []
+        while (s := math.fsum(x)) != 0.0:
+            sums[v].append(s)
+            x.append(-s)
 
 
 def _two_level_norms(s1, s2, p) -> np.ndarray:
     """Trace norms of sector matrices M = diag(s1) - Lambda diag(s2) Lambda^T
-    with one or two j_ab: Lambda diag(s2) Lambda^T = s2_0 + (s2_1 - s2_0) P, the
-    upper eigenprojector P = (T - y (y + 2)) / (4 y + 8) of T = 4 J_bc^2 held in
-    ``p`` as diag(P), P[0, 1]; ||[[a, b], [b, c]]||_1 = max(|a + c|, hypot(a - c, 2b))."""
-    rise = s2[:, -1] - s2[:, 0]
-    m = s1 - s2[:, :1] - rise[:, None] * p[:, : s1.shape[1]]
-    return np.maximum(np.abs(m.sum(axis=1)), np.hypot(m[:, 0] - m[:, -1], 2.0 * rise * p[:, -1]))
+    with one or two j_ab, given as columns over the matrices: Lambda diag(s2)
+    Lambda^T = s2_0 + (s2_1 - s2_0) P, the upper eigenprojector
+    P = (T - y (y + 2)) / (4 y + 8) of T = 4 J_bc^2 held in ``p`` as diag(P),
+    P[0, 1]; ||[[a, b], [b, c]]||_1 = max(|a + c|, hypot(a - c, 2b))."""
+    rise = s2[-1] - s2[0]
+    m = [s - s2[0] - rise * q for s, q in zip(s1, p)]
+    return np.maximum(np.abs(sum(m)), np.hypot(m[0] - m[-1], 2.0 * rise * p[-1]))
 
 
-def universal_errors(priors: Sequence[PuritySpec], n: int, nprime: int) -> list[float]:
-    """Minimum errors of the fully universal machine at one port load, one
-    per purity prior, in order.
+def load_errors(priors: Sequence[PuritySpec], loads) -> list[list[float]]:
+    """Minimum errors of the fully universal machine, one list per port load
+    (n, nprime) of one per purity prior, in order.  A fixed-purity prior is a
+    state of known purity (see :func:`mixed_error`); the direction average is
+    the same for every prior, so only the block coefficients are averaged.
+    All share one pass over the sectors (see _block_error): each recoupling
+    matrix is built once, and each value is exactly its one-load, one-prior one."""
+    loads = [check_load(n, nprime) for n, nprime in loads]
+    return _block_error([(n, nprime, [(_prior_table(p, n), _prior_table(p, n + nprime))
+                                      for p in priors]) for n, nprime in loads])
 
-    A fixed-purity prior is a state of known purity (see :func:`mixed_error`);
-    the isotropic direction average is the same for every prior, so only the
-    block coefficients are replaced by their prior averages.  The priors
-    share one pass over the sectors, so each recoupling matrix is built once
-    for all of them; each value is the one-prior value to rounding.
-    """
+
+def check_load(n: int, nprime: int) -> tuple[int, int]:
+    """A port load (n, nprime) of the mixed-state sums, checked: copy counts,
+    at most _MAX_COPIES in all."""
     n, nprime = check_count("n", n), check_count("nprime", nprime)
     if n + nprime > _MAX_COPIES:
         raise ValueError(f"n {n} plus nprime {nprime} is above {_MAX_COPIES} copies")
-    tables = [(_prior_table(p, n), _prior_table(p, n + nprime)) for p in priors]
-    return _block_error(n, nprime, tables) if tables else []
+    return n, nprime
+
+
+def universal_errors(priors: Sequence[PuritySpec], n: int, nprime: int) -> list[float]:
+    """Minimum errors at one port load, one per purity prior: :func:`load_errors` of it."""
+    return load_errors(priors, [(n, nprime)])[0]
 
 
 def mixed_error(n: int, nprime: int, r: float) -> float:

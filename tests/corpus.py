@@ -143,6 +143,8 @@ def _static_commands() -> list:
         "programmable --n 2 --nprime 1 --purity 1.5",
         "programmable --n 2 --nprime 1 --purity nan",
         "programmable --n 2 --nprime 1 --margin 1.5",
+        "programmable --n 3 --nb 7 --purity 0.5",
+        "programmable --n 3 --scheme strong --prior hs",
         "learn --n 2 --strategy lm --purity 0.7",
         "learn --n 2 --strategy reversed --purity 0.7",
         "learn --n 0 --strategy lm",
@@ -152,6 +154,7 @@ def _static_commands() -> list:
         "read --alpha0 1 --strategy collective --oracle --squeeze 0.3",
         "read --alpha0 1 --strategy eyd --oracle --quad 0",
         "read --alpha0 1 --strategy eyd --oracle --naux 0",
+        "read --alpha0 1 --naux -5 --quad -3 --mu nan",
         "read --strategy eyd",
         "discriminate --overlap 0.7 --mode weak",
         "table --figure fig4.1 --step 1e-9",
@@ -164,6 +167,8 @@ def _static_commands() -> list:
         "table --figure fig4.2 --xmin 2.5 --xmax 2.5",
         "table --figure fig4.2 --xmin 1 --xmax 2.9999999999",
         "table --figure fig4.5 --n 0",
+        "table --figure fig4.5 --xmin 1e17 --xmax 100000000000000064 --step 1",
+        "table --figure fig4.5 --xmin 1e300 --xmax 1e300",
         "table",
     ]
     figures = [f"table --figure {f}" for f in (

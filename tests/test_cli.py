@@ -117,6 +117,36 @@ def test_option_the_strategy_would_ignore_is_refused(argv, option, strategy, wan
     )
 
 
+@pytest.mark.parametrize(
+    "argv, option, mode",
+    [
+        (["programmable", "--n", "3", "--nb", "7", "--purity", "0.5"], "--nb", "--na"),
+        (["programmable", "--n", "3", "--nc", "2", "--prior", "bures"], "--nc", "--na"),
+        (["programmable", "--n", "3", "--nb", "1"], "--nb", "--na"),
+        (["programmable", "--n", "3", "--scheme", "strong", "--prior", "hs"], "--scheme",
+         "--margin"),
+        (["programmable", "--na", "2", "--scheme", "weak"], "--scheme", "--margin"),
+        (["read", "--alpha0", "1", "--naux", "-5", "--quad", "-3", "--mu", "nan"], "--naux",
+         "--oracle"),
+        (["read", "--alpha0", "1", "--strategy", "eyd", "--mu", "0.5"], "--mu", "--oracle"),
+        (["read", "--alpha0", "1", "--quad", "8"], "--quad", "--oracle"),
+    ],
+)
+def test_option_the_mode_would_ignore_is_refused(argv, option, mode):
+    # given or not, an option that the chosen mode never reads was once
+    # ignored silently, even at an invalid value
+    assert run_cli(argv) == (1, "", f"error: {option} applies to {mode} only\n")
+
+
+def test_options_of_a_mode_keep_their_defaults():
+    assert run_cli(["programmable", "--na", "2", "--nc", "3"])[1] == run_cli(
+        ["programmable", "--na", "2", "--nb", "1", "--nc", "3"])[1]
+    assert run_cli(["programmable", "--n", "9", "--nprime", "2", "--margin", "0"])[1] == run_cli(
+        ["programmable", "--n", "9", "--nprime", "2", "--margin", "0", "--scheme", "weak"])[1]
+    base = ["read", "--alpha0", "0.9", "--oracle", "--naux", "2", "--quad", "4"]
+    assert run_cli(base)[1] == run_cli(base + ["--mu", "1"])[1]
+
+
 def test_usage_errors_around_a_row_in_one_process():
     # one parser serves every command of a process: a usage error must leave
     # it as it was, for the next row and for the next error
@@ -314,6 +344,25 @@ def test_table_refuses_a_grid_past_a_million_points(figure, bounds, step):
     assert err == f"error: --step {float(step)} gives more than 1000000 grid points\n"
 
 
+@pytest.mark.parametrize("bounds", [("1e17", "100000000000000064", "1"),
+                                    ("1e300", "1e300", "0.002")])
+def test_table_refuses_a_step_below_the_float_spacing(bounds):
+    # xmin + k step stops moving: at 1e17 + k the grid once held 73 points, 5
+    # of them distinct, and at 1e300 it grew until memory ran out
+    xmin, xmax, step = bounds
+    code, out, err = run_cli(["table", "--figure", "fig4.5", "--xmin", xmin, "--xmax", xmax,
+                              "--step", step])
+    assert code == 1 and not out
+    assert err == f"error: --step {float(step)} is below the float spacing at {float(xmin)}\n"
+
+
+def test_single_row_grids_keep_their_row():
+    # the benchmark's one-row tables, --xmin r --xmax r --step 0.1
+    for r in (0.6086, 1.0, 0.3118):
+        assert cli._grid(r, r, 0.1) == [r]
+    assert cli._grid(2.0, 14.0, 1.0) == [float(n) for n in range(2, 15)]
+
+
 @pytest.mark.parametrize(
     "bounds",
     [
@@ -487,6 +536,26 @@ def test_table_thread_env_does_not_change_bytes(tmp_path, monkeypatch):
         monkeypatch.setenv("QDL_THREADS", "4")
         assert run_cli(base + ["--out", str(f2)])[0] == 0
         assert f1.read_bytes() == f2.read_bytes(), figure
+
+
+def test_prior_table_runs_one_eigensolve_per_dimension_slice(monkeypatch):
+    # the benchmark's fig4.4 command: one pass over its eleven loads and
+    # three priors solves each dimension's 3 x 3 to 13 x 13 matrices in one
+    # eigvalsh call (one per table and load: 198 calls) and builds one
+    # Lambda per distinct orbit label (one per load's orbit: 1456); the
+    # stacks are counted, not the Gauss nodes of the Chernoff prior
+    calls = {"eigvalsh": [], "eigh": []}
+    for name in calls:
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, solve=solve, seen=calls[name]: (
+            seen.append(a.shape) if a.ndim == 3 else None, solve(a))[1])
+    monkeypatch.delenv("QDL_THREADS", raising=False)
+    code, out, _ = run_cli(["table", "--figure", "fig4.4", "--xmin", "2", "--xmax", "12",
+                            "--step", "1"])
+    assert code == 0 and len(out.splitlines()) == 12
+    assert [shape[1] for shape in calls["eigvalsh"]] == list(range(3, 14))
+    assert sum(shape[0] for shape in calls["eigvalsh"]) == 7884
+    assert sum(shape[0] for shape in calls["eigh"]) == 686
 
 
 @pytest.mark.parametrize("bad", ["abc", "0", "-2", "2.5"])

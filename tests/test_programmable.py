@@ -1,6 +1,7 @@
 import math
 import re
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -395,11 +396,13 @@ def test_regge_image_joins_the_orbit_and_shares_its_rotated_block():
 
 def test_sector_sums_share_matrices_in_any_triple_order(monkeypatch):
     # the stacked, orbit-sharing sum against each table alone over its own
-    # triples, every sector with its own matrix.  In a shuffled triple order
-    # an orbit's members, many of them mirrors of the label whose matrix they
-    # share, come in any order; a tiny batch cuts every dimension group into
-    # slices of a few orbits.  At n = 10 Regge's image merges the 270
-    # 6j orbits of the sectors with three or more j_ab into 251
+    # triples.  In a shuffled triple order an orbit's members, many of them
+    # mirrors of the label whose matrix they share, come in any order; a
+    # tiny batch cuts the triples into parts and every dimension group into
+    # slices of a few orbits.  At n = 10 Regge's image merges the 270 6j
+    # orbits of the sectors with three or more j_ab into 251.  Each term
+    # depends on its own matrix alone and each sum is exact, so the values
+    # are equal, not close
     n = 10
     rng = np.random.default_rng(5)
     spins = range(0, n + 1, 2)
@@ -411,18 +414,19 @@ def test_sector_sums_share_matrices_in_any_triple_order(monkeypatch):
     weight = rng.uniform(size=len(ja2))
     shift = rng.integers(-3, 4, size=len(ja2))
     specs = [prog.PuritySpec("fixed", r) for r in (0.55, 0.9)]
-    tables = [(prog._prior_table(p, n), prog._prior_table(p, 2 * n)) for p in specs]
+    coeff_n, coeff_t = (np.array([prog._prior_table(p, m) for p in specs]) for m in (n, 2 * n))
     keep = np.ones((2, len(ja2)), dtype=bool)
     keep[1, ::3] = False
+    alone = [prog._sector_sums(ja2[k], jb2[k], jc2[k], weight[k], shift[k],
+                               np.ones(k.sum(), dtype=int), np.zeros(k.sum(), dtype=int),
+                               coeff_n[t:t + 1], coeff_t[t:t + 1])[0]
+             for t, k in enumerate(keep)]
     for batch in (prog._BATCH_ELEMENTS, 64):
+        monkeypatch.setattr(prog, "_BATCH_SECTORS", batch)
         monkeypatch.setattr(prog, "_BATCH_ELEMENTS", batch)
-        got = prog._sector_sums(ja2, jb2, jc2, weight, shift, keep, tables, True)
-        for t, table in enumerate(tables):
-            k = keep[t]
-            alone = prog._sector_sums(
-                ja2[k], jb2[k], jc2[k], weight[k], shift[k], keep[t:t + 1, k], [table], False
-            )
-            assert abs(got[t] - alone[0]) <= 1e-13 * alone[0], (batch, t)
+        got = prog._sector_sums(ja2, jb2, jc2, weight, shift, keep.sum(axis=0),
+                                np.nonzero(keep.T)[1], coeff_n, coeff_t)
+        assert got == alone, batch
 
 
 FOLD_LOADS = dict(n=st.integers(min_value=1, max_value=16), nprime=st.integers(1, 8))
@@ -464,10 +468,78 @@ def test_universal_errors_is_the_stack_of_single_calls(n, nprime):
     specs = [prog.PuritySpec("fixed", 1.0), prog.PuritySpec("fixed", 0.55),
              prog.PuritySpec("bures"), prog.PuritySpec("chernoff")]
     got = prog.universal_errors(specs, n, nprime)
-    assert len(got) == len(specs)
-    for spec, value in zip(specs, got):
-        assert abs(value - prog.universal_error(spec, n, nprime)) <= 1e-15, spec
+    assert got == [prog.universal_error(spec, n, nprime) for spec in specs]
     assert prog.universal_errors([], n, nprime) == []
+
+
+# the loads and purity priors of one pass in the manner of fig4.1-fig4.4, at
+# smaller loads: purities at fixed loads, fixed priors at loads n = nprime
+FIXED = [prog.PuritySpec("fixed", r) for r in (0.0, 1e-300, 0.55, 1 - 2.0**-53, 1.0)]
+FIGURE_PASSES = {
+    "fig4.1": ([(3, 3), (6, 6), (11, 11)], FIXED),
+    "fig4.2": ([(n, n) for n in range(1, 9)],
+               [prog.PuritySpec("fixed", r) for r in (0.2, 0.5, 0.7, 1.0)]),
+    "fig4.3": ([(20, 1), (79, 1)], FIXED[1:]),
+    "fig4.4": ([(n, n) for n in range(1, 9)],
+               [prog.PuritySpec(kind) for kind in ("hard-sphere", "bures", "chernoff")]),
+}
+
+
+@pytest.mark.parametrize("figure", sorted(FIGURE_PASSES))
+def test_every_value_of_a_pass_is_its_one_load_one_prior_call(figure, monkeypatch):
+    # loads and priors share the sectors, Lambdas and eigensolves of one
+    # pass, each prior pruned by its own mass; tiny batches cut it into
+    # passes of a row or a few, parts and slices of a few matrices, and fold
+    # the terms into each row's sum every few slices.  No value may move
+    loads, specs = FIGURE_PASSES[figure]
+    alone = [[prog.universal_error(spec, n, nprime) for spec in specs] for n, nprime in loads]
+    assert prog.load_errors(specs, loads) == alone
+    for name in ("_BATCH_SECTORS", "_BATCH_ELEMENTS", "_BATCH_PAIRS"):
+        monkeypatch.setattr(prog, name, 64)
+    assert prog.load_errors(specs, loads) == alone
+    assert prog.load_errors(specs, loads[::-1]) == alone[::-1]
+
+
+def test_fold_keeps_each_sum_exact():
+    # terms of a wide range of magnitudes, subnormal and zero ones among
+    # them, folded in parts of any size, sum to the math.fsum of them all
+    rng = np.random.default_rng(3)
+    terms = rng.uniform(size=3000) * 2.0 ** rng.integers(-200, 60, size=3000)
+    terms[::50], terms[1::50], terms[2::50] = 0.0, 5e-324, 3e-310
+    terms[3::50] = 2.0**60 * (1 - 2.0**-53)
+    rows = rng.integers(0, 3, size=3000)
+    want = [math.fsum(terms[rows == v].tolist()) for v in range(3)]
+    for part in (1, 7, 3000):
+        sums = [[], [], []]
+        for lo in range(0, 3000, part):
+            prog._fold(sums, [rows[lo:lo + part]], [terms[lo:lo + part]])
+        assert [math.fsum(s) for s in sums] == want, part
+
+
+FINE = [prog.PuritySpec("fixed", r) for r in np.linspace(0.3, 0.9, 40)]
+GRID_LOADS = [(n, n) for n in range(6, 13)]
+
+
+@pytest.mark.parametrize("whole, half", [
+    (([(11, 11)], FINE), ([(11, 11)], FINE[:20])),  # fig4.1-style: purities at one load
+    ((GRID_LOADS * 4, FIGURE_PASSES["fig4.2"][1]),  # fig4.2-style: many loads
+     (GRID_LOADS * 2, FIGURE_PASSES["fig4.2"][1])),
+], ids=["fine-r", "many-n"])
+def test_pass_memory_stays_bounded_as_rows_grow(whole, half, monkeypatch):
+    # with passes and held terms capped at 2^10 pairs, twice the rows leave
+    # the traced peak where it was; holding every pair of the grid at once,
+    # as one uncapped pass does, takes 1.9 and 2.0 times as much
+    monkeypatch.setattr(prog, "_BATCH_PAIRS", 1 << 10)
+
+    def peak(loads, specs):
+        prog.load_errors(specs, loads)  # caches warm outside the trace
+        tracemalloc.start()
+        prog.load_errors(specs, loads)
+        size = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return size
+
+    assert peak(*whole) <= 1.2 * peak(*half)
 
 
 # known purities at both ends and in between (1 - 2^-53 is one ulp below 1),
@@ -490,10 +562,11 @@ def test_closed_form_sectors_match_the_dense_solve_of_every_sector(n, nprime):
     nu_n, nu_p = multiplicity_table(n), multiplicity_table(nprime)
     weight = np.array([float(nu_n[a] * nu_p[b] * nu_n[c]) for a, b, c in zip(ja2, jb2, jc2)])
     tables = [(prog._prior_table(s, n), prog._prior_table(s, n + nprime)) for s in TWO_LEVEL_SPECS]
-    keep = np.ones((len(tables), len(ja2)), dtype=bool)
-    totals = prog._sector_sums(ja2, jb2, jc2, weight, np.zeros(len(ja2), dtype=int), keep,
-                               tables, n == nprime > 1)
-    pruned = prog._block_error(n, nprime, tables)
+    coeff_n, coeff_t = (np.array(t) for t in zip(*tables))
+    totals = prog._sector_sums(ja2, jb2, jc2, weight, np.zeros(len(ja2), dtype=int),
+                               np.full(len(ja2), len(tables)), np.tile(np.arange(len(tables)),
+                                                                       len(ja2)), coeff_n, coeff_t)
+    pruned = prog._block_error([(n, nprime, tables)])[0]
     for spec, total, value, table in zip(TWO_LEVEL_SPECS, totals, pruned, tables):
         want = oracles.block_error_all_sectors(n, nprime, *table)
         assert abs((1.0 - total / 2.0) / 2.0 - want) <= 1e-14 * want, spec
@@ -509,8 +582,8 @@ def test_closed_form_sectors_match_the_dense_solve_of_every_sector(n, nprime):
 ])
 def test_two_level_trace_norm_on_adversarial_blocks(a, b, c):
     # s2 = (0, 1) and P = [[0, -b], [-b, 0]] make M = [[a, b], [b, c]] exactly
-    got = prog._two_level_norms(np.array([[a, c]]), np.array([[0.0, 1.0]]),
-                                np.array([[0.0, 0.0, -b]]))
+    got = prog._two_level_norms(np.array([[a], [c]]), np.array([[0.0], [1.0]]),
+                                np.array([[0.0], [0.0], [-b]]))
     want = np.abs(np.linalg.eigvalsh(np.array([[a, b], [b, c]]))).sum()
     assert got.shape == (1,)
     assert abs(got[0] - want) <= 1e-15 * (abs(a) + 2 * abs(b) + abs(c))
@@ -724,7 +797,7 @@ def test_universal_chernoff_value_against_dense_quadrature():
                 )
             return arr
 
-        return prog._block_error(n, nprime, [(table(n), table(n + nprime))])[0]
+        return prog._block_error([(n, nprime, [(table(n), table(n + nprime))])])[0][0]
 
     got = prog.universal_error(prog.PuritySpec(kind="chernoff"), n, nprime)
     assert got == pytest.approx(avg_dense("chernoff"), abs=1e-9)
