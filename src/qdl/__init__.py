@@ -3,8 +3,8 @@
 Submodules:
   linalg          dense Hermitian kernel (eigendecompositions, trace norms)
                   and the shared purity check
-  angular         SU(2) combinatorics: Clebsch-Gordan slices, rotation and
-                  recoupling matrices from one tridiagonal eigensolve
+  angular         SU(2) combinatorics: recoupling and rotation matrices from
+                  one tridiagonal eigensolve, multiplicities, block coefficients
   discrimination  known-state binary discrimination and Chernoff distances
   programmable    programmable discrimination machines and error margins
   learning        learning machines, estimate-and-discriminate, seeds

@@ -14,7 +14,9 @@ import numpy as np
 
 from qdl.angular import (
     HalfInt,
-    clebsch_gordan_slices,
+    _eigenvectors,
+    _recoupling_tridiagonal,
+    _twice,
     multiplicity,
     multiplicity_table,
     recoupling_batch,
@@ -572,6 +574,180 @@ def overlap_matrix_exact(ja2, jb2, jc2, j2):
             for x in xs
         ]
     )
+
+
+# ---------------------------------------------------------------------------
+# signed Clebsch-Gordan and 6j readers: floats over the library's
+# tridiagonal eigensolve, fast where the exact oracles above are too slow
+# ---------------------------------------------------------------------------
+
+
+def _triangle2(a2: int, b2: int, c2: int) -> bool:
+    return (
+        abs(a2 - b2) <= c2 <= a2 + b2
+        and (a2 + b2 + c2) % 2 == 0
+        and a2 >= 0
+        and b2 >= 0
+        and c2 >= 0
+    )
+
+
+def triangle(j1, j2, j3) -> bool:
+    """Whether (j1, j2, j3) can couple: |j1-j2| <= j3 <= j1+j2 with parity."""
+    return _triangle2(_twice(j1), _twice(j2), _twice(j3))
+
+
+def clebsch_gordan(j1, m1, j2, m2, j, m) -> float:
+    """<j1 m1; j2 m2 | j m> in the Condon-Shortley convention, read from
+    the slice :func:`clebsch_gordan_slices` returns for (j1, j2, m), and so
+    as accurate as it at every spin.
+
+    Returns 0 when the triangle condition or m = m1 + m2 fails, never an
+    error.
+    """
+    j1_2, m1_2 = _twice(j1), _twice(m1)
+    j2_2, m2_2 = _twice(j2), _twice(m2)
+    j_2, m_2 = _twice(j), _twice(m)
+    if m1_2 + m2_2 != m_2:
+        return 0.0
+    if not _triangle2(j1_2, j2_2, j_2):
+        return 0.0
+    if abs(m1_2) > j1_2 or abs(m2_2) > j2_2 or abs(m_2) > j_2:
+        return 0.0
+    if (j1_2 + m1_2) % 2 or (j2_2 + m2_2) % 2 or (j_2 + m_2) % 2:
+        return 0.0
+    (c,) = clebsch_gordan_slices([(j1_2, j2_2, m_2)])
+    row = (m1_2 - max(-j1_2, m_2 - j2_2)) // 2
+    col = (j_2 - max(abs(j1_2 - j2_2), abs(m_2))) // 2
+    return float(c[row, col])
+
+
+def clebsch_gordan_slices(slices) -> list:
+    """Every Clebsch-Gordan coefficient of each (2ja, 2jc, 2m) slice in the
+    list ``slices``, as one orthogonal matrix per slice.
+
+    Entry [i, k] is <ja m_a; jc m - m_a | J m> with rows over ascending
+    m_a = max(-ja, m - jc) + i and columns over ascending
+    J = max(|ja - jc|, |m|) + k.  In the |m_a, m - m_a> basis the operator
+    4 J^2 is symmetric tridiagonal: its diagonal is c(ja) + c(jc) +
+    2 (2m_a)(2m_c), with c(t) = 2t (2t + 2), and rows m_a and m_a + 1 couple
+    with the positive 4 <m_a + 1, m_c - 1| J_a+ J_c- |m_a, m_c>.  Column k is
+    its eigenvector of eigenvalue c(J), signed so that the last row (m_a = ja
+    or m_c = -jc, a stretched coupling) is positive.  Slices of equal
+    dimension share one batched eigensolve; slices of dimension 1 hold 1.
+    """
+    out = [None] * len(slices)
+    groups = {}
+    for i, (ja2, jc2, m2) in enumerate(slices):
+        if min(ja2, jc2) < 0 or abs(m2) > ja2 + jc2 or (ja2 + jc2 + m2) % 2:
+            raise ValueError(f"no coupled states for ja={HalfInt(ja2)} jc={HalfInt(jc2)} "
+                             f"m={HalfInt(m2)}")
+        dim = (min(ja2, m2 + jc2) - max(-ja2, m2 - jc2)) // 2 + 1
+        groups.setdefault(dim, []).append(i)
+    for dim, idx in groups.items():
+        if dim == 1:
+            for i in idx:
+                out[i] = np.ones((1, 1))
+            continue
+        ja2, jc2, m2 = (np.array(v, dtype=float)[:, None] for v in zip(*(slices[i] for i in idx)))
+        ma2 = np.maximum(-ja2, m2 - jc2) + 2.0 * np.arange(dim)
+        mc2 = m2 - ma2
+        diag = ja2 * (ja2 + 2.0) + jc2 * (jc2 + 2.0) + 2.0 * ma2 * mc2
+        a2, c2 = ma2[:, :-1], mc2[:, :-1]
+        off = np.sqrt((ja2 - a2) * (ja2 + a2 + 2.0)) * np.sqrt((jc2 + c2) * (jc2 - c2 + 2.0))
+        big_j2 = np.maximum(np.abs(ja2 - jc2), np.abs(m2)) + 2.0 * np.arange(dim)
+        vecs = _condon_shortley(_eigenvectors(diag, off), diag, off, big_j2 * (big_j2 + 2.0))
+        for i, v in zip(idx, vecs):
+            out[i] = v
+    return out
+
+
+def wigner6j(j1, j2, j12, j3, j, j23) -> float:
+    """Wigner 6j symbol {j1 j2 j12; j3 j j23}, read from the recoupling
+    matrix Lambda = overlap_matrix(j1, j2, j3, j), and so as accurate as it
+    at every spin: (-1)^(j1+j2+j3+j) Lambda[j12, j23] / sqrt((2j12+1)(2j23+1)).
+
+    Triangle violations on any of the four triads return 0.
+    """
+    a2, b2, c2 = _twice(j1), _twice(j2), _twice(j12)
+    d2, e2, f2 = _twice(j3), _twice(j), _twice(j23)
+    tri = (
+        _triangle2(a2, b2, c2)
+        and _triangle2(a2, e2, f2)
+        and _triangle2(d2, b2, f2)
+        and _triangle2(d2, e2, c2)
+    )
+    if not tri:
+        return 0.0
+    lam = overlap_matrix(j1, j2, j3, j)
+    # rows and columns descend from the largest allowed j12 and j23
+    row = (min(a2 + b2, d2 + e2) - c2) // 2
+    col = (min(b2 + d2, a2 + e2) - f2) // 2
+    phase = -1.0 if ((a2 + b2 + d2 + e2) // 2) % 2 else 1.0
+    return phase * float(lam[row, col]) / math.sqrt((c2 + 1) * (f2 + 1))
+
+
+def intermediate_couplings(ja, jb, jc, j) -> tuple[tuple, tuple]:
+    """Allowed intermediate momenta (j_ab list, j_bc list) for total j,
+    each in descending order.  The two lists always have equal length."""
+    ja2, jb2, jc2, j2 = _twice(ja), _twice(jb), _twice(jc), _twice(j)
+    jab = [
+        HalfInt(x2)
+        for x2 in range(ja2 + jb2, abs(ja2 - jb2) - 1, -2)
+        if _triangle2(x2, jc2, j2)
+    ]
+    jbc = [
+        HalfInt(x2)
+        for x2 in range(jb2 + jc2, abs(jb2 - jc2) - 1, -2)
+        if _triangle2(ja2, x2, j2)
+    ]
+    return tuple(jab), tuple(jbc)
+
+
+def _condon_shortley(vecs, diag, off, ev) -> np.ndarray:
+    """Sign each column of a stack of eigenvector matrices ``vecs``
+    (B, dim, dim) of the symmetric tridiagonal matrices (``diag``,
+    positive ``off``) so that its last row is positive; ``ev`` (B, dim)
+    holds the exact eigenvalues, ascending.
+
+    The last entry can underflow, so each column carries the sign down to
+    its largest entry with the Sturm pivots of the eigenvalue equation,
+    v[i] = v[i+1] g[i+1] / off[i] with g[i] = ev - diag[i] - off[i]^2 / g[i+1];
+    a pivot rounding through zero flips the next pivot too, so the sign
+    products stay right.
+    """
+    b, dim = diag.shape
+    sign = np.ones((b, dim, dim))
+    g = ev - diag[:, -1:]
+    with np.errstate(divide="ignore"):
+        for i in range(dim - 2, -1, -1):
+            sign[:, i] = np.where(g < 0, -sign[:, i + 1], sign[:, i + 1])
+            g = ev - diag[:, i : i + 1] - off[:, i : i + 1] ** 2 / g
+    rows, cols = np.arange(b)[:, None], np.arange(dim)
+    peak = np.argmax(np.abs(vecs), axis=1)
+    return vecs * (sign[rows, peak, cols] * np.sign(vecs[rows, peak, cols]))[:, None, :]
+
+
+def overlap_matrix(ja, jb, jc, j) -> np.ndarray:
+    """Orthogonal change of basis between the (ab)c and a(bc) coupling
+    schemes in the sector of total momentum j.
+
+    Rows run over j_ab and columns over j_bc, both descending.  The sign
+    convention is Condon-Shortley throughout: the top row (largest j_ab) is
+    positive, since a stretched triad leaves one Racah term, of sign
+    (-1)^(ja+jb+jc+J).
+    """
+    ja2, jb2, jc2, j2 = _twice(ja), _twice(jb), _twice(jc), _twice(j)
+    jab, jbc = intermediate_couplings(ja, jb, jc, j)
+    if not jab or not jbc:
+        raise ValueError(
+            f"empty coupling sector ja={HalfInt(ja2)} jb={HalfInt(jb2)} "
+            f"jc={HalfInt(jc2)} J={HalfInt(j2)}"
+        )
+    diag, off = _recoupling_tridiagonal([ja2], [jb2], [jc2], [j2], len(jab))
+    ev = np.array([[y.twice * (y.twice + 2.0) for y in reversed(jbc)]])
+    lam = _condon_shortley(_eigenvectors(diag, off), diag, off, ev)[0]
+    return lam[::-1, ::-1].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import pytest
 
 import oracles
 from qdl import discrimination, learning, povmdec, programmable, reading
-from qdl.angular import HalfInt, clebsch_gordan, multiplicity, overlap_matrix, wigner6j
+from oracles import clebsch_gordan, overlap_matrix, wigner6j
+from qdl.angular import HalfInt, multiplicity
 from qdl.linalg import trace_norm
 
 

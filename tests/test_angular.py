@@ -7,21 +7,17 @@ import pytest
 
 import oracles
 from qdl import angular
-from oracles import BlockState, block_state
-from qdl.angular import (
-    HalfInt,
-    block_coefficient,
+from oracles import (
+    BlockState,
+    block_state,
     clebsch_gordan,
     clebsch_gordan_slices,
     intermediate_couplings,
-    jordan_overlap,
-    multiplicity,
     overlap_matrix,
-    recoupling_batch,
     triangle,
     wigner6j,
-    wigner_d,
 )
+from qdl.angular import HalfInt, block_coefficient, jordan_overlap, multiplicity, recoupling_batch, wigner_d
 
 
 def spins_up_to(jmax2):
@@ -153,6 +149,16 @@ def test_wigner_d_closed_forms_and_group_law():
         assert np.abs(d @ d.T - np.eye(j2 + 1)).max() <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "named, j, theta",
+    [("spin j=-1 ", -1, 0.3), ("spin j=nan ", math.nan, 0.3), ("spin j=0.3 ", 0.3, 0.3),
+     ("theta=nan ", 1, math.nan), ("theta=inf ", 1, math.inf), ("theta=-inf ", 0.5, -math.inf)],
+)
+def test_wigner_d_bad_input_raises_naming_it(named, j, theta):
+    with pytest.raises(ValueError, match=f"^{re.escape(named)}"):
+        wigner_d(j, theta)
+
+
 # ---------------------------------------------------------------------------
 # 6j symbols
 # ---------------------------------------------------------------------------
@@ -245,6 +251,10 @@ def test_spin_block_bad_copy_count_raises_naming_it(entry, bad):
         pytest.param("j=-1/2", lambda: multiplicity(3, -0.5), id="multiplicity-negative"),
         pytest.param("j=5/2", lambda: block_coefficient(3, 2.5, 0.5), id="coefficient-above-n"),
         pytest.param("j=1", lambda: block_coefficient(3, 1, 0.5), id="coefficient-parity"),
+        pytest.param("j=inf", lambda: multiplicity(4, math.inf), id="multiplicity-inf"),
+        pytest.param("j=nan", lambda: multiplicity(4, math.nan), id="multiplicity-nan"),
+        pytest.param("j=-inf", lambda: block_coefficient(4, -math.inf, 0.5), id="coefficient-inf"),
+        pytest.param("j=nan", lambda: block_coefficient(4, math.nan, 0.5), id="coefficient-nan"),
     ],
 )
 def test_spin_block_impossible_spin_raises_naming_it(named, call):
@@ -360,10 +370,7 @@ def test_jordan_overlap_matches_6j_construction():
             for k in range(n + 1):
                 J2 = nprime + 2 * k
                 jab2 = n + nprime
-                six = wigner6j(
-                    HalfInt(n), HalfInt(nprime), HalfInt(jab2),
-                    HalfInt(n), HalfInt(J2), HalfInt(jab2),
-                )
+                six = oracles.wigner6j_exact(n, nprime, jab2, n, J2, jab2)
                 got = abs((jab2 + 1) * six)
                 want = jordan_overlap(n, nprime, k)
                 assert got == pytest.approx(want, abs=1e-12)
@@ -439,16 +446,31 @@ def _sectors(jmax2):
                         yield ja2, jb2, jc2, j2
 
 
+def _unsigned_gap(got, want):
+    """Largest entry gap of each matrix of a stack once every column of
+    ``got`` takes the sign of its dot product with that column of ``want``:
+    recoupling_batch fixes its columns only up to sign."""
+    sign = np.sign((got * want).sum(axis=-2, keepdims=True))
+    return np.abs(got * sign - want).max(axis=(-2, -1))
+
+
 def test_overlap_matrix_matches_exact_6j_small_spins():
     # signs included, against exact rational 6j symbols, every sector with
-    # all four spins up to 6
+    # all four spins up to 6; the unsigned kernel of the block sums,
+    # recoupling_batch, against the same values up to column signs
     count = 0
+    by_dim = {}
     for ja2, jb2, jc2, j2 in _sectors(12):
         lam = overlap_matrix(HalfInt(ja2), HalfInt(jb2), HalfInt(jc2), HalfInt(j2))
         want = oracles.overlap_matrix_exact(ja2, jb2, jc2, j2)[::-1, ::-1]
         assert np.abs(lam - want).max() <= 1e-13, (ja2, jb2, jc2, j2)
+        by_dim.setdefault(len(want), []).append(((ja2, jb2, jc2, j2), want[::-1, ::-1]))
         count += 1
     assert count > 10000
+    for dim, pairs in by_dim.items():
+        sectors, exact = zip(*pairs)
+        gap = _unsigned_gap(recoupling_batch(*np.array(sectors).T, dim), np.array(exact))
+        assert gap.max() <= 1e-13, sectors[gap.argmax()]
 
 
 def test_overlap_matrix_matches_exact_6j_large_spins():
@@ -471,6 +493,8 @@ def test_overlap_matrix_matches_exact_6j_large_spins():
         if dim <= 30:
             want = oracles.overlap_matrix_exact(ja2, jb2, jc2, j2)[::-1, ::-1]
             assert np.abs(lam - want).max() <= 1e-12, (ja2, jb2, jc2, j2)
+            got = recoupling_batch([ja2], [jb2], [jc2], [j2], dim)[0, ::-1, ::-1]
+            assert _unsigned_gap(got, want) <= 1e-12, (ja2, jb2, jc2, j2)
         else:
             # the largest sector: its first and last two rows and columns,
             # which hold the stretched and classically forbidden entries,
@@ -480,8 +504,9 @@ def test_overlap_matrix_matches_exact_6j_large_spins():
             x_top = min(ja2 + jb2, j2 + jc2)
             y_top = min(jb2 + jc2, ja2 + j2)
             phase = -1.0 if ((ja2 + jb2 + jc2 + j2) // 2) % 2 else 1.0
-            for a in rows:
-                for b in cols:
+            exact = np.empty((len(rows), len(cols)))
+            for i, a in enumerate(rows):
+                for k, b in enumerate(cols):
                     x2, y2 = x_top - 2 * int(a), y_top - 2 * int(b)
                     want = (
                         phase
@@ -489,6 +514,10 @@ def test_overlap_matrix_matches_exact_6j_large_spins():
                         * oracles.wigner6j_exact(ja2, jb2, x2, jc2, j2, y2)
                     )
                     assert abs(lam[a, b] - want) <= 1e-12, (x2, y2)
+                    exact[i, k] = want
+            # the unsigned kernel on the same entries
+            got = recoupling_batch([ja2], [jb2], [jc2], [j2], dim)[0, ::-1, ::-1]
+            assert _unsigned_gap(got[np.ix_(rows, cols)], exact) <= 1e-12
 
 
 def test_recoupling_operator_eigenvalues_are_jbc_squared():
