@@ -6,14 +6,15 @@ coupling three angular momenta.
 All angular momenta are carried as exact doubled integers (``2j``), which
 removes half-integer parity bugs.
 
-Both matrix families are eigenvector matrices of symmetric tridiagonal
-angular-momentum operators built from a few small integers, and one batched
-symmetric eigensolve (``_eigenvectors``) serves them:
+Both are eigenvector matrices of symmetric tridiagonal angular-momentum
+operators with known eigenvalues, found there by one batched twisted
+factorization (``_eigenvectors``; Dhillon & Parlett, Linear Algebra Appl. 387,
+1 (2004)) in O(dim^2) per matrix, where a dense eigensolve costs O(dim^3):
 
 - recoupling matrices: J_bc^2 in the basis of the intermediate momentum j_ab
-  (the Schulten-Gordon recursion, J. Math. Phys. 16, 1961 (1975)); up to
-  column signs every entry is within about 1e-13 of exact rational 6j
-  symbols through 2j = 400;
+  (the Schulten-Gordon recursion, J. Math. Phys. 16, 1961 (1975)), of
+  eigenvalues j_bc (j_bc + 1); up to column signs every entry is within
+  about 1e-14 of exact rational 6j symbols through 2j = 400;
 - rotation matrices d^j(theta): J_x in the |j m> basis, whose eigenvalues
   are the known m (Feng, Wang, Yang & Jin, Phys. Rev. E 92, 043307 (2015)).
 
@@ -39,10 +40,6 @@ class HalfInt:
     """Angular momentum stored as the exact doubled value ``2j``."""
 
     twice: int
-
-    @staticmethod
-    def coerce(x) -> "HalfInt":
-        return x if isinstance(x, HalfInt) else HalfInt(_twice(x))
 
     def __float__(self) -> float:
         return self.twice / 2.0
@@ -168,22 +165,53 @@ def recoupling_batch(ja2, jb2, jc2, j2, dim: int) -> np.ndarray:
     only up to sign, which products such as Lambda diag(s) Lambda^T never
     see.
     """
-    if dim == 1:
-        # one intermediate momentum each: the 1 x 1 eigenvector is (1)
-        return np.ones((len(ja2), 1, 1))
-    return _eigenvectors(*_recoupling_tridiagonal(ja2, jb2, jc2, j2, dim))
+    y2 = np.maximum(np.abs(np.subtract(jb2, jc2)), np.abs(np.subtract(ja2, j2)))
+    y2 = y2[:, None] + 2.0 * np.arange(dim)
+    return _eigenvectors(*_recoupling_tridiagonal(ja2, jb2, jc2, j2, dim), y2 * (y2 + 2.0))
 
 
-def _eigenvectors(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Eigenvectors, by ascending eigenvalue, of a stack of symmetric
-    tridiagonal matrices."""
-    dim = diag.shape[1]
-    t = np.zeros((len(diag), dim, dim))
-    k = np.arange(dim)
-    t[:, k, k] = diag
-    t[:, k[1:], k[:-1]] = off
-    t[:, k[:-1], k[1:]] = off
-    return np.linalg.eigh(t)[1]
+def _eigenvectors(diag: np.ndarray, off: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors (B, dim, dim), up to sign, of symmetric tridiagonal
+    matrices (``diag``, positive ``off``) at their eigenvalues ``ev`` (B, dim):
+    the pivots of T - lambda from the top and from the bottom, z_r = 1 at the
+    twist r of least |gamma_r| = 1 / |(T - lambda)^-1_rr|, and z outward from
+    it by the ratios -off / pivot.  As in LAPACK's dlar1v a pivot below pivmin
+    = eps^2 max(|lambda|, 1) is -pivmin: an exact zero pivot marks an exact
+    zero of z, which stays finite, and no pair depends on the rest of the stack."""
+    (b, dim), m, lam = diag.shape, diag.size, ev.T.copy()
+    pivmin = np.finfo(float).eps ** 2 * np.maximum(np.abs(np.concatenate([lam, lam])), 1.0).ravel()
+    # row i: top pivot i of each (eigenvalue, matrix), then bottom pivot dim - 1 - i
+    piv, couple = np.empty((dim, 2, dim, b)), np.empty((dim - 1, 2, 1, b))
+    np.subtract(diag.T[:, None, :], lam, out=piv[:, 0])
+    np.subtract(diag.T[::-1, None, :], lam, out=piv[:, 1])
+    couple[:, 0, 0], couple[:, 1, 0] = off.T, off.T[::-1]
+    square, rows = couple * couple, piv.reshape(dim, 2 * m)
+    step, small = np.empty((2, dim, b)), np.empty(2 * m, dtype=bool)
+    flat, low = step.reshape(2 * m), -pivmin
+    for i, row in enumerate(rows):
+        if i:
+            np.divide(square[i - 1], piv[i - 1], out=step)
+            row -= flat
+        np.copyto(row, low, where=np.less(np.abs(row, out=flat), pivmin, out=small))
+    # |gamma_i| = |top_i - off_i^2 / bot_(i+1)|, least i by int64 keys with i in the low bits
+    gamma = (out := np.empty((b, dim, dim))).reshape(dim, dim, b)
+    np.divide(square[:, 0], piv[-2::-1, 1], out=gamma[:-1])
+    np.subtract(piv[:-1, 0], gamma[:-1], out=gamma[:-1])
+    gamma[-1] = piv[-1, 0]
+    key, bits = np.abs(gamma, out=gamma).reshape(dim, m).view(np.int64), 2 ** dim.bit_length() - 1
+    np.bitwise_or(np.bitwise_and(key, ~bits, out=key), np.arange(dim)[:, None], out=key)
+    twist = np.empty((2, m), dtype=np.intp)
+    np.subtract(dim - 1, np.bitwise_and(key.min(axis=0), bits, out=twist[0]), out=twist[1])
+    # ratios z_i / z_(i+1) inside the twist (1 beyond it), multiplied up from the last row
+    np.divide(np.negative(couple, out=couple), piv[:-1], out=piv[:-1])
+    piv[-1] = 1.0
+    inside = np.less(np.arange(dim)[:, None, None], twist).reshape(dim, 2 * m)
+    np.add(np.multiply(rows, inside, out=rows), np.logical_not(inside, out=inside), out=rows)
+    for i in range(dim - 2, -1, -1):
+        rows[i] *= rows[i + 1]
+    z = np.multiply(piv[:, 0], piv[::-1, 1], out=piv[:, 0])
+    norm = np.sqrt(np.einsum("ikb,ikb->kb", z, z))
+    return np.divide(z.transpose(2, 0, 1), norm.T[:, None, :], out=out)
 
 
 def wigner_d(j, theta: float) -> np.ndarray:
@@ -200,7 +228,7 @@ def wigner_d(j, theta: float) -> np.ndarray:
         raise ValueError(f"theta={theta!r} is not finite")
     m2 = np.arange(-j2, j2 + 1, 2.0)
     off = np.sqrt((j2 - m2[:-1]) * (j2 + m2[:-1] + 2.0)) / 2.0
-    u = _eigenvectors(np.zeros((1, j2 + 1)), off[None])[0]
+    u = _eigenvectors(np.zeros((1, j2 + 1)), off[None], m2[None])[0]
     w = (u * np.exp(-0.5j * theta * m2)) @ u.T
     k = np.arange(j2 + 1)
     phase = np.array([1.0, -1j, -1.0, 1j])[(k[:, None] - k[None, :]) % 4]

@@ -19,7 +19,6 @@ from qdl.angular import (
     _twice,
     multiplicity,
     multiplicity_table,
-    recoupling_batch,
     wigner_d,
 )
 from qdl.learning import (
@@ -126,10 +125,11 @@ def programmable_mixed_error_dense(n, nprime, r):
     return (1.0 - 0.5 * trace_norm_dense(sigma1 - sigma2)) / 2.0
 
 
-def block_error_all_sectors(n, nprime, coeff_n, coeff_t):
-    """The block sum of ``programmable._block_error`` over every
-    (ja, jb, jc, J) sector: no ja <-> jc fold, no pruning, and each dimension
-    group in one batch."""
+def all_sectors(n, nprime):
+    """Every (ja, jb, jc, J) sector of the block sums with n copies at the
+    outer ports and nprime in the middle, as arrays of doubled spins
+    (ja2, jb2, jc2, j2), with each sector's number of intermediate momenta
+    and its weight nu_a nu_b nu_c (2J + 1)."""
     nu_n = np.array(multiplicity_table(n), dtype=float)
     nu_p = np.array(multiplicity_table(nprime), dtype=float)
     spins_n, spins_p = range(n % 2, n + 1, 2), range(nprime % 2, nprime + 1, 2)
@@ -142,17 +142,38 @@ def block_error_all_sectors(n, nprime, coeff_n, coeff_t):
     triple = np.repeat(np.arange(len(ja2)), count)
     j2 = j_lo[triple] + 2 * (np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count))
     ja2, jb2, jc2 = ja2[triple], jb2[triple], jc2[triple]
-    gamma = nu3[triple] * (j2 + 1)
+    x_lo = np.maximum(np.abs(ja2 - jb2), np.abs(j2 - jc2))
+    dims = (np.minimum(ja2 + jb2, j2 + jc2) - x_lo) // 2 + 1
+    return ja2, jb2, jc2, j2, dims, nu3[triple] * (j2 + 1)
+
+
+def recoupling_dense(ja2, jb2, jc2, j2, dim):
+    """``recoupling_batch`` by LAPACK's dense symmetric eigensolver on the
+    same operator 4 J_bc^2, for matrices of distinct eigenvalues, so again
+    fixed up to column signs."""
+    diag, off = _recoupling_tridiagonal(ja2, jb2, jc2, j2, dim)
+    t = np.zeros((len(diag), dim, dim))
+    k = np.arange(dim)
+    t[:, k, k] = diag
+    t[:, k[1:], k[:-1]] = off
+    t[:, k[:-1], k[1:]] = off
+    return np.linalg.eigh(t)[1]
+
+
+def block_error_all_sectors(n, nprime, coeff_n, coeff_t):
+    """The block sum of ``programmable._block_error`` over every
+    (ja, jb, jc, J) sector: no ja <-> jc fold, no pruning, each dimension
+    group in one batch, and each Lambda from ``recoupling_dense``."""
+    ja2, jb2, jc2, j2, dims, gamma = all_sectors(n, nprime)
     x_lo = np.maximum(np.abs(ja2 - jb2), np.abs(j2 - jc2))
     y_lo = np.maximum(np.abs(jb2 - jc2), np.abs(ja2 - j2))
-    dims = (np.minimum(ja2 + jb2, j2 + jc2) - x_lo) // 2 + 1
     total = 0.0
     for dim in np.unique(dims):
         sel = dims == dim
         idx = np.arange(dim)
         s1 = coeff_t[x_lo[sel][:, None] + 2 * idx] * coeff_n[jc2[sel]][:, None]
         s2 = coeff_n[ja2[sel]][:, None] * coeff_t[y_lo[sel][:, None] + 2 * idx]
-        lam = recoupling_batch(ja2[sel], jb2[sel], jc2[sel], j2[sel], int(dim))
+        lam = recoupling_dense(ja2[sel], jb2[sel], jc2[sel], j2[sel], int(dim))
         m = -(lam * s2[:, None, :]) @ lam.transpose(0, 2, 1)
         m[:, idx, idx] += s1
         w = np.linalg.eigvalsh(m)
@@ -160,7 +181,7 @@ def block_error_all_sectors(n, nprime, coeff_n, coeff_t):
     return (1.0 - total / 2.0) / 2.0
 
 
-def symmetric_limit_lan(r: float, tol: float = 1e-16) -> float:
+def symmetric_limit_lan(r: float, max_n: int = 400) -> float:
     """lim n Pe of the programmable machine with n copies at every port and
     purity r > 0, from local asymptotic normality.
 
@@ -173,18 +194,24 @@ def symmetric_limit_lan(r: float, tol: float = 1e-16) -> float:
     with s_k = (1 - mu) mu^k, so the limit is 3 K / (4 r) with
     K = sum_N (1 - mu^(N+1) - ||difference||_1 / 2).  At r = 1 this is the
     pure-state 3 zeta(1/4) / 4.
+
+    The terms fall geometrically, and the sum stops at the first N > 3 whose
+    term is within (N + 1) eps of zero, the rounding floor of its
+    (N + 1)-eigenvalue trace norm: below it a term carries no digit, and the
+    tail left out is about a third of it.  A purity that needs more than
+    ``max_n`` photon numbers raises a ValueError.
     """
     mu = (1.0 - r) / (1.0 + r)
-    k_sum, big_n = 0.0, 0
-    while True:
+    k_sum = 0.0
+    for big_n in range(max_n + 1):
         s = (1.0 - mu) * mu ** np.arange(big_n + 1)
         d = wigner_d(HalfInt(big_n), 2.0 * math.pi / 3.0)
         m = np.diag(s) - (d * s) @ d.T
         term = 1.0 - mu ** (big_n + 1) - 0.5 * float(np.abs(np.linalg.eigvalsh(m)).sum())
         k_sum += term
-        if big_n > 3 and abs(term) < tol:
+        if big_n > 3 and abs(term) <= (big_n + 1) * np.finfo(float).eps:
             return 0.75 * k_sum / r
-        big_n += 1
+    raise ValueError(f"r={r!r}: the LAN sum has not converged by N = {max_n}")
 
 
 def programmable_pe_dense(na, nb, nc):
@@ -656,7 +683,8 @@ def clebsch_gordan_slices(slices) -> list:
         a2, c2 = ma2[:, :-1], mc2[:, :-1]
         off = np.sqrt((ja2 - a2) * (ja2 + a2 + 2.0)) * np.sqrt((jc2 + c2) * (jc2 - c2 + 2.0))
         big_j2 = np.maximum(np.abs(ja2 - jc2), np.abs(m2)) + 2.0 * np.arange(dim)
-        vecs = _condon_shortley(_eigenvectors(diag, off), diag, off, big_j2 * (big_j2 + 2.0))
+        ev = big_j2 * (big_j2 + 2.0)
+        vecs = _condon_shortley(_eigenvectors(diag, off, ev), diag, off, ev)
         for i, v in zip(idx, vecs):
             out[i] = v
     return out
@@ -746,7 +774,7 @@ def overlap_matrix(ja, jb, jc, j) -> np.ndarray:
         )
     diag, off = _recoupling_tridiagonal([ja2], [jb2], [jc2], [j2], len(jab))
     ev = np.array([[y.twice * (y.twice + 2.0) for y in reversed(jbc)]])
-    lam = _condon_shortley(_eigenvectors(diag, off), diag, off, ev)[0]
+    lam = _condon_shortley(_eigenvectors(diag, off, ev), diag, off, ev)[0]
     return lam[::-1, ::-1].copy()
 
 

@@ -143,7 +143,7 @@ def test_wigner_d_closed_forms_and_group_law():
         [s * s, -math.sqrt(2) * s * c, c * c],
     ]
     assert np.abs(wigner_d(1, t) - want).max() <= 1e-15
-    for j2 in (0, 7, 40, 161):
+    for j2 in (0, 7, 40, 161, 300):
         d = wigner_d(HalfInt(j2), 0.4) @ wigner_d(HalfInt(j2), 0.9)
         assert np.abs(d - wigner_d(HalfInt(j2), 1.3)).max() <= 1e-12
         assert np.abs(d @ d.T - np.eye(j2 + 1)).max() <= 1e-12
@@ -521,31 +521,71 @@ def test_overlap_matrix_matches_exact_6j_large_spins():
 
 
 def test_recoupling_operator_eigenvalues_are_jbc_squared():
-    # 4 J_bc^2 in the j_ab basis has the eigenvalues 2j_bc (2j_bc + 2), and
-    # the batched eigenvectors diagonalize it with columns in ascending j_bc
+    # 4 J_bc^2 in the j_ab basis has the eigenvalues 2j_bc (2j_bc + 2), which
+    # the eigenvector kernel takes as known: the float operator keeps them
+    # to 1e-13 of its scale through 2j = 400, and the batched eigenvectors
+    # diagonalize it with columns in ascending j_bc
     rng = np.random.default_rng(5)
-    for dim in (1, 2, 3, 7, 30):
-        picked = []
-        while len(picked) < 6:
-            ja2, jb2, jc2, j2 = (int(t) for t in rng.integers(0, 121, size=4))
-            lo = max(abs(ja2 - jb2), abs(j2 - jc2))
-            hi = min(ja2 + jb2, j2 + jc2)
-            if (ja2 + jb2 + jc2 + j2) % 2 == 0 and (hi - lo) // 2 + 1 == dim:
-                picked.append((ja2, jb2, jc2, j2))
-        ja2, jb2, jc2, j2 = (np.array(col) for col in zip(*picked))
-        diag, off = angular._recoupling_tridiagonal(ja2, jb2, jc2, j2, dim)
+    ja2, jb2, jc2, j2 = rng.integers(0, 401, size=(4, 400000))
+    lo = np.maximum(np.abs(ja2 - jb2), np.abs(j2 - jc2))
+    dims = (np.minimum(ja2 + jb2, j2 + jc2) - lo) // 2 + 1
+    dims[(ja2 + jb2 + jc2 + j2) % 2 == 1] = 0
+    for dim in (1, 2, 3, 7, 30, 90, 160):
+        picked = np.flatnonzero(dims == dim)[:6]
+        assert len(picked) == 6, dim
+        a2, b2, c2, s2 = sector = [spin[picked] for spin in (ja2, jb2, jc2, j2)]
+        diag, off = angular._recoupling_tridiagonal(*sector, dim)
         t = np.zeros((len(picked), dim, dim))
         k = np.arange(dim)
         t[:, k, k] = diag
         t[:, k[1:], k[:-1]] = off
         t[:, k[:-1], k[1:]] = off
-        y2 = np.maximum(np.abs(jb2 - jc2), np.abs(ja2 - j2))[:, None] + 2 * k
+        y2 = np.maximum(np.abs(b2 - c2), np.abs(a2 - s2))[:, None] + 2 * k
         want = y2 * (y2 + 2.0)
         scale = want.max(axis=1, keepdims=True)
-        assert np.abs(np.linalg.eigvalsh(t) - want).max() <= 1e-13 * scale.max()
-        lam = recoupling_batch(ja2, jb2, jc2, j2, dim)
+        assert (np.abs(np.linalg.eigvalsh(t) - want) <= 1e-13 * scale).all(), dim
+        lam = recoupling_batch(*sector, dim)
         got = lam.transpose(0, 2, 1) @ t @ lam
-        assert np.abs(got - want[:, :, None] * np.eye(dim)).max() <= 1e-13 * scale.max()
+        assert (np.abs(got - want[:, :, None] * np.eye(dim)) <= 1e-13 * scale[:, :, None]).all()
+
+
+@pytest.mark.parametrize("n", [3, 11, 29])
+def test_recoupling_batch_matches_dense_eigh_on_every_block_sum_sector(n):
+    # every sector of the block sums at the load (n, n) that builds a
+    # Lambda (three or more j_ab), against LAPACK's dense eigh of the same
+    # operator, up to column signs
+    ja2, jb2, jc2, j2, dims, _ = oracles.all_sectors(n, n)
+    assert dims.max() == n + 1
+    for dim in range(3, n + 2):
+        sector = [spin[dims == dim] for spin in (ja2, jb2, jc2, j2)]
+        got = recoupling_batch(*sector, dim)
+        want = oracles.recoupling_dense(*sector, dim)
+        assert _unsigned_gap(got, want).max() <= 1e-13, dim
+        assert np.abs(got.transpose(0, 2, 1) @ got - np.eye(dim)).max() <= 1e-13, dim
+
+
+def test_eigenvector_kernel_through_exact_zero_pivots():
+    # pivots that are exactly zero: T[0, 0] - lambda at (2ja, 2jb, 2jc, 2J) =
+    # (2, 3, 7, 6) and lambda = 48, and the first pivot of 2 J_x at integer
+    # j, whose diagonal is zero, at its eigenvalue 0; the vectors stay
+    # finite, orthonormal and those of the dense eigh, with no floating-point
+    # exception
+    diag, _ = angular._recoupling_tridiagonal([2], [3], [7], [6], 3)
+    assert diag[0, 0] == 48.0
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        got = recoupling_batch([2], [3], [7], [6], 3)
+        want = oracles.recoupling_dense([2], [3], [7], [6], 3)
+        assert np.isfinite(got).all()
+        assert _unsigned_gap(got, want).max() <= 1e-13
+        assert np.abs(got[0].T @ got[0] - np.eye(3)).max() <= 1e-13
+        for j2 in (2, 4, 10, 100, 300):
+            m2 = np.arange(-j2, j2 + 1, 2.0)
+            off = np.sqrt((j2 - m2[:-1]) * (j2 + m2[:-1] + 2.0)) / 2.0
+            got = angular._eigenvectors(np.zeros((1, j2 + 1)), off[None], m2[None])
+            dense = np.diag(off, 1) + np.diag(off, -1)
+            assert np.isfinite(got).all()
+            assert _unsigned_gap(got, np.linalg.eigh(dense)[1][None]).max() <= 1e-13, j2
+            assert np.abs(got[0].T @ got[0] - np.eye(j2 + 1)).max() <= 1e-13, j2
 
 
 def test_recoupling_operator_scalar_row():

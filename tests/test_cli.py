@@ -542,20 +542,22 @@ def test_prior_table_runs_one_eigensolve_per_dimension_slice(monkeypatch):
     # the benchmark's fig4.4 command: one pass over its eleven loads and
     # three priors solves each dimension's 3 x 3 to 13 x 13 matrices in one
     # eigvalsh call (one per table and load: 198 calls) and builds one
-    # Lambda per distinct orbit label (one per load's orbit: 1456); the
-    # stacks are counted, not the Gauss nodes of the Chernoff prior
-    calls = {"eigvalsh": [], "eigh": []}
-    for name in calls:
-        solve = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name, lambda a, solve=solve, seen=calls[name]: (
-            seen.append(a.shape) if a.ndim == 3 else None, solve(a))[1])
+    # Lambda per distinct orbit label (one per load's orbit: 686 sectors
+    # reach recoupling_batch); the stacks are counted, not the Gauss nodes
+    # of the Chernoff prior
+    solves, sectors = [], []
+    eigvalsh, batch = np.linalg.eigvalsh, programmable.recoupling_batch
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: (
+        solves.append(a.shape) if a.ndim == 3 else None, eigvalsh(a))[1])
+    monkeypatch.setattr(programmable, "recoupling_batch", lambda *spins: (
+        sectors.append(len(spins[0])), batch(*spins))[1])
     monkeypatch.delenv("QDL_THREADS", raising=False)
     code, out, _ = run_cli(["table", "--figure", "fig4.4", "--xmin", "2", "--xmax", "12",
                             "--step", "1"])
     assert code == 0 and len(out.splitlines()) == 12
-    assert [shape[1] for shape in calls["eigvalsh"]] == list(range(3, 14))
-    assert sum(shape[0] for shape in calls["eigvalsh"]) == 7884
-    assert sum(shape[0] for shape in calls["eigh"]) == 686
+    assert [shape[1] for shape in solves] == list(range(3, 14))
+    assert sum(shape[0] for shape in solves) == 7884
+    assert sum(sectors) == 686
 
 
 @pytest.mark.parametrize("bad", ["abc", "0", "-2", "2.5"])
