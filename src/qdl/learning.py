@@ -22,11 +22,11 @@ import numpy as np
 from .angular import HalfInt, block_coefficient, check_spin, multiplicity
 from .linalg import check_count, check_purity
 
-# log-barrier schedule of the seed solver: t grows by _BARRIER_GROWTH per full
-# Newton step until a sector's central-path gap (total block dimension)/t drops
-# below _BARRIER_END, and that last t is centred to the rounding floor.  Past it
-# the primal blocks S_m^-1 / t lose precision as the S_m approach singularity.
-_BARRIER_GROWTH = 10.0
+# log-barrier schedule of the seed solver: a centred sector's t grows by _BARRIER_GROWTH
+# up to its last t, the first power of 10 with central-path gap (total block dimension)/t
+# below _BARRIER_END, which is centred to the rounding floor.  Past it the primal
+# blocks S_m^-1 / t lose precision as the S_m approach singularity.
+_BARRIER_GROWTH = 100.0
 _BARRIER_END = 1e-10
 
 
@@ -178,10 +178,7 @@ class SeedOperator:
         return max(float(np.abs(tot).max()) for tot in totals.values())
 
     def min_eigenvalue(self) -> float:
-        return min(
-            float(np.linalg.eigvalsh((b + b.conj().T) / 2)[0])
-            for b in self.blocks.values()
-        )
+        return min(float(np.linalg.eigvalsh(b)[0]) for b in self.blocks.values())
 
 
 class LmOptimum(NamedTuple):
@@ -201,19 +198,21 @@ def _solve_sectors(g, dims, starts, b):
     ascending.  ``b[s]`` holds the sector's 2j + 1 in its trailing entries and
     0 before them; block m carries the trailing spins j >= |m|.  The dual,
     minimize b.y subject to S_m = diag(y_{j>=|m|}) - G_m >= 0, is solved with
-    a log barrier: damped Newton steps while the decrement is 1/4 or more, then
-    full steps that each grow t until the last t, centred until the decrement
-    stops halving.  Each sector takes the steps it would take alone, while one
-    batched Cholesky, inverse and Hessian assembly serve all sectors per step.
-    Every iterate, the last one included, passes a Cholesky factorization of
-    each S_m, so each b.y is a certified upper bound.  The primal blocks are
-    S_m^-1 / t at the last centring, made exactly feasible by a diagonal
-    congruence.  Returns per sector b.y and sum_m tr(G_m X_m), and the X_m.
+    a log barrier and damped Newton steps.  Each pass solves the Hessian for
+    the gradients at t and at the grown t: the Newton step there is the step at
+    t plus (grown t - t) times the central path's tangent -H^-1 b.  A sector
+    found centred (decrement below 1/4) at an intermediate t grows t and takes
+    the damped step of the grown t at once (a predictor); the last t is centred
+    with full steps until the decrement stops halving.  Each sector takes the
+    steps it would take alone; one batched Cholesky, inverse and Hessian solve
+    serve all sectors per pass.  Every iterate, the last one included, passes
+    a Cholesky factorization of each S_m, so each b.y is a certified upper
+    bound.  The primal blocks are S_m^-1 / t at the last centring, made
+    exactly feasible by a diagonal congruence.  Returns per sector b.y and
+    sum_m tr(G_m X_m), and the X_m.
     """
-    count, size = g.shape[:2]
-    sectors = len(starts)
+    (count, size), sectors = g.shape[:2], len(starts)
     sector = np.repeat(np.arange(sectors), np.diff(starts, append=count))
-    nu = np.add.reduceat(dims, starts).tolist()
     # a block's own rows; the rest of its square is an identity, masked out
     own = np.arange(size) >= size - dims[:, None]
     mask = (own[:, :, None] & own[:, None, :]).astype(float)
@@ -222,54 +221,51 @@ def _solve_sectors(g, dims, starts, b):
     # G_m is orthogonally similar to a diagonal with entries in [-1, 1], so
     # this start has S_m >= I
     y = np.full(b.shape, 2.0)
-    t = [1.0] * sectors
-    lam_prev = [math.inf] * sectors
-    live = [True] * sectors
+    t, lam_prev, live = [1.0] * sectors, [math.inf] * sectors, [True] * sectors
+    t_end = [next(10.0 ** k for k in range(99) if nu / 10.0 ** k < _BARRIER_END)
+             for nu in np.add.reduceat(dims, starts).tolist()]
     # gradient rows: t b of each sector, then its blocks' diagonals in m
-    # order, so that the fold below subtracts them one by one
+    # order, so that the fold below subtracts them one by one; in two
+    # columns, at t and at the grown t
     heads = starts + np.arange(sectors)
     tails = np.arange(count) + sector + 1
-    terms = np.empty((count + sectors, size))
+    terms = np.empty((count + sectors, size, 2))
     s = -g
     s_diag = s.reshape(count, -1)[:, ::size + 1]
     s_diag[~own] = 1.0
     g_diag = g.reshape(count, -1)[:, ::size + 1]
     s_inv = np.empty_like(s)
-    s_inv_diag = s_inv.reshape(count, -1)[:, ::size + 1]
     hess = np.empty((sectors, size, size))
-    hess_diag = hess.reshape(sectors, -1)[:, ::size + 1]
     while any(live):
         np.subtract(y[sector], g_diag, out=s_diag, where=own)
         l_inv = np.linalg.inv(np.linalg.cholesky(s))
         np.matmul(np.swapaxes(l_inv, 1, 2), l_inv, out=s_inv)
         s_inv *= mask
-        terms[heads] = np.array(t)[:, None] * b
-        terms[tails] = s_inv_diag
-        grad = np.subtract.reduceat(terms, heads)
+        grown_t = [min(v * _BARRIER_GROWTH, e) for v, e in zip(t, t_end)]
+        terms[heads] = b[:, :, None] * np.array([t, grown_t]).T[:, None, :]
+        terms[tails] = s_inv.reshape(count, -1)[:, ::size + 1, None]
+        grads = np.subtract.reduceat(terms, heads)
         np.add.reduceat(s_inv * s_inv, starts, out=hess)
-        hess_diag += idle
-        step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
-        dots = (grad[:, None, :] @ step[:, :, None]).ravel().tolist()
-        # per sector: the divisor of its step, inf for no step
-        divisor = [math.inf] * sectors
-        for k in range(sectors):
-            if not live[k]:
-                continue
-            lam = math.sqrt(max(-dots[k], 0.0))
+        hess.reshape(sectors, -1)[:, ::size + 1] += idle
+        # minus the Newton steps at t and at the grown t, and their squared decrements
+        steps = np.linalg.solve(hess, grads)
+        dots = (grads * steps).sum(axis=1).tolist()
+        # the step each sector takes and its divisor, inf for no step
+        divisor, grown = [math.inf] * sectors, [0] * sectors
+        for k in (k for k, on in enumerate(live) if on):
+            lam = math.sqrt(max(dots[k][0], 0.0))
+            # centred at an intermediate t: grow t and take the grown t's step
+            if lam < 0.25 and t[k] < t_end[k]:
+                grown[k], t[k], lam = 1, grown_t[k], math.sqrt(max(dots[k][1], 0.0))
             if lam >= 0.25:
                 divisor[k] = 1.0 + lam
-            # below 1/4 a full step converges quadratically: only the last t is centred
-            elif nu[k] / t[k] >= _BARRIER_END:
-                divisor[k] = 1.0
-                t[k] *= _BARRIER_GROWTH
             # exact full steps contract the decrement by 4/9 or more, so one
             # that does not halve it has reached the rounding floor: centred
             elif lam < lam_prev[k] / 2.0:
-                lam_prev[k] = lam
-                divisor[k] = 1.0
+                lam_prev[k], divisor[k] = lam, 1.0
             else:
                 live[k] = False
-        y += step / np.array(divisor)[:, None]
+        y -= steps[np.arange(sectors), :, grown] / np.array(divisor)[:, None]
     xs = s_inv / np.array(t)[sector, None, None]
     occupation = np.add.reduceat(xs.reshape(count, -1)[:, ::size + 1], starts)
     d = np.sqrt(np.divide(b, occupation, out=np.zeros_like(b), where=~idle))[sector]
@@ -294,7 +290,10 @@ def lm_mixed_optimize(n: int, r: float) -> LmOptimum:
         raise ValueError("seed optimization is desk-scale: n must be 1..5")
     r = check_purity(r, zero=False)
     keys, g = _gamma_coupled(n, r)
-    ja2, jc2, m2 = np.array(keys).T
+    # G^(jc,ja)_m = G^(ja,jc)_-m and b is symmetric, so a sector (jc, ja) is
+    # the SDP of its mirror: only ja <= jc is solved, the rest read its blocks
+    half = [a2 <= c2 for a2, c2, _ in keys]
+    (ja2, jc2, m2), g = np.array(keys)[half].T, g[half]
     dims = (ja2 + jc2 - np.maximum(np.abs(ja2 - jc2), np.abs(m2))) // 2 + 1
     # per sector (ja, jc): first block, block count, largest |G|, b = 2J + 1
     heads = np.flatnonzero(m2 == -(ja2 + jc2))
@@ -304,7 +303,7 @@ def lm_mixed_optimize(n: int, r: float) -> LmOptimum:
     j2 = (a2 + c2)[:, None] - 2 * np.arange(n, -1, -1)
     b = np.where(j2 >= np.abs(a2 - c2)[:, None], j2 + 1.0, 0.0)
     prob = np.array([block_probability(n, HalfInt(j), r) for j in range(n % 2, n + 1, 2)])
-    weight = prob[a2 // 2] * prob[c2 // 2]
+    weight = prob[a2 // 2] * prob[c2 // 2] * np.where(a2 < c2, 2.0, 1.0)
     # an all-zero sector scores 0 at every point, certified by y = 0, and
     # X_m = I is feasible (b = 2J + 1); the others are solved together
     live = scale > 0.0
@@ -315,7 +314,8 @@ def lm_mixed_optimize(n: int, r: float) -> LmOptimum:
         dual[live], primal[live], xs[rows] = _solve_sectors(
             g[rows] / np.repeat(scale[live], counts[live])[:, None, None], dims[rows],
             np.cumsum(counts[live]) - counts[live], b[live])
-    blocks = {key: x[-d:, -d:] for key, d, x in zip(keys, dims, xs)}
+    solved = {key: x[-d:, -d:] for key, d, x in zip(zip(ja2, jc2, m2), dims, xs)}
+    blocks = {(a, c, m): solved[(a, c, m) if a <= c else (c, a, -m)] for a, c, m in keys}
     delta = 2.0 * sum((weight * (scale * primal)).tolist())
     gap = 2.0 * sum((weight * (scale * dual)).tolist()) - delta
     return LmOptimum(delta_lm=delta, seed=SeedOperator(n=n, blocks=blocks), gap=gap)

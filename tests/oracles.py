@@ -23,7 +23,6 @@ from qdl.angular import (
 )
 from qdl.learning import (
     _BARRIER_END,
-    _BARRIER_GROWTH,
     LmOptimum,
     SeedOperator,
     _gamma_coupled,
@@ -377,11 +376,11 @@ def seed_surrogate_product_basis(seed, r: float) -> float:
 def _solve_seed_sector(gammas, b):
     """Maximize sum_m tr(G_m X_m) over PSD X_m subject to
     sum_m (X_m)_jj = b_j = 2j + 1 in one sector, on its own barrier path, one
-    magnetic block at a time: the log barrier, barrier parameters, final
-    centring and primal repair of ``learning._solve_sectors``, but centred to
-    the rounding floor at every t, not only the last, so that it reaches the
-    same optimum by an independent path.  Returns (dual value, primal value,
-    primal blocks)."""
+    magnetic block at a time: the log barrier, last barrier parameter, final
+    centring and primal repair of ``learning._solve_sectors``, but with t grown
+    tenfold, no predictor step, and centred to the rounding floor at every t,
+    not only the last, so that it reaches the same optimum by an independent
+    path.  Returns (dual value, primal value, primal blocks)."""
     offsets = [len(b) - len(g) for g in gammas]
     scale = max(np.abs(g).max() for g in gammas)
     if scale == 0.0:
@@ -411,7 +410,7 @@ def _solve_seed_sector(gammas, b):
             y += step
         if nu / t < _BARRIER_END:
             break
-        t *= _BARRIER_GROWTH
+        t *= 10.0
     xs = [s / t for s in s_inv]
     occupation = np.zeros(len(b))
     for k, x in zip(offsets, xs):
@@ -422,23 +421,39 @@ def _solve_seed_sector(gammas, b):
     return scale * float(b @ y), scale * primal, xs
 
 
-def seed_sdp_per_sector(n: int, r: float) -> LmOptimum:
-    """``learning.lm_mixed_optimize`` solved one (ja, jc) sector after another,
-    each on its own barrier path, from the library's conditional operators."""
+def seed_sdp_sectors(n: int, r: float) -> dict:
+    """Every (ja, jc) sector of ``learning.lm_mixed_optimize``'s program, each
+    on its own barrier path, from the library's conditional operators: maps
+    (2ja, 2jc) to (dual value, primal value, {(2ja, 2jc, 2m): X_m})."""
     keys, g = _gamma_coupled(n, r)
     sectors = {}
     for (ja2, jc2, m2), gm in zip(keys, g):
         dim = (ja2 + jc2 - max(abs(ja2 - jc2), abs(m2))) // 2 + 1
         sectors.setdefault((ja2, jc2), {})[(ja2, jc2, m2)] = gm[len(gm) - dim:, len(gm) - dim:]
-    prob = {j2: block_probability(n, HalfInt(j2), r) for j2 in range(n % 2, n + 1, 2)}
-    primal_total = dual_total = 0.0
-    blocks = {}
+    solved = {}
     for (ja2, jc2), gammas in sectors.items():
         b = np.arange(abs(ja2 - jc2), ja2 + jc2 + 1, 2) + 1.0
         dual, primal, xs = _solve_seed_sector(list(gammas.values()), b)
+        solved[ja2, jc2] = dual, primal, dict(zip(gammas, xs))
+    return solved
+
+
+def seed_sdp_per_sector(n: int, r: float) -> LmOptimum:
+    """``learning.lm_mixed_optimize`` solved one (ja, jc) sector after another,
+    each on its own barrier path.  As in the library, a sector (jc, ja) with
+    ja < jc takes the values of its mirror (ja, jc) and the blocks
+    X^(jc,ja)_m = X^(ja,jc)_-m, so each sector is compared with the solve the
+    library makes for it."""
+    sectors = seed_sdp_sectors(n, r)
+    prob = {j2: block_probability(n, HalfInt(j2), r) for j2 in range(n % 2, n + 1, 2)}
+    primal_total = dual_total = 0.0
+    blocks = {}
+    for (ja2, jc2), (_, _, own) in sectors.items():
+        dual, primal, xs = sectors[min(ja2, jc2), max(ja2, jc2)]
         dual_total += prob[ja2] * prob[jc2] * dual
         primal_total += prob[ja2] * prob[jc2] * primal
-        blocks.update(zip(gammas, xs))
+        for m2 in (key[2] for key in own):
+            blocks[ja2, jc2, m2] = xs[(ja2, jc2, m2) if ja2 <= jc2 else (jc2, ja2, -m2)]
     delta = 2.0 * primal_total
     return LmOptimum(
         delta_lm=delta, seed=SeedOperator(n=n, blocks=blocks), gap=2.0 * dual_total - delta

@@ -157,6 +157,18 @@ def test_coupled_conditional_operators_match_clebsch_gordan_rotation(n):
         assert np.abs(g[dim:, dim:] - want[key]).max() <= 1e-15, key
 
 
+@pytest.mark.parametrize("r", [0.125, 0.7, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_coupled_conditional_operators_mirror_under_spin_swap(n, r):
+    # the fold of lm_mixed_optimize: G^(jc,ja)_m = G^(ja,jc)_-m, both in the
+    # trailing corner of the same square, to rounding of the largest entry
+    keys, stack = learning._gamma_coupled(n, r)
+    at = {key: g for key, g in zip(keys, stack)}
+    tol = 4 * np.finfo(float).eps * np.abs(stack).max()
+    for (ja2, jc2, m2), g in at.items():
+        assert np.abs(g - at[jc2, ja2, -m2]).max() <= tol, (ja2, jc2, m2)
+
+
 def test_block_probabilities_normalized():
     for n in (1, 3, 5):
         for r in (0.2, 0.8):
@@ -238,16 +250,18 @@ def test_coupled_seed_rotated_to_product_basis_attains_delta(n, r):
     )
 
 
-SEED_PURITIES = [1e-20, 0.1, 0.55, 0.7, 0.9, 1.0]
+SEED_PURITIES = [1e-20, 0.1, 0.125, 0.55, 0.7, 0.9, 1.0]
 
 
 @pytest.mark.parametrize("r", SEED_PURITIES)
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_stacked_seed_solver_matches_per_sector_reference(n, r):
-    # every sector in one stacked barrier loop, centred only at its last t,
-    # against each sector on its own path, centred to the rounding floor at
-    # every t, from the same operators; the two paths and the stack's identity
-    # padding move the rounding, so they agree to rounding, not bits
+    # every sector ja <= jc in one stacked barrier loop, centred only at its
+    # last t, against each sector on its own path, centred to the rounding
+    # floor at every t, from the same operators; a sector (jc, ja) is compared
+    # through the reference's solve of its mirror (ja, jc), as it is solved.
+    # The two paths and the stack's identity padding move the rounding, so
+    # they agree to rounding, not bits
     opt = learning.lm_mixed_optimize(n, r)
     ref = oracles.seed_sdp_per_sector(n, r)
     assert abs(opt.delta_lm - ref.delta_lm) <= 1e-14
@@ -257,6 +271,22 @@ def test_stacked_seed_solver_matches_per_sector_reference(n, r):
         assert np.abs(opt.seed.blocks[key] - x).max() <= 1e-12, key
     assert opt.seed.resolution_residual() <= 1e-8
     assert 0.0 <= opt.gap <= 1e-10
+
+
+@pytest.mark.parametrize("r", SEED_PURITIES)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_reference_mirror_sectors_agree_within_their_certified_gaps(n, r):
+    # the reference solves (ja, jc) and (jc, ja) on separate barrier paths:
+    # each dual value bounds the common optimum from above and each primal
+    # value from below, so the two solves may differ, but only inside the
+    # sum of their gaps
+    sectors = oracles.seed_sdp_sectors(n, r)
+    for (ja2, jc2), (dual, primal, _) in sectors.items():
+        mirror_dual, mirror_primal, _ = sectors[jc2, ja2]
+        gaps = (dual - primal) + (mirror_dual - mirror_primal)
+        assert dual >= primal and mirror_dual >= mirror_primal, (ja2, jc2)
+        assert abs(primal - mirror_primal) <= gaps, (ja2, jc2)
+        assert abs(dual - mirror_dual) <= gaps, (ja2, jc2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -289,18 +319,31 @@ def test_all_zero_sectors_beside_solved_ones_keep_the_identity(n):
 # Cholesky factorizations of one lm_mixed_optimize, n = 1..5 at SEED_PURITIES:
 # one per pass of the barrier loop
 SEED_STEPS = {
-    1: [28, 28, 28, 28, 28, 28],
-    2: [31, 30, 31, 31, 31, 31],
-    3: [34, 34, 35, 34, 34, 34],
-    4: [36, 36, 36, 36, 36, 37],
-    5: [57, 56, 39, 38, 38, 39],
+    1: [13, 13, 13, 13, 13, 13, 13],
+    2: [16, 15, 16, 16, 16, 16, 16],
+    3: [18, 18, 18, 19, 18, 18, 18],
+    4: [22, 21, 21, 22, 21, 22, 22],
+    5: [38, 38, 39, 22, 22, 22, 23],
+}
+# the same counts with t grown tenfold, one damped pass after each growth and
+# every sector (jc, ja) solved beside its mirror; every count stays below these
+TENFOLD_STEPS = {
+    1: [28, 28, 28, 28, 28, 28, 28],
+    2: [31, 30, 31, 31, 31, 31, 31],
+    3: [34, 34, 34, 35, 34, 34, 34],
+    4: [36, 36, 37, 36, 36, 36, 37],
+    5: [57, 56, 57, 39, 38, 38, 39],
 }
 
 
 @pytest.mark.parametrize("n", sorted(SEED_STEPS))
 def test_seed_solver_centres_only_its_last_barrier_parameter(n, monkeypatch):
-    # each intermediate t takes one full step once the decrement is below
-    # 1/4; centring to the rounding floor at every t takes about twice these
+    # a pass that finds its sector centred at an intermediate t grows t
+    # hundredfold (clamped to the last t) and takes the damped Newton step of
+    # the grown t along the tangent, from the same factored Hessian, so each
+    # stage costs about one pass; only the last t is centred to the rounding
+    # floor
+    assert all(a < b for a, b in zip(SEED_STEPS[n], TENFOLD_STEPS[n]))
     calls = []
     cholesky = np.linalg.cholesky
 
