@@ -91,6 +91,15 @@ def _grid(xmin: float, xmax: float, step: float):
 # ---------------------------------------------------------------------------
 
 
+def _mode_opts(args, defaults: dict, mode: str, active: bool) -> list:
+    """Options that only ``mode`` reads, each given or at its default; one
+    given outside the mode is refused, even at an invalid value."""
+    for option in defaults:
+        if getattr(args, option) is not None and not active:
+            raise ValueError(f"--{option} applies to {mode} only")
+    return [d if getattr(args, o) is None else getattr(args, o) for o, d in defaults.items()]
+
+
 def _surrogate_error(delta_lm: float) -> float:
     """Learning-machine error (1 - delta_lm/2)/2 from its optimized surrogate."""
     return (1.0 - delta_lm / 2.0) / 2.0
@@ -114,16 +123,12 @@ def _cmd_discriminate(args):
 
 def _cmd_programmable(args):
     n, nprime = args.n, args.nprime
-    for option, mode, mode_value in (("nb", "--na", args.na), ("nc", "--na", args.na),
-                                     ("scheme", "--margin", args.margin)):
-        if getattr(args, option) is not None and mode_value is None:
-            raise ValueError(f"--{option} applies to {mode} only")
+    nb, nc = _mode_opts(args, {"nb": 1, "nc": 1}, "--na", args.na is not None)
+    scheme, = _mode_opts(args, {"scheme": "weak"}, "--margin", args.margin is not None)
     if args.margin is not None:
-        scheme = args.scheme or "weak"
         ps = programmable.margin_success(n, nprime, args.margin, scheme).p_success
         return ["n", "nprime", "R", "scheme", "Ps"], [n, nprime, args.margin, scheme, ps]
     if args.na is not None:
-        nb, nc = (1 if v is None else v for v in (args.nb, args.nc))
         rates = programmable.general_rates(programmable.PortLoad(args.na, nb, nc))
         return ["na", "nb", "nc", "Q", "Pe"], [args.na, nb, nc, rates.q, rates.pe]
     if args.prior is not None:
@@ -161,12 +166,8 @@ def _cmd_read(args):
     a0 = args.alpha0
     if args.squeeze is not None and args.strategy != "eyd":
         raise ValueError(f"--squeeze applies to --strategy eyd only, not {args.strategy}")
-    for option in ("naux", "mu", "quad"):
-        if getattr(args, option) is not None and not args.oracle:
-            raise ValueError(f"--{option} applies to --oracle only")
+    naux, mu, quad = _mode_opts(args, {"naux": 16, "mu": 1.0, "quad": 32}, "--oracle", args.oracle)
     if args.oracle:
-        naux, mu, quad = (d if v is None else v for v, d in
-                          ((args.naux, 16), (args.mu, 1.0), (args.quad, 32)))
         cfg = reading.ReadingConfig(alpha0=a0, mu=mu, n_aux=naux)
         squeeze = args.squeeze if args.squeeze is not None else 0.0
         pe = reading.finite_n_oracle(cfg, args.strategy, quad, squeeze)
@@ -308,6 +309,9 @@ def _cmd_table(args, out):
     if args.figure not in FIGURES:
         raise ValueError(f"unknown figure {args.figure!r}; known: {sorted(FIGURES)}")
     xmin, xmax, step, xlabel, ylabels, build = FIGURES[args.figure]
+    args.overlap, = _mode_opts(args, {"overlap": 0.7}, "--figure fig3.5", args.figure == "fig3.5")
+    args.n, args.nprime = _mode_opts(args, {"n": 9, "nprime": 2}, "--figure fig4.5",
+                                     args.figure == "fig4.5")
     header = [xlabel] + ylabels
     xmin, xmax, step = (default if given is None else given for default, given in
                         ((xmin, args.xmin), (xmax, args.xmax), (step, args.step)))
@@ -397,9 +401,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmin", type=float)
     p.add_argument("--xmax", type=float)
     p.add_argument("--step", type=float)
-    p.add_argument("--overlap", type=float, default=0.7)
-    p.add_argument("--n", type=int, default=9)
-    p.add_argument("--nprime", type=int, default=2)
+    p.add_argument("--overlap", type=float)
+    p.add_argument("--n", type=int)
+    p.add_argument("--nprime", type=int)
 
     return parser
 

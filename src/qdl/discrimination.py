@@ -85,11 +85,14 @@ def helstrom_error(h: BinaryHypotheses) -> float:
 
 
 def pure_overlap_error(c: float, eta1: float = 0.5) -> float:
-    """Minimum error for two pure states with overlap |<psi1|psi2>| = c."""
+    """Minimum error (1 - sqrt(1 - x)) / 2, x = 4 eta1 eta2 c^2, for two pure
+    states with overlap |<psi1|psi2>| = c, taken as x / (2 (1 + sqrt(1 - x)))
+    with 1 - x = (eta1 - eta2)^2 + 4 eta1 eta2 (1 - c) (1 + c): nothing cancels."""
     _check_unit("overlap", c)
     _check_unit("prior", eta1)
     eta2 = 1.0 - eta1
-    return (1.0 - math.sqrt(1.0 - 4.0 * eta1 * eta2 * c * c)) / 2.0
+    w, y = 4.0 * eta1 * eta2, (eta1 - eta2) ** 2
+    return w * c * c / (2.0 * (1.0 + math.sqrt(y + w * (1.0 - c) * (1.0 + c))))
 
 
 def unambiguous_q(c: float, eta1: float = 0.5) -> float:
@@ -111,9 +114,9 @@ def unambiguous_q(c: float, eta1: float = 0.5) -> float:
 
 
 def critical_margin(c: float) -> float:
-    """Margin above which the optimum is plain minimum-error discrimination."""
-    _check_unit("overlap", c)
-    return (1.0 - math.sqrt(1.0 - c * c)) / 2.0
+    """Margin above which the optimum is plain minimum-error discrimination:
+    the minimum error of equal priors."""
+    return pure_overlap_error(c)
 
 
 def weak_margin(c: float, r: float) -> MarginResult:
@@ -123,12 +126,10 @@ def weak_margin(c: float, r: float) -> MarginResult:
     P_s = (sqrt(r) + sqrt(1-c))^2; above it the rates are those of
     minimum-error discrimination.
     """
-    _check_unit("overlap", c)
+    rc = critical_margin(c)  # checks the overlap
     _check_unit("margin", r)
-    rc = critical_margin(c)
     if r >= rc:
-        ps = (1.0 + math.sqrt(1.0 - c * c)) / 2.0
-        return MarginResult(ps, 1.0 - ps, 0.0, math.pi / 2, "minimum-error")
+        return MarginResult(1.0 - rc, rc, 0.0, math.pi / 2, "minimum-error")
     ps = (math.sqrt(r) + math.sqrt(1.0 - c)) ** 2
     q = max(0.0, 1.0 - ps - r)
     phi = 2.0 * math.atan2(math.sqrt(1.0 + c), math.sqrt(1.0 - c) + 2.0 * math.sqrt(r))
@@ -144,12 +145,10 @@ def strong_margin(c: float, r: float) -> MarginResult:
     two conclusive operators coincide, the angle is undefined and the machine
     always abstains.
     """
-    _check_unit("overlap", c)
+    rc = critical_margin(c)  # checks the overlap
     _check_unit("margin", r)
-    rc = critical_margin(c)
     if r >= rc:
-        ps = (1.0 + math.sqrt(1.0 - c * c)) / 2.0
-        return MarginResult(ps, 1.0 - ps, 0.0, math.pi / 2, "minimum-error")
+        return MarginResult(1.0 - rc, rc, 0.0, math.pi / 2, "minimum-error")
     if c == 1.0:
         return MarginResult(0.0, 0.0, 1.0, None, "margin-limited")
     ps = (math.sqrt(1.0 - r) / (math.sqrt(r) - math.sqrt(1.0 - r))) ** 2 * (1.0 - c)

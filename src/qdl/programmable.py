@@ -12,7 +12,7 @@ Error margins interpolate between the unambiguous and minimum-error extremes.
 
 from __future__ import annotations
 
-import bisect
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,8 +22,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.polynomial import legendre
 
-from .angular import (_recoupling_tridiagonal, block_coefficient, check_spin, jordan_overlap,
-                      multiplicity_table, recoupling_batch)
+from .angular import (_recoupling_tridiagonal, block_coefficient, check_spin, multiplicity_table,
+                      recoupling_batch)
 from .linalg import check_count, check_purity
 
 # discarded total block mass in the mixed-state sums; the induced error on
@@ -92,15 +92,11 @@ class PuritySpec:
 
 def pure_rates(n: int, nprime: int) -> Rates:
     """Inconclusive rate Q and minimum error Pe for pure states with n copies
-    at each program port and nprime at the data port."""
+    at each program port and nprime at the data port: Q in closed form, Pe
+    the weighted sum of the per-sector errors of :func:`_pure_table`."""
     n, nprime = check_count("n", n), check_count("nprime", nprime)
     q = 1.0 - n * nprime / ((n + 1) * (nprime + 2))
-    d = (n + 1) * (n + nprime + 1)
-    pe_sum = 0.0
-    for k in range(n + 1):
-        c = jordan_overlap(n, nprime, k)
-        pe_sum += (nprime + 2 * k + 1) / d * math.sqrt(max(0.0, 1.0 - c * c))
-    return Rates(q=q, pe=(1.0 - pe_sum) / 2.0)
+    return Rates(q=q, pe=_pure_table(n, nprime).pe)
 
 
 def general_rates(load: PortLoad) -> Rates:
@@ -114,26 +110,64 @@ def general_rates(load: PortLoad) -> Rates:
     na, nb, nc = load.n_a, load.n_b, load.n_c
     d1 = (na + nb + 1) * (nc + 1)
     d2 = (na + 1) * (nb + nc + 1)
-    d_abc = na + nb + nc + 1
-
-    def c2(k: int) -> float:
-        num = math.comb(na + nb - nc + k, nb) * math.comb(nb + k, nb)
-        den = math.comb(na + nb, nb) * math.comb(nc + nb, nb)
-        return num / den
-
-    q = 0.5 * (1 / math.sqrt(d1) - 1 / math.sqrt(d2)) ** 2 * d_abc
+    q = 0.5 * (1 / math.sqrt(d1) - 1 / math.sqrt(d2)) ** 2 * (na + nb + nc + 1)
     pe = 0.0
-    for k in range(nc + 1):
+    for k, c2 in enumerate(_jordan_sectors(na, nb, nc)[0].tolist()):
         dim_j = na + nb - nc + 2 * k + 1
-        q += dim_j * math.sqrt(c2(k)) / math.sqrt(d1 * d2)
-        pe -= (
-            (d1 + d2)
-            / (d1 * d2)
-            * dim_j
-            * math.sqrt(max(0.0, 1.0 - 4.0 * d1 * d2 / (d1 + d2) ** 2 * c2(k)))
-        )
+        q += dim_j * math.sqrt(c2) / math.sqrt(d1 * d2)
+        pe -= (d1 + d2) / (d1 * d2) * dim_j * math.sqrt(
+            max(0.0, 1.0 - 4.0 * d1 * d2 / (d1 + d2) ** 2 * c2))
     pe = 0.25 * (1.0 + d1 / d2 + pe)
     return Rates(q=q, pe=pe)
+
+
+@lru_cache(maxsize=32)
+def _jordan_sectors(na: int, nb: int, nc: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Jordan sectors k = 0..nc of a load with na >= nc, read-only: each
+    sector's squared overlap C(na + nb - nc + k, nb) C(nb + k, nb) / (C(na + nb,
+    nb) C(nc + nb, nb)), and C(nb + k, nb) / C(nc + nb, nb), the overlap itself
+    (:func:`angular.jordan_overlap`) when na = nc.  Exact integer recurrences in
+    k give the numerators, and each value is one correctly rounded int division."""
+    left, right, den_c = math.comb(na + nb - nc, nb), 1, math.comb(nc + nb, nb)
+    den = math.comb(na + nb, nb) * den_c
+    c2, c = np.empty(nc + 1), np.empty(nc + 1)
+    for k in range(nc + 1):
+        c2[k], c[k] = left * right / den, right / den_c
+        left = left * (na + nb - nc + k + 1) // (na - nc + k + 1)
+        right = right * (nb + k + 1) // (k + 1)
+    c2.flags.writeable = c.flags.writeable = False
+    return c2, c
+
+
+_PureTable = collections.namedtuple("_PureTable", "c p rc xi chi psat sat strong pe")
+
+
+@lru_cache(maxsize=128)
+def _pure_table(n: int, nprime: int) -> _PureTable:
+    """The sectors of the load (n, nprime, n), read-only: overlaps c, weights p
+    and minimum errors rc (the critical margins); xi[b] and psat[b], the error
+    and success frozen below sector b, and chi[b], the 1 - c weight from b up;
+    the weak saturation points sat, the strong margins met at them, and Pe, the
+    math.fsum of p rc.  Each rc = (1 - sqrt(1 - c^2)) / 2 is taken as c^2 / (2
+    (1 + sqrt((1 - c) (1 + c)))), which does not cancel."""
+    c2, c = _jordan_sectors(n, nprime, n)
+    p = (nprime + 2 * np.arange(n + 1) + 1) / ((n + 1) * (n + nprime + 1))
+    root = np.sqrt((1.0 - c) * (1.0 + c))
+    rc = c2 / (2.0 * (1.0 + root))
+    pe = math.fsum(p * rc)
+    xi = np.concatenate([[0.0], np.cumsum(p * rc)])
+    chi = np.concatenate([np.cumsum((p * (1.0 - c))[::-1])[::-1], [0.0]])
+    psat = np.concatenate([[0.0], np.cumsum(0.5 * p * (1.0 + root))])
+    sat = np.append(rc[:n] / (1.0 - c[:n]) * chi[:n] + xi[:n], pe)
+    # the weak success rate at each saturation point (as _weak_eval) and
+    # the strong margin r_w / (P_s + r_w) of the measurement that reaches it
+    b = np.searchsorted(sat, sat)
+    ps = np.where(sat >= pe, 1.0 - pe,
+                  psat[b] + (np.sqrt(np.maximum(0.0, sat - xi[b])) + np.sqrt(chi[b])) ** 2)
+    table = _PureTable(c, p, rc, xi, chi, psat, sat, sat / (ps + sat), pe)
+    for v in table[:-1]:
+        v.flags.writeable = False
+    return table
 
 
 def zeta_series(x: float) -> float:
@@ -603,69 +637,36 @@ class MarginCurve(NamedTuple):
     saturation_points: tuple
 
 
-@lru_cache(maxsize=128)
-def _margin_tables(n: int, nprime: int):
-    """Per-sector overlaps, weights, critical margins and saturation ladder."""
-    count = n + 1
-    c = np.array([jordan_overlap(n, nprime, k) for k in range(count)])
-    p = np.array(
-        [(nprime + 2 * k + 1) / ((n + 1) * (n + nprime + 1)) for k in range(count)]
-    )
-    rc = (1.0 - np.sqrt(np.maximum(0.0, 1.0 - c * c))) / 2.0
-    # xi[b]: frozen-error mass below sector b; chi[b]: remaining 1-c weight
-    xi = np.concatenate([[0.0], np.cumsum(p * rc)])
-    chi = np.concatenate([np.cumsum((p * (1.0 - c))[::-1])[::-1], [0.0]])
-    r_global = float(np.sum(p * rc))
-    sat = []
-    for b in range(count - 1):
-        sat.append(rc[b] / (1.0 - c[b]) * chi[b] + xi[b])
-    sat.append(r_global)
-    psat = np.concatenate(
-        [[0.0], np.cumsum(0.5 * p * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))))]
-    )
-    return c, p, rc, xi, chi, np.array(sat), psat, r_global
-
-
-def _weak_eval(n: int, nprime: int, big_r: float):
-    """Success rate and per-sector weak margins at global weak margin big_r."""
-    c, p, rc, xi, chi, sat, psat, r_global = _margin_tables(n, nprime)
-    count = n + 1
-    if big_r >= r_global:
-        ps = 1.0 - pure_rates(n, nprime).pe
-        return ps, np.array(rc), sat
-    b = bisect.bisect_left(sat, big_r)  # sectors 0..b-1 are frozen
-    margins = np.array(rc)
-    if chi[b] > 0.0:
-        margins[b:] = (1.0 - c[b:]) * (big_r - xi[b]) / chi[b]
+def _weak_eval(t: _PureTable, big_r: float):
+    """Success rate and per-sector weak margins of table t at global weak margin big_r."""
+    margins = np.array(t.rc)
+    if big_r >= t.pe:
+        return 1.0 - t.pe, margins
+    b = int(np.searchsorted(t.sat, big_r))  # sectors 0..b-1 are frozen
+    if t.chi[b] > 0.0:
+        margins[b:] = (1.0 - t.c[b:]) * (big_r - t.xi[b]) / t.chi[b]
     else:
         # only the totally symmetric sector (c = 1) remains: the success
         # rate grows linearly with the allowed error
-        margins[count - 1] = (big_r - xi[b]) / p[count - 1]
-    ps = psat[b] + (math.sqrt(max(0.0, big_r - xi[b])) + math.sqrt(chi[b])) ** 2
-    return ps, margins, sat
+        margins[-1] = (big_r - t.xi[b]) / t.p[-1]
+    return t.psat[b] + (math.sqrt(max(0.0, big_r - t.xi[b])) + math.sqrt(t.chi[b])) ** 2, margins
 
 
-def _weak_from_strong(n: int, nprime: int, r_strong: float) -> float:
+def _weak_from_strong(t: _PureTable, r_strong: float) -> float:
     """Invert the strong->weak margin map r_s = r_w / (P_s(r_w) + r_w).
 
     Piecewise closed form: inside each saturation interval P_s(r_w) is a
     shifted square-root square, so the inverse solves a quadratic in
     sqrt(r_w - xi_b).
     """
-    c, p, rc, xi, chi, sat, psat, r_global = _margin_tables(n, nprime)
-    if r_strong >= r_global:
-        return r_global
-    # strong saturation ladder through the same measurement correspondence
-    sat_strong = []
-    for b, rw in enumerate(sat):
-        ps, _, _ = _weak_eval(n, nprime, rw)
-        sat_strong.append(rw / (ps + rw) if ps + rw > 0 else 0.0)
-    b = bisect.bisect_left(sat_strong, r_strong)
-    s = r_strong
+    if r_strong >= t.pe:
+        return t.pe
+    b = int(np.searchsorted(t.strong, r_strong))
+    xi, chi, s = t.xi[b], t.chi[b], r_strong
     # s * (psat_b + (u + sqrt(chi_b))^2 + xi_b + u^2) = xi_b + u^2
     a2 = 2.0 * s - 1.0
-    a1 = 2.0 * s * math.sqrt(chi[b])
-    a0 = s * (psat[b] + chi[b] + xi[b]) - xi[b]
+    a1 = 2.0 * s * math.sqrt(chi)
+    a0 = s * (t.psat[b] + chi + xi) - xi
     if abs(a2) < 1e-15:
         u = -a0 / a1 if a1 != 0.0 else 0.0
     else:
@@ -674,7 +675,7 @@ def _weak_from_strong(n: int, nprime: int, r_strong: float) -> float:
         if u < 0.0:
             u = (-a1 - math.sqrt(disc)) / (2.0 * a2)
     u = max(0.0, u)
-    return min(xi[b] + u * u, r_global)
+    return min(xi + u * u, t.pe)
 
 
 def margin_success(n: int, nprime: int, big_r: float, scheme: str = "weak") -> MarginCurve:
@@ -690,21 +691,15 @@ def margin_success(n: int, nprime: int, big_r: float, scheme: str = "weak") -> M
     n, nprime = check_count("n", n), check_count("nprime", nprime)
     if not 0.0 <= big_r <= 1.0:
         raise ValueError(f"margin {big_r} outside [0, 1]")
+    t = _pure_table(n, nprime)
     if scheme == "weak":
-        ps, margins, sat = _weak_eval(n, nprime, big_r)
-        return MarginCurve(ps, tuple(margins), tuple(sat))
+        ps, margins = _weak_eval(t, big_r)
+        return MarginCurve(ps, tuple(margins), tuple(t.sat))
     if scheme != "strong":
         raise ValueError(f"scheme must be 'weak' or 'strong', got {scheme!r}")
-    rw = _weak_from_strong(n, nprime, big_r)
-    ps, weak_margins, sat = _weak_eval(n, nprime, rw)
-    c, p, rc, *_ = _margin_tables(n, nprime)
-    strong_margins = []
-    for k, (rm, ck) in enumerate(zip(weak_margins, c)):
-        if ck >= 1.0:
-            strong_margins.append(0.5)  # the symmetric sector is always frozen
-        elif rm >= rc[k] - 1e-15:
-            strong_margins.append(rc[k])
-        else:
-            psk = (math.sqrt(rm) + math.sqrt(1.0 - ck)) ** 2
-            strong_margins.append(rm / (psk + rm))
-    return MarginCurve(ps, tuple(strong_margins), tuple(sat))
+    ps, weak = _weak_eval(t, _weak_from_strong(t, big_r))
+    # frozen sectors keep their critical margins, the symmetric one (c = 1) its 1/2
+    live = (weak < t.rc - 1e-15) & (t.c < 1.0)
+    rm, strong = weak[live], np.array(t.rc)
+    strong[live] = rm / ((np.sqrt(rm) + np.sqrt(1.0 - t.c[live])) ** 2 + rm)
+    return MarginCurve(ps, tuple(strong), tuple(t.sat))

@@ -248,7 +248,8 @@ def known_state_error(cfg: ReadingConfig, quadrature_order: int = 32) -> float:
     the baseline the excess risk is measured from."""
     _, _, u, wt = _prior_grid(cfg.mu, quadrature_order)
     amp2 = np.abs(cfg.amplitude + u / math.sqrt(cfg.n_aux)) ** 2
-    pe = 0.5 * (1.0 - np.sqrt(1.0 - np.exp(-amp2)))
+    # (1 - sqrt(1 - c^2)) / 2 at the overlap c^2 = e^-amp2, in a form that does not cancel
+    pe = np.exp(-amp2) / (2.0 * (1.0 + np.sqrt(-np.expm1(-amp2))))
     return float(np.dot(wt, pe))
 
 

@@ -12,7 +12,7 @@ distinct command line once, are:
 * the CLI examples of the README;
 * refused inputs and usage errors of every command: not a POVM, malformed,
   missing; bad copy counts, purities, margins and grids; mutually exclusive
-  modes; options the chosen strategy would ignore;
+  modes; options the chosen strategy, mode or figure would ignore;
 * the nine ``table`` figures at their default grids, and an unknown figure;
 * ``programmable --nprime 1 --purity`` at n = 1..5 and five purities;
 * ``decompose`` of every POVM in ``tests/fixtures``, and ``--ordered`` of
@@ -169,6 +169,10 @@ def _static_commands() -> list:
         "table --figure fig4.5 --n 0",
         "table --figure fig4.5 --xmin 1e17 --xmax 100000000000000064 --step 1",
         "table --figure fig4.5 --xmin 1e300 --xmax 1e300",
+        "table --figure fig6.2 --xmin 0.5 --xmax 0.5 --overlap 0.3 --n 7 --nprime 5",
+        "table --figure fig4.5 --overlap 0.7",
+        "table --figure fig3.5 --n 9",
+        "table --figure fig4.1 --nprime 2 --out refused.csv",
         "table",
     ]
     figures = [f"table --figure {f}" for f in (

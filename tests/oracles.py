@@ -223,6 +223,43 @@ def programmable_pe_dense(na, nb, nc):
     return (1.0 - 0.5 * trace_norm_dense(sigma1 - sigma2)) / 2.0
 
 
+def pure_pe_exact(n: int, nprime: int, dps: int = 50) -> float:
+    """Pure-state minimum error of the symmetric machine, the Jordan-sector
+    sum (1 - sum_k p_k sqrt(1 - c_k^2)) / 2 in mpmath at dps digits: sector k
+    has weight p_k = (nprime + 2k + 1) / ((n + 1)(n + nprime + 1)) and
+    overlap c_k = C(n, k) / C(n + nprime, n - k), both from exact integers."""
+    # imported here: bench/checks.py loads this module, and mpmath at the top
+    # would add about 4 MiB to the benchmark's peak RSS
+    import mpmath
+
+    with mpmath.workdps(dps):
+        total = mpmath.mpf(0)
+        for k in range(n + 1):
+            c = mpmath.mpf(math.comb(n, k)) / math.comb(n + nprime, n - k)
+            total += (nprime + 2 * k + 1) * mpmath.sqrt(1 - c * c)
+        return float((1 - total / ((n + 1) * (n + nprime + 1))) / 2)
+
+
+def general_rates_binomial(na, nb, nc):
+    """(Q, Pe) of the pure-state machine at port load (na, nb, nc), each
+    sector's squared overlap the int ratio of four binomials of its own, in
+    the library's order of operations: general_rates must match it bit for bit."""
+    if na < nc:
+        na, nc = nc, na
+    d1 = (na + nb + 1) * (nc + 1)
+    d2 = (na + 1) * (nb + nc + 1)
+    den = math.comb(na + nb, nb) * math.comb(nc + nb, nb)
+    q = 0.5 * (1 / math.sqrt(d1) - 1 / math.sqrt(d2)) ** 2 * (na + nb + nc + 1)
+    pe = 0.0
+    for k in range(nc + 1):
+        c2 = math.comb(na + nb - nc + k, nb) * math.comb(nb + k, nb) / den
+        dim_j = na + nb - nc + 2 * k + 1
+        q += dim_j * math.sqrt(c2) / math.sqrt(d1 * d2)
+        pe -= (d1 + d2) / (d1 * d2) * dim_j * math.sqrt(
+            max(0.0, 1.0 - 4.0 * d1 * d2 / (d1 + d2) ** 2 * c2))
+    return q, 0.25 * (1.0 + d1 / d2 + pe)
+
+
 def random_density(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = a @ a.conj().T

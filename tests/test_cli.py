@@ -130,6 +130,11 @@ def test_option_the_strategy_would_ignore_is_refused(argv, option, strategy, wan
          "--oracle"),
         (["read", "--alpha0", "1", "--strategy", "eyd", "--mu", "0.5"], "--mu", "--oracle"),
         (["read", "--alpha0", "1", "--quad", "8"], "--quad", "--oracle"),
+        (["table", "--figure", "fig6.2", "--xmin", "0.5", "--xmax", "0.5", "--overlap", "0.3",
+          "--n", "7", "--nprime", "5"], "--overlap", "--figure fig3.5"),
+        (["table", "--figure", "fig4.5", "--overlap", "0.7"], "--overlap", "--figure fig3.5"),
+        (["table", "--figure", "fig3.5", "--n", "9"], "--n", "--figure fig4.5"),
+        (["table", "--figure", "fig4.1", "--nprime", "-2"], "--nprime", "--figure fig4.5"),
     ],
 )
 def test_option_the_mode_would_ignore_is_refused(argv, option, mode):
@@ -145,6 +150,10 @@ def test_options_of_a_mode_keep_their_defaults():
         ["programmable", "--n", "9", "--nprime", "2", "--margin", "0", "--scheme", "weak"])[1]
     base = ["read", "--alpha0", "0.9", "--oracle", "--naux", "2", "--quad", "4"]
     assert run_cli(base)[1] == run_cli(base + ["--mu", "1"])[1]
+    base = ["table", "--figure", "fig3.5", "--xmin", "0.1", "--xmax", "0.2", "--step", "0.05"]
+    assert run_cli(base)[1] == run_cli(base + ["--overlap", "0.7"])[1]
+    base = ["table", "--figure", "fig4.5", "--xmin", "0.01", "--xmax", "0.03", "--step", "0.01"]
+    assert run_cli(base)[1] == run_cli(base + ["--n", "9", "--nprime", "2"])[1]
 
 
 def test_usage_errors_around_a_row_in_one_process():

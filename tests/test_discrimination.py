@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,6 +106,25 @@ def test_weak_margin_unambiguous_limit():
         assert res.p_success == pytest.approx(1 - c, abs=1e-12)
         assert res.p_inconclusive == pytest.approx(c, abs=1e-12)
         assert res.p_error == 0.0
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-9, 1e-4, 0.3, 0.7, 0.999, 1 - 1e-10, 1 - 2**-52])
+@pytest.mark.parametrize("eta1", [0.5, 0.3, 0.9])
+def test_two_state_error_does_not_cancel(c, eta1):
+    # (1 - sqrt(1 - x)) / 2 loses every digit as x -> 0: it read 0.0 at
+    # c = 1e-9, where the error is 2.5e-19
+    with mpmath.workdps(400):  # enough digits to cancel from at c = 1e-150
+        x = 4 * mpmath.mpf(eta1) * mpmath.mpf(1.0 - eta1) * mpmath.mpf(c) ** 2
+        want = (1 - mpmath.sqrt(1 - x)) / 2
+    eps = np.finfo(float).eps
+    assert abs(disc.pure_overlap_error(c, eta1) - want) <= 4 * eps * want
+    if eta1 == 0.5:
+        rc = disc.critical_margin(c)
+        assert abs(rc - want) <= 4 * eps * want
+        # above it both margin schemes report the critical margin as their error
+        for scheme in (disc.weak_margin, disc.strong_margin):
+            res = scheme(c, min(1.0, 2 * rc))
+            assert (res.regime, res.p_error, res.p_success) == ("minimum-error", rc, 1 - rc)
 
 
 def test_weak_margin_critical_value():

@@ -2,6 +2,7 @@ import math
 import re
 import time
 import tracemalloc
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -75,6 +76,63 @@ def test_general_rates_against_dense_oracle():
         got = prog.general_rates(prog.PortLoad(na, nb, nc)).pe
         want = oracles.programmable_pe_dense(na, nb, nc)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, nprime", [(60, 60), (300, 300), (400, 1), (1, 2000)])
+def test_pure_error_is_the_exact_jordan_sector_sum(n, nprime):
+    # the sector errors are summed in a form that does not cancel: the sum
+    # (1 - sum p sqrt(1 - c^2)) / 2 was off by 5.4e-14 at (300, 300)
+    want = oracles.pure_pe_exact(n, nprime)
+    assert abs(prog.pure_rates(n, nprime).pe - want) <= 1e-15 * want
+
+
+GENERAL_LOADS = [(na, nb, nc) for na in range(1, 13) for nb in range(1, 13) for nc in range(1, 13)]
+
+
+@pytest.mark.parametrize("loads", [GENERAL_LOADS, [(200, 150, 100), (100, 150, 200), (1, 700, 1),
+                                                   (700, 1, 700), (400, 400, 400)]],
+                         ids=["up-to-12", "large"])
+def test_general_rates_is_the_four_binomial_formula_bit_for_bit(loads):
+    for na, nb, nc in loads:
+        got = prog.general_rates(prog.PortLoad(na, nb, nc))
+        assert (got.q, got.pe) == oracles.general_rates_binomial(na, nb, nc), (na, nb, nc)
+
+
+def test_sector_table_overlaps_are_jordan_overlap_bit_for_bit():
+    loads = [(n, nprime) for n in range(1, 13) for nprime in range(1, 13)]
+    for n, nprime in loads + [(61, 1), (100, 100), (300, 7), (5, 400)]:
+        c2, c = prog._jordan_sectors(n, nprime, n)
+        want = [angular.jordan_overlap(n, nprime, k) for k in range(n + 1)]
+        assert c.tolist() == want == prog._pure_table(n, nprime).c.tolist(), (n, nprime)
+        # and the squared overlaps are the correctly rounded squares
+        assert c2.tolist() == [float(Fraction(math.comb(n, k), math.comb(n + nprime, n - k)) ** 2)
+                               for k in range(n + 1)], (n, nprime)
+
+
+@pytest.mark.parametrize("n, nprime", [(1, 1), (5, 2), (9, 2), (11, 2), (40, 3), (7, 30)])
+def test_strong_ladder_is_the_weak_success_at_each_saturation_point(n, nprime):
+    # the strong saturation points r_w / (P_s(r_w) + r_w), once per table,
+    # equal the point-by-point evaluation of the weak success rate
+    table = prog._pure_table(n, nprime)
+    want = []
+    for rw in table.sat:
+        ps = prog._weak_eval(table, rw)[0]
+        want.append(rw / (ps + rw))
+    assert table.strong.tolist() == want
+
+
+def test_pure_state_machine_cost_is_bounded_with_a_cold_cache():
+    # linear in the sectors on small or exact integers: 81 s, 20.7 s, 3.3 s
+    # and 2.6 s with big binomials per sector and a ladder rebuilt per call
+    for call in (lambda: prog.pure_rates(16000, 1),
+                 lambda: prog.general_rates(prog.PortLoad(3000, 3000, 3000)),
+                 lambda: prog.margin_success(4000, 1, 0.01, "strong"),
+                 lambda: prog.pure_rates(3000, 3000)):
+        prog._jordan_sectors.cache_clear()
+        prog._pure_table.cache_clear()
+        start = time.perf_counter()
+        call()
+        assert time.perf_counter() - start < 1.0
 
 
 def test_port_load_canonical_orientation():
@@ -896,7 +954,7 @@ def test_margin_strong_flat_profile():
     assert margins[-1] == pytest.approx(0.5)
     # sectors whose weak saturation point lies above the realized weak margin
     # are unfrozen; their strong margins share a single optimal value
-    r_weak = prog._weak_from_strong(n, nprime, r_strong)
+    r_weak = prog._weak_from_strong(prog._pure_table(n, nprime), r_strong)
     live = [margins[k] for k in range(n) if sat[k] > r_weak]
     assert len(live) >= 2
     assert np.ptp(live) < 1e-10

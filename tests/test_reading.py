@@ -388,6 +388,19 @@ def test_oracles_in_range_and_above_known_state(a0, mu, naux, order, squeeze):
     assert 0.0 <= eyd <= 0.5
 
 
+@pytest.mark.parametrize("a0, mu, naux", [(6.0, 1.0, 16), (3.0, 0.5, 64), (1.0, 1.0, 16)])
+def test_known_state_error_against_mpmath_on_its_grid(a0, mu, naux):
+    # each node's error (1 - sqrt(1 - e^-amp2)) / 2 cancelled for bright
+    # amplitudes: 4.7e-2 off at alpha0 = 6
+    cfg = reading.ReadingConfig(alpha0=a0, mu=mu, n_aux=naux)
+    _, _, u, wt = reading._prior_grid(mu, 16)
+    with mpmath.workdps(50):
+        x = [mpmath.exp(-abs(a0 + mpmath.mpc(z) / mpmath.sqrt(naux)) ** 2) for z in u.tolist()]
+        want = mpmath.fsum(mpmath.mpf(w) * (1 - mpmath.sqrt(1 - v)) / 2
+                           for v, w in zip(x, wt.tolist()))
+    assert abs(reading.known_state_error(cfg, 16) - want) <= 1e-13 * want
+
+
 def test_oracle_eyd_finite_at_extreme_squeezing():
     cfg = reading.ReadingConfig(alpha0=0.9, mu=1.0, n_aux=16)
     for squeeze in (50.0, -50.0, 300.0):
