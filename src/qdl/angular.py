@@ -96,8 +96,11 @@ def block_coefficient(n: int, j, r: float) -> float:
     Satisfies sum_j multiplicity * (2j+1) * coefficient = 1.
     """
     n = check_count("n", n)
-    j2 = check_spin("j", j, n)
-    r = check_purity(r)
+    return _block_coefficient(n, check_spin("j", j, n), check_purity(r))
+
+
+def _block_coefficient(n: int, j2: int, r: float) -> float:
+    """block_coefficient of checked arguments, the spin doubled."""
     k = (n - j2) // 2
     if r == 0.0:
         return 0.5**n

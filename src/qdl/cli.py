@@ -106,7 +106,9 @@ def _surrogate_error(delta_lm: float) -> float:
 
 
 def _cmd_discriminate(args):
-    c, eta = args.overlap, args.prior
+    c, with_margin = args.overlap, args.mode in ("weak", "strong")
+    eta, = _mode_opts(args, {"prior": 0.5}, "--mode minerr or unambiguous", not with_margin)
+    _mode_opts(args, {"margin": None}, "--mode weak or strong", with_margin)
     if args.mode == "minerr":
         return ["overlap", "prior", "Pe"], [c, eta, discrimination.pure_overlap_error(c, eta)]
     if args.mode == "unambiguous":
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discriminate", help="known-state binary discrimination")
     p.set_defaults(row=_cmd_discriminate)
     p.add_argument("--overlap", type=float, required=True)
-    p.add_argument("--prior", type=float, default=0.5)
+    p.add_argument("--prior", type=float)
     p.add_argument("--mode", choices=["minerr", "unambiguous", "weak", "strong"],
                    default="minerr")
     p.add_argument("--margin", type=float)

@@ -100,24 +100,9 @@ def _conditional_factor(j2: int, r: float) -> float:
     return r * spin_z_expectation(HalfInt(j2), r) / (j * (j + 1.0)) if j2 else 0.0
 
 
-def gamma_up(n: int, r: float, ja, jc) -> np.ndarray:
-    """Conditional training-set operator after an up outcome on the data
-    qubit, in the (ja, jc) sector: (f_a Jz_a - f_c Jz_c) / (2 (2ja+1) (2jc+1)).
-
-    The operator is diagonal in the product magnetic basis; the returned
-    array holds its diagonal values on the (m_a, m_c) grid.  At r = 1 and
-    maximal spins it reduces to (Jz_a - Jz_c) / ((n+1)^2 (n+2)).
-    """
-    n = check_count("n", n)
-    r = check_purity(r, zero=False)
-    ja2, jc2 = check_spin("ja", ja, n), check_spin("jc", jc, n)
-    side_a = _conditional_factor(ja2, r) * np.arange(-ja2, ja2 + 1, 2) / 2.0
-    side_c = _conditional_factor(jc2, r) * np.arange(-jc2, jc2 + 1, 2) / 2.0
-    return (side_a[:, None] - side_c[None, :]) / (2.0 * (ja2 + 1) * (jc2 + 1))
-
-
 def _gamma_coupled(n: int, r: float):
-    """``gamma_up`` of every sector of n copies in the coupled basis, as one stack.
+    """The conditional training-set operator after an up outcome on the data
+    qubit, of every sector of n copies in the coupled basis, as one stack.
 
     Returns (keys, g): ``keys`` lists (2ja, 2jc, 2m) sector by sector (ja, then
     jc, ascending) and m ascending within a sector; ``g[i]`` is an (n+1)-square

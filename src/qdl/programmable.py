@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.polynomial import legendre
 
-from .angular import (_recoupling_tridiagonal, block_coefficient, check_spin, multiplicity_table,
+from .angular import (_block_coefficient, _recoupling_tridiagonal, check_spin, multiplicity_table,
                       recoupling_batch)
 from .linalg import check_count, check_purity
 
@@ -225,13 +225,13 @@ def pure_asymptotics(mode: str, n: int | None = None, nprime: int | None = None)
 
 def _prior_table(prior: PuritySpec, m: int) -> np.ndarray:
     """Block coefficient of an m-fold power under a purity prior, indexed by
-    the doubled spin."""
+    the doubled spin; m and the prior's purity are checked already."""
     if prior.kind == "chernoff":
         return _chernoff_table(m)
     out = np.zeros(m + 1)
     for j2 in range(m % 2, m + 1, 2):
-        out[j2] = (block_coefficient(m, j2 / 2, prior.r) if prior.kind == "fixed"
-                   else averaged_block_coefficient(prior.kind, m, j2 / 2))
+        out[j2] = (_block_coefficient(m, j2, prior.r) if prior.kind == "fixed"
+                   else _averaged_coefficient(prior.kind, m, j2))
     return out
 
 
@@ -358,22 +358,22 @@ def _orbit_keys(a, b, c, d):
     (Schulten and Gordon, J. Math. Phys. 16, 1961 (1975)).  Regge's image
     (s - a, s - b, s - c, s - d), s = (a + b + c + d) / 2, keeps x and y
     and commutes with all eight (T. Regge, Nuovo Cimento 11, 116 (1959)),
-    so it doubles each orbit.  The key is the smallest packed image; a
+    so it doubles each orbit.  The key is the smallest image packed in base
+    (largest spin + 1), exact in floats below 2^53 (see _MAX_COPIES); a
     mirror has the transpose of its label's |Lambda|.
     """
     s = (a + b + c + d) // 2
     spins = np.stack([a, b, c, d, s - a, s - b, s - c, s - d])
     base = int(spins.max(initial=0)) + 1
-    which = np.empty(len(a), dtype=np.intp)  # the smallest image of each
+    weights = np.zeros((16, 8))
+    weights[np.arange(16)[:, None], _IMAGES] = 16.0 * base ** np.arange(3.0, -1.0, -1.0)
+    best = np.empty(len(a), dtype=np.int64)  # 16 x each smallest image, plus its number
     for lo in range(0, len(a), 4096):  # all sixteen packed, 4096 sectors at a time
-        part = spins[:, lo:lo + 4096]
-        packed = part[_IMAGES[:, 0]]
-        for k in (1, 2, 3):
-            packed = packed * base + part[_IMAGES[:, k]]
-        which[lo:lo + 4096] = packed.argmin(axis=0)
-    label = spins[_IMAGES[which].T, np.arange(len(a))]
-    key = ((label[0] * base + label[1]) * base + label[2]) * base + label[3]
-    return key, _MIRRORS[which], label
+        packed = weights @ spins[:, lo:lo + 4096] + np.arange(16.0)[:, None]
+        best[lo:lo + 4096] = packed.min(axis=0)
+    key = best >> 4  # and the label's spins, its digits
+    label = np.stack([key // base**3, key // base**2 % base, key // base % base, key % base])
+    return key, _MIRRORS[best & 15], label
 
 
 def _sector_sums(ja2, jb2, jc2, weight, shift, count, rows, coeff_n, coeff_t) -> list[float]:
@@ -532,10 +532,16 @@ def load_errors(priors: Sequence[PuritySpec], loads) -> list[list[float]]:
     state of known purity (see :func:`mixed_error`); the direction average is
     the same for every prior, so only the block coefficients are averaged.
     All share one pass over the sectors (see _block_error): each recoupling
-    matrix is built once, and each value is exactly its one-load, one-prior one."""
+    matrix and prior table is built once, and each value is exactly its
+    one-load, one-prior one.  Purity 1 builds no sector: it is pure_rates'."""
     loads = [check_load(n, nprime) for n, nprime in loads]
-    return _block_error([(n, nprime, [(_prior_table(p, n), _prior_table(p, n + nprime))
-                                      for p in priors]) for n, nprime in loads])
+    pure, table = PuritySpec("fixed", 1.0), lru_cache(maxsize=None)(_prior_table)
+    mixed = [p for p in priors if p != pure]
+    errors = itertools.chain.from_iterable(_block_error(
+        [(n, nprime, [(table(p, n), table(p, n + nprime)) for p in mixed])
+         for n, nprime in loads if mixed]))
+    return [[pure_rates(n, nprime).pe if p == pure else next(errors) for p in priors]
+            for n, nprime in loads]
 
 
 def check_load(n: int, nprime: int) -> tuple[int, int]:
@@ -578,7 +584,11 @@ def averaged_block_coefficient(kind: str, m: int, j) -> float:
     from the quadrature table of :func:`_chernoff_table`.
     """
     m = check_count("m", m)
-    j2 = check_spin("j", j, m)
+    return _averaged_coefficient(kind, m, check_spin("j", j, m))
+
+
+def _averaged_coefficient(kind: str, m: int, j2: int) -> float:
+    """averaged_block_coefficient of checked m and doubled spin j2."""
     a, b = (m + j2) // 2 + 1, (m - j2) // 2  # a + b = m + 1
     if kind == "hard-sphere":  # 6 a! b! / (m + 3)!
         return 6 / ((m + 2) * (m + 3) * math.comb(m + 1, a))

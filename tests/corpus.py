@@ -157,6 +157,9 @@ def _static_commands() -> list:
         "read --alpha0 1 --naux -5 --quad -3 --mu nan",
         "read --strategy eyd",
         "discriminate --overlap 0.7 --mode weak",
+        "discriminate --overlap 0.5 --mode unambiguous --margin 7",
+        "discriminate --overlap 0.5 --margin 0.1",
+        "discriminate --overlap 0.5 --mode weak --margin 0.1 --prior 0.3",
         "table --figure fig4.1 --step 1e-9",
         "table --figure fig4.1 --step 1e-9 --out refused.csv",
         "table --figure fig4.1 --xmin nan",

@@ -17,6 +17,7 @@ from qdl.angular import (
     _eigenvectors,
     _recoupling_tridiagonal,
     _twice,
+    check_spin,
     multiplicity,
     multiplicity_table,
     wigner_d,
@@ -25,12 +26,13 @@ from qdl.learning import (
     _BARRIER_END,
     LmOptimum,
     SeedOperator,
+    _conditional_factor,
     _gamma_coupled,
     block_probability,
-    gamma_up,
     spin_z_expectation,
 )
-from qdl.linalg import as_matrix, check_purity, herm_eigvals, pauli_matrices, require_hermitian
+from qdl.linalg import (as_matrix, check_count, check_purity, herm_eigvals, pauli_matrices,
+                        require_hermitian)
 from qdl.reading import (
     _check_amplitude,
     _exp_remainder,
@@ -378,6 +380,23 @@ def sigma_pair(r: float, j2: int):
     pure0 = np.kron(p_ab / dj1, eye_j / dj)
     pure1 = np.kron(eye_j / dj, p_bc / dj1)
     return sigma0, sigma1, pure0, pure1, r * jz / j
+
+
+def gamma_up(n: int, r: float, ja, jc) -> np.ndarray:
+    """Conditional training-set operator after an up outcome on the data
+    qubit, in the (ja, jc) sector: (f_a Jz_a - f_c Jz_c) / (2 (2ja+1) (2jc+1)).
+
+    The operator is diagonal in the product magnetic basis; the returned
+    array holds its diagonal values on the (m_a, m_c) grid.  At r = 1 and
+    maximal spins it reduces to (Jz_a - Jz_c) / ((n+1)^2 (n+2)).  The
+    product-basis reference of ``learning._gamma_coupled``.
+    """
+    n = check_count("n", n)
+    r = check_purity(r, zero=False)
+    ja2, jc2 = check_spin("ja", ja, n), check_spin("jc", jc, n)
+    side_a = _conditional_factor(ja2, r) * np.arange(-ja2, ja2 + 1, 2) / 2.0
+    side_c = _conditional_factor(jc2, r) * np.arange(-jc2, jc2 + 1, 2) / 2.0
+    return (side_a[:, None] - side_c[None, :]) / (2.0 * (ja2 + 1) * (jc2 + 1))
 
 
 def _gamma_up_slices(n: int, r: float):

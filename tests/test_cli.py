@@ -135,6 +135,14 @@ def test_option_the_strategy_would_ignore_is_refused(argv, option, strategy, wan
         (["table", "--figure", "fig4.5", "--overlap", "0.7"], "--overlap", "--figure fig3.5"),
         (["table", "--figure", "fig3.5", "--n", "9"], "--n", "--figure fig4.5"),
         (["table", "--figure", "fig4.1", "--nprime", "-2"], "--nprime", "--figure fig4.5"),
+        (["discriminate", "--overlap", "0.5", "--mode", "unambiguous", "--margin", "7"],
+         "--margin", "--mode weak or strong"),
+        (["discriminate", "--overlap", "0.5", "--margin", "0.1"], "--margin",
+         "--mode weak or strong"),
+        (["discriminate", "--overlap", "0.5", "--mode", "weak", "--margin", "0.1", "--prior",
+          "0.3"], "--prior", "--mode minerr or unambiguous"),
+        (["discriminate", "--overlap", "0.5", "--mode", "strong", "--prior", "nan"], "--prior",
+         "--mode minerr or unambiguous"),
     ],
 )
 def test_option_the_mode_would_ignore_is_refused(argv, option, mode):
@@ -150,6 +158,9 @@ def test_options_of_a_mode_keep_their_defaults():
         ["programmable", "--n", "9", "--nprime", "2", "--margin", "0", "--scheme", "weak"])[1]
     base = ["read", "--alpha0", "0.9", "--oracle", "--naux", "2", "--quad", "4"]
     assert run_cli(base)[1] == run_cli(base + ["--mu", "1"])[1]
+    for mode in ("minerr", "unambiguous"):
+        base = ["discriminate", "--overlap", "0.5", "--mode", mode]
+        assert run_cli(base)[1] == run_cli(base + ["--prior", "0.5"])[1]
     base = ["table", "--figure", "fig3.5", "--xmin", "0.1", "--xmax", "0.2", "--step", "0.05"]
     assert run_cli(base)[1] == run_cli(base + ["--overlap", "0.7"])[1]
     base = ["table", "--figure", "fig4.5", "--xmin", "0.01", "--xmax", "0.03", "--step", "0.01"]

