@@ -217,14 +217,7 @@ def chernoff_classical(p1, p2) -> float:
     joint = (a > 0) & (b > 0)
     if not np.any(joint):
         return math.inf
-    la, lb = np.log(a[joint]), np.log(b[joint])
-
-    def f(s):
-        return float(np.exp(s * la + (1.0 - s) * lb).sum())
-
-    smin = _golden_min(f, 0.0, 1.0)
-    val = min(f(smin), f(0.0), f(1.0))
-    return -math.log(val)
+    return _chernoff_distance(np.log(a[joint]), np.log(b[joint]), 1.0)
 
 
 def chernoff_quantum(rho1, rho2) -> float:
@@ -246,17 +239,18 @@ def chernoff_quantum(rho1, rho2) -> float:
     ov = overlap[np.ix_(keep1, keep2)]
     if ov.size == 0 or ov.sum() <= 0.0:
         return math.inf
-    lw1 = np.log(w1[keep1])[:, None]
-    lw2 = np.log(w2[keep2])[None, :]
+    return _chernoff_distance(np.log(w1[keep1])[:, None], np.log(w2[keep2])[None, :], ov)
+
+
+def _chernoff_distance(la, lb, w) -> float:
+    """-log of the smallest of f(0), f(1) and f at the golden-section minimum
+    over [0, 1] of f(s) = sum w exp(s la + (1 - s) lb); infinity at f = 0."""
 
     def f(s):
-        return float((np.exp(s * lw1 + (1.0 - s) * lw2) * ov).sum())
+        return float((np.exp(s * la + (1.0 - s) * lb) * w).sum())
 
-    smin = _golden_min(f, 0.0, 1.0)
-    val = min(f(smin), f(0.0), f(1.0))
-    if val <= 0.0:
-        return math.inf
-    return -math.log(val)
+    val = min(f(_golden_min(f, 0.0, 1.0)), f(0.0), f(1.0))
+    return -math.log(val) if val > 0.0 else math.inf
 
 
 def multicopy_error(q1: QubitState, q2: QubitState, eta1: float, n_copies: int) -> float:
@@ -274,12 +268,16 @@ def multicopy_error(q1: QubitState, q2: QubitState, eta1: float, n_copies: int) 
     that cancels, so its absolute error is about n eps.  Below Pe ~ 1e-13
     the value is rounding noise: at n = 160, r = 0.9 and orthogonal Bloch
     vectors it returns about 4e-15, where the Chernoff rate puts the true
-    value near 1e-25.
+    value near 1e-25.  From n = 1035 on a multiplicity overflows a float,
+    and n is refused.
     """
     n = linalg.check_count("n_copies", n_copies)
     _check_unit("prior", eta1)
     theta = math.acos(float(np.clip(np.dot(q1.bloch, q2.bloch), -1.0, 1.0)))
-    nu = multiplicity_table(n)
+    try:
+        nu = [float(v) for v in multiplicity_table(n)]
+    except OverflowError:
+        raise ValueError(f"n_copies {n} is too large: a multiplicity overflows a float") from None
     eta2 = 1.0 - eta1
     total = 0.0
     for j2 in range(n % 2, n + 1, 2):

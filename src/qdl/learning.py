@@ -87,10 +87,16 @@ def spin_z_expectation(j, r: float) -> float:
 
 
 def block_probability(n: int, j, r: float) -> float:
-    """Probability that an n-fold purity-r power projects onto spin j."""
+    """Probability that an n-fold purity-r power projects onto spin j; an n
+    whose block multiplicity overflows a float is refused."""
     n = check_count("n", n)
     j2 = check_spin("j", j, n)
-    return multiplicity(n, j) * (j2 + 1) * block_coefficient(n, j, r)
+    coeff = block_coefficient(n, j, r)
+    try:
+        weight = float(multiplicity(n, j) * (j2 + 1))
+    except OverflowError:
+        raise ValueError(f"n {n} is too large: a multiplicity overflows a float") from None
+    return weight * coeff
 
 
 def _conditional_factor(j2: int, r: float) -> float:

@@ -26,9 +26,6 @@ from .angular import (_block_coefficient, _recoupling_tridiagonal, check_spin, m
                       recoupling_batch)
 from .linalg import check_count, check_purity
 
-# discarded total block mass in the mixed-state sums; the induced error on
-# the error probability is at most a quarter of this
-_MASS_TOL = 1e-14
 # batch sizes of the mixed-state sums: sectors enumerated at a time; the
 # entries of one slice's matrices, each (row, sector) pair's dim^2 entries
 # and 64 more for its other arrays; and the sectors and (row, triple) pairs
@@ -104,21 +101,21 @@ def general_rates(load: PortLoad) -> Rates:
 
     The two global states may differ in dimension; the part of the larger
     support outside the common one never produces errors, which yields the
-    first (dimension-mismatch) term of Q.
+    first (dimension-mismatch) term of Q.  Pe is the math.fsum of the sector
+    errors dim c^2 / (d1 + d2 + sqrt((d2 - d1)^2 + 4 d1 d2 (1 - c^2))), each
+    non-negative, so nothing cancels.
     """
     load = load.canonical()
     na, nb, nc = load.n_a, load.n_b, load.n_c
     d1 = (na + nb + 1) * (nc + 1)
     d2 = (na + 1) * (nb + nc + 1)
     q = 0.5 * (1 / math.sqrt(d1) - 1 / math.sqrt(d2)) ** 2 * (na + nb + nc + 1)
-    pe = 0.0
+    terms = []
     for k, c2 in enumerate(_jordan_sectors(na, nb, nc)[0].tolist()):
         dim_j = na + nb - nc + 2 * k + 1
         q += dim_j * math.sqrt(c2) / math.sqrt(d1 * d2)
-        pe -= (d1 + d2) / (d1 * d2) * dim_j * math.sqrt(
-            max(0.0, 1.0 - 4.0 * d1 * d2 / (d1 + d2) ** 2 * c2))
-    pe = 0.25 * (1.0 + d1 / d2 + pe)
-    return Rates(q=q, pe=pe)
+        terms.append(dim_j * c2 / (d1 + d2 + math.sqrt((d2 - d1) ** 2 + 4 * d1 * d2 * (1.0 - c2))))
+    return Rates(q=q, pe=math.fsum(terms))
 
 
 @lru_cache(maxsize=32)
@@ -235,18 +232,19 @@ def _prior_table(prior: PuritySpec, m: int) -> np.ndarray:
     return out
 
 
-def _block_error(loads) -> list[list[float]]:
-    """Minimum errors from the sector-by-sector trace norms: one list per
-    load (n, nprime, tables), one error per table.  ``tables`` holds (coeff_n,
-    coeff_t) pairs, the (possibly prior-averaged) block coefficient tables of
-    the n-fold and (n+nprime)-fold powers.
+def _block_error(rows) -> list[float]:
+    """Minimum errors from the sector-by-sector trace norms, one per row
+    (n, nprime, coeff_n, coeff_t): the (possibly prior-averaged) block
+    coefficient tables of the n-fold and (n+nprime)-fold powers at the load
+    (n, nprime), the rows of one load side by side.
 
     Sectors are labelled by the port spins and the total spin; equivalent
     representations enter only through multiplicative weights, mantissas
-    times exact powers of two so that none overflows.  Each table is pruned
-    by its own mass: the (ja, jb, jc) triples whose combined trace weight is
-    negligible for it (total discarded mass below _MASS_TOL) are skipped, and
-    each table's own terms are summed exactly.
+    times exact powers of two so that none overflows.  Each row is pruned
+    by its own mass: the lightest (ja, jb, jc) triples, of total trace
+    weight up to 2^-52 times the load's pure-state error (a lower bound on
+    every row's error, so the value moves by a quarter ulp at most), are
+    skipped, and each row's own terms are summed exactly.
 
     Both program ports carry n copies, so swapping ja and jc maps the sector
     matrix M = diag(s1) - Lambda diag(s2) Lambda^T onto -Lambda^T M Lambda:
@@ -254,52 +252,53 @@ def _block_error(loads) -> list[list[float]]:
     the same |eigenvalues| and the same mass, so only triples with ja <= jc
     are enumerated and those with ja < jc count twice.
 
-    The (load, table) rows go through _pass in order, in passes of whole rows
-    holding about _BATCH_PAIRS sectors and (row, triple) pairs or fewer, so
-    memory stays bounded; no value depends on the pass it falls in.
+    The rows go through _pass in order, in passes of whole rows holding
+    about _BATCH_PAIRS sectors and (row, triple) pairs or fewer, so memory
+    stays bounded; no value depends on the pass it falls in.
     """
-    rows, cost = [], []
-    for n, nprime, tables in loads:
+    cost, last = [], None
+    for n, nprime, _, _ in rows:
         ja2, *_, sectors = _load(n, nprime)
-        rows += [(n, nprime, table) for table in tables]
-        cost += [len(ja2) + (k == 0) * sectors for k in range(len(tables))]
+        cost.append(len(ja2) + ((n, nprime) != last) * sectors)
+        last = (n, nprime)
     fill = np.cumsum(cost, dtype=int) // _BATCH_PAIRS
-    errors = iter([e for _, part in itertools.groupby(zip(fill.tolist(), rows), lambda p: p[0])
-                   for e in _pass([row for _, row in part])])
-    return [[next(errors) for _ in tables] for _, _, tables in loads]
+    return [e for _, part in itertools.groupby(zip(fill.tolist(), rows), lambda p: p[0])
+            for e in _pass([row for _, row in part])]
 
 
 def _pass(rows) -> list[float]:
-    """_block_error of the rows (n, nprime, table), one sector pass for all."""
-    coeff_n = np.zeros((len(rows), max(n for n, _, _ in rows) + 1))
-    coeff_t = np.zeros((len(rows), max(n + p for n, p, _ in rows) + 1))
+    """_block_error of the rows (n, nprime, coeff_n, coeff_t), one sector pass for all."""
+    coeff_n = np.zeros((len(rows), max(n for n, _, _, _ in rows) + 1))
+    coeff_t = np.zeros((len(rows), max(n + p for n, p, _, _ in rows) + 1))
     triples, row = [], 0
     for (n, nprime), load in itertools.groupby(rows, lambda r: r[:2]):
-        tables = [table for _, _, table in load]
+        load = list(load)
         ja2, jb2, jc2, weight, shift, _ = _load(n, nprime)
-        # mass of each (ja, jb, jc) triple and its mirror, one row per table:
+        # mass of each (ja, jb, jc) triple and its mirror, one per row:
         # their total trace-weight contribution to gamma * (tr sigma1 + tr
         # sigma2), summed in closed form over J; wsum[hi + 2] - wsum[lo] sums
         # (x2 + 1) coeff_t[x2] over lo <= x2 <= hi in steps of 2
-        table_n = coeff_n[row:row + len(tables), :n + 1]
-        table_t = coeff_t[row:row + len(tables), :n + nprime + 1]
-        table_n[:], table_t[:] = zip(*tables)
+        table_n = coeff_n[row:row + len(load), :n + 1]
+        table_t = coeff_t[row:row + len(load), :n + nprime + 1]
+        _, _, table_n[:], table_t[:] = zip(*load)
         dim_t = np.arange(1, n + nprime + 2) * table_t
-        wsum = np.zeros((len(tables), n + nprime + 3))
+        wsum = np.zeros((len(load), n + nprime + 3))
         wsum[:, 2::2] = np.cumsum(dim_t[:, 0::2], axis=1)
         wsum[:, 3::2] = np.cumsum(dim_t[:, 1::2], axis=1)
         s_ab = np.ldexp(wsum[:, ja2 + jb2 + 2] - wsum[:, np.abs(ja2 - jb2)], shift)
         s_bc = np.ldexp(wsum[:, jb2 + jc2 + 2] - wsum[:, np.abs(jb2 - jc2)], shift)
         mass = weight * ((jc2 + 1) * table_n[:, jc2] * s_ab + (ja2 + 1) * table_n[:, ja2] * s_bc)
-        # a table keeps its triples past the lightest ones of total mass below
-        # _MASS_TOL; the triples kept by any table, with the rows that keep each
-        light = (np.cumsum(np.sort(mass, axis=1), axis=1) <= _MASS_TOL).sum(axis=1)
+        # a row keeps its triples past the lightest ones of total mass up to
+        # 2^-52 of the load's pure-state error; the triples kept by any row,
+        # with the rows that keep each
+        tol = 2.0**-52 * pure_rates(n, nprime).pe
+        light = (np.cumsum(np.sort(mass, axis=1), axis=1) <= tol).sum(axis=1)
         keep = np.argsort(np.argsort(mass, axis=1, kind="stable"), axis=1) >= light[:, None]
         used = keep.any(axis=0)
         keep = keep[:, used]
         triples.append((ja2[used], jb2[used], jc2[used], weight[used], shift[used],
                         keep.sum(axis=0), np.nonzero(keep.T)[1] + row))
-        row += len(tables)
+        row += len(load)
     totals = _sector_sums(*map(np.concatenate, zip(*triples)), coeff_n, coeff_t)
     return [(1.0 - t / 2.0) / 2.0 for t in totals]
 
@@ -393,9 +392,10 @@ def _sector_sums(ja2, jb2, jc2, weight, shift, count, rows, coeff_n, coeff_t) ->
     M is c_c diag(G_x) - c_a P, c_c and c_a traded for a mirror (-Lambda M
     Lambda^T of its own sector); a shared Lambda's signs are a +-1 congruence.
     Slices of whole orbits of about _BATCH_ELEMENTS entries (see there)
-    share one eigvalsh call.  Terms depend on their own matrices alone and
-    each sum is the math.fsum of its terms, those held past _BATCH_PAIRS
-    folded into it exactly (see _fold): no sum depends on who shares the pass.
+    share one eigvalsh call.  Terms depend on their own matrices alone; they
+    are folded into exact per-row partials (see _fold) whenever more than
+    _BATCH_PAIRS are held, and once at the end, and each sum is the math.fsum
+    of its row's partials: no sum depends on who shares the pass.
     """
     # the tables flat, row v of coeff_t starting at v * width
     (count_rows, width_n), width = coeff_n.shape, coeff_t.shape[1]
@@ -485,10 +485,8 @@ def _sector_sums(ja2, jb2, jc2, weight, shift, count, rows, coeff_n, coeff_t) ->
                 values.append(v)
                 terms.append(weight[t] * (j2[sector] + 1) * w)
                 held += len(v)
-    values, terms = np.concatenate(values), np.concatenate(terms)
-    ends = np.cumsum(np.bincount(values, minlength=count_rows)).tolist()
-    terms = memoryview(terms[np.argsort(values, kind="stable")])
-    return [math.fsum(itertools.chain(s, terms[lo:hi])) for s, lo, hi in zip(sums, [0] + ends, ends)]
+    _fold(sums, values, terms)
+    return [math.fsum(s) for s in sums]
 
 
 def _fold(sums, rows, terms) -> None:
@@ -500,16 +498,18 @@ def _fold(sums, rows, terms) -> None:
     if not np.isfinite(terms).all():
         raise FloatingPointError("a sector term is not finite")
     mant, exp = np.frexp(terms)
-    code = rows * (int(exp.max()) - int(exp.min()) + 1) + (exp - exp.min())
-    order = np.argsort(code)
-    whole, exp, code = np.ldexp(mant[order], 53).astype(np.int64), exp[order], code[order]
-    first = np.flatnonzero(np.diff(code, prepend=-1))
-    exact = np.stack([np.ldexp(np.add.reduceat(half, first).astype(float), exp[first] - shift)
-                      for half, shift in ((whole >> 26, 27), (whole & (1 << 26) - 1, 53))], 1)
-    owner = rows[order][first]
-    bounds = np.flatnonzero(np.diff(owner)) + 1
-    for v, part in zip(owner[np.r_[0, bounds]].tolist(), np.split(exact, bounds)):
-        x, sums[v] = sums[v] + part.ravel().tolist(), []
+    order = np.argsort(rows * 4096 + exp)  # by row, then exponent (-1073 to 1024)
+    whole, exp, rows = np.ldexp(mant[order], 53).astype(np.int64), exp[order], rows[order]
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (rows[1:] != rows[:-1]) | (exp[1:] != exp[:-1])
+    first = np.flatnonzero(head)
+    held = {}
+    for v, *part in zip(rows[first].tolist(), *(
+            np.ldexp(np.add.reduceat(half, first).astype(float), exp[first] - shift).tolist()
+            for half, shift in ((whole >> 26, 27), (whole & (1 << 26) - 1, 53)))):
+        held.setdefault(v, []).extend(part)
+    for v, x in held.items():
+        x, sums[v] = sums[v] + x, []
         while (s := math.fsum(x)) != 0.0:
             sums[v].append(s)
             x.append(-s)
@@ -528,18 +528,18 @@ def _two_level_norms(s1, s2, p) -> np.ndarray:
 
 def load_errors(priors: Sequence[PuritySpec], loads) -> list[list[float]]:
     """Minimum errors of the fully universal machine, one list per port load
-    (n, nprime) of one per purity prior, in order.  A fixed-purity prior is a
-    state of known purity (see :func:`mixed_error`); the direction average is
-    the same for every prior, so only the block coefficients are averaged.
-    All share one pass over the sectors (see _block_error): each recoupling
-    matrix and prior table is built once, and each value is exactly its
-    one-load, one-prior one.  Purity 1 builds no sector: it is pure_rates'."""
+    (n, nprime) of one per purity prior, in order; ``load_errors(priors, [(n,
+    nprime)])[0]`` is the one-load call.  A fixed-purity prior is a state of
+    known purity (see :func:`mixed_error`); the direction average is the same
+    for every prior, so only the block coefficients are averaged.  Every
+    (load, prior) pair is one row of one _block_error call, so all share one
+    pass over the sectors: each recoupling matrix and prior table is built
+    once, and each value is exactly its one-load, one-prior one.  Purity 1
+    builds no sector: it is pure_rates'."""
     loads = [check_load(n, nprime) for n, nprime in loads]
     pure, table = PuritySpec("fixed", 1.0), lru_cache(maxsize=None)(_prior_table)
-    mixed = [p for p in priors if p != pure]
-    errors = itertools.chain.from_iterable(_block_error(
-        [(n, nprime, [(table(p, n), table(p, n + nprime)) for p in mixed])
-         for n, nprime in loads if mixed]))
+    errors = iter(_block_error([(n, nprime, table(p, n), table(p, n + nprime))
+                                for n, nprime in loads for p in priors if p != pure]))
     return [[pure_rates(n, nprime).pe if p == pure else next(errors) for p in priors]
             for n, nprime in loads]
 
@@ -553,17 +553,12 @@ def check_load(n: int, nprime: int) -> tuple[int, int]:
     return n, nprime
 
 
-def universal_errors(priors: Sequence[PuritySpec], n: int, nprime: int) -> list[float]:
-    """Minimum errors at one port load, one per purity prior: :func:`load_errors` of it."""
-    return load_errors(priors, [(n, nprime)])[0]
-
-
 def mixed_error(n: int, nprime: int, r: float) -> float:
     """Minimum error of the programmable machine for states of known purity r.
 
     Reduces to :func:`pure_rates` at r = 1 and decreases with r.
     """
-    return universal_errors([PuritySpec("fixed", r)], n, nprime)[0]
+    return load_errors([PuritySpec("fixed", r)], [(n, nprime)])[0][0]
 
 
 def mixed_asymptote(n: int, r: float) -> float:
@@ -628,9 +623,9 @@ def _chernoff_table(m: int) -> np.ndarray:
 
 def universal_error(prior: PuritySpec, n: int, nprime: int) -> float:
     """Minimum error of the fully universal machine under a purity prior
-    (see :func:`universal_errors`); a fixed-purity prior degenerates to
+    (see :func:`load_errors`); a fixed-purity prior degenerates to
     :func:`mixed_error`."""
-    return universal_errors([prior], n, nprime)[0]
+    return load_errors([prior], [(n, nprime)])[0][0]
 
 
 # ---------------------------------------------------------------------------

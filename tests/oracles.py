@@ -244,22 +244,27 @@ def pure_pe_exact(n: int, nprime: int, dps: int = 50) -> float:
 
 def general_rates_binomial(na, nb, nc):
     """(Q, Pe) of the pure-state machine at port load (na, nb, nc), each
-    sector's squared overlap the int ratio of four binomials of its own, in
-    the library's order of operations: general_rates must match it bit for bit."""
+    sector's squared overlap the ratio of four binomials of its own.  Q is
+    in the library's order of operations, so general_rates must match it bit
+    for bit; Pe is a 50-digit sum of the sector errors dim (a + b - sqrt((a -
+    b)^2 + 4 a b (1 - c^2))) / 2, a = 1 / (2 d1) and b = 1 / (2 d2), the
+    Helstrom errors of the two sector states."""
+    import mpmath
+
     if na < nc:
         na, nc = nc, na
     d1 = (na + nb + 1) * (nc + 1)
     d2 = (na + 1) * (nb + nc + 1)
     den = math.comb(na + nb, nb) * math.comb(nc + nb, nb)
     q = 0.5 * (1 / math.sqrt(d1) - 1 / math.sqrt(d2)) ** 2 * (na + nb + nc + 1)
-    pe = 0.0
-    for k in range(nc + 1):
-        c2 = math.comb(na + nb - nc + k, nb) * math.comb(nb + k, nb) / den
-        dim_j = na + nb - nc + 2 * k + 1
-        q += dim_j * math.sqrt(c2) / math.sqrt(d1 * d2)
-        pe -= (d1 + d2) / (d1 * d2) * dim_j * math.sqrt(
-            max(0.0, 1.0 - 4.0 * d1 * d2 / (d1 + d2) ** 2 * c2))
-    return q, 0.25 * (1.0 + d1 / d2 + pe)
+    with mpmath.workdps(50):
+        a, b, pe = mpmath.mpf(1) / (2 * d1), mpmath.mpf(1) / (2 * d2), mpmath.mpf(0)
+        for k in range(nc + 1):
+            num = math.comb(na + nb - nc + k, nb) * math.comb(nb + k, nb)
+            dim_j = na + nb - nc + 2 * k + 1
+            q += dim_j * math.sqrt(num / den) / math.sqrt(d1 * d2)
+            pe += dim_j * (a + b - mpmath.sqrt((a - b) ** 2 + 4 * a * b * (den - num) / den)) / 2
+        return q, float(pe)
 
 
 def random_density(rng, dim):

@@ -390,6 +390,13 @@ def test_multicopy_log_slope_approaches_chernoff():
         assert abs(-slope - d) / d < bound, n
 
 
+def test_multicopy_refuses_a_copy_count_whose_multiplicity_overflows_a_float():
+    q1 = QubitState(0.9, np.array([0.0, 0.0, 1.0]))
+    q2 = QubitState(0.9, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="^n_copies 1100 is too large"):
+        disc.multicopy_error(q1, q2, 0.5, 1100)
+
+
 def test_multicopy_matches_symmetric_power_reference():
     for r1, r2 in ((0.0, 0.5), (0.5, 0.5), (1.0, 1.0), (1.0, 0.0)):
         for angle in (0.0, 1.0, math.pi):

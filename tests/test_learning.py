@@ -179,6 +179,12 @@ def test_block_probabilities_normalized():
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def test_block_probability_refuses_an_n_whose_multiplicity_overflows_a_float():
+    # the spin-0 multiplicity of 1100 copies is about 2^1085
+    with pytest.raises(ValueError, match="^n 1100 is too large"):
+        learning.block_probability(1100, 0, 0.9)
+
+
 @pytest.mark.parametrize("r", [1e-8, 1e-300])
 def test_block_probability_matches_exact_at_faint_purity(r):
     # the spin-j trace ((1+r)/2)^J - ((1-r)/2)^J cancels as r -> 0 unless

@@ -93,9 +93,13 @@ GENERAL_LOADS = [(na, nb, nc) for na in range(1, 13) for nb in range(1, 13) for 
                                                    (700, 1, 700), (400, 400, 400)]],
                          ids=["up-to-12", "large"])
 def test_general_rates_is_the_four_binomial_formula_bit_for_bit(loads):
+    # Q bit for bit; Pe, an fsum of non-negative sector errors, to rounding
+    # of a 50-digit sum (the cancelling (1 + d1/d2 - ...) / 4 was 1.1e-14
+    # off at (400, 400, 400))
     for na, nb, nc in loads:
         got = prog.general_rates(prog.PortLoad(na, nb, nc))
-        assert (got.q, got.pe) == oracles.general_rates_binomial(na, nb, nc), (na, nb, nc)
+        q, pe = oracles.general_rates_binomial(na, nb, nc)
+        assert got.q == q and abs(got.pe - pe) <= 1e-15 * pe, (na, nb, nc)
 
 
 def test_sector_table_overlaps_are_jordan_overlap_bit_for_bit():
@@ -371,6 +375,15 @@ def test_mixed_error_pure_limit_one_ulp_below_one(n, nprime):
     assert got == pytest.approx(prog.pure_rates(n, nprime).pe, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [11, 29])
+def test_mixed_error_one_ulp_below_purity_one_is_the_pure_error(n):
+    # Pe falls with r at about 2 relative per unit r, so one ulp below 1
+    # reads the pure error to rounding; pruning at an absolute 1e-14 of mass
+    # left it 2.0e-14 (n = 11) and 4.9e-14 (n = 29) above
+    want = prog.pure_rates(n, n).pe
+    assert abs(prog.mixed_error(n, n, 1 - 2.0**-52) - want) <= 2e-15 * want
+
+
 @QUICK
 @given(
     kind=st.sampled_from(("hard-sphere", "bures", "chernoff")), n=LOADS, nprime=LOADS
@@ -550,11 +563,11 @@ FOLD_PURITIES = st.sampled_from((1e-300, 0.55, float(np.nextafter(1.0, 0.0)), 1.
 @example(n=11, nprime=11, r=0.55)  # and Regge images in them
 def test_mixed_error_matches_every_sector_sum(n, nprime, r):
     # the folded, pruned sum against every (ja, jb, jc, J) sector: pruning
-    # only ever drops mass, so the two differ by at most _MASS_TOL / 4
+    # drops a quarter ulp at most, so the two differ by rounding alone
     want = oracles.block_error_all_sectors(
         n, nprime, *(prog._prior_table(prog.PuritySpec("fixed", r), m) for m in (n, n + nprime))
     )
-    assert abs(prog.mixed_error(n, nprime, r) - want) <= prog._MASS_TOL / 4 + 1e-15
+    assert abs(prog.mixed_error(n, nprime, r) - want) <= 1e-15
 
 
 @QUICK
@@ -566,7 +579,18 @@ def test_universal_error_matches_every_sector_sum(kind, n, nprime):
         n, nprime, *(prog._prior_table(prog.PuritySpec(kind), m) for m in (n, n + nprime))
     )
     got = prog.universal_error(prog.PuritySpec(kind=kind), n, nprime)
-    assert abs(got - want) <= prog._MASS_TOL / 4 + 1e-15
+    assert abs(got - want) <= 1e-15
+
+
+@pytest.mark.parametrize("n, nprime", [(1, 1), (2, 1), (3, 2), (4, 4), (6, 3), (5, 5)])
+def test_no_prior_errs_less_than_pure_states(n, nprime):
+    # the premise of the pruning bound, 2^-52 of the pure-state error: it
+    # lies below 2^-52 of every prior's error
+    pure = prog.pure_rates(n, nprime).pe
+    specs = [prog.PuritySpec(kind) for kind in ("hard-sphere", "bures", "chernoff")]
+    specs += [prog.PuritySpec("fixed", r) for r in (0.0, 0.5, 0.9, 0.999)]
+    for spec in specs:
+        assert prog.universal_error(spec, n, nprime) >= pure, spec
 
 
 @pytest.mark.parametrize("n, nprime", [(6, 6), (9, 9), (7, 2)])
@@ -577,9 +601,9 @@ def test_universal_errors_is_the_stack_of_single_calls(n, nprime):
     specs = [prog.PuritySpec("fixed", 1.0), prog.PuritySpec("fixed", 1 - 2.0**-53),
              prog.PuritySpec("fixed", 0.55), prog.PuritySpec("bures"),
              prog.PuritySpec("chernoff")]
-    got = prog.universal_errors(specs, n, nprime)
+    got = prog.load_errors(specs, [(n, nprime)])[0]
     assert got == [prog.universal_error(spec, n, nprime) for spec in specs]
-    assert prog.universal_errors([], n, nprime) == []
+    assert prog.load_errors([], [(n, nprime)])[0] == []
 
 
 # the loads and purity priors of one pass in the manner of fig4.1-fig4.4, at
@@ -666,7 +690,7 @@ def test_closed_form_sectors_match_the_dense_solve_of_every_sector(n, nprime):
     # eigvalsh of every sector.  _sector_sums runs over every triple, neither
     # folded nor pruned, with its multiplicity product as the weight, so the
     # two sums hold the same terms; _block_error prunes, which moves its value
-    # by at most _MASS_TOL / 4 more
+    # by a quarter ulp at most
     ja2, jb2, jc2 = (g.ravel() for g in np.meshgrid(
         *(range(m % 2, m + 1, 2) for m in (n, nprime, n)), indexing="ij"))
     nu_n, nu_p = multiplicity_table(n), multiplicity_table(nprime)
@@ -676,11 +700,11 @@ def test_closed_form_sectors_match_the_dense_solve_of_every_sector(n, nprime):
     totals = prog._sector_sums(ja2, jb2, jc2, weight, np.zeros(len(ja2), dtype=int),
                                np.full(len(ja2), len(tables)), np.tile(np.arange(len(tables)),
                                                                        len(ja2)), coeff_n, coeff_t)
-    pruned = prog._block_error([(n, nprime, tables)])[0]
+    pruned = prog._block_error([(n, nprime, *table) for table in tables])
     for spec, total, value, table in zip(TWO_LEVEL_SPECS, totals, pruned, tables):
         want = oracles.block_error_all_sectors(n, nprime, *table)
         assert abs((1.0 - total / 2.0) / 2.0 - want) <= 1e-14 * want, spec
-        assert abs(value - want) <= 1e-14 * want + prog._MASS_TOL / 4, spec
+        assert abs(value - want) <= 1e-14 * want, spec
 
 
 @pytest.mark.parametrize("a, b, c", [
@@ -749,7 +773,7 @@ def test_mixed_error_at_600_program_copies_is_finite_and_near_its_asymptote():
 @pytest.mark.parametrize("n, nprime", [(900, 1), (1, 900), (1035, 1)])
 def test_block_sums_refuse_loads_beyond_the_normal_floats(n, nprime):
     with pytest.raises(ValueError, match=rf"n {n} plus nprime {nprime} is above 900"):
-        prog.universal_errors([prog.PuritySpec("fixed", 0.5), prog.PuritySpec("bures")], n, nprime)
+        prog.load_errors([prog.PuritySpec("fixed", 0.5), prog.PuritySpec("bures")], [(n, nprime)])
 
 
 def test_symmetric_law_below_full_purity_is_the_lan_limit():
@@ -907,7 +931,7 @@ def test_universal_chernoff_value_against_dense_quadrature():
                 )
             return arr
 
-        return prog._block_error([(n, nprime, [(table(n), table(n + nprime))])])[0][0]
+        return prog._block_error([(n, nprime, table(n), table(n + nprime))])[0]
 
     got = prog.universal_error(prog.PuritySpec(kind="chernoff"), n, nprime)
     assert got == pytest.approx(avg_dense("chernoff"), abs=1e-9)
