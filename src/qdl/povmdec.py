@@ -25,6 +25,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
+from operator import itemgetter
 
 import numpy as np
 
@@ -64,6 +66,9 @@ class Povm:
         if not self.elements:
             raise ValueError("a POVM needs at least one element")
         labels = tuple(str(label) for label, _ in self.elements)
+        repeated = next((lb for k, lb in enumerate(labels) if lb in labels[:k]), None)
+        if repeated is not None:
+            raise ValueError(f"label {repeated!r} names more than one element")
         ops = linalg.require_hermitian(
             [op for _, op in self.elements], names=[f"element {lb!r}" for lb in labels]
         )
@@ -168,12 +173,6 @@ def bloch_points(p: Povm) -> tuple[np.ndarray, np.ndarray]:
     return traces[keep], vectors[keep]
 
 
-def element_from_bloch(weight: float, vector: np.ndarray, d: int) -> np.ndarray:
-    """Reconstruct weight * (1/d + v.generators / 2) from a Bloch point."""
-    gens = _generator_stack(d)
-    return weight * (np.eye(d) / d + 0.5 * np.einsum("g,gij->ij", vector, gens))
-
-
 def validate_povm(p: Povm) -> PovmDiagnostics:
     """Diagnostics only, never raises: identity and barycentre residuals plus
     the smallest eigenvalue of every element."""
@@ -186,42 +185,46 @@ def validate_povm(p: Povm) -> PovmDiagnostics:
     )
 
 
-def require_valid(p: Povm) -> PovmDiagnostics:
-    diag = validate_povm(p)
-    if not diag.is_valid:
-        raise ValueError(
-            f"not a POVM: identity residual {diag.identity_residual:.2e}, "
-            f"min eigenvalue {min(diag.min_eigenvalues.values()):.2e}"
-        )
-    return diag
-
-
 def rank1_expand(p: Povm) -> tuple[Povm, dict]:
     """Split every element along its eigenbasis into rank-1 outcomes.
 
     Eigenvalues below 1e-10 of the element trace are dropped as numerical
     zeros.  Returns the rank-1 POVM and the map from new labels back to the
-    source outcomes; aggregating through the map recovers the input.
+    source outcomes; aggregating through the map recovers the input.  The
+    pieces of an element labelled L are L#0, L#1, ...; where one of those
+    names is taken by another outcome, the separator doubles (L##0, ...)
+    until every name is free.
     """
+    return _rank1_split(p)[:2]
+
+
+def _rank1_split(p: Povm) -> tuple[Povm, dict, np.ndarray]:
+    """rank1_expand, plus a mask of the outcomes that are eigen-split pieces
+    rather than input elements kept as they are."""
     w, v = np.linalg.eigh((p.ops + p.ops.conj().transpose(0, 2, 1)) / 2)
     w, v = w[:, ::-1], v[:, :, ::-1]  # eigenvalues descending
     sums = w.sum(axis=1)
     tr = np.maximum(sums, _ZERO)
     new_elements = []
     relabel = {}
+    taken = set(p.labels())
     for k, (label, op) in enumerate(p.elements):
         keep = np.flatnonzero(w[k] > 1e-10 * tr[k])
         if len(keep) == 1 and abs(w[k, keep[0]] - sums[k]) < 1e-12 * tr[k]:
-            new_elements.append((label, op))
+            new_elements.append((label, op, False))
             relabel[label] = label
             continue
+        sep = "#"
+        while len(keep) > 1 and taken.intersection(f"{label}{sep}{j}" for j in range(len(keep))):
+            sep += "#"
         for pos, i in enumerate(keep):
             vec = v[k, :, i]
-            new_label = f"{label}#{pos}" if len(keep) > 1 else label
-            new_elements.append((new_label, w[k, i] * np.outer(vec, vec.conj())))
+            new_label = f"{label}{sep}{pos}" if len(keep) > 1 else label
+            new_elements.append((new_label, w[k, i] * np.outer(vec, vec.conj()), True))
             relabel[new_label] = label
-    labels, ops = zip(*new_elements)
-    return Povm._of_stack(p.dim, labels, np.stack(ops)), relabel
+            taken.add(new_label)
+    labels, ops, split = zip(*new_elements)
+    return Povm._of_stack(p.dim, labels, np.stack(ops)), relabel, np.array(split)
 
 
 def _phase1_simplex(cols, b, cost, basis, binv):
@@ -377,11 +380,18 @@ def _extraction_loop(p: Povm, refine=None) -> DecompositionResult:
     into remainders of pure rounding.  A remainder that still admits no
     balancing is refused with a ValueError naming the step.
     """
-    residual = require_valid(p).identity_residual
-    rank1, relabel = rank1_expand(p)
+    diag = validate_povm(p)
+    if not diag.is_valid:
+        raise ValueError(f"not a POVM: identity residual {diag.identity_residual:.2e}, "
+                         f"min eigenvalue {min(diag.min_eigenvalues.values()):.2e}")
+    rank1, relabel, split = _rank1_split(p)
     d = rank1.dim
     labels = rank1.labels()
     weights, normalized, vectors = _bloch(rank1.ops)
+    # the terms take the split pieces exactly Hermitian, signed zeros
+    # cleared; the Bloch vectors, and so every vertex, keep the pieces' bits
+    pieces = normalized[split]
+    normalized[split] = (pieces + pieces.conj().transpose(0, 2, 1)) / 2 + 0.0
     lp = _vertex_lp(vectors)
     cost = lp[2]
     live = np.arange(len(labels))
@@ -393,7 +403,7 @@ def _extraction_loop(p: Povm, refine=None) -> DecompositionResult:
         except InfeasiblePovmError as exc:
             raise ValueError(f"cannot decompose: the remainder at step {step}, of probability "
                              f"{remaining:.3e}, admits no balancing (the input's identity "
-                             f"residual is {residual:.2e})") from exc
+                             f"residual is {diag.identity_residual:.2e})") from exc
         if refine is not None:
             x = refine(lp, live, vectors[live], x)
         support = x > _ZERO
@@ -549,9 +559,13 @@ def decomposition_to_json(result: DecompositionResult) -> dict:
 
 
 # The indented text of decomposition_to_json, written without the pure-Python
-# encoder that json.dumps(indent=2) falls back to.  Every matrix is written
-# through one template per dimension with a %r slot per number: repr is how
-# json writes a finite float, and Povm refuses NaN and infinite entries.
+# encoder that json.dumps(indent=2) falls back to.  repr is how json writes a
+# finite float, and Povm refuses NaN and infinite entries.  A term whose
+# elements are all exactly Hermitian, as the split pieces are, costs d^2
+# reprs per element: the upper real parts and the strictly upper imaginary
+# parts.  Each diagonal imaginary part is 0.0, and each lower entry reuses
+# its twin's text, the imaginary sign flipped and "0.0" kept.  Any other term
+# costs a repr of each of its 2 d^2 numbers.
 _ELEMENT = """{
             "label": %s,
             "matrix": [
@@ -573,28 +587,72 @@ _TERM = """{
     }"""
 
 
-@lru_cache(maxsize=16)
-def _element_template(d: int) -> str:
-    """_ELEMENT for a d x d matrix, with a %s slot for the encoded label and
-    then a %r slot for each number, in the order of the flattened pairs."""
+@lru_cache(maxsize=64)
+def _layout(d: int, n: int):
+    """Positions in the (re, im) pairs of a flattened d x d matrix: the upper
+    real parts, the diagonal imaginary parts, and the strictly lower and
+    upper entries.  Then the texts of a term of n elements, each a template
+    and ``pick``, which orders the template's slots from a list: for the
+    Hermitian text, %s slots from [encoded labels, upper real reprs, upper
+    imaginary reprs, the same flipped]; for the general text, a %s slot for
+    each label and a %r slot for each number, from [labels, numbers]."""
+    pos = np.arange(2 * d * d).reshape(d, d, 2)
+    lower, upper = pos.transpose(1, 0, 2)[np.triu_indices(d, 1)], pos[np.triu_indices(d, 1)]
+    real, diag = pos[np.triu_indices(d)][:, 0], pos.diagonal()[1]
+    r, u, k = len(real), len(upper), np.arange(n)[:, None]
+    source = np.empty((n, 2 * d * d), dtype=int)
+    source[:, real] = n + r * k + np.arange(r)
+    source[:, upper[:, 1]] = n + r * n + u * k + np.arange(u)
+    source[:, lower[:, 0]] = source[:, upper[:, 0]]
+    source[:, lower[:, 1]] = n + (r + u) * n + u * k + np.arange(u)
+    source[:, diag] = -1
+    source = np.hstack([k, source])
     number, entry, row = ("\n" + " " * depth for depth in (18, 16, 14))
-    text = f"{entry}],{entry}[{number}".join([f"%r,{number}%r"] * d)
-    return _ELEMENT % ("%s", f"{entry}]{row}],{row}[{entry}[{number}".join([text] * d))
+
+    def template(slots):
+        pairs = [f"{re},{number}{im}" for re, im in zip(slots[::2], slots[1::2])]
+        rows = [f"{entry}],{entry}[{number}".join(pairs[i * d:i * d + d]) for i in range(d)]
+        element = _ELEMENT % ("%s", f"{entry}]{row}],{row}[{entry}[{number}".join(rows))
+        return ",\n          ".join([element] * n)
+
+    numbered = np.hstack([k, n + 2 * d * d * k + np.arange(2 * d * d)])
+    hermitian = (template(["0.0" if j < 0 else "%s" for j in source[0, 1:]]),
+                 itemgetter(*source[source >= 0].tolist()))
+    general = template(["%r"] * (2 * d * d)), itemgetter(*numbered.ravel().tolist())
+    return real, diag, lower, upper, hermitian, general
+
+
+def _elements_text(labels: list, ops: np.ndarray) -> str:
+    """The elements of one term, through the Hermitian text when every
+    element equals the mirror of its upper triangle (a diagonal imaginary
+    part 0.0, each strictly lower entry the conjugate of its twin, an
+    imaginary 0.0 or -0.0 mirrored as 0.0), else through the general one."""
+    real, diag, lower, upper, hermitian, general = _layout(ops.shape[1], len(ops))
+    flat = np.ascontiguousarray(ops).view(float).reshape(len(ops), -1)
+    mirror = flat.copy()
+    mirror[:, diag] = 0.0
+    mirror[:, lower[:, 0]] = flat[:, upper[:, 0]]
+    mirror[:, lower[:, 1]] = 0.0 - flat[:, upper[:, 1]]
+    if not (mirror.view(np.int64) == flat.view(np.int64)).all():
+        body, pick = general
+        return body % pick(labels + flat.ravel().tolist())
+    body, pick = hermitian
+    imag = list(map(repr, flat[:, upper[:, 1]].ravel().tolist()))
+    texts = labels + list(map(repr, flat[:, real].ravel().tolist())) + imag
+    texts += [t[1:] if t[0] == "-" else t if t == "0.0" else "-" + t for t in imag]
+    return body % pick(texts)
 
 
 def _write_decomposition(result: DecompositionResult, write) -> None:
     """Pass ``json.dumps(decomposition_to_json(result), indent=2,
-    sort_keys=True)`` to ``write`` in chunks of one term each."""
+    sort_keys=True)`` to ``write`` in chunks of one term each.  The split
+    pieces are exactly Hermitian, so their terms take the Hermitian text; a
+    term holding an input element with skewed bits takes the general one."""
     relabel = json.dumps(dict(result.relabel), indent=2, sort_keys=True)
     write('{\n  "relabel": %s,\n  "terms": [' % relabel.replace("\n", "\n  "))
     sep = "\n    "
     for p, extremal in result.terms:
-        ops = extremal.ops
-        body = _element_template(extremal.dim)
-        rows = np.stack([ops.real, ops.imag], -1).reshape(len(ops), -1).tolist()
-        elements = ",\n          ".join(
-            body % (json.dumps(label), *row) for label, row in zip(extremal.labels(), rows)
-        )
+        elements = _elements_text(list(map(_quote, extremal.labels())), extremal.ops)
         write(sep + _TERM % (json.dumps(extremal.dim), elements, json.dumps(float(p))))
         sep = ",\n    "
     write("\n  ]\n}" if result.terms else "]\n}")

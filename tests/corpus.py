@@ -11,7 +11,7 @@ distinct command line once, are:
 
 * the CLI examples of the README;
 * refused inputs and usage errors of every command: not a POVM, malformed,
-  missing; bad copy counts, purities, margins and grids; mutually exclusive
+  missing, repeated labels; bad copy counts, purities, margins and grids; mutually exclusive
   modes; options the chosen strategy, mode or figure would ignore;
 * the nine ``table`` figures at their default grids, and an unknown figure;
 * ``programmable --nprime 1 --purity`` at n = 1..5 and five purities;
@@ -102,6 +102,8 @@ def _documents() -> dict:
         "nan.json": _povm(2, [("a", nan), ("b", np.eye(2) - nan)]),
         "malformed.json": {"dim": 2, "elements": [{"label": "a", "matrix": [[["x", 0]]]}]},
         "list.json": [1, 2],
+        "repeated.json": _povm(2, [("a", _qubit(0.5, 0, 0, 1)), ("a", _qubit(0.5, 0, 0, -1))]),
+        "repeated-key.json": _povm(2, [(1, _qubit(0.5, 0, 0, 1)), ("1", _qubit(0.5, 0, 0, -1))]),
     }
 
 
@@ -131,6 +133,8 @@ def _static_commands() -> list:
         "decompose --input nan.json",
         "decompose --input malformed.json",
         "decompose --input list.json",
+        "decompose --input repeated.json",
+        "decompose --input repeated-key.json",
         "decompose --input missing.json",
         "decompose",
         "",

@@ -253,6 +253,16 @@ def test_decompose_error_leaves_no_output_file(tmp_path, document):
     assert not dst.exists()
 
 
+def test_decompose_refuses_a_repeated_label_naming_it(tmp_path):
+    # two outcomes of one name would merge in the relabel map, and the sum
+    # through it would not reconstruct the input
+    src = tmp_path / "twice.json"
+    element = {"label": "a", "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]}
+    src.write_text(json.dumps({"dim": 2, "elements": [element, element]}))
+    code, out, err = run_cli(["decompose", "--input", str(src)])
+    assert (code, out, err) == (1, "", "error: label 'a' names more than one element\n")
+
+
 def test_decompose_missing_file_is_computation_error():
     code, out, err = run_cli(["decompose", "--input", "/nonexistent/povm.json"])
     assert code == 1

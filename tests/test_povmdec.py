@@ -96,7 +96,8 @@ def test_bloch_round_trip():
         p = povmdec.Povm(dim=d, elements=tuple((str(i), op) for i, op in enumerate(ops)))
         weights, vecs = povmdec.bloch_points(p)
         for (label, op), w, v in zip(p.elements, weights, vecs):
-            recon = povmdec.element_from_bloch(w, v, d)
+            gens = np.stack(povmdec.gellmann_basis(d))
+            recon = w * (np.eye(d) / d + 0.5 * np.einsum("g,gij->ij", v, gens))
             assert np.abs(recon - op).max() < 1e-10
 
 
@@ -204,6 +205,46 @@ def test_rank1_expand_coin_toss_example():
         agg[relabel[lab]] += op
     assert np.abs(agg["h"] - half0).max() < 1e-10
     assert np.abs(agg["t"] - rest).max() < 1e-10
+
+
+def test_rank1_expand_names_pieces_apart_from_every_other_outcome():
+    # 'a' splits in two, and the names a#0 and a#1 would take another
+    # outcome's label: the pieces become a##0 and a##1, and the clash-free
+    # pieces of 'c' keep today's names
+    half0, half1 = np.diag([0.5, 0.0]), np.diag([0.0, 0.5])
+    p = povmdec.Povm(dim=2, elements=(("a", 0.5 * np.eye(2)), ("a#0", half0 / 2),
+                                      ("b", half1 / 2), ("c", np.eye(2) / 4)))
+    out, relabel = povmdec.rank1_expand(p)
+    assert relabel == {"a##0": "a", "a##1": "a", "a#0": "a#0", "b": "b",
+                       "c#0": "c", "c#1": "c"}
+    assert len(set(out.labels())) == len(out.labels()) == 6
+    for res in (povmdec.decompose(p), povmdec.ordered_decompose(p)):
+        recon = res.reconstruct(2, p.labels())
+        assert max(np.abs(recon[lab] - op).max() for lab, op in p.elements) < 1e-12
+
+
+def test_rank1_expand_piece_names_skip_names_given_to_earlier_pieces():
+    # 'a' takes a##0 and a##1 past the outcome a#1; 'a#' would take a##0 and
+    # a##1 too, and takes a###0 and a###1 instead
+    q = np.eye(2) / 4
+    p = povmdec.Povm(dim=2, elements=(("a", q), ("a#1", np.diag([0.5, 0.0])), ("a#", q),
+                                      ("b", np.diag([0.0, 0.5]))))
+    _, relabel = povmdec.rank1_expand(p)
+    assert relabel == {"a##0": "a", "a##1": "a", "a#1": "a#1", "a###0": "a#", "a###1": "a#",
+                       "b": "b"}
+
+
+@pytest.mark.parametrize("labels, named", [(("a", "b", "a"), "'a'"), ((1, "1"), "'1'")])
+def test_povm_refuses_a_repeated_label_naming_it(labels, named):
+    # a repeated label would merge two outcomes in the relabel map
+    ops = [np.eye(2) / len(labels)] * len(labels)
+    with pytest.raises(ValueError, match=f"^label {named} names more than one element$"):
+        povmdec.Povm(dim=2, elements=tuple(zip(labels, ops)))
+    data = povmdec.povm_to_json(povmdec.Povm(dim=2, elements=tuple(enumerate(ops))))
+    for e, lab in zip(data["elements"], labels):
+        e["label"] = lab
+    with pytest.raises(ValueError, match=f"^label {named} names more than one element$"):
+        povmdec.povm_from_json(data)
 
 
 def test_rank1_expand_random_full_rank():
@@ -420,7 +461,7 @@ def test_small_trace_element_within_hermiticity_tolerance_decomposes(ordered):
 
 def hermitian_inputs():
     """The fixtures and random POVMs of dimension 2..4, each element
-    symmetrized to (E + E^H) / 2, so exactly Hermitian."""
+    symmetrized to (E + E^H) / 2 + 0.0, so exactly Hermitian with no -0.0."""
     povms = [povmdec.povm_from_json(path.read_text(encoding="utf-8"))
              for path in sorted(FIXTURES.glob("*.json"))]
     rng = np.random.default_rng(61)
@@ -429,27 +470,53 @@ def hermitian_inputs():
             povms.append(povmdec.Povm(dim=d, elements=tuple(
                 (str(i), op) for i, op in enumerate(oracles.random_povm(rng, d, n)))))
     return [povmdec.Povm(dim=p.dim, elements=tuple(
-        (lab, (op + op.conj().T) / 2) for lab, op in p.elements)) for p in povms]
+        (lab, (op + op.conj().T) / 2 + 0.0) for lab, op in p.elements)) for p in povms]
 
 
-def test_terms_of_hermitian_inputs_are_hermitian_to_rounding_and_positive():
-    # the terms are built without a Hermiticity check.  They are products
-    # x_i E_i / tr E_i of Hermitian elements and of their eigenprojectors
-    # w v v^H; numpy may fuse the products of a complex multiply, so v v^H
-    # is Hermitian to the rounding of its entries (an imaginary diagonal of
-    # order 1e-19 at entries of order 0.1), not to the bit.  Each term
-    # element deviates from its conjugate transpose by at most 4 ulps of its
-    # largest entry (1.5 measured)
+def mirrored(ops: np.ndarray) -> np.ndarray:
+    """Per element of a stack: whether it equals, bit for bit, the mirror of
+    its upper triangle (diagonal imaginary parts 0.0, each strictly lower
+    entry the conjugate of its twin, an imaginary 0.0 or -0.0 mirrored as
+    0.0)."""
+    i, j = np.triu_indices(ops.shape[1], 1)
+    mirror = ops.copy()
+    mirror.imag[:, range(ops.shape[1]), range(ops.shape[1])] = 0.0
+    mirror.real[:, j, i] = ops.real[:, i, j]
+    mirror.imag[:, j, i] = 0.0 - ops.imag[:, i, j]
+    bits = lambda a: np.ascontiguousarray(a).view(np.int64).reshape(len(a), -1)
+    return (bits(mirror) == bits(ops)).all(axis=1)
+
+
+def test_terms_of_hermitian_inputs_are_exactly_hermitian_and_positive():
+    # the terms are built without a Hermiticity check: products x_i E_i / tr E_i
+    # of the input elements and of the exactly Hermitian copies of their
+    # eigen-split pieces.  Every term element equals the mirror of its upper
+    # triangle bit for bit
     checked = 0
     for p in hermitian_inputs():
         for res in [povmdec.decompose(p)] + ([povmdec.ordered_decompose(p)] if p.dim == 2 else []):
             for _, extremal in res.terms:
-                ops = extremal.ops
-                skew = np.abs(ops - ops.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-                assert (skew <= 4 * np.finfo(float).eps * np.abs(ops).max(axis=(1, 2))).all()
-                assert np.linalg.eigvalsh(ops).min() >= -povmdec.PSD_TOL
-                checked += len(ops)
+                assert mirrored(extremal.ops).all()
+                assert np.linalg.eigvalsh(extremal.ops).min() >= -povmdec.PSD_TOL
+                checked += len(extremal.ops)
     assert checked > 100
+
+
+def test_split_pieces_are_exactly_hermitian_and_whole_elements_keep_their_bits():
+    # 'c' is full rank and splits into exactly Hermitian pieces; 'a' is rank 1
+    # and skewed within the tolerance, and its terms keep the skew of its
+    # input bits: x E_a / tr E_a, entry (1,0) the negative of entry (0,1)
+    a = np.array([[0.001, 4e-10], [-4e-10, 0.0]])
+    p = povmdec.Povm(dim=2, elements=(("a", a), ("b", np.diag([0.499, 0.0])),
+                                      ("c", np.diag([0.5, 1.0]))))
+    for res in (povmdec.decompose(p), povmdec.ordered_decompose(p)):
+        elements = [(lab, op) for _, ext in res.terms for lab, op in ext.elements]
+        assert {lab for lab, _ in elements} == {"a", "b", "c#0", "c#1"}
+        for lab, op in elements:
+            if lab == "a":
+                assert op[1, 0] == -op[0, 1] != 0.0 and not mirrored(op[None])[0]
+            else:
+                assert mirrored(op[None])[0]
 
 
 def test_decompose_full_rank_with_relabel():
@@ -868,7 +935,7 @@ def decomposition_results(draw):
     lower, diag = np.tril_indices(d, -1), np.diag_indices(d)
     terms = []
     for _ in range(draw(st.integers(0, 5))):
-        labels = draw(st.lists(JSON_LABELS, min_size=1, max_size=5))
+        labels = draw(st.lists(JSON_LABELS, min_size=1, max_size=5, unique=True))
         # random entries across the exponent range, some replaced by drawn ones
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         shape = (len(labels), size)
@@ -878,7 +945,10 @@ def decomposition_results(draw):
             entries[k] = value
         ops = entries.view(complex).reshape(-1, d, d)
         ops[:, lower[0], lower[1]] = ops[:, lower[1], lower[0]].conj()
-        ops[:, diag[0], diag[1]] = ops[:, diag[0], diag[1]].real
+        # a diagonal imaginary part within the Hermiticity tolerance, or a
+        # drawn +0.0 that conj mirrors to -0.0, takes the general writer
+        skew = draw(st.sampled_from([0.0, 1e-10, -3e-17]))
+        ops[:, diag[0], diag[1]] = ops[:, diag[0], diag[1]].real + skew * 1j
         extremal = povmdec.Povm(dim=d, elements=tuple(zip(labels, ops)))
         terms.append((draw(st.floats()), extremal))
     relabel = draw(st.dictionaries(JSON_LABELS, JSON_LABELS, max_size=6))
@@ -893,3 +963,53 @@ def test_decomposition_writer_matches_indented_sorted_json_dumps(result):
     want = json.dumps(povmdec.decomposition_to_json(result), indent=2, sort_keys=True)
     assert "".join(chunks) == want
     assert len(chunks) == len(result.terms) + 2
+
+
+def writer_inputs():
+    """(name, POVM): the fixtures, real-valued and complex random POVMs of
+    d = 2..4, and a qubit POVM whose every zero entry is -0.0, one of its
+    elements full rank."""
+    povms = [(path.name, povmdec.povm_from_json(path.read_text(encoding="utf-8")))
+             for path in sorted(FIXTURES.glob("*.json"))]
+    rng = np.random.default_rng(29)
+    for d in (2, 3, 4):
+        for n in (d + 1, 2 * d * d):
+            ops = oracles.random_povm(rng, d, n)
+            for kind, stack in (("complex", ops), ("real", [op.real for op in ops])):
+                povms.append((f"{kind}-d{d}-n{n}", povmdec.Povm(
+                    dim=d, elements=tuple((str(i), op) for i, op in enumerate(stack)))))
+    signed = []
+    for label, op in (("z", np.eye(2) / 2), ("x+", np.full((2, 2), 0.25)),
+                      ("x-", np.array([[0.25, -0.25], [-0.25, 0.25]]))):
+        op = op.astype(complex)
+        op.real[op.real == 0.0] = -0.0
+        op.imag[:] = -0.0
+        signed.append((label, op))
+    return povms + [("signed-zeros", povmdec.Povm(dim=2, elements=tuple(signed)))]
+
+
+def test_writer_prints_the_indented_sorted_json_through_both_paths(tmp_path):
+    # a term of exactly Hermitian elements is printed from the reprs of its
+    # upper triangles, any other term from every number; the CLI's bytes are
+    # json's either way, on stdout and in the --output file
+    exact = 0
+    for name, p in writer_inputs():
+        src = tmp_path / "povm.json"
+        src.write_text(json.dumps(povmdec.povm_to_json(p)), encoding="utf-8")
+        for flags in [[]] + [["--ordered"]] * (p.dim == 2):
+            result = povmdec.ordered_decompose(p) if flags else povmdec.decompose(p)
+            want = json.dumps(povmdec.decomposition_to_json(result), indent=2, sort_keys=True)
+            out, err = io.StringIO(), io.StringIO()
+            argv = ["decompose", "--input", str(src), *flags]
+            assert cli.run(argv, out=out, err=err) == 0 and not err.getvalue()
+            assert out.getvalue() == want + "\n", (name, flags)
+            dst = tmp_path / "out.json"
+            assert cli.run(argv + ["--output", str(dst)], out=out, err=err) == 0
+            assert dst.read_bytes() == (want + "\n").encode("utf-8")
+            hermitian = [bool(mirrored(ext.ops).all()) for _, ext in result.terms]
+            # the skewed element of the wobble fixture keeps its bits, and its
+            # term takes the general path
+            assert all(hermitian) != (name == "povm-small-trace-wobble.json")
+            exact += sum(hermitian)
+    assert exact > 400
+
