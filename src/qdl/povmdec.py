@@ -11,8 +11,9 @@ outcome dies each round, so an N-outcome rank-1 POVM on dimension d splits
 into at most (N-1)d + 1 extremals.  The vertex LP never changes between
 rounds except that columns die, so each search resumes from the previous
 optimal basis; the ordered decomposition's neighbour searches price one
-more column out of the same LP.  Higher-rank inputs are first split along
-their eigenbases, with a relabelling map carrying the outcomes back.
+more column out of the same LP, walking cold from one tree of shared
+states per call.  Higher-rank inputs are first split along their
+eigenbases, with a relabelling map carrying the outcomes back.
 
 A POVM holds its elements as one (N, d, d) stack; every trace, spectrum,
 Bloch vector and JSON matrix is taken over the whole stack at once, and the
@@ -23,8 +24,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote  # json.dumps of a str
 from operator import itemgetter
 
@@ -202,7 +204,8 @@ def _rank1_split(p: Povm) -> tuple[Povm, dict, np.ndarray]:
     """rank1_expand, plus a mask of the outcomes that are eigen-split pieces
     rather than input elements kept as they are."""
     w, v = np.linalg.eigh((p.ops + p.ops.conj().transpose(0, 2, 1)) / 2)
-    w, v = w[:, ::-1], v[:, :, ::-1]  # eigenvalues descending
+    w, v = w[:, ::-1], v[:, :, ::-1].transpose(0, 2, 1)  # descending; eigenvector rows
+    pieces = w[..., None, None] * (v[..., :, None] * v.conj()[..., None, :])  # w |v><v|
     sums = w.sum(axis=1)
     tr = np.maximum(sums, _ZERO)
     new_elements = []
@@ -218,26 +221,42 @@ def _rank1_split(p: Povm) -> tuple[Povm, dict, np.ndarray]:
         while len(keep) > 1 and taken.intersection(f"{label}{sep}{j}" for j in range(len(keep))):
             sep += "#"
         for pos, i in enumerate(keep):
-            vec = v[k, :, i]
             new_label = f"{label}{sep}{pos}" if len(keep) > 1 else label
-            new_elements.append((new_label, w[k, i] * np.outer(vec, vec.conj()), True))
+            new_elements.append((new_label, pieces[k, i], True))
             relabel[new_label] = label
             taken.add(new_label)
     labels, ops, split = zip(*new_elements)
     return Povm._of_stack(p.dim, labels, np.stack(ops)), relabel, np.array(split)
 
 
-def _phase1_simplex(cols, b, cost, basis, binv):
+@dataclass(eq=False)
+class _Walk:
+    """A phase-1 walk's basis, basis inverse and pivot-rule state; a tree node
+    (``children`` not None) also keeps its gain row and basic solution."""
+
+    basis: np.ndarray
+    binv: np.ndarray
+    step: int = 0
+    bland: bool = False
+    stall: int = 0
+    last_obj: float = math.inf
+    gain: np.ndarray | None = None
+    result: tuple | None = None
+    children: dict | None = None
+
+
+def _phase1_simplex(cols, b, cost, walk: _Walk, also=None):
     """Phase 1 of the revised simplex method for cols x = b, x >= 0, b >= 0.
 
     The last m columns of cols are the identity block of the artificials.
     cost is 1 on the artificials and on every column to be driven out, 0
-    elsewhere; apart from the artificials, a column of cost 1 never enters.
-    The walk starts from `basis`, m column indices whose basic solution is
-    feasible, with the explicit basis inverse `binv`.  Both are updated in
-    place, so a later call that prices out more columns resumes from the
-    final basis.  Each pivot updates binv by one eta (rank-1) step, and
-    binv is refactorized every m pivots.  The entering column has the
+    elsewhere; apart from the artificials, a column of cost 1 never enters,
+    nor does the column ``also``.  The walk starts from the feasible basis
+    of ``walk``.  A walk without children is updated in place, so a later
+    call that prices out more columns resumes from its final basis; from a
+    tree node the walk follows the children and pivots only off the tree,
+    adding each new state.  Each pivot updates binv by one eta (rank-1) step,
+    and binv is refactorized every m pivots.  The entering column has the
     steepest cost, the smallest basic index leaves among ratio ties, and
     Bland's anti-cycling rule takes over once the objective stalls for more
     than m + 10 steps.  The final basis is solved once more with LAPACK, so
@@ -247,25 +266,29 @@ def _phase1_simplex(cols, b, cost, basis, binv):
     m, ncol = cols.shape
     barred = cost > 0.0
     barred[ncol - m:] = False
-    closed = barred.copy()  # columns that may not enter: barred or basic
-    closed[basis] = True
-    bland = False
-    last_obj = math.inf
-    stall = 0
+    if also is not None:
+        barred[also] = True
     ratios = np.empty(m)
-    for step in range(1, 500 * ncol + 1):
-        cb = cost[basis]
-        gain = (cb @ binv) @ cols - cost  # minus the reduced costs
-        gain[closed] = 0.0
-        entering = int((gain > _ZERO).argmax() if bland else gain.argmax())
+    while walk.step < 500 * ncol:
+        if walk.gain is None:
+            walk.gain = (cost[walk.basis] @ walk.binv) @ cols - cost  # minus the reduced costs
+            walk.gain[walk.basis] = 0.0
+        gain = np.where(barred, 0.0, walk.gain)
+        entering = int((gain > _ZERO).argmax() if walk.bland else gain.argmax())
         if gain[entering] <= _ZERO:
-            bmat = cols[:, basis]
-            xb = np.maximum(np.linalg.solve(bmat, b), 0.0)
-            if cb @ xb > 1e-8:
-                return None, np.linalg.solve(bmat.T, cb)
-            x = np.zeros(ncol)
-            x[basis] = xb
-            return x, None
+            if walk.result is None:
+                cb, bmat, x = cost[walk.basis], cols[:, walk.basis], np.zeros(ncol)
+                x[walk.basis] = xb = np.maximum(np.linalg.solve(bmat, b), 0.0)
+                walk.result = (None, np.linalg.solve(bmat.T, cb)) if cb @ xb > 1e-8 else (x, None)
+            return walk.result
+        if walk.children is not None:
+            if entering in walk.children:
+                walk = walk.children[entering]
+                continue
+            child = replace(walk, basis=walk.basis.copy(), binv=walk.binv.copy(), gain=None,
+                            result=None, children={})
+            walk.children[entering] = walk = child
+        basis, binv = walk.basis, walk.binv
         xb = np.maximum(binv @ b, 0.0)
         direction = binv @ cols[:, entering]
         ratios.fill(math.inf)
@@ -275,18 +298,18 @@ def _phase1_simplex(cols, b, cost, basis, binv):
             raise RuntimeError("unbounded feasibility subproblem")
         tied = (ratios <= best + 1e-12).nonzero()[0]
         leave = tied[basis[tied].argmin()]
-        obj = float(cb @ xb)
-        stall = stall + 1 if obj >= last_obj - 1e-13 else 0
-        bland = bland or stall > m + 10
-        last_obj = obj
-        closed[basis[leave]] = barred[basis[leave]]
-        closed[entering] = True
+        obj = float(cost[basis] @ xb)
+        walk.stall = walk.stall + 1 if obj >= walk.last_obj - 1e-13 else 0
+        walk.bland = walk.bland or walk.stall > m + 10
+        walk.last_obj = obj
         basis[leave] = entering
         row = binv[leave] / direction[leave]
         binv -= direction[:, None] * row
         binv[leave] = row
-        if step % m == 0:
+        walk.step += 1
+        if walk.step % m == 0:
             binv[:] = np.linalg.inv(cols[:, basis])
+        walk.gain = None
     raise RuntimeError("simplex iteration limit exceeded")
 
 
@@ -304,7 +327,7 @@ def _vertex_lp(vectors: np.ndarray):
 
 
 def _solve_vertex(cols, b, cost, basis, binv) -> np.ndarray:
-    x, certificate = _phase1_simplex(cols, b, cost, basis, binv)
+    x, certificate = _phase1_simplex(cols, b, cost, _Walk(basis, binv))
     if x is None:
         nu = certificate[:-1]
         norm = np.linalg.norm(nu)
@@ -445,24 +468,22 @@ def _vertex_quality(x: np.ndarray) -> float:
     return float(np.sum(x * x))
 
 
-def _neighboring_vertices(lp, live, x: np.ndarray, solved: dict) -> list:
-    """For each support element k of x, the vertex that a cold walk finds on
-    the face x_k = 0, not necessarily one pivot from x: the step's vertex LP,
-    solved from its all-artificial basis with k priced out too, pivots as one
-    built without k.  ``solved`` keeps each drop's vertex over the live
-    outcomes (None if infeasible)."""
+def _neighboring_vertices(lp, live, x: np.ndarray, tree: dict) -> list:
+    """For each support element k of x, the vertex, if any, that a cold walk
+    finds on the face x_k = 0: the step's vertex LP, solved from its
+    all-artificial basis with k priced out too, pivots as one built without
+    k.  The walks of one ordered decomposition share one tree of states,
+    ``tree`` holding the start's children, and pivot only off it.  Along a
+    shared path they do the same arithmetic: basic costs are 1 (artificial)
+    or 0 (live), as priced-out columns never enter; gains differ only at
+    priced-out columns, which are zeroed; Bland's flag, the stall count and
+    the refactorization every m pivots depend on the path alone."""
     cols, b, cost = lp[:3]
-    drops = (x > _ZERO).nonzero()[0].tolist() if len(live) >= 3 else []
-    for drop in drops:
-        if drop not in solved:
-            priced = cost.copy()
-            priced[live[drop]] = 1.0
-            start = np.arange(len(cost) - len(b), len(cost))
-            try:
-                solved[drop] = _solve_vertex(cols, b, priced, start, np.eye(len(b)))[live]
-            except InfeasiblePovmError:
-                solved[drop] = None
-    return [solved[k] for k in drops if solved[k] is not None]
+    m, ncol = cols.shape
+    start = _Walk(np.arange(ncol - m, ncol), np.eye(m), children=tree)
+    drops = (x > _ZERO).nonzero()[0] if len(live) >= 3 else []
+    found = [_phase1_simplex(cols, b, cost, start, live[k])[0] for k in drops]
+    return [v[: -len(b)][live] for v in found if v is not None]
 
 
 def _antipodal_vertices(vectors: np.ndarray) -> np.ndarray:
@@ -490,12 +511,13 @@ def ordered_decompose(p: Povm, criterion: str = "fewest-outcomes") -> Decomposit
             "the fewest-outcomes ordering is only guaranteed for dimension 2"
         )
 
+    tree = {}  # the states of every neighbour walk of this call
+
     def refine(lp, live, vectors, best):
-        solved = {}  # the live outcomes are fixed within one extraction step
         improved = True
         while improved:
             improved = False
-            for cand in _neighboring_vertices(lp, live, best, solved):
+            for cand in _neighboring_vertices(lp, live, best, tree):
                 if _vertex_quality(cand) > _vertex_quality(best) + 1e-12:
                     best, improved = cand, True
         for cand in _antipodal_vertices(vectors):
@@ -591,11 +613,11 @@ _TERM = """{
 def _layout(d: int, n: int):
     """Positions in the (re, im) pairs of a flattened d x d matrix: the upper
     real parts, the diagonal imaginary parts, and the strictly lower and
-    upper entries.  Then the texts of a term of n elements, each a template
-    and ``pick``, which orders the template's slots from a list: for the
-    Hermitian text, %s slots from [encoded labels, upper real reprs, upper
-    imaginary reprs, the same flipped]; for the general text, a %s slot for
-    each label and a %r slot for each number, from [labels, numbers]."""
+    upper entries.  Then the general and the Hermitian text of a term of n
+    elements: the pieces of its template and ``pick``, which orders [texts,
+    probability, pieces] into the pieces alternating with the slots' texts,
+    for the general text [labels, all number reprs], for the Hermitian one
+    [labels, upper real reprs, upper imaginary reprs, the same flipped]."""
     pos = np.arange(2 * d * d).reshape(d, d, 2)
     lower, upper = pos.transpose(1, 0, 2)[np.triu_indices(d, 1)], pos[np.triu_indices(d, 1)]
     real, diag = pos[np.triu_indices(d)][:, 0], pos.diagonal()[1]
@@ -606,41 +628,49 @@ def _layout(d: int, n: int):
     source[:, lower[:, 0]] = source[:, upper[:, 0]]
     source[:, lower[:, 1]] = n + (r + u) * n + u * k + np.arange(u)
     source[:, diag] = -1
-    source = np.hstack([k, source])
     number, entry, row = ("\n" + " " * depth for depth in (18, 16, 14))
 
-    def template(slots):
+    def text(slots, sources):
         pairs = [f"{re},{number}{im}" for re, im in zip(slots[::2], slots[1::2])]
         rows = [f"{entry}],{entry}[{number}".join(pairs[i * d:i * d + d]) for i in range(d)]
         element = _ELEMENT % ("%s", f"{entry}]{row}],{row}[{entry}[{number}".join(rows))
-        return ",\n          ".join([element] * n)
+        pieces = (_TERM % (json.dumps(d), ",\n          ".join([element] * n), "%s")).split("%s")
+        order = np.arange(2 * len(pieces) - 1)
+        top = np.max(sources) + 1  # each text fills a slot; the probability comes next
+        order[1::2] = np.append(sources, top)
+        order[::2] = top + 1 + np.arange(len(pieces))
+        return pieces, itemgetter(*order.tolist())
 
-    numbered = np.hstack([k, n + 2 * d * d * k + np.arange(2 * d * d)])
-    hermitian = (template(["0.0" if j < 0 else "%s" for j in source[0, 1:]]),
-                 itemgetter(*source[source >= 0].tolist()))
-    general = template(["%r"] * (2 * d * d)), itemgetter(*numbered.ravel().tolist())
-    return real, diag, lower, upper, hermitian, general
+    general = text(["%s"] * (2 * d * d), np.hstack([k, n + 2 * d * d * k + np.arange(2 * d * d)]))
+    source = np.hstack([k, source])
+    hermitian = text(["0.0" if j < 0 else "%s" for j in source[0, 1:]], source[source >= 0])
+    return real, diag, lower, upper, (general, hermitian)
 
 
-def _elements_text(labels: list, ops: np.ndarray) -> str:
-    """The elements of one term, through the Hermitian text when every
-    element equals the mirror of its upper triangle (a diagonal imaginary
-    part 0.0, each strictly lower entry the conjugate of its twin, an
-    imaginary 0.0 or -0.0 mirrored as 0.0), else through the general one."""
-    real, diag, lower, upper, hermitian, general = _layout(ops.shape[1], len(ops))
-    flat = np.ascontiguousarray(ops).view(float).reshape(len(ops), -1)
-    mirror = flat.copy()
-    mirror[:, diag] = 0.0
-    mirror[:, lower[:, 0]] = flat[:, upper[:, 0]]
-    mirror[:, lower[:, 1]] = 0.0 - flat[:, upper[:, 1]]
-    if not (mirror.view(np.int64) == flat.view(np.int64)).all():
-        body, pick = general
-        return body % pick(labels + flat.ravel().tolist())
-    body, pick = hermitian
-    imag = list(map(repr, flat[:, upper[:, 1]].ravel().tolist()))
-    texts = labels + list(map(repr, flat[:, real].ravel().tolist())) + imag
-    texts += [t[1:] if t[0] == "-" else t if t == "0.0" else "-" + t for t in imag]
-    return body % pick(texts)
+def _terms_text(terms: list):
+    """The text of each of a run of terms of one dimension.  A term takes the
+    Hermitian text if each element is the mirror of its upper triangle (a
+    diagonal imaginary part 0.0, each strictly lower entry the conjugate of
+    its twin, an imaginary ±0.0 mirrored as 0.0), one bit comparison for
+    all the terms; any other term takes the general text."""
+    d, sizes = terms[0][1].dim, [len(extremal.ops) for _, extremal in terms]
+    real, diag, lower, upper = _layout(d, sizes[0])[:4]  # the same for any n
+    flat = np.concatenate([e.ops for _, e in terms]).view(float).reshape(sum(sizes), -1)
+    bits, starts = flat.view(np.int64), np.cumsum([0, *sizes[:-1]])
+    twins = np.hstack([flat[:, upper[:, 0]], 0.0 - flat[:, upper[:, 1]]]).view(np.int64)
+    same = (twins == bits[:, lower.T.ravel()]).all(axis=1) & (bits[:, diag] == 0).all(axis=1)
+    exact = np.logical_and.reduceat(same, starts).tolist()
+    reals, imags = flat[:, real], flat[:, upper[:, 1]]
+    for (p, extremal), a, n, hermitian in zip(terms, starts.tolist(), sizes, exact):
+        texts = list(map(_quote, extremal.labels()))
+        if hermitian:
+            imag = list(map(repr, imags[a:a + n].ravel().tolist()))
+            texts += list(map(repr, reals[a:a + n].ravel().tolist())) + imag
+            texts += [t[1:] if t[0] == "-" else t if t == "0.0" else "-" + t for t in imag]
+        else:
+            texts += list(map(repr, flat[a:a + n].ravel().tolist()))
+        pieces, pick = _layout(d, n)[4][hermitian]
+        yield "".join(pick(texts + [json.dumps(float(p))] + pieces))
 
 
 def _write_decomposition(result: DecompositionResult, write) -> None:
@@ -651,8 +681,8 @@ def _write_decomposition(result: DecompositionResult, write) -> None:
     relabel = json.dumps(dict(result.relabel), indent=2, sort_keys=True)
     write('{\n  "relabel": %s,\n  "terms": [' % relabel.replace("\n", "\n  "))
     sep = "\n    "
-    for p, extremal in result.terms:
-        elements = _elements_text(list(map(_quote, extremal.labels())), extremal.ops)
-        write(sep + _TERM % (json.dumps(extremal.dim), elements, json.dumps(float(p))))
-        sep = ",\n    "
+    for _, run in groupby(result.terms, key=lambda term: term[1].dim):
+        for text in _terms_text(list(run)):
+            write(sep + text)
+            sep = ",\n    "
     write("\n  ]\n}" if result.terms else "]\n}")

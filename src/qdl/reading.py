@@ -186,10 +186,19 @@ def coherent_overlap(a, b) -> np.ndarray:
     exp(conj(a_i).b_j - |a_i|^2/2 - |b_j|^2/2), with the dot product and
     the norms summed over modes.
     """
+    (_, conj_a, half_a), (b, _, half_b) = _states(a), _states(b)
+    return _overlaps(conj_a, half_a, b, half_b)
+
+
+def _states(a):
+    """Complex (states, modes) amplitudes, conjugates and half squared norms."""
     a = np.asarray(a, dtype=complex).reshape(len(a), -1)
-    b = np.asarray(b, dtype=complex).reshape(len(b), -1)
-    g = np.conj(a) @ b.T
-    g -= np.add.outer((np.abs(a) ** 2).sum(axis=1) / 2.0, (np.abs(b) ** 2).sum(axis=1) / 2.0)
+    return a, np.conj(a), (np.abs(a) ** 2).sum(axis=1) / 2.0
+
+
+def _overlaps(conj_a, half_a, b, half_b) -> np.ndarray:
+    g = conj_a @ b.T
+    g -= np.add.outer(half_a, half_b)
     return np.exp(g, out=g)
 
 
@@ -216,6 +225,7 @@ def _span_factor(amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
     sqrt(_SPAN_TOL) + _SPAN_TOL / 2, about 3.2e-8; against a truncated-Fock
     evaluation the excess is of the order of eps itself, a few 1e-15.
     """
+    amps, conj, half = _states(amps)
     d = np.array(weights, dtype=float)
     sw = np.sqrt(d)
     stop = _SPAN_TOL * d.sum()
@@ -227,7 +237,7 @@ def _span_factor(amps: np.ndarray, weights: np.ndarray) -> np.ndarray:
         if i == len(r):
             r = np.concatenate([r, np.zeros((min(i, k - i), k), dtype=complex)])
         p = int(np.argmax(d))
-        row = coherent_overlap(amps[p : p + 1], amps)[0] * (sw[p] * sw)
+        row = _overlaps(conj[p : p + 1], half[p : p + 1], amps, half)[0] * (sw[p] * sw)
         r[i] = (row - r[:i, p].conj() @ r[:i]) / math.sqrt(d[p])
         d -= np.abs(r[i]) ** 2
         d[p] = 0.0

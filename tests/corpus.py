@@ -24,10 +24,13 @@ Usage, from the root of a checkout:
 
     python3 tests/corpus.py --check               # compare with tests/corpus.json
     python3 tests/corpus.py --check --src OTHER/src   # another checkout's qdl
+    python3 tests/corpus.py --check --group 'decompose-*' --group fixtures
     python3 tests/corpus.py --record              # rewrite tests/corpus.json
 
 ``tests/test_corpus.py`` checks the SLICE groups in tier-1.
 
+``--group GLOB`` (repeatable) checks only the groups that a glob matches;
+a glob that matches no recorded group exits 1 and names it.
 ``--check`` exits 1 and names each command whose record differs.  The record
 keeps the Python, numpy and BLAS versions it was made with; a check on a
 different stack says so.  A re-record changes what the check accepts, so it
@@ -37,6 +40,7 @@ is listed, with every command whose record moved, in CHANGES.md.
 from __future__ import annotations
 
 import argparse
+import fnmatch
 import hashlib
 import io
 import json
@@ -319,7 +323,11 @@ def main(argv=None) -> int:
     mode.add_argument("--check", action="store_true")
     mode.add_argument("--record", action="store_true")
     p.add_argument("--src", default=str(ROOT / "src"), help="directory that holds qdl")
+    p.add_argument("--group", action="append", metavar="GLOB",
+                   help="check only the groups this glob matches (repeatable)")
     args = p.parse_args(argv)
+    if args.record and args.group:
+        p.error("--group applies to --check only")
     sys.path.insert(0, str(Path(args.src).resolve()))
     with tempfile.TemporaryDirectory() as tmp:
         if args.record:
@@ -331,10 +339,19 @@ def main(argv=None) -> int:
             print(f"recorded {len(data['commands'])} commands in {RECORD}")
             return 0
         recorded = load()
+        groups = None
+        if args.group:
+            names = sorted({e["group"] for e in recorded["commands"]})
+            matched = {g: [n for n in names if fnmatch.fnmatchcase(n, g)] for g in args.group}
+            unknown = [g for g, found in matched.items() if not found]
+            if unknown:
+                print(f"no recorded group matches {', '.join(map(repr, unknown))}")
+                return 1
+            groups = sorted({n for found in matched.values() for n in found})
         if recorded["stack"] != stack():
             print(f"note: recorded on {recorded['stack']}, checking on {stack()}; "
                   "a difference may come from the stack")
-        count, problems = check(recorded, Path(tmp))
+        count, problems = check(recorded, Path(tmp), groups)
     for line in problems:
         print(line)
     print(f"{count} commands checked, {len(problems)} differ")

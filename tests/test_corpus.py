@@ -39,3 +39,12 @@ def test_corpus_check_shows_the_moved_line_of_a_csv(tmp_path):
                         "(exit code 0 recorded, 0 now); stdout line 2: "
                         "'1,1,0.833333333,0.355662434' recorded, "
                         "'1,1,0.833333333,0.355662433' now"]
+
+
+def test_corpus_check_takes_group_globs_and_names_one_matching_nothing(capsys):
+    errors = sum(e["group"] == "errors" for e in corpus.load()["commands"])
+    assert corpus.main(["--check", "--group", "err*", "--group", "nope-*"]) == 1
+    assert capsys.readouterr().out == "no recorded group matches 'nope-*'\n"
+    # both globs match the one group, whose commands run once
+    corpus.main(["--check", "--group", "err*", "--group", "e?rors"])
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"{errors} commands checked,")

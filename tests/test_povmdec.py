@@ -614,52 +614,84 @@ def test_ordered_rejects_higher_dimensions():
         povmdec.ordered_decompose(bb84_povm(), criterion="most-outcomes")
 
 
-def same_terms(a, b):
-    return len(a.terms) == len(b.terms) and all(
-        pa == pb and ea.labels() == eb.labels() and bits(ea.ops) == bits(eb.ops)
-        for (pa, ea), (pb, eb) in zip(a.terms, b.terms)
-    )
+def prefixes(tree, path=()):
+    """The entering-column path of every state of a tree of walks, given the
+    children of its start."""
+    for entering, child in tree.items():
+        yield path + (entering,)
+        yield from prefixes(child.children, path + (entering,))
 
 
-def test_ordered_decompose_solves_each_dropped_outcome_once_per_step():
-    # within one extraction step the live outcomes are fixed, so the LP with
-    # outcome k priced out is one LP however often the climb drops k; the
-    # priced-out sets differ between drops and between steps (the dead set
-    # grows), so no neighbour LP may be solved twice
+def cold(m, ncol, tree=None):
+    """The all-artificial start of a vertex LP's walk, updated in place, or
+    the start of a tree of walks whose start's children are tree."""
+    return povmdec._Walk(np.arange(ncol - m, ncol), np.eye(m), children=tree)
+
+
+def test_ordered_decompose_pivots_each_entering_prefix_once_per_call():
+    # every neighbour walk of one call starts from the same all-artificial
+    # basis.  Replayed one by one, each in a tree of its own, the walks
+    # enter columns along paths whose distinct prefixes are exactly the
+    # states of the call's shared tree; a state is added by one pivot, so
+    # the call pivots once per distinct prefix.  Each vertex has the bits of
+    # its replay and of the same walk updated in place, and walking the same
+    # drops again adds no state.
     rng = np.random.default_rng(43)
-    library, neighbours = povmdec._solve_vertex, povmdec._neighboring_vertices
+    neighbours = povmdec._neighboring_vertices
     saved = 0
     for n in (5, 8, 12):
         ops = oracles.random_povm(rng, 2, n)
         p = povmdec.Povm(dim=2, elements=tuple((str(i), op) for i, op in enumerate(ops)))
-        runs = []
-        for forget in (False, True):
-            step, per_step = [], {}
+        trees, replayed, walked = [], set(), []
 
-            def counted(cols, b, cost, basis, binv):
-                if step:  # a priced-out neighbour solve, keyed by its step
-                    per_step.setdefault(step[0], []).append(cost.tobytes())
-                return library(cols, b, cost, basis, binv)
+        def replaying(lp, live, x, tree):
+            cols, b, cost = lp[:3]
+            m, ncol = cols.shape
+            got = neighbours(lp, live, x, tree)
+            states = set(prefixes(tree))
+            again = neighbours(lp, live, x, tree)
+            assert set(prefixes(tree)) == states
+            assert [bits(v) for v in again] == [bits(v) for v in got]
+            want = []
+            for k in (x > povmdec._ZERO).nonzero()[0] if len(live) >= 3 else []:
+                own = {}
+                vertex, _ = povmdec._phase1_simplex(cols, b, cost, cold(m, ncol, own), live[k])
+                alone, _ = povmdec._phase1_simplex(cols, b, cost, cold(m, ncol), live[k])
+                assert bits(vertex) == bits(alone)
+                path = max(prefixes(own), key=len, default=())
+                assert set(prefixes(own)) == {path[:j] for j in range(1, len(path) + 1)}
+                replayed.update(prefixes(own))
+                walked.append(len(path))
+                if vertex is not None:
+                    want.append(vertex[:-m][live])
+            assert [bits(v) for v in got] == [bits(v) for v in want]
+            trees.append(tree)
+            return got
 
-            def stepped(lp, live, x, solved):
-                step.append(live.tobytes())
-                try:
-                    return neighbours(lp, live, x, {} if forget else solved)
-                finally:
-                    step.pop()
-
-            with mock.patch.object(povmdec, "_solve_vertex", counted), mock.patch.object(
-                povmdec, "_neighboring_vertices", stepped
-            ):
-                runs.append((povmdec.ordered_decompose(p), per_step))
-        (got, memo_calls), (want, all_calls) = runs
-        assert all(len(set(calls)) == len(calls) for calls in memo_calls.values())
-        assert {k: set(v) for k, v in memo_calls.items()} == {
-            k: set(v) for k, v in all_calls.items()
-        }
-        assert same_terms(got, want)
-        saved += sum(map(len, all_calls.values())) - sum(map(len, memo_calls.values()))
+        with mock.patch.object(povmdec, "_neighboring_vertices", replaying):
+            povmdec.ordered_decompose(p)
+        assert trees and all(tree is trees[0] for tree in trees)
+        states = list(prefixes(trees[0]))
+        assert len(states) == len(set(states)) and set(states) == replayed
+        saved += sum(walked) - len(states)
     assert saved > 0
+
+
+def test_a_tree_state_below_a_finished_walk_keeps_its_own_solution():
+    # one walk ends at the start (every column it may enter is barred); a
+    # second walk of the same tree then enters from there, and what it finds
+    # is its own walk's result, not the state it branched from
+    _, vectors = povmdec.bloch_points(bb84_povm())
+    cols, b, cost = povmdec._vertex_lp(vectors)[:3]
+    m, ncol = cols.shape
+    cost[: ncol - m] = 1.0
+    cost[0] = 0.0  # the only column that may enter
+    start = cold(m, ncol, {})
+    for also in (0, None):
+        got = povmdec._phase1_simplex(cols, b, cost, start, also)
+        want = povmdec._phase1_simplex(cols, b, cost, cold(m, ncol), also)
+        assert [bits(g) for g in got] == [bits(w) for w in want]
+        assert list(prefixes(start.children)) == ([] if also == 0 else [(0,)])
 
 
 def pretty_good_measurement(rng, n):
@@ -687,20 +719,20 @@ def test_priced_out_neighbours_equal_the_rebuilt_lps(family):
         p = povmdec.Povm(dim=2, elements=tuple((str(i), op) for i, op in enumerate(ops)))
         vectors = povmdec._bloch(povmdec.rank1_expand(p)[0].ops)[2]
 
-        def checked(lp, live, x, solved):
-            every = {}
-            neighbours(lp, live, np.ones(len(live)), every)
-            for drop, got in every.items():
+        def checked(lp, live, x, tree):
+            for drop in range(len(live)):
+                got = neighbours(lp, live, np.eye(len(live))[drop], tree)
+                if len(live) < 3:
+                    assert got == []
+                    continue
                 try:
                     want = np.insert(povmdec.find_extremal_vertex(
                         np.delete(vectors[live], drop, 0)), drop, 0.0)
                 except povmdec.InfeasiblePovmError:
                     want = None
-                assert (got is None) == (want is None)
-                assert want is None or np.array_equal(got, want)
+                assert [bits(v) for v in got] == ([] if want is None else [bits(want)])
                 compared.append(want is None)
-            assert len(every) == (len(live) if len(live) >= 3 else 0)
-            return neighbours(lp, live, x, solved)
+            return neighbours(lp, live, x, tree)
 
         with mock.patch.object(povmdec, "_neighboring_vertices", checked):
             povmdec.ordered_decompose(p)
@@ -795,17 +827,24 @@ def bits(a):
 
 def checked_simplex(calls):
     """The library pivot loop, run after the reference loop of tests/oracles.py
-    on copies of the same basis and inverse; x, the certificate, and the
-    basis and inverse left behind must agree bit for bit."""
+    on copies of the same basis and inverse, the column ``also`` priced out;
+    x and the certificate must agree bit for bit, and so must the basis and
+    inverse that a walk updated in place leaves behind.  A walk through a
+    tree starts at its root, the all-artificial basis."""
     library = povmdec._phase1_simplex
 
-    def run(cols, b, cost, basis, binv):
-        ref_basis, ref_binv = basis.copy(), binv.copy()
-        want = oracles.phase1_simplex_reference(cols, b, cost, ref_basis, ref_binv)
-        got = library(cols, b, cost, basis, binv)
+    def run(cols, b, cost, walk, also=None):
+        assert walk.step == 0
+        priced = cost.copy()
+        if also is not None:
+            priced[also] = 1.0
+        ref_basis, ref_binv = walk.basis.copy(), walk.binv.copy()
+        want = oracles.phase1_simplex_reference(cols, b, priced, ref_basis, ref_binv)
+        got = library(cols, b, cost, walk, also)
         assert [bits(g) for g in got] == [bits(w) for w in want]
-        assert bits(basis) == bits(ref_basis)
-        assert bits(binv) == bits(ref_binv)
+        if walk.children is None:
+            assert bits(walk.basis) == bits(ref_basis)
+            assert bits(walk.binv) == bits(ref_binv)
         calls.append(got[0] is None)
         return got
 
